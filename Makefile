@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz check check-db crash crash-wal crash-concurrent clean bench-parallel bench-compressed bench-write bench-serve bench-skip bench-check bench-baseline bench-overhead trace-smoke serve-torture serve-smoke
+.PHONY: all build vet test race fuzz check check-db crash crash-wal crash-concurrent clean bench-parallel bench-compressed bench-write bench-serve bench-skip bench-check bench-baseline bench-overhead bench-harness bench-compare trace-smoke serve-torture serve-smoke
 
 all: check
 
@@ -143,6 +143,20 @@ serve-smoke:
 # counters as too hot for the Next path.
 bench-overhead:
 	$(GO) test $(BENCH_PARALLEL) | $(GO) run ./scripts/benchcheck -baseline BENCH_parallel.json -maxratio 1.03
+
+# The repository benchmark (BENCHMARK.json, bench/) is a module of its
+# own, outside `go test ./...`: bench-harness vets it and runs its tests
+# (every workload at a tiny scale, answers checked against the oracle).
+bench-harness:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Measure the working tree against BASE: PAIRS runs per side and workload,
+# alternating which side goes first, then bench/run.sh -compare's verdict
+# per (workload, metric). About 80 s per pair and workload.
+PAIRS ?= 10
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<ref> [PAIRS=10]"; exit 2; }
+	$(GO) run ./scripts/benchcompare -base $(BASE) -pairs $(PAIRS)
 
 # End-to-end observability smoke test: generate a small TPC-H corpus,
 # load three tables, run a two-hash-join aggregation with EXPLAIN

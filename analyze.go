@@ -89,6 +89,9 @@ func renderOpLine(n *exec.PlanNode, s OperatorStats) string {
 	if s.BlocksSkipped > 0 {
 		fmt.Fprintf(&b, " skipped=%d", s.BlocksSkipped)
 	}
+	if s.StringsTranslated > 0 {
+		fmt.Fprintf(&b, " interned=%d/%d", s.StringsInterned, s.StringsTranslated)
+	}
 	if sp := s.Spill; sp != nil {
 		fmt.Fprintf(&b, " spill(spills=%d parts=%d depth=%d wrote=%s read=%s)",
 			sp.Spills, sp.Partitions, sp.MaxDepth,

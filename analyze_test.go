@@ -222,6 +222,7 @@ func redactCounters(s string) string {
 		{`blocks=\d+`, "blocks=_"},
 		{`time=[0-9.]+(µs|ms|s)`, "time=_"},
 		{`bytes=[0-9.]+(B|KB|MB)`, "bytes=_"},
+		{`interned=\d+/\d+`, "interned=_"},
 		{`spills=\d+`, "spills=_"},
 		{`parts=\d+`, "parts=_"},
 		{`depth=\d+`, "depth=_"},

@@ -133,37 +133,45 @@ func Run(db *tde.Database, cfg Config) (*Report, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rep := &Report{}
 	for i := 0; i < cfg.Queries; i++ {
-		sql := randomQuery(rng)
-		rep.Queries++
-		oracle, err := db.QueryWithOptions(sql, plan.Options{ParallelWorkers: -1})
-		if err != nil {
-			return rep, fmt.Errorf("difftest: serial oracle failed: %w\n  query: %s", err, sql)
-		}
-		want := canonicalRows(oracle.Rows)
-		for _, w := range cfg.Workers {
-			for _, r := range cfg.Routings {
-				opt := plan.Options{ParallelWorkers: w, Routing: r}
-				rep.Comparisons++
-				got, err := db.QueryContext(context.Background(), sql, tde.QueryOptions{
-					Plan:         opt,
-					MemoryBudget: cfg.MemoryBudget,
-					SpillBudget:  cfg.SpillBudget,
-				})
-				if err != nil {
-					rep.Mismatches = append(rep.Mismatches, Mismatch{
-						SQL: sql, Opt: opt, Detail: fmt.Sprintf("query error: %v", err)})
-					continue
-				}
-				if got.Stats().Spilled() {
-					rep.Spilled++
-				}
-				if d := diffRows(want, canonicalRows(got.Rows)); d != "" {
-					rep.Mismatches = append(rep.Mismatches, Mismatch{SQL: sql, Opt: opt, Detail: d})
-				}
-			}
+		if err := Compare(db, randomQuery(rng), plan.Options{ParallelWorkers: -1}, cfg, rep); err != nil {
+			return rep, err
 		}
 	}
 	return rep, nil
+}
+
+// Compare runs one query under the oracle's plan options (unbudgeted) and
+// under every (workers, routing) variant of cfg, recording into rep.
+func Compare(db *tde.Database, sql string, oracleOpt plan.Options, cfg Config, rep *Report) error {
+	rep.Queries++
+	oracle, err := db.QueryWithOptions(sql, oracleOpt)
+	if err != nil {
+		return fmt.Errorf("difftest: serial oracle failed: %w\n  query: %s", err, sql)
+	}
+	want := canonicalRows(oracle.Rows)
+	for _, w := range cfg.Workers {
+		for _, r := range cfg.Routings {
+			opt := plan.Options{ParallelWorkers: w, Routing: r}
+			rep.Comparisons++
+			got, err := db.QueryContext(context.Background(), sql, tde.QueryOptions{
+				Plan:         opt,
+				MemoryBudget: cfg.MemoryBudget,
+				SpillBudget:  cfg.SpillBudget,
+			})
+			if err != nil {
+				rep.Mismatches = append(rep.Mismatches, Mismatch{
+					SQL: sql, Opt: opt, Detail: fmt.Sprintf("query error: %v", err)})
+				continue
+			}
+			if got.Stats().Spilled() {
+				rep.Spilled++
+			}
+			if d := diffRows(want, canonicalRows(got.Rows)); d != "" {
+				rep.Mismatches = append(rep.Mismatches, Mismatch{SQL: sql, Opt: opt, Detail: d})
+			}
+		}
+	}
+	return nil
 }
 
 // canonicalRows renders a result as a sorted multiset of rows. Group

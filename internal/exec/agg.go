@@ -78,20 +78,22 @@ const directLimit = 1 << 16
 // tokenDirectLimit caps the dictionary size for AggTokenDirect.
 const tokenDirectLimit = 1 << 15
 
-type group struct {
-	keys []uint64
-	accs []acc
+// acc is one aggregate's running state for one group. It holds no
+// pointers, so a slab of them grows without clearing and is invisible to
+// the collector; what COUNTD and MEDIAN retain per input row lives in the
+// parallel wideAcc slab.
+type acc struct {
+	sumI  int64
+	sumF  float64
+	count int64
+	minB  uint64
+	maxB  uint64
+	seen  bool
 }
 
-type acc struct {
-	sumI     int64
-	sumF     float64
-	count    int64
-	minB     uint64
-	maxB     uint64
-	seen     bool
-	distinct map[uint64]struct{}
-	all      []uint64
+type wideAcc struct {
+	distinct map[uint64]struct{} // COUNTD
+	all      []uint64            // MEDIAN
 }
 
 // aggCore is the grouping machinery shared by the serial Aggregate and
@@ -103,11 +105,23 @@ type aggCore struct {
 	keyCols []int
 	specs   []AggSpec
 	chosen  AggMode
-	opName  string
+	st      *OpStats // the owning operator's: names the charges, receives the string counters
 
-	groups    []*group
-	lookup    map[uint64][]int // hash -> candidate group indexes (AggHash)
-	direct    []int            // envelope -> group index +1 (AggDirect / AggTokenDirect)
+	// The flat group table, shared by every mode: group g's key tuple is
+	// keys[g*len(keyCols):] and its accumulators accs[g*len(specs):], in
+	// creation order; wide parallels accs when a spec is COUNTD or MEDIAN
+	// (perRow > 0) and is empty otherwise. Hash mode finds groups through
+	// slots, an open-addressing index (group +1, 0 = empty, at most half
+	// full) addressed by the top bits of the key hash; the direct modes
+	// through direct; ordered mode only ever looks at the last group.
+	n         int
+	keys      []uint64
+	accs      []acc
+	wide      []wideAcc
+	slots     []int32
+	shift     uint
+	tuple     []uint64 // one row's key tuple
+	direct    []int    // envelope -> group index +1 (AggDirect / AggTokenDirect)
 	dmin      int64
 	tokenDict []uint64 // the key's dictionary (AggTokenDirect)
 
@@ -116,16 +130,14 @@ type aggCore struct {
 	// execution. Reported through the operator's routine string.
 	runBlocks int
 
-	// ordered mode state
-	cur     *group
-	curSet  bool
-	curKeys []uint64
+	// curSet: ordered mode's last group is still running (open to more rows)
+	curSet bool
 
 	// String columns that participate in grouping or MIN/MAX/COUNTD are
-	// re-interned into one heap per column so tokens stay comparable
+	// translated into one heap per column so tokens stay comparable
 	// across blocks (computed string columns carry per-block heaps).
 	strHeaps []*heap.Heap
-	strAccs  []*heap.Accelerator
+	strTr    []*heap.Translator
 
 	// budget cost model
 	groupCost    int
@@ -137,52 +149,35 @@ type aggCore struct {
 
 // newAggCore sets up the grouping state for the chosen mode; the direct
 // table (the one up-front allocation) is charged against qc.
-func newAggCore(in []ColInfo, keyCols []int, specs []AggSpec, chosen AggMode, opName string, qc *QueryCtx) (*aggCore, error) {
-	c := &aggCore{in: in, keyCols: keyCols, specs: specs, chosen: chosen, opName: opName}
+func newAggCore(in []ColInfo, keyCols []int, specs []AggSpec, chosen AggMode, st *OpStats, qc *QueryCtx) (*aggCore, error) {
+	c := &aggCore{in: in, keyCols: keyCols, specs: specs, chosen: chosen, st: st, tuple: make([]uint64, len(keyCols))}
+	direct := 0
 	switch chosen {
-	case AggHash:
-		c.lookup = make(map[uint64][]int)
 	case AggDirect:
 		md := in[keyCols[0]].Meta
 		c.dmin = md.Min
-		if err := qc.Charge(opName, int(md.Max-md.Min+1)*8); err != nil {
-			return nil, err
-		}
-		c.charged += int(md.Max-md.Min+1) * 8
-		c.directCharge = c.charged
-		c.direct = make([]int, md.Max-md.Min+1)
+		direct = int(md.Max - md.Min + 1)
 	case AggTokenDirect:
 		c.tokenDict = in[keyCols[0]].Dict
-		n := len(c.tokenDict) + 1 // the last slot is the NULL token's
-		if err := qc.Charge(opName, n*8); err != nil {
-			return nil, err
-		}
-		c.charged += n * 8
-		c.directCharge = c.charged
-		c.direct = make([]int, n)
-	case AggOrdered:
-		c.curKeys = make([]uint64, len(keyCols))
+		direct = len(c.tokenDict) + 1 // the last slot is the NULL token's
 	}
+	if err := qc.Charge(st.kind, direct*8); err != nil {
+		return nil, err
+	}
+	c.charged, c.directCharge = direct*8, direct*8
+	c.direct = make([]int, direct)
 	c.strHeaps = make([]*heap.Heap, len(in))
-	c.strAccs = make([]*heap.Accelerator, len(in))
-	needsHeap := map[int]bool{}
-	for _, kc := range keyCols {
-		if in[kc].Type == types.String {
-			needsHeap[kc] = true
+	c.strTr = make([]*heap.Translator, len(in))
+	strCol := func(col int) {
+		if col >= 0 && in[col].Type == types.String && c.strTr[col] == nil {
+			c.freshHeap(qc, col, collationOf(in[col]))
 		}
+	}
+	for _, kc := range keyCols {
+		strCol(kc)
 	}
 	for _, s := range specs {
-		if s.Col >= 0 && in[s.Col].Type == types.String {
-			needsHeap[s.Col] = true
-		}
-	}
-	for col := range needsHeap {
-		coll := in[col].Collation
-		if in[col].Heap != nil {
-			coll = in[col].Heap.Collation()
-		}
-		c.strHeaps[col] = heap.New(coll)
-		c.strAccs[col] = heap.NewAccelerator(c.strHeaps[col], 0)
+		strCol(s.Col)
 	}
 	// Per-group hash-table footprint: keys, accumulators, bookkeeping.
 	c.groupCost = 64 + 16*(len(keyCols)+len(specs))
@@ -194,22 +189,42 @@ func newAggCore(in []ColInfo, keyCols []int, specs []AggSpec, chosen AggMode, op
 	return c, nil
 }
 
+// freshHeap gives string column col an empty heap and a translator into
+// it, retiring the previous translator: its memos point into the old heap.
+func (c *aggCore) freshHeap(qc *QueryCtx, col int, coll types.Collation) {
+	c.retire(col)
+	c.strHeaps[col] = heap.New(coll)
+	c.strTr[col] = heap.NewTranslator(c.strHeaps[col], heap.NewAccelerator(c.strHeaps[col], 0), qc, c.st.kind)
+}
+
+// dropMemos frees the translators' memos, keeping their counters.
+func (c *aggCore) dropMemos() {
+	for _, tr := range c.strTr {
+		if tr != nil {
+			tr.Release()
+		}
+	}
+}
+
+// retire releases col's translator, if any, and books its counters.
+func (c *aggCore) retire(col int) {
+	if tr := c.strTr[col]; tr != nil {
+		tr.Release()
+		c.st.AddStrings(tr.Interned, tr.Translated)
+		c.strTr[col] = nil
+	}
+}
+
 // internStrings rewrites string tokens in place (the block is owned by
 // the caller's read loop) into the per-column aggregation heaps, making
 // tokens comparable across blocks and collation-aware.
 func (c *aggCore) internStrings(b *vec.Block) {
-	for col, acc := range c.strAccs {
-		if acc == nil {
+	for col, tr := range c.strTr {
+		if tr == nil {
 			continue
 		}
 		v := &b.Vecs[col]
-		for i := 0; i < b.N; i++ {
-			tok := v.Data[i]
-			if tok == types.NullToken {
-				continue
-			}
-			v.Data[i] = acc.Intern(v.Heap.Get(tok))
-		}
+		tr.Translate(v.Heap, v.Data[:b.N], v.Data[:b.N])
 		v.Heap = c.strHeaps[col]
 	}
 }
@@ -217,10 +232,7 @@ func (c *aggCore) internStrings(b *vec.Block) {
 // consumeBlock groups one block (whose string columns internStrings has
 // already rewritten) and charges the growth against the budget.
 func (c *aggCore) consumeBlock(qc *QueryCtx, b *vec.Block) error {
-	before := len(c.groups)
-	if c.chosen == AggOrdered && c.curSet {
-		before++ // the running group not yet flushed
-	}
+	before := c.n
 	if c.runCapable(b) {
 		if err := c.consumeRuns(b); err != nil {
 			return err
@@ -232,17 +244,19 @@ func (c *aggCore) consumeBlock(qc *QueryCtx, b *vec.Block) error {
 			if err != nil {
 				return err
 			}
-			c.update(g, b, i)
+			c.updateW(g, b, i, 1)
 		}
 	}
-	after := len(c.groups)
-	if c.chosen == AggOrdered && c.curSet {
-		after++
-	}
+	return c.chargeGrowth(qc, before, b.N)
+}
+
+// chargeGrowth charges what the table grew by since it held before
+// groups, plus rows input rows' worth of retained per-row state.
+func (c *aggCore) chargeGrowth(qc *QueryCtx, before, rows int) error {
 	grown := heapSizes(c.strHeaps)
-	cost := (after-before)*c.groupCost + b.N*c.perRow + (grown - c.heapBytes)
+	cost := (c.n-before)*c.groupCost + rows*c.perRow + (grown - c.heapBytes)
 	c.heapBytes = grown
-	if err := qc.Charge(c.opName, cost); err != nil {
+	if err := qc.Charge(c.st.kind, cost); err != nil {
 		return err
 	}
 	c.charged += cost
@@ -300,10 +314,10 @@ func (c *aggCore) consumeRuns(b *vec.Block) error {
 }
 
 // foldRuns applies the enc run kernels to a plain scalar column's runs.
-func (c *aggCore) foldRuns(g *group, runs []enc.Run, t types.Type, rows int) {
+func (c *aggCore) foldRuns(g int, runs []enc.Run, t types.Type, rows int) {
 	null := types.NullBits(t)
 	for j, s := range c.specs {
-		ac := &g.accs[j]
+		ac := &c.accs[g*len(c.specs)+j]
 		if s.Col < 0 { // COUNT(*) counts NULLs too
 			ac.count += int64(rows)
 			continue
@@ -314,7 +328,7 @@ func (c *aggCore) foldRuns(g *group, runs []enc.Run, t types.Type, rows int) {
 		case CountD:
 			for _, r := range runs {
 				if r.Value != null {
-					ac.distinct[r.Value] = struct{}{}
+					c.wide[g*len(c.specs)+j].distinct[r.Value] = struct{}{}
 				}
 			}
 		case Sum, Avg:
@@ -331,160 +345,141 @@ func (c *aggCore) foldRuns(g *group, runs []enc.Run, t types.Type, rows int) {
 			mn, mx, ok := enc.MinMaxRuns(runs, null, func(a, b uint64) int {
 				return types.Compare(t, a, b)
 			})
-			if !ok {
-				break
-			}
-			if !ac.seen {
-				ac.minB, ac.maxB, ac.seen = mn, mx, true
-				break
-			}
-			if types.Compare(t, mn, ac.minB) < 0 {
-				ac.minB = mn
-			}
-			if types.Compare(t, mx, ac.maxB) > 0 {
-				ac.maxB = mx
+			if ok {
+				c.foldMinMax(ac, s.Col, mn)
+				c.foldMinMax(ac, s.Col, mx)
 			}
 		}
 	}
 }
 
-// finish flushes the ordered mode's running group.
-func (c *aggCore) finish() {
-	if c.chosen == AggOrdered && c.curSet {
-		c.groups = append(c.groups, c.cur)
-		c.curSet = false
+// finish closes the ordered mode's running group.
+func (c *aggCore) finish() { c.curSet = false }
+
+// hashTuple hashes a key tuple; the slot index takes its top bits, which
+// every bit of every key reaches.
+func hashTuple(keys []uint64) uint64 {
+	h := uint64(1469598103934665603)
+	for _, k := range keys {
+		h = (h ^ k) * 0x9E3779B97F4A7C15
 	}
+	return h
 }
 
-func (c *aggCore) findGroup(b *vec.Block, i int) (*group, error) {
+// findGroup returns the index of row i's group, creating it on first
+// sight.
+func (c *aggCore) findGroup(b *vec.Block, i int) (int, error) {
+	for j, kc := range c.keyCols {
+		c.tuple[j] = b.Vecs[kc].Data[i]
+	}
 	switch c.chosen {
 	case AggDirect:
-		k := int64(b.Vecs[c.keyCols[0]].Data[i]) - c.dmin
+		k := int64(c.tuple[0]) - c.dmin
 		if k < 0 || k >= int64(len(c.direct)) {
 			// Metadata promised this cannot happen; stored metadata can be
 			// stale or corrupt, so fail the query rather than the process.
-			return nil, fmt.Errorf("exec: direct aggregation key outside [min,max] envelope (corrupt column metadata?)")
+			return 0, fmt.Errorf("exec: direct aggregation key outside [min,max] envelope (corrupt column metadata?)")
 		}
 		if c.direct[k] == 0 {
-			g := c.newGroup(b, i)
-			c.groups = append(c.groups, g)
-			c.direct[k] = len(c.groups)
+			c.direct[k] = c.newGroup(c.tuple) + 1
 		}
-		return c.groups[c.direct[k]-1], nil
+		return c.direct[k] - 1, nil
 	case AggTokenDirect:
-		tok := b.Vecs[c.keyCols[0]].Data[i]
+		tok := c.tuple[0]
 		k := len(c.direct) - 1 // the NULL token's slot
 		if tok != types.NullToken {
 			if tok >= uint64(len(c.tokenDict)) {
-				return nil, fmt.Errorf("exec: dictionary token outside the dictionary (corrupt column metadata?)")
+				return 0, fmt.Errorf("exec: dictionary token outside the dictionary (corrupt column metadata?)")
 			}
 			k = int(tok)
 		}
 		if c.direct[k] == 0 {
-			g := c.newGroup(b, i)
-			c.groups = append(c.groups, g)
-			c.direct[k] = len(c.groups)
+			c.direct[k] = c.newGroup(c.tuple) + 1
 		}
-		return c.groups[c.direct[k]-1], nil
+		return c.direct[k] - 1, nil
 	case AggOrdered:
-		same := c.curSet
-		if same {
-			for j, kc := range c.keyCols {
-				if b.Vecs[kc].Data[i] != c.curKeys[j] {
-					same = false
-					break
-				}
-			}
-		}
-		if !same {
-			if c.curSet {
-				c.groups = append(c.groups, c.cur)
-			}
-			c.cur = c.newGroup(b, i)
+		if !c.curSet || !c.keysEqual(c.n-1, c.tuple) {
+			c.newGroup(c.tuple)
 			c.curSet = true
-			for j, kc := range c.keyCols {
-				c.curKeys[j] = b.Vecs[kc].Data[i]
-			}
 		}
-		return c.cur, nil
+		return c.n - 1, nil
 	default: // AggHash
-		h := uint64(1469598103934665603)
-		for _, kc := range c.keyCols {
-			h ^= b.Vecs[kc].Data[i]
-			h *= 1099511628211
-		}
-		for _, gi := range c.lookup[h] {
-			g := c.groups[gi]
-			match := true
-			for j, kc := range c.keyCols {
-				if g.keys[j] != b.Vecs[kc].Data[i] {
-					match = false
-					break
-				}
-			}
-			if match {
-				return g, nil
-			}
-		}
-		g := c.newGroup(b, i)
-		c.groups = append(c.groups, g)
-		c.lookup[h] = append(c.lookup[h], len(c.groups)-1)
-		return g, nil
+		return c.findGroupKeys(c.tuple), nil
 	}
 }
 
-func (c *aggCore) newGroup(b *vec.Block, i int) *group {
-	g := &group{keys: make([]uint64, len(c.keyCols)), accs: make([]acc, len(c.specs))}
-	for j, kc := range c.keyCols {
-		g.keys[j] = b.Vecs[kc].Data[i]
-	}
-	for j, s := range c.specs {
-		if s.Func == CountD {
-			g.accs[j].distinct = make(map[uint64]struct{})
+func (c *aggCore) keysEqual(g int, keys []uint64) bool {
+	for j, k := range c.keys[g*len(keys) : (g+1)*len(keys)] {
+		if k != keys[j] {
+			return false
 		}
 	}
-	return g
+	return true
 }
 
-// findGroupKeys is findGroup's hash-mode twin for the merge stage, keyed
-// on an explicit key tuple instead of a block row.
-func (c *aggCore) findGroupKeys(keys []uint64) *group {
-	h := uint64(1469598103934665603)
-	for _, k := range keys {
-		h ^= k
-		h *= 1099511628211
-	}
-	for _, gi := range c.lookup[h] {
-		g := c.groups[gi]
-		match := true
-		for j := range keys {
-			if g.keys[j] != keys[j] {
-				match = false
-				break
+// newGroup appends a group with the given key tuple to the slabs and
+// returns its index.
+func (c *aggCore) newGroup(keys []uint64) int {
+	c.keys = append(c.keys, keys...)
+	for _, s := range c.specs {
+		c.accs = append(c.accs, acc{})
+		if c.perRow > 0 {
+			w := wideAcc{}
+			if s.Func == CountD {
+				w.distinct = make(map[uint64]struct{})
 			}
+			c.wide = append(c.wide, w)
 		}
-		if match {
+	}
+	c.n++
+	return c.n - 1
+}
+
+// findGroupKeys is hash mode's probe: the group holding the key tuple,
+// created on first sight.
+func (c *aggCore) findGroupKeys(keys []uint64) int {
+	if c.n*2 >= len(c.slots) {
+		c.growSlots()
+	}
+	mask := uint64(len(c.slots) - 1)
+	for i := hashTuple(keys) >> c.shift; ; i = (i + 1) & mask {
+		g := int(c.slots[i]) - 1
+		if g < 0 {
+			c.slots[i] = int32(c.n + 1)
+			return c.newGroup(keys)
+		}
+		if c.keysEqual(g, keys) {
 			return g
 		}
 	}
-	g := &group{keys: append([]uint64(nil), keys...), accs: make([]acc, len(c.specs))}
-	for j, s := range c.specs {
-		if s.Func == CountD {
-			g.accs[j].distinct = make(map[uint64]struct{})
-		}
-	}
-	c.groups = append(c.groups, g)
-	c.lookup[h] = append(c.lookup[h], len(c.groups)-1)
-	return g
 }
 
-func (c *aggCore) update(g *group, b *vec.Block, i int) { c.updateW(g, b, i, 1) }
+// growSlots doubles the slot index (from nothing: 64 slots) and re-seats
+// every group from its keys in the slab.
+func (c *aggCore) growSlots() {
+	n := 2 * len(c.slots)
+	if n == 0 {
+		n, c.shift = 64, 64-5
+	}
+	c.slots = make([]int32, n)
+	c.shift--
+	mask := uint64(n - 1)
+	nk := len(c.keyCols)
+	for g := 0; g < c.n; g++ {
+		i := hashTuple(c.keys[g*nk:(g+1)*nk]) >> c.shift
+		for c.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		c.slots[i] = int32(g + 1)
+	}
+}
 
 // updateW folds row i into g's accumulators w times in O(1) — w is a run
 // length when the caller is consumeRuns, 1 on the row path.
-func (c *aggCore) updateW(g *group, b *vec.Block, i int, w int64) {
+func (c *aggCore) updateW(g int, b *vec.Block, i int, w int64) {
+	accs := c.accs[g*len(c.specs):]
 	for j, s := range c.specs {
-		ac := &g.accs[j]
+		ac := &accs[j]
 		if s.Col < 0 { // COUNT(*)
 			ac.count += w
 			continue
@@ -499,7 +494,7 @@ func (c *aggCore) updateW(g *group, b *vec.Block, i int, w int64) {
 		case Count:
 			ac.count += w
 		case CountD:
-			ac.distinct[v.Data[i]] = struct{}{}
+			c.wide[g*len(c.specs)+j].distinct[v.Data[i]] = struct{}{}
 		case Sum, Avg:
 			ac.count += w
 			if t == types.Real {
@@ -508,71 +503,74 @@ func (c *aggCore) updateW(g *group, b *vec.Block, i int, w int64) {
 				ac.sumI += int64(bits) * w
 			}
 		case Min, Max:
-			if !ac.seen {
-				ac.minB, ac.maxB, ac.seen = bits, bits, true
-				break
-			}
-			if t == types.String {
-				if v.Heap.Compare(v.Data[i], ac.minB) < 0 {
-					ac.minB = v.Data[i]
-				}
-				if v.Heap.Compare(v.Data[i], ac.maxB) > 0 {
-					ac.maxB = v.Data[i]
-				}
-			} else {
-				if types.Compare(t, bits, ac.minB) < 0 {
-					ac.minB = bits
-				}
-				if types.Compare(t, bits, ac.maxB) > 0 {
-					ac.maxB = bits
-				}
-			}
+			c.foldMinMax(ac, s.Col, bits)
 		case Median:
 			ac.count += w
+			wd := &c.wide[g*len(c.specs)+j]
 			for k := int64(0); k < w; k++ {
-				ac.all = append(ac.all, bits)
+				wd.all = append(wd.all, bits)
 			}
 		}
 	}
 }
 
+// foldMinMax folds one value of input column col (a token of the column's
+// aggregation heap when it is a string) into ac's running extremes.
+func (c *aggCore) foldMinMax(ac *acc, col int, v uint64) {
+	switch {
+	case !ac.seen:
+		ac.minB, ac.maxB, ac.seen = v, v, true
+	case c.compare(col, v, ac.minB) < 0:
+		ac.minB = v
+	case c.compare(col, v, ac.maxB) > 0:
+		ac.maxB = v
+	}
+}
+
+func (c *aggCore) compare(col int, a, b uint64) int {
+	if h := c.strHeaps[col]; h != nil {
+		return h.Compare(a, b)
+	}
+	return types.Compare(c.in[col].Type, a, b)
+}
+
 // remapToken translates a string token minted in o's per-column heap into
-// c's heap (identity for non-string columns and NULL).
+// c's heap (identity for non-string columns).
 func (c *aggCore) remapToken(o *aggCore, col int, tok uint64) uint64 {
-	if col < 0 || c.strAccs[col] == nil || tok == types.NullToken {
+	if col < 0 || c.strTr[col] == nil {
 		return tok
 	}
-	return c.strAccs[col].Intern(o.strHeaps[col].Get(tok))
+	return c.strTr[col].One(o.strHeaps[col], tok)
 }
 
 // mergeFrom folds another core's partial groups into c — the merge stage
 // of parallel aggregation. Both cores were fed disjoint morsels of the
 // same input, so accumulators combine associatively; string tokens are
-// re-interned from o's heaps into c's.
+// translated from o's heaps into c's.
 func (c *aggCore) mergeFrom(o *aggCore, qc *QueryCtx) error {
 	o.finish()
-	before := len(c.groups)
-	keys := make([]uint64, len(c.keyCols))
-	for _, g := range o.groups {
+	// Both inputs are drained, so their memos are dead; the merge's own go
+	// before the merged table — the operator's memory peak — is charged.
+	o.dropMemos()
+	c.dropMemos()
+	before := c.n
+	nk, ns := len(c.keyCols), len(c.specs)
+	for g := 0; g < o.n; g++ {
 		for j, kc := range c.keyCols {
-			keys[j] = c.remapToken(o, kc, g.keys[j])
+			c.tuple[j] = c.remapToken(o, kc, o.keys[g*nk+j])
 		}
-		dst := c.findGroupKeys(keys)
+		dst := c.findGroupKeys(c.tuple)
 		for j := range c.specs {
-			c.mergeAcc(&dst.accs[j], &g.accs[j], o, c.specs[j])
+			c.mergeAcc(dst*ns+j, g*ns+j, o, c.specs[j])
 		}
 	}
-	grown := heapSizes(c.strHeaps)
-	cost := (len(c.groups)-before)*c.groupCost + (grown - c.heapBytes)
-	c.heapBytes = grown
-	if err := qc.Charge(c.opName, cost); err != nil {
-		return err
-	}
-	c.charged += cost
-	return nil
+	c.dropMemos()
+	return c.chargeGrowth(qc, before, 0)
 }
 
-func (c *aggCore) mergeAcc(dst, src *acc, o *aggCore, s AggSpec) {
+// mergeAcc folds o's accumulator si into c's accumulator di.
+func (c *aggCore) mergeAcc(di, si int, o *aggCore, s AggSpec) {
+	dst, src := &c.accs[di], &o.accs[si]
 	if s.Col < 0 { // COUNT(*)
 		dst.count += src.count
 		return
@@ -581,8 +579,8 @@ func (c *aggCore) mergeAcc(dst, src *acc, o *aggCore, s AggSpec) {
 	case Count:
 		dst.count += src.count
 	case CountD:
-		for tok := range src.distinct {
-			dst.distinct[c.remapToken(o, s.Col, tok)] = struct{}{}
+		for tok := range o.wide[si].distinct {
+			c.wide[di].distinct[c.remapToken(o, s.Col, tok)] = struct{}{}
 		}
 	case Sum, Avg:
 		dst.count += src.count
@@ -590,37 +588,11 @@ func (c *aggCore) mergeAcc(dst, src *acc, o *aggCore, s AggSpec) {
 		dst.sumF += src.sumF
 	case Median:
 		dst.count += src.count
-		dst.all = append(dst.all, src.all...)
+		c.wide[di].all = append(c.wide[di].all, o.wide[si].all...)
 	case Min, Max:
-		if !src.seen {
-			return
-		}
-		t := c.in[s.Col].Type
-		if t == types.String {
-			minTok := c.remapToken(o, s.Col, src.minB)
-			maxTok := c.remapToken(o, s.Col, src.maxB)
-			h := c.strHeaps[s.Col]
-			if !dst.seen {
-				dst.minB, dst.maxB, dst.seen = minTok, maxTok, true
-				return
-			}
-			if h.Compare(minTok, dst.minB) < 0 {
-				dst.minB = minTok
-			}
-			if h.Compare(maxTok, dst.maxB) > 0 {
-				dst.maxB = maxTok
-			}
-		} else {
-			if !dst.seen {
-				dst.minB, dst.maxB, dst.seen = src.minB, src.maxB, true
-				return
-			}
-			if types.Compare(t, src.minB, dst.minB) < 0 {
-				dst.minB = src.minB
-			}
-			if types.Compare(t, src.maxB, dst.maxB) > 0 {
-				dst.maxB = src.maxB
-			}
+		if src.seen {
+			c.foldMinMax(dst, s.Col, c.remapToken(o, s.Col, src.minB))
+			c.foldMinMax(dst, s.Col, c.remapToken(o, s.Col, src.maxB))
 		}
 	}
 }
@@ -628,10 +600,11 @@ func (c *aggCore) mergeAcc(dst, src *acc, o *aggCore, s AggSpec) {
 // emit writes up to BlockSize groups starting at 'at' into b, returning
 // how many it wrote. outSchema is the aggregate operator's output schema.
 func (c *aggCore) emit(b *vec.Block, at int, outSchema []ColInfo) int {
-	if at >= len(c.groups) {
+	if at >= c.n {
 		return 0
 	}
-	n := len(c.groups) - at
+	n := c.n - at
+	nk, ns := len(c.keyCols), len(c.specs)
 	if n > vec.BlockSize {
 		n = vec.BlockSize
 	}
@@ -645,7 +618,7 @@ func (c *aggCore) emit(b *vec.Block, at int, outSchema []ColInfo) int {
 		}
 		v.Dict = c.in[kc].Dict
 		for r := 0; r < n; r++ {
-			v.Data[r] = c.groups[at+r].keys[j]
+			v.Data[r] = c.keys[(at+r)*nk+j]
 		}
 	}
 	for j, s := range c.specs {
@@ -653,21 +626,15 @@ func (c *aggCore) emit(b *vec.Block, at int, outSchema []ColInfo) int {
 		v.Type = outSchema[len(c.keyCols)+j].Type
 		v.Heap = nil
 		v.Dict = nil
-		if s.Func == Min || s.Func == Max {
-			if s.Col >= 0 {
-				v.Heap = c.in[s.Col].Heap
-				if c.strHeaps[s.Col] != nil {
-					v.Heap = c.strHeaps[s.Col]
-				}
-				v.Dict = c.in[s.Col].Dict
+		if (s.Func == Min || s.Func == Max) && s.Col >= 0 {
+			v.Heap = c.in[s.Col].Heap
+			if c.strHeaps[s.Col] != nil {
+				v.Heap = c.strHeaps[s.Col]
 			}
-		}
-		srcType := types.Integer
-		if s.Col >= 0 {
-			srcType = c.in[s.Col].Type
+			v.Dict = c.in[s.Col].Dict
 		}
 		for r := 0; r < n; r++ {
-			v.Data[r] = finishAcc(&c.groups[at+r].accs[j], s, srcType)
+			v.Data[r] = c.finishAcc((at+r)*ns+j, s)
 		}
 	}
 	b.N = n
@@ -677,9 +644,10 @@ func (c *aggCore) emit(b *vec.Block, at int, outSchema []ColInfo) int {
 // release drops the group state and returns the charged bytes to the
 // accountant.
 func (c *aggCore) release(qc *QueryCtx) {
-	c.groups = nil
-	c.lookup = nil
-	c.direct = nil
+	c.n, c.keys, c.accs, c.wide, c.slots, c.direct = 0, nil, nil, nil, nil, nil
+	for col := range c.strTr {
+		c.retire(col)
+	}
 	qc.Release(c.charged)
 	c.charged = 0
 }
@@ -831,7 +799,7 @@ func (a *Aggregate) Open(qc *QueryCtx) (err error) {
 	}
 	defer a.child.Close()
 	a.chosen = a.chooseMode()
-	core, err := newAggCore(a.child.Schema(), a.keyCols, a.specs, a.chosen, "Aggregate", qc)
+	core, err := newAggCore(a.child.Schema(), a.keyCols, a.specs, a.chosen, a.st, qc)
 	if err != nil {
 		if (a.chosen != AggDirect && a.chosen != AggTokenDirect) || !spillableErr(qc, err) {
 			return err
@@ -839,7 +807,7 @@ func (a *Aggregate) Open(qc *QueryCtx) (err error) {
 		// The direct table alone blows the budget: fall back to hash
 		// mode, which can evict.
 		a.chosen = AggHash
-		if core, err = newAggCore(a.child.Schema(), a.keyCols, a.specs, AggHash, "Aggregate", qc); err != nil {
+		if core, err = newAggCore(a.child.Schema(), a.keyCols, a.specs, AggHash, a.st, qc); err != nil {
 			return err
 		}
 	}
@@ -860,14 +828,14 @@ func (a *Aggregate) Open(qc *QueryCtx) (err error) {
 			}
 			if a.chosen == AggOrdered {
 				if a.spool == nil {
-					a.spool = newOrderedSpool(qc, "Aggregate", &a.st.Spill, a.child.Schema(), a.keyCols, a.specs, a.schema)
+					a.spool = newOrderedSpool(qc, a.st, a.child.Schema(), a.keyCols, a.specs, a.schema)
 				}
 				if serr := a.spool.spool(core); serr != nil {
 					return serr
 				}
 			} else {
 				if a.sp == nil {
-					a.sp = newAggSpill(qc, "Aggregate", &a.st.Spill, a.child.Schema(), a.keyCols, a.specs)
+					a.sp = newAggSpill(qc, a.st, a.child.Schema(), a.keyCols, a.specs)
 				}
 				if serr := a.sp.evict(core); serr != nil {
 					return serr
@@ -925,12 +893,19 @@ func (a *Aggregate) next(b *vec.Block) (bool, error) {
 	return true, nil
 }
 
-func finishAcc(ac *acc, s AggSpec, t types.Type) uint64 {
+// finishAcc renders accumulator i, of spec s, as the aggregate's output
+// bits.
+func (c *aggCore) finishAcc(i int, s AggSpec) uint64 {
+	ac := &c.accs[i]
+	t := types.Integer // COUNT(*) reads no column
+	if s.Col >= 0 {
+		t = c.in[s.Col].Type
+	}
 	switch s.Func {
 	case Count:
 		return uint64(ac.count)
 	case CountD:
-		return uint64(int64(len(ac.distinct)))
+		return uint64(int64(len(c.wide[i].distinct)))
 	case Sum:
 		if ac.count == 0 {
 			if t == types.Real {
@@ -961,11 +936,12 @@ func finishAcc(ac *acc, s AggSpec, t types.Type) uint64 {
 		}
 		return ac.maxB
 	case Median:
-		if len(ac.all) == 0 {
+		all := c.wide[i].all
+		if len(all) == 0 {
 			return types.NullBits(types.Real)
 		}
-		vals := make([]float64, len(ac.all))
-		for i, bits := range ac.all {
+		vals := make([]float64, len(all))
+		for i, bits := range all {
 			if t == types.Real {
 				vals[i] = types.ToReal(bits)
 			} else {
@@ -1014,7 +990,7 @@ func (a *Aggregate) NumGroups() int {
 	if a.core == nil {
 		return 0
 	}
-	return len(a.core.groups)
+	return a.core.n
 }
 
 // KeyMetadataFromBuilt recomputes ColInfo metadata for a built column so

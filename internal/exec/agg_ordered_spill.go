@@ -17,12 +17,11 @@ import (
 // replays the spool and then the in-memory tail — key order, and
 // therefore the operator's sortedness contract, is preserved.
 type orderedSpool struct {
-	qc     *QueryCtx
-	op     string
-	in     []ColInfo
+	qc      *QueryCtx
+	in      []ColInfo
 	keyCols []int
-	aspecs []AggSpec
-	out    []ColInfo
+	aspecs  []AggSpec
+	out     []ColInfo
 
 	mgr   *spill.Manager
 	stats *OpSpillStats
@@ -36,9 +35,9 @@ type orderedSpool struct {
 	heaps []*heap.Heap
 }
 
-func newOrderedSpool(qc *QueryCtx, op string, stats *OpSpillStats, in []ColInfo, keyCols []int, aspecs []AggSpec, out []ColInfo) *orderedSpool {
-	o := &orderedSpool{qc: qc, op: op, in: in, keyCols: keyCols, aspecs: aspecs, out: out,
-		mgr: qc.SpillManager(), stats: stats}
+func newOrderedSpool(qc *QueryCtx, st *OpStats, in []ColInfo, keyCols []int, aspecs []AggSpec, out []ColInfo) *orderedSpool {
+	o := &orderedSpool{qc: qc, in: in, keyCols: keyCols, aspecs: aspecs, out: out,
+		mgr: qc.SpillManager(), stats: &st.Spill}
 	for _, kc := range keyCols {
 		o.specs = append(o.specs, spillSpecFor(in[kc]))
 	}
@@ -79,16 +78,14 @@ func (o *orderedSpool) spool(core *aggCore) error {
 			o.heaps[kc+j] = core.strHeaps[s.Col]
 		}
 	}
-	for _, g := range core.groups {
-		for j := range o.keyCols {
-			o.row[j] = g.keys[j]
-		}
+	done := core.n // the finished groups: all but the running one
+	if core.curSet {
+		done--
+	}
+	for g := 0; g < done; g++ {
+		copy(o.row, core.keys[g*kc:(g+1)*kc])
 		for j, s := range o.aspecs {
-			srcType := types.Integer
-			if s.Col >= 0 {
-				srcType = o.in[s.Col].Type
-			}
-			o.row[kc+j] = finishAcc(&g.accs[j], s, srcType)
+			o.row[kc+j] = core.finishAcc(g*len(o.aspecs)+j, s)
 		}
 		if err := o.w.Append(o.row, o.heaps); err != nil {
 			return err
@@ -176,49 +173,57 @@ func (o *orderedSpool) close() {
 	}
 }
 
-// resetOrderedAfterSpool drops the spooled groups, re-interns the running
-// group's string tokens into fresh heaps, and re-charges just the
-// retained state.
+// resetOrderedAfterSpool drops the spooled groups, moves the running
+// group to the front of the slabs with its string tokens translated into
+// fresh heaps, and re-charges just the retained state.
 func (c *aggCore) resetOrderedAfterSpool(qc *QueryCtx) error {
-	old := make([]*heap.Heap, len(c.strHeaps))
-	copy(old, c.strHeaps)
-	c.groups = nil
+	old := append([]*heap.Heap(nil), c.strHeaps...)
 	for col, h := range old {
 		if h != nil {
-			c.strHeaps[col] = heap.New(h.Collation())
-			c.strAccs[col] = heap.NewAccelerator(c.strHeaps[col], 0)
+			c.freshHeap(qc, col, h.Collation())
 		}
 	}
+	nk, ns := len(c.keyCols), len(c.specs)
+	keep := c.n // first group kept: none, or the running one
+	if c.curSet {
+		keep--
+	}
+	c.n -= keep
+	keys := append(c.keys[:0], c.keys[keep*nk:]...)
+	accs := append(c.accs[:0], c.accs[keep*ns:]...)
+	if c.perRow > 0 {
+		c.wide = append([]wideAcc(nil), c.wide[keep*ns:]...) // a fresh slab lets the spooled groups' state go
+	}
+	c.keys, c.accs = keys, accs
 	retained := 0
 	if c.curSet {
 		for j, kc := range c.keyCols {
-			if old[kc] != nil && c.cur.keys[j] != types.NullToken {
-				c.cur.keys[j] = c.strAccs[kc].Intern(old[kc].Get(c.cur.keys[j]))
-				c.curKeys[j] = c.cur.keys[j]
+			if old[kc] != nil {
+				keys[j] = c.strTr[kc].One(old[kc], keys[j])
 			}
 		}
 		for j, s := range c.specs {
 			if s.Col < 0 {
 				continue
 			}
-			ac := &c.cur.accs[j]
+			ac := &accs[j]
 			str := old[s.Col] != nil
 			if (s.Func == Min || s.Func == Max) && ac.seen && str {
-				ac.minB = c.strAccs[s.Col].Intern(old[s.Col].Get(ac.minB))
-				ac.maxB = c.strAccs[s.Col].Intern(old[s.Col].Get(ac.maxB))
+				ac.minB = c.strTr[s.Col].One(old[s.Col], ac.minB)
+				ac.maxB = c.strTr[s.Col].One(old[s.Col], ac.maxB)
 			}
 			if s.Func == CountD {
 				if str {
-					nd := make(map[uint64]struct{}, len(ac.distinct))
-					for tok := range ac.distinct {
-						nd[c.strAccs[s.Col].Intern(old[s.Col].Get(tok))] = struct{}{}
+					nd := make(map[uint64]struct{}, len(c.wide[j].distinct))
+					for tok := range c.wide[j].distinct {
+						nd[c.strTr[s.Col].One(old[s.Col], tok)] = struct{}{}
 					}
-					ac.distinct = nd
+					c.wide[j].distinct = nd
 				}
-				retained += len(ac.distinct)
+				retained += len(c.wide[j].distinct)
 			}
 			if s.Func == Median {
-				retained += len(ac.all)
+				retained += len(c.wide[j].all)
 			}
 		}
 	}
@@ -229,7 +234,7 @@ func (c *aggCore) resetOrderedAfterSpool(qc *QueryCtx) error {
 	if c.curSet {
 		cost = c.groupCost + c.heapBytes + retained*16
 	}
-	if err := qc.Charge(c.opName, cost); err != nil {
+	if err := qc.Charge(c.st.kind, cost); err != nil {
 		return err
 	}
 	c.charged = cost

@@ -95,7 +95,6 @@ type aggPartition struct {
 // aggregation workers share one; evictions serialize on mu.
 type aggSpill struct {
 	qc      *QueryCtx
-	op      string
 	in      []ColInfo
 	keyCols []int
 	aspecs  []AggSpec
@@ -103,7 +102,8 @@ type aggSpill struct {
 	rowSpecs []spill.ColSpec // keys then per-spec fields
 	fieldAt  []int           // spec j's first field column
 	mgr      *spill.Manager
-	stats    *OpSpillStats
+	st       *OpStats
+	stats    *OpSpillStats // &st.Spill
 
 	mu       sync.Mutex
 	parts    [spillFanout][]string
@@ -112,9 +112,9 @@ type aggSpill struct {
 	spilled  bool
 }
 
-func newAggSpill(qc *QueryCtx, op string, stats *OpSpillStats, in []ColInfo, keyCols []int, specs []AggSpec) *aggSpill {
-	sp := &aggSpill{qc: qc, op: op, in: in, keyCols: keyCols, aspecs: specs,
-		mgr: qc.SpillManager(), stats: stats}
+func newAggSpill(qc *QueryCtx, st *OpStats, in []ColInfo, keyCols []int, specs []AggSpec) *aggSpill {
+	sp := &aggSpill{qc: qc, st: st, in: in, keyCols: keyCols, aspecs: specs,
+		mgr: qc.SpillManager(), stats: &st.Spill}
 	for _, kc := range keyCols {
 		sp.rowSpecs = append(sp.rowSpecs, spillSpecFor(in[kc]))
 	}
@@ -135,7 +135,7 @@ func (sp *aggSpill) evict(core *aggCore) error {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	core.finish()
-	if len(core.groups) == 0 {
+	if core.n == 0 {
 		return nil
 	}
 	sp.spilled = true
@@ -177,12 +177,13 @@ func (sp *aggSpill) writeGroups(core *aggCore, fan int) (err error) {
 	}()
 	row := make([]uint64, len(sp.rowSpecs))
 	heaps := make([]*heap.Heap, len(sp.rowSpecs))
-	for _, g := range core.groups {
+	nk := len(sp.keyCols)
+	for g := 0; g < core.n; g++ {
 		p := 0
 		if fan > 1 {
 			h := newSpillHasher(0)
 			for j, kc := range sp.keyCols {
-				h.fold(spillValHash(g.keys[j], sp.rowSpecs[j].Str, sp.rowSpecs[j].Collation, core.strHeaps[kc]))
+				h.fold(spillValHash(core.keys[g*nk+j], sp.rowSpecs[j].Str, sp.rowSpecs[j].Collation, core.strHeaps[kc]))
 			}
 			p = h.part()
 		}
@@ -216,8 +217,10 @@ func (sp *aggSpill) writeGroups(core *aggCore, fan int) (err error) {
 	return nil
 }
 
-// appendGroup explodes one group into partial rows and appends them.
-func (sp *aggSpill) appendGroup(w *spill.Writer, core *aggCore, g *group, row []uint64, heaps []*heap.Heap) error {
+// appendGroup explodes group g of core into partial rows and appends them.
+func (sp *aggSpill) appendGroup(w *spill.Writer, core *aggCore, g int, row []uint64, heaps []*heap.Heap) error {
+	keys := core.keys[g*len(sp.keyCols):]
+	first := g * len(sp.aspecs) // the group's first accumulator
 	rows := 1
 	var dvals [][]uint64
 	for j, s := range sp.aspecs {
@@ -226,8 +229,8 @@ func (sp *aggSpill) appendGroup(w *spill.Writer, core *aggCore, g *group, row []
 			if s.Col < 0 {
 				continue
 			}
-			d := make([]uint64, 0, len(g.accs[j].distinct))
-			for v := range g.accs[j].distinct {
+			d := make([]uint64, 0, len(core.wide[first+j].distinct))
+			for v := range core.wide[first+j].distinct {
 				d = append(d, v)
 			}
 			if dvals == nil {
@@ -238,8 +241,8 @@ func (sp *aggSpill) appendGroup(w *spill.Writer, core *aggCore, g *group, row []
 				rows = len(d)
 			}
 		case Median:
-			if s.Col >= 0 && len(g.accs[j].all) > rows {
-				rows = len(g.accs[j].all)
+			if s.Col >= 0 && len(core.wide[first+j].all) > rows {
+				rows = len(core.wide[first+j].all)
 			}
 		}
 	}
@@ -256,10 +259,10 @@ func (sp *aggSpill) appendGroup(w *spill.Writer, core *aggCore, g *group, row []
 	}
 	for r := 0; r < rows; r++ {
 		for j := range sp.keyCols {
-			row[j] = g.keys[j]
+			row[j] = keys[j]
 		}
 		for j, s := range sp.aspecs {
-			ac := &g.accs[j]
+			ac := &core.accs[first+j]
 			at := sp.fieldAt[j]
 			if s.Col < 0 || s.Func == Count {
 				row[at] = 0
@@ -293,8 +296,8 @@ func (sp *aggSpill) appendGroup(w *spill.Writer, core *aggCore, g *group, row []
 				}
 			case Median:
 				row[at], row[at+1] = 0, 0
-				if r < len(ac.all) {
-					row[at], row[at+1] = 1, ac.all[r]
+				if all := core.wide[first+j].all; r < len(all) {
+					row[at], row[at+1] = 1, all[r]
 				}
 			}
 		}
@@ -312,13 +315,13 @@ func (sp *aggSpill) foldRow(core *aggCore, val func(c int) uint64, strHeap func(
 	for j, kcol := range sp.keyCols {
 		v := val(j)
 		if sp.rowSpecs[j].Str && v != types.NullToken {
-			v = core.strAccs[kcol].Intern(strHeap(j).Get(v))
+			v = core.strTr[kcol].One(strHeap(j), v)
 		}
 		keys[j] = v
 	}
-	g := core.findGroupKeys(keys)
+	first := core.findGroupKeys(keys) * len(sp.aspecs)
 	for j, s := range sp.aspecs {
-		ac := &g.accs[j]
+		ac := &core.accs[first+j]
 		at := sp.fieldAt[j]
 		if s.Col < 0 || s.Func == Count {
 			ac.count += int64(val(at))
@@ -334,47 +337,25 @@ func (sp *aggSpill) foldRow(core *aggCore, val func(c int) uint64, strHeap func(
 				break
 			}
 			v := val(at + 1)
-			t := sp.in[s.Col].Type
-			if t == types.String {
-				v = core.strAccs[s.Col].Intern(strHeap(at + 1).Get(v))
-				h := core.strHeaps[s.Col]
-				if !ac.seen {
-					ac.minB, ac.maxB, ac.seen = v, v, true
-					break
-				}
-				if h.Compare(v, ac.minB) < 0 {
-					ac.minB = v
-				}
-				if h.Compare(v, ac.maxB) > 0 {
-					ac.maxB = v
-				}
-				break
+			if sp.rowSpecs[at+1].Str {
+				v = core.strTr[s.Col].One(strHeap(at+1), v)
 			}
-			if !ac.seen {
-				ac.minB, ac.maxB, ac.seen = v, v, true
-				break
-			}
-			if types.Compare(t, v, ac.minB) < 0 {
-				ac.minB = v
-			}
-			if types.Compare(t, v, ac.maxB) > 0 {
-				ac.maxB = v
-			}
+			core.foldMinMax(ac, s.Col, v)
 		case CountD:
 			if val(at) == 0 {
 				break
 			}
 			v := val(at + 1)
 			if sp.rowSpecs[at+1].Str && v != types.NullToken {
-				v = core.strAccs[s.Col].Intern(strHeap(at + 1).Get(v))
+				v = core.strTr[s.Col].One(strHeap(at+1), v)
 			}
-			ac.distinct[v] = struct{}{}
+			core.wide[first+j].distinct[v] = struct{}{}
 		case Median:
 			if val(at) == 0 {
 				break
 			}
 			ac.count++
-			ac.all = append(ac.all, val(at+1))
+			core.wide[first+j].all = append(core.wide[first+j].all, val(at+1))
 		}
 	}
 }
@@ -382,7 +363,7 @@ func (sp *aggSpill) foldRow(core *aggCore, val func(c int) uint64, strHeap func(
 // foldChunk folds one spilled chunk into core and charges the growth,
 // mirroring consumeBlock's cost model.
 func (sp *aggSpill) foldChunk(core *aggCore, ch *spill.Chunk) error {
-	before := len(core.groups)
+	before := core.n
 	keys := make([]uint64, len(sp.keyCols))
 	for r := 0; r < ch.Rows; r++ {
 		sp.foldRow(core,
@@ -390,14 +371,7 @@ func (sp *aggSpill) foldChunk(core *aggCore, ch *spill.Chunk) error {
 			func(c int) *heap.Heap { return ch.Cols[c].Heap },
 			keys)
 	}
-	grown := heapSizes(core.strHeaps)
-	cost := (len(core.groups)-before)*core.groupCost + ch.Rows*core.perRow + (grown - core.heapBytes)
-	core.heapBytes = grown
-	if err := sp.qc.Charge(sp.op, cost); err != nil {
-		return err
-	}
-	core.charged += cost
-	return nil
+	return core.chargeGrowth(sp.qc, before, ch.Rows)
 }
 
 // split re-partitions p's rows with a deeper hash salt, consuming p's
@@ -519,17 +493,13 @@ func (sp *aggSpill) cleanup() {
 // keeping the direct table (still allocated and charged) and minting
 // fresh string heaps.
 func (c *aggCore) resetAfterEvict(qc *QueryCtx) {
-	c.groups = nil
-	if c.lookup != nil {
-		c.lookup = make(map[uint64][]int)
-	}
+	c.n, c.keys, c.accs, c.wide, c.slots = 0, nil, nil, nil, nil
 	for i := range c.direct {
 		c.direct[i] = 0
 	}
 	for col, h := range c.strHeaps {
 		if h != nil {
-			c.strHeaps[col] = heap.New(h.Collation())
-			c.strAccs[col] = heap.NewAccelerator(c.strHeaps[col], 0)
+			c.freshHeap(qc, col, h.Collation())
 		}
 	}
 	c.heapBytes = 0
@@ -586,7 +556,7 @@ func (e *aggSpillEmitter) next(b *vec.Block) (bool, error) {
 // or degrades to the merge fallback.
 func (e *aggSpillEmitter) foldPartition(p aggPartition) error {
 	sp := e.sp
-	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggHash, sp.op, sp.qc)
+	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggHash, sp.st, sp.qc)
 	if err != nil {
 		return err
 	}
@@ -755,7 +725,7 @@ func (e *aggSpillEmitter) startMerge(p aggPartition) error {
 			grown := heapSizes(hs)
 			cost := ch.Rows*nc*8 + (grown - heapBytes)
 			heapBytes = grown
-			if err := sp.qc.Charge(sp.op, cost); err != nil {
+			if err := sp.qc.Charge(sp.st.kind, cost); err != nil {
 				if !spillableErr(sp.qc, err) {
 					r.Close()
 					release()
@@ -780,14 +750,14 @@ func (e *aggSpillEmitter) startMerge(p aggPartition) error {
 		_ = sp.mgr.Remove(path)
 	}
 	for len(runs) > spillMergeFanIn {
-		merged, err := mergeRuns(sp.qc, sp.op, sp.mgr, sp.rowSpecs, runs[:spillMergeFanIn], &sp.stats.IO, m.keyLess)
+		merged, err := mergeRuns(sp.qc, sp.st.kind, sp.mgr, sp.rowSpecs, runs[:spillMergeFanIn], &sp.stats.IO, m.keyLess)
 		if err != nil {
 			return err
 		}
 		runs = append([]string{merged}, runs[spillMergeFanIn:]...)
 	}
 	for _, path := range runs {
-		c, err := openMergeCursor(sp.qc, sp.op, sp.mgr, path, &sp.stats.IO)
+		c, err := openMergeCursor(sp.qc, sp.st.kind, sp.mgr, path, &sp.stats.IO)
 		if err != nil {
 			m.close()
 			return err
@@ -899,7 +869,7 @@ const mergeGroupCap = 256
 // groups and emits them as one block.
 func (m *aggMergeEmit) next(b *vec.Block) (bool, error) {
 	sp := m.sp
-	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggHash, sp.op, sp.qc)
+	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggHash, sp.st, sp.qc)
 	if err != nil {
 		return false, err
 	}
@@ -939,8 +909,8 @@ func (m *aggMergeEmit) next(b *vec.Block) (bool, error) {
 		core.release(sp.qc)
 		return false, nil
 	}
-	cost := len(core.groups)*core.groupCost + folded*core.perRow + heapSizes(core.strHeaps)
-	if err := sp.qc.Charge(sp.op, cost); err != nil {
+	cost := core.n*core.groupCost + folded*core.perRow + heapSizes(core.strHeaps)
+	if err := sp.qc.Charge(sp.st.kind, cost); err != nil {
 		core.release(sp.qc)
 		return false, err
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"tde/internal/expr"
@@ -109,4 +110,56 @@ func BenchmarkSortVsTopN(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchStringTable has two string columns of n rows: "low" cycles through
+// a few hundred values (an airport, a carrier), "high" is unique per row
+// (a comment).
+func benchStringTable(n int) *storage.Table {
+	rng := rand.New(rand.NewSource(11))
+	low := make([]string, n)
+	high := make([]string, n)
+	val := make([]int64, n)
+	for i := range low {
+		low[i] = "key-" + strconv.Itoa(rng.Intn(400))
+		high[i] = "comment " + strconv.Itoa(i*7919%n) + " about nothing in particular"
+		val[i] = int64(rng.Intn(1000))
+	}
+	return makeTable("bench", makeStringColumn("low", low), makeStringColumn("high", high),
+		makeIntColumn("val", types.Integer, val))
+}
+
+// BenchmarkAggStringKeys groups by a string key through the serial hash
+// core. Low cardinality is where a token translated once per distinct
+// value pays (allocs/op must not scale with the rows); high cardinality is
+// where the memo must get out of the way.
+func BenchmarkAggStringKeys(b *testing.B) {
+	tab := benchStringTable(1 << 17)
+	specs := []AggSpec{{Func: Count, Col: -1}, {Func: Sum, Col: 1}}
+	for _, bc := range []struct{ name, col string }{{"lowCardinality", "low"}, {"highCardinality", "high"}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				scan, _ := NewScan(tab, bc.col, "val")
+				if _, err := Run(NewAggregate(scan, []int{0}, specs, AggHash)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(tab.Rows())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}
+
+// BenchmarkFlowTableStringColumn materializes both string columns, as the
+// inner side of a join does.
+func BenchmarkFlowTableStringColumn(b *testing.B) {
+	tab := benchStringTable(1 << 17)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		scan, _ := NewScan(tab, "low", "high")
+		if _, err := NewFlowTable(scan, DefaultFlowTableConfig()).BuildTable(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(tab.Rows())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

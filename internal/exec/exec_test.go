@@ -9,6 +9,7 @@ import (
 	"tde/internal/heap"
 	"tde/internal/storage"
 	"tde/internal/types"
+	"tde/internal/vec"
 )
 
 // makeIntColumn builds a storage column from int64 values.
@@ -777,5 +778,77 @@ func TestJoinSchemaSanitizesOrderMetadata(t *testing.T) {
 	}
 	if agg.Mode() == AggOrdered {
 		t.Error("aggregation chose ordered mode on unordered join output")
+	}
+}
+
+// TestHashJoinDecodesSlowPayloadOnce pins the join payload cliff shut: a
+// payload column whose encoding has no constant-time Get (delta walks its
+// block, run-length its run list, from the start) is decoded flat once at
+// Open, charged to the query, so the probe loop never issues such a Get.
+func TestHashJoinDecodesSlowPayloadOnce(t *testing.T) {
+	n := 5000
+	rng := rand.New(rand.NewSource(9))
+	walk := make([]int64, n) // irregular steps: delta-encodes
+	runs := make([]int64, n) // long runs: run-length-encodes
+	flat := make([]int64, n) // small random domain: neither
+	for i := range walk {
+		if i > 0 {
+			walk[i] = walk[i-1] + 1 + int64(rng.Intn(2000))
+		}
+		runs[i] = int64(i / 500)
+		flat[i] = int64(rng.Intn(7))
+	}
+	dim := makeTable("dim", makeIntColumn("pk", types.Integer, seqInts(n)),
+		makeIntColumn("walk", types.Integer, walk), makeIntColumn("runs", types.Integer, runs),
+		makeIntColumn("flat", types.Integer, flat))
+	fk := make([]int64, 20000)
+	for i := range fk {
+		fk[i] = int64(rng.Intn(n))
+	}
+	outer, _ := NewScan(makeTable("fact", makeIntColumn("fk", types.Integer, fk)))
+	dimScan, _ := NewScan(dim)
+	j := NewHashJoin(outer, NewFlowTable(dimScan, DefaultFlowTableConfig()), 0, 0, JoinAuto)
+	qc := NewQueryCtx(nil, 0)
+	if err := j.Open(qc); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[enc.Kind]bool{}
+	for c := range j.built.Cols {
+		kind := j.built.Cols[c].Data.Kind()
+		kinds[kind] = true
+		slow := kind == enc.Delta || kind == enc.RunLength
+		if decoded := j.payload[c] != nil; decoded != (slow && c != j.innerKey) {
+			t.Errorf("column %d (%v): decoded flat = %v", c, kind, decoded)
+		}
+	}
+	if !kinds[enc.Delta] || !kinds[enc.RunLength] {
+		t.Fatalf("fixture no longer covers both slow encodings: %v", kinds)
+	}
+	b := vec.NewBlock(len(j.Schema()))
+	row := 0
+	for {
+		ok, err := j.Next(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		for i := 0; i < b.N; i, row = i+1, row+1 {
+			k := fk[row]
+			got := [3]int64{int64(b.Vecs[1].Data[i]), int64(b.Vecs[2].Data[i]), int64(b.Vecs[3].Data[i])}
+			if want := [3]int64{walk[k], runs[k], flat[k]}; got != want {
+				t.Fatalf("row %d: payload %v, want %v", row, got, want)
+			}
+		}
+	}
+	if row != len(fk) {
+		t.Fatalf("joined %d rows, want %d", row, len(fk))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if used := qc.Used(); used != 0 {
+		t.Errorf("%d bytes still charged after Close", used)
 	}
 }

@@ -102,12 +102,12 @@ func (f *FlowTable) OpChildren() []Operator { return []Operator{f.child} }
 type columnBuilder struct {
 	info   ColInfo
 	writer *enc.Writer
-	// String re-interning: unify the (possibly per-block) input heaps into
-	// one output heap.
-	acc            *heap.Accelerator
-	outHeap        *heap.Heap
-	scratch        []uint64
-	preserveTokens bool
+	// String translation: unify the (possibly per-block) input heaps into
+	// one output heap. tr is nil for non-strings and preserved tokens.
+	acc     *heap.Accelerator
+	outHeap *heap.Heap
+	tr      *heap.Translator
+	scratch []uint64
 }
 
 // BuildTable implements TableSource: it drains the child and returns the
@@ -172,8 +172,7 @@ func (f *FlowTable) BuildTable(qc *QueryCtx) (*Built, error) {
 			wcfg.DisallowRLE = true
 		}
 		cb.writer = enc.NewWriter(wcfg)
-		cb.preserveTokens = f.cfg.PreserveTokens
-		if info.Type == types.String && !cb.preserveTokens {
+		if info.Type == types.String && !f.cfg.PreserveTokens {
 			coll := info.Collation
 			if info.Heap != nil {
 				coll = info.Heap.Collation()
@@ -182,9 +181,18 @@ func (f *FlowTable) BuildTable(qc *QueryCtx) (*Built, error) {
 			if f.cfg.Accelerate {
 				cb.acc = heap.NewAccelerator(cb.outHeap, f.cfg.AcceleratorLimit)
 			}
+			cb.tr = heap.NewTranslator(cb.outHeap, cb.acc, qc, "FlowTable")
 		}
 		builders[i] = cb
 	}
+	defer func() { // the memos are dead once the input is drained, or the build failed
+		for _, cb := range builders {
+			if cb.tr != nil {
+				cb.tr.Release()
+				f.st.AddStrings(cb.tr.Interned, cb.tr.Translated)
+			}
+		}
+	}()
 
 	b := vec.NewBlock(len(f.schema))
 	workers := 1
@@ -272,28 +280,16 @@ func (f *FlowTable) BuildTable(qc *QueryCtx) (*Built, error) {
 	return bt, nil
 }
 
-// appendBlock folds one block of one column into the builder.
+// appendBlock folds one block of one column into the builder. Input
+// string tokens may come from a different (or per-block scratch) heap; the
+// output column owns its heap.
 func (cb *columnBuilder) appendBlock(v *vec.Vector, n int) {
-	if cb.info.Type == types.String && !cb.preserveTokens {
-		// Re-intern strings: input tokens may come from a different (or
-		// per-block scratch) heap; the output column owns its heap.
-		for i := 0; i < n; i++ {
-			tok := v.Data[i]
-			if tok == types.NullToken {
-				cb.scratch[i] = types.NullToken
-				continue
-			}
-			s := v.Heap.Get(tok)
-			if cb.acc != nil {
-				cb.scratch[i] = cb.acc.Intern(s)
-			} else {
-				cb.scratch[i] = cb.outHeap.Append(s)
-			}
-		}
-		cb.writer.Append(cb.scratch[:n])
+	if cb.tr == nil {
+		cb.writer.Append(v.Data[:n])
 		return
 	}
-	cb.writer.Append(v.Data[:n])
+	cb.tr.Translate(v.Heap, v.Data[:n], cb.scratch[:n])
+	cb.writer.Append(cb.scratch[:n])
 }
 
 // finish runs the Sect. 3.4 post-processing for one column: heap sorting,
@@ -306,7 +302,7 @@ func (cb *columnBuilder) finish(cfg *FlowTableConfig) BuiltColumn {
 	zones := cb.writer.Zones()
 
 	info := cb.info
-	if info.Type == types.String && !cb.preserveTokens {
+	if cb.tr != nil {
 		info.Heap = cb.outHeap
 		// Heap sorting (Sect. 3.4.3): when the token column is dictionary
 		// encoded, the domain is small; sort the heap and write the new

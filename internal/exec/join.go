@@ -66,6 +66,10 @@ type HashJoin struct {
 	built    *Built
 	schema   []ColInfo
 	innerCol []uint64 // decoded inner key values
+	// payload[c] holds inner column c decoded flat when its encoding has no
+	// constant-time Get (a delta block or run list is walked from its start
+	// for every probe hit); nil for the columns read in place.
+	payload [][]uint64
 	// lookup structures
 	direct []int32
 	dmin   int64
@@ -187,6 +191,7 @@ func (j *HashJoin) releaseBuild(qc *QueryCtx) {
 	j.shards = nil
 	j.strTable = nil
 	j.innerCol = nil
+	j.payload = nil
 	qc.Release(j.charged)
 	j.charged = 0
 }
@@ -241,6 +246,14 @@ func (j *HashJoin) openBuilt(qc *QueryCtx) error {
 	j.schema = nil
 	j.schema = j.Schema()
 	j.buf = vec.NewBlock(len(j.outer.Schema()))
+	j.payload = make([][]uint64, len(bt.Cols))
+	for c := range bt.Cols {
+		if k := bt.Cols[c].Data.Kind(); c != j.innerKey && (k == enc.Delta || k == enc.RunLength) {
+			if j.payload[c], err = j.decodeColumn(qc, &bt.Cols[c]); err != nil {
+				return err
+			}
+		}
+	}
 
 	key := &bt.Cols[j.innerKey]
 	if key.Info.Type == types.String {
@@ -276,7 +289,7 @@ func (j *HashJoin) openBuilt(qc *QueryCtx) error {
 		for i := range j.direct {
 			j.direct[i] = -1
 		}
-		if err := j.decodeInnerKey(qc, key); err != nil {
+		if j.innerCol, err = j.decodeColumn(qc, key); err != nil {
 			return err
 		}
 		for r, v := range j.innerCol {
@@ -287,7 +300,7 @@ func (j *HashJoin) openBuilt(qc *QueryCtx) error {
 			j.direct[idx] = int32(r)
 		}
 	case JoinHash:
-		if err := j.decodeInnerKey(qc, key); err != nil {
+		if j.innerCol, err = j.decodeColumn(qc, key); err != nil {
 			return err
 		}
 		// Chained hash table: ~2 words per entry on top of the key vector.
@@ -437,7 +450,8 @@ func (j *HashJoin) openStringJoin(qc *QueryCtx, key *BuiltColumn) error {
 	j.table = make(map[uint64][]int32) // token-keyed fast path (same heap)
 	j.strNullRow = -1
 	j.innerHeap = key.Info.Heap
-	if err := j.decodeInnerKey(qc, key); err != nil {
+	var err error
+	if j.innerCol, err = j.decodeColumn(qc, key); err != nil {
 		return err
 	}
 	// Two hash tables (token and content keyed), ~2 words per entry each.
@@ -484,29 +498,26 @@ func (j *HashJoin) probeString(tok uint64, h *heap.Heap) int {
 	return -1
 }
 
-func (j *HashJoin) decodeInnerKey(qc *QueryCtx, key *BuiltColumn) error {
-	n := key.Data.Len()
+// decodeColumn decodes one built column into a flat array of resolved
+// values, charged to the query until releaseBuild or Close.
+func (j *HashJoin) decodeColumn(qc *QueryCtx, col *BuiltColumn) ([]uint64, error) {
+	n := col.Data.Len()
 	if err := j.charge(qc, n*8); err != nil {
-		return err
+		return nil, err
 	}
-	j.innerCol = make([]uint64, n)
-	w := key.Data.Width()
+	out := make([]uint64, n)
+	w := col.Data.Width()
 	p := shardCount(j.Workers)
-	if p < 2 || n < parallelBuildMin {
-		r := enc.NewReader(key.Data)
-		r.Read(0, n, j.innerCol)
-		for i, v := range j.innerCol {
-			j.innerCol[i] = resolveRaw(v, w, key.Info)
-		}
-		return nil
+	if n < parallelBuildMin {
+		p = 1
 	}
 	// enc.Reader caches decode state, so each range decodes through its
 	// own; Stream itself is stateless and shared.
-	return parallelRanges(p, n, func(_, lo, hi int) {
-		r := enc.NewReader(key.Data)
-		r.Read(lo, hi-lo, j.innerCol[lo:hi])
+	return out, parallelRanges(p, n, func(_, lo, hi int) {
+		r := enc.NewReader(col.Data)
+		r.Read(lo, hi-lo, out[lo:hi])
 		for i := lo; i < hi; i++ {
-			j.innerCol[i] = resolveRaw(j.innerCol[i], w, key.Info)
+			out[i] = resolveRaw(out[i], w, col.Info)
 		}
 	})
 }
@@ -562,9 +573,12 @@ func (j *HashJoin) joinBlock(in, out *vec.Block) int {
 			if c == j.innerKey {
 				continue
 			}
-			if row < 0 {
+			switch {
+			case row < 0:
 				out.Vecs[oc].Data[k] = types.NullBits(j.built.Cols[c].Info.Type)
-			} else {
+			case j.payload[c] != nil:
+				out.Vecs[oc].Data[k] = j.payload[c][row]
+			default:
 				out.Vecs[oc].Data[k] = j.built.Value(c, row)
 			}
 			oc++
@@ -632,6 +646,7 @@ func (j *HashJoin) Close() error {
 	j.shards = nil
 	j.strTable = nil
 	j.innerCol = nil
+	j.payload = nil
 	j.qc.Release(j.charged)
 	j.charged = 0
 	// The inner table source holds materialized (and charged) state that

@@ -96,6 +96,13 @@ func TestOperatorsReleaseAllMemory(t *testing.T) {
 		"agg-parallel": func() Operator {
 			return NewParallelAggregate(mustScan(fact), []int{0}, specs, 4)
 		},
+		// String keys: the translators' memos are charged like the groups.
+		"agg-hash-strkey": func() Operator {
+			return NewAggregate(mustScan(fact), []int{2}, specs, AggHash)
+		},
+		"agg-parallel-strkey": func() Operator {
+			return NewParallelAggregate(mustScan(fact), []int{2, 0}, specs, 4)
+		},
 		"sort": func() Operator {
 			return NewSort(mustScan(fact), SortKey{Col: 2}, SortKey{Col: 1}, SortKey{Col: 0})
 		},

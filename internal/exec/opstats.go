@@ -149,6 +149,10 @@ type OpStats struct {
 	// blocksSkipped counts storage blocks a scan proved empty against its
 	// zone map and never decoded (DESIGN.md §15); 0 elsewhere.
 	blocksSkipped int64
+	// stringsTranslated counts string tokens re-homed into the operator's
+	// own heap, stringsInterned those whose heap bytes were read for it
+	// (heap.Translator misses); 0 elsewhere.
+	stringsInterned, stringsTranslated int64
 	// firstNanos / lastNanos bracket the operator's activity on the
 	// profEpoch clock, for trace export.
 	firstNanos int64
@@ -226,6 +230,15 @@ func (s *OpStats) AddBlocksSkipped(n int64) {
 		return
 	}
 	atomic.AddInt64(&s.blocksSkipped, n)
+}
+
+// AddStrings counts string tokens re-homed by heap.Translators.
+func (s *OpStats) AddStrings(interned, translated int64) {
+	if s == nil {
+		return
+	}
+	atomic.AddInt64(&s.stringsInterned, interned)
+	atomic.AddInt64(&s.stringsTranslated, translated)
 }
 
 // RowsOut returns the rows produced so far.
@@ -327,6 +340,11 @@ type OpStatsSnapshot struct {
 	// BlocksSkipped counts storage blocks a scan pruned with zone maps
 	// instead of decoding (DESIGN.md §15).
 	BlocksSkipped int64 `json:"blocks_skipped,omitempty"`
+	// Of StringsTranslated string tokens an Aggregate, ParallelAggregate or
+	// FlowTable mapped into its own heap, StringsInterned had their heap
+	// bytes read; the rest were answered per distinct source token.
+	StringsInterned   int64 `json:"strings_interned,omitempty"`
+	StringsTranslated int64 `json:"strings_translated,omitempty"`
 	// StartNanos / EndNanos bracket the operator's activity on the
 	// process-monotonic clock shared by all operators of the query.
 	StartNanos int64 `json:"start_ns"`
@@ -366,6 +384,9 @@ func (s *OpStats) snapshot(node *PlanNode) OpStatsSnapshot {
 		BlocksSkipped: atomic.LoadInt64(&s.blocksSkipped),
 		StartNanos:    atomic.LoadInt64(&s.firstNanos),
 		EndNanos:      atomic.LoadInt64(&s.lastNanos),
+
+		StringsInterned:   atomic.LoadInt64(&s.stringsInterned),
+		StringsTranslated: atomic.LoadInt64(&s.stringsTranslated),
 	}
 	if sp := s.Spill.snapshot(); sp.Spills > 0 {
 		out.Spill = &sp

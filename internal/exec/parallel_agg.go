@@ -68,7 +68,7 @@ func (p *ParallelAggregate) NumGroups() int {
 	if p.core == nil {
 		return 0
 	}
-	return len(p.core.groups)
+	return p.core.n
 }
 
 // Open implements Operator: runs the full partial-aggregate/merge
@@ -90,7 +90,7 @@ func (p *ParallelAggregate) Open(qc *QueryCtx) (err error) {
 	defer p.child.Close()
 	in := p.child.Schema()
 	if qc.SpillEnabled() {
-		p.sp = newAggSpill(qc, "ParallelAggregate", &p.st.Spill, in, p.keyCols, p.specs)
+		p.sp = newAggSpill(qc, p.st, in, p.keyCols, p.specs)
 	}
 
 	cores := make([]*aggCore, p.workers)
@@ -102,7 +102,7 @@ func (p *ParallelAggregate) Open(qc *QueryCtx) (err error) {
 		}
 	}
 	for i := range cores {
-		c, err := newAggCore(in, p.keyCols, p.specs, AggHash, "ParallelAggregate", qc)
+		c, err := newAggCore(in, p.keyCols, p.specs, AggHash, p.st, qc)
 		if err != nil {
 			release()
 			return err
