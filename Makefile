@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz check check-db crash crash-wal crash-concurrent clean bench-parallel bench-compressed bench-write bench-serve bench-skip bench-check bench-baseline bench-overhead bench-harness bench-compare trace-smoke serve-torture serve-smoke
+.PHONY: all build vet test race fuzz check check-db crash crash-wal crash-concurrent clean bench-harness bench-compare trace-smoke serve-torture serve-smoke
 
 all: check
 
@@ -62,67 +62,6 @@ check-db:
 	$(GO) run ./cmd/tdecheck -deep .checkdb/flights.tde
 	@rm -rf .checkdb
 
-# Morsel-parallelism benchmarks and the regression guard: bench-check
-# fails when any parallel agg/join/import benchmark runs >2x slower than
-# the committed BENCH_parallel.json baseline (regenerate the baseline on
-# the owning machine with bench-baseline).
-BENCH_PARALLEL = -run '^$$' -bench 'BenchmarkParallel' -benchtime 2x -count 1 .
-
-# Compressed-execution benchmarks: each runs the same Flights-style
-# query with encoded execution forced on and off, and the encoded arms
-# are guarded against regression by BENCH_compressed.json (a slowdown
-# past 2x the baseline means a routine stopped engaging or got slow).
-BENCH_COMPRESSED = -run '^$$' -bench 'BenchmarkCompressed' -benchtime 3x -count 1 .
-
-# Write-path benchmarks: non-conflicting update transactions, one writer
-# vs GOMAXPROCS concurrent writers over the group-committed WAL. On a
-# multi-core machine the concurrent arm must come in well under serial
-# (statement scans overlap; committers share fsyncs); on any machine the
-# guard catches a reintroduced global writer lock or commit-path blowup.
-BENCH_WRITE = -run '^$$' -bench 'BenchmarkWriteTxn' -benchtime 300x -count 1 .
-
-# Zone-skipping benchmarks: a selective date-range scan over TPC-H
-# lineitem sorted by l_shipdate, run with block pruning forced on and
-# off. BENCH_skip.json guards the pair: the skipping arm regressing past
-# 2x its baseline means pruning stopped engaging (the benchmark itself
-# also fails hard if zero blocks are skipped).
-BENCH_SKIP = -run '^$$' -bench 'BenchmarkSkip' -benchtime 3x -count 1 .
-
-# Serving-layer benchmark: 64 concurrent HTTP sessions over one shared
-# database (admission control, pooled accounting, shared decode cache)
-# on TPC-H lineitem. ns/op is guarded by BENCH_serve.json; qps and
-# p50/p99 latency ride along as informational metrics.
-BENCH_SERVE = -run '^$$' -bench 'BenchmarkServe64Sessions' -benchtime 192x -count 1 ./internal/serve
-
-bench-parallel:
-	$(GO) test $(BENCH_PARALLEL)
-
-bench-compressed:
-	$(GO) test $(BENCH_COMPRESSED)
-
-bench-write:
-	$(GO) test $(BENCH_WRITE)
-
-bench-serve:
-	$(GO) test $(BENCH_SERVE)
-
-bench-skip:
-	$(GO) test $(BENCH_SKIP)
-
-bench-check:
-	$(GO) test $(BENCH_PARALLEL) | $(GO) run ./scripts/benchcheck -baseline BENCH_parallel.json
-	$(GO) test $(BENCH_COMPRESSED) | $(GO) run ./scripts/benchcheck -baseline BENCH_compressed.json
-	$(GO) test $(BENCH_WRITE) | $(GO) run ./scripts/benchcheck -baseline BENCH_write.json
-	$(GO) test $(BENCH_SKIP) | $(GO) run ./scripts/benchcheck -baseline BENCH_skip.json
-	$(GO) test $(BENCH_SERVE) | $(GO) run ./scripts/benchcheck -baseline BENCH_serve.json
-
-bench-baseline:
-	$(GO) test $(BENCH_PARALLEL) | $(GO) run ./scripts/benchcheck -baseline BENCH_parallel.json -update
-	$(GO) test $(BENCH_COMPRESSED) | $(GO) run ./scripts/benchcheck -baseline BENCH_compressed.json -update
-	$(GO) test $(BENCH_WRITE) | $(GO) run ./scripts/benchcheck -baseline BENCH_write.json -update
-	$(GO) test $(BENCH_SKIP) | $(GO) run ./scripts/benchcheck -baseline BENCH_skip.json -update
-	$(GO) test $(BENCH_SERVE) | $(GO) run ./scripts/benchcheck -baseline BENCH_serve.json -update
-
 # Multi-session server torture: 64 concurrent sessions with client-side
 # faults (slow readers, mid-flight disconnects, overload) under -race,
 # plus the admission/fairness/drain suite and the Open/Query/Close race
@@ -136,13 +75,6 @@ serve-torture:
 # concurrent clients, SIGTERM, and require a clean drain + exit 0.
 serve-smoke:
 	$(GO) run ./scripts/servesmoke
-
-# Tighter guard for the per-operator instrumentation: with a baseline
-# regenerated on this machine immediately before an instrumentation
-# change, a >3% ns/op ratio on any parallel benchmark flags the new
-# counters as too hot for the Next path.
-bench-overhead:
-	$(GO) test $(BENCH_PARALLEL) | $(GO) run ./scripts/benchcheck -baseline BENCH_parallel.json -maxratio 1.03
 
 # The repository benchmark (BENCHMARK.json, bench/) is a module of its
 # own, outside `go test ./...`: bench-harness vets it and runs its tests

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"tde"
-	"tde/internal/plan"
 )
 
 // exitIfCorrupt prints the structured corruption report and exits with a
@@ -70,6 +69,20 @@ func parseBytes(s string) (int64, error) {
 	return n * mult, nil
 }
 
+// flagOff reads an auto|on|off flag whose only non-default value is off
+// ("on" is what "auto" already does; both stay accepted).
+func flagOff(name, val string) bool {
+	switch val {
+	case "auto", "on":
+		return false
+	case "off":
+		return true
+	}
+	fmt.Fprintf(os.Stderr, "tdequery: %s must be auto, on, or off\n", name)
+	os.Exit(2)
+	return false
+}
+
 func main() {
 	dbPath := flag.String("db", "", "database file")
 	explain := flag.Bool("explain", false, "print the plan instead of running")
@@ -104,28 +117,8 @@ func main() {
 	}
 	qopt := tde.QueryOptions{Timeout: *timeout, MemoryBudget: budget, SpillBudget: spillBudget}
 	qopt.Plan.ParallelWorkers = *workers
-	switch *encoded {
-	case "auto":
-		qopt.Plan.EncodedExec = plan.EncodedAuto
-	case "on":
-		qopt.Plan.EncodedExec = plan.ForceEncodedExec
-	case "off":
-		qopt.Plan.EncodedExec = plan.EncodedOff
-	default:
-		fmt.Fprintln(os.Stderr, "tdequery: -encoded must be auto, on, or off")
-		os.Exit(2)
-	}
-	switch *skip {
-	case "auto":
-		qopt.Plan.ZoneSkip = plan.ZoneSkipAuto
-	case "on":
-		qopt.Plan.ZoneSkip = plan.ForceZoneSkip
-	case "off":
-		qopt.Plan.ZoneSkip = plan.ZoneSkipOff
-	default:
-		fmt.Fprintln(os.Stderr, "tdequery: -skip must be auto, on, or off")
-		os.Exit(2)
-	}
+	qopt.Plan.NoEncodedExec = flagOff("-encoded", *encoded)
+	qopt.Plan.NoZoneSkip = flagOff("-skip", *skip)
 	db, rep, err := tde.OpenWithOptions(*dbPath, tde.OpenOptions{Verify: *verify, Salvage: *salvage})
 	if err != nil {
 		exitIfCorrupt("tdequery", err)

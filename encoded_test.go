@@ -36,8 +36,8 @@ func encodedTestDB(t testing.TB) *Database {
 
 // scanPlanSerial disables the rewrite plans so the scan-path encoded
 // routines (rle-*, dict-filter) are what executes.
-func scanPlanSerial(enc int) plan.Options {
-	return plan.Options{ParallelWorkers: -1, NoDictPlan: true, NoIndexPlan: true, EncodedExec: enc}
+func scanPlanSerial(noEncoded bool) plan.Options {
+	return plan.Options{ParallelWorkers: -1, NoDictPlan: true, NoIndexPlan: true, NoEncodedExec: noEncoded}
 }
 
 func routineOf(t *testing.T, res *Result, kind string) string {
@@ -60,7 +60,7 @@ func TestEncodedRoutinesChosen(t *testing.T) {
 
 	// RLE aggregate: single-column scan of an RLE column emits runs and
 	// the aggregate folds them run-at-a-time.
-	res, err := db.QueryContext(ctx, "SELECT SUM(r) FROM m", QueryOptions{Plan: scanPlanSerial(plan.EncodedAuto)})
+	res, err := db.QueryContext(ctx, "SELECT SUM(r) FROM m", QueryOptions{Plan: scanPlanSerial(false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestEncodedRoutinesChosen(t *testing.T) {
 
 	// Dictionary filter plus token-direct grouping.
 	res, err = db.QueryContext(ctx, "SELECT g, SUM(v) FROM m WHERE g = 3 GROUP BY g",
-		QueryOptions{Plan: scanPlanSerial(plan.EncodedAuto)})
+		QueryOptions{Plan: scanPlanSerial(false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,8 @@ func TestEncodedRoutinesChosen(t *testing.T) {
 		t.Fatalf("aggregate routine %q, want token-direct", r)
 	}
 
-	// Escape hatch: EncodedExec off keeps everything on the decoded path.
-	res, err = db.QueryContext(ctx, "SELECT SUM(r) FROM m", QueryOptions{Plan: scanPlanSerial(plan.EncodedOff)})
+	// Escape hatch: NoEncodedExec keeps everything on the decoded path.
+	res, err = db.QueryContext(ctx, "SELECT SUM(r) FROM m", QueryOptions{Plan: scanPlanSerial(true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +96,24 @@ func TestEncodedRoutinesChosen(t *testing.T) {
 		t.Fatalf("aggregate routine %q uses an encoded routine with encoded execution off", r)
 	}
 
+	// The same choice is made inside parallel workers, and the escape
+	// hatch reaches them: the dictionary survives the morsel split.
+	for _, off := range []bool{false, true} {
+		opt := scanPlanSerial(off)
+		opt.ParallelWorkers = 2
+		res, err = db.QueryContext(ctx, "SELECT g, SUM(v) FROM m GROUP BY g", QueryOptions{Plan: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := routineOf(t, res, "ParallelAggregate")
+		if !strings.HasSuffix(r, "(workers=2)") || strings.Contains(r, "token-direct") == off {
+			t.Fatalf("parallel aggregate routine %q with NoEncodedExec=%v", r, off)
+		}
+	}
+
 	// Plain column: no encoded routine applies, with no knob needed.
 	res, err = db.QueryContext(ctx, "SELECT SUM(v) FROM m WHERE v > 50",
-		QueryOptions{Plan: scanPlanSerial(plan.EncodedAuto)})
+		QueryOptions{Plan: scanPlanSerial(false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,16 +131,16 @@ func TestExplainAnalyzeEncodedGolden(t *testing.T) {
 	cases := []struct {
 		name string
 		sql  string
-		enc  int
+		off  bool
 	}{
-		{name: "encoded-rle-sum", sql: "SELECT SUM(r) FROM m", enc: plan.EncodedAuto},
-		{name: "encoded-dict-filter", sql: "SELECT g, SUM(v) FROM m WHERE g = 3 GROUP BY g", enc: plan.EncodedAuto},
-		{name: "encoded-off", sql: "SELECT SUM(r) FROM m", enc: plan.EncodedOff},
+		{name: "encoded-rle-sum", sql: "SELECT SUM(r) FROM m"},
+		{name: "encoded-dict-filter", sql: "SELECT g, SUM(v) FROM m WHERE g = 3 GROUP BY g"},
+		{name: "encoded-off", sql: "SELECT SUM(r) FROM m", off: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := db.QueryContext(context.Background(), tc.sql,
-				QueryOptions{Plan: scanPlanSerial(tc.enc)})
+				QueryOptions{Plan: scanPlanSerial(tc.off)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,12 +177,12 @@ func TestEncodedMatchesDecoded(t *testing.T) {
 		"SELECT SUM(v) FROM m WHERE g = 3 AND v > 10",
 	}
 	for _, sql := range queries {
-		want, err := db.QueryWithOptions(sql, scanPlanSerial(plan.EncodedOff))
+		want, err := db.QueryWithOptions(sql, scanPlanSerial(true))
 		if err != nil {
 			t.Fatalf("%s (decoded): %v", sql, err)
 		}
 		for _, workers := range []int{-1, 4} {
-			opt := scanPlanSerial(plan.ForceEncodedExec)
+			opt := scanPlanSerial(false)
 			opt.ParallelWorkers = workers
 			got, err := db.QueryWithOptions(sql, opt)
 			if err != nil {
@@ -194,7 +209,7 @@ func TestDeltaScanStaysDecoded(t *testing.T) {
 	if _, err := db.Exec("INSERT INTO m (r, g, v) VALUES (1000, 3, 1.5)"); err != nil {
 		t.Fatal(err)
 	}
-	dirty, err := db.QueryContext(ctx, sql, QueryOptions{Plan: scanPlanSerial(plan.ForceEncodedExec)})
+	dirty, err := db.QueryContext(ctx, sql, QueryOptions{Plan: scanPlanSerial(false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +221,7 @@ func TestDeltaScanStaysDecoded(t *testing.T) {
 			t.Fatalf("dirty table used encoded routine %q on operator %s", op.Routine, op.Kind)
 		}
 	}
-	decoded, err := db.QueryContext(ctx, sql, QueryOptions{Plan: scanPlanSerial(plan.EncodedOff)})
+	decoded, err := db.QueryContext(ctx, sql, QueryOptions{Plan: scanPlanSerial(true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +232,7 @@ func TestDeltaScanStaysDecoded(t *testing.T) {
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	clean, err := db.QueryContext(ctx, sql, QueryOptions{Plan: scanPlanSerial(plan.ForceEncodedExec)})
+	clean, err := db.QueryContext(ctx, sql, QueryOptions{Plan: scanPlanSerial(false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,5 +241,54 @@ func TestDeltaScanStaysDecoded(t *testing.T) {
 	}
 	if !rowsMatch(sortedRows(clean.Rows), sortedRows(dirty.Rows)) {
 		t.Fatalf("post-Compact encoded result %v != pre-Compact %v", clean.Rows, dirty.Rows)
+	}
+}
+
+// TestDirtyScanReadsThroughDecodeCache: a dirty table's base blocks go
+// through the governor's decode cache like a clean table's — the second
+// run of a query over a live overlay reports warm hits — and the cached
+// blocks neither change the answer nor outlive ClearCache in the pool.
+func TestDirtyScanReadsThroughDecodeCache(t *testing.T) {
+	db := encodedTestDB(t)
+	ctx := context.Background()
+	const sql = "SELECT g, COUNT(*), SUM(v) FROM m GROUP BY g"
+	if _, err := db.Exec("INSERT INTO m (r, g, v) VALUES (1000, 3, 1.5)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("DELETE FROM m WHERE r = 2"); err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.QueryContext(ctx, sql, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gov := NewGovernor(GovernorConfig{MemoryBytes: 64 << 20, CacheBytes: 8 << 20})
+	for run := 0; run < 2; run++ {
+		res, err := db.QueryContext(ctx, sql, QueryOptions{Governor: gov})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rowsMatch(sortedRows(res.Rows), sortedRows(want.Rows)) {
+			t.Fatalf("run %d through the cache: %v, want %v", run, res.Rows, want.Rows)
+		}
+		var hits, misses int64
+		for _, op := range res.Stats().Operators {
+			if op.Kind == "DeltaScan" {
+				hits, misses = op.CacheHits, op.CacheMisses
+			}
+		}
+		if hits+misses == 0 {
+			t.Fatalf("run %d: the dirty scan bypassed the decode cache:\n%s", run, res.ExplainAnalyze())
+		}
+		if run == 1 && (hits == 0 || !strings.Contains(res.ExplainAnalyze(), "cache=")) {
+			t.Fatalf("warm dirty scan reported cache=%d/%d:\n%s", hits, hits+misses, res.ExplainAnalyze())
+		}
+	}
+	if gov.Stats().Cache.Hits == 0 {
+		t.Fatalf("governor saw no cache hits: %+v", gov.Stats().Cache)
+	}
+	gov.ClearCache()
+	if used := gov.Stats().MemUsed; used != 0 {
+		t.Fatalf("%d pool bytes still charged after the queries finished and the cache was cleared", used)
 	}
 }

@@ -70,7 +70,7 @@ func BuildEncodedDatabase(sf float64, flightRows int, seed int64) (*tde.Database
 }
 
 // RunEncoded executes cfg.Queries random queries against db, comparing a
-// decoded serial oracle (EncodedExec forced off) to encoded-forced
+// decoded serial oracle (NoEncodedExec) to encoded
 // variants across cfg.Workers, each in two plan shapes: the default
 // strategic plan and the plain scan plan (rewrites disabled).
 func RunEncoded(db *tde.Database, cfg Config) (*EncodedReport, error) {
@@ -80,7 +80,7 @@ func RunEncoded(db *tde.Database, cfg Config) (*EncodedReport, error) {
 		sql := randomQuery(rng)
 		rep.Queries++
 		oracle, err := db.QueryWithOptions(sql, plan.Options{
-			ParallelWorkers: -1, EncodedExec: plan.EncodedOff,
+			ParallelWorkers: -1, NoEncodedExec: true,
 		})
 		if err != nil {
 			return rep, fmt.Errorf("difftest: decoded oracle failed: %w\n  query: %s", err, sql)
@@ -90,7 +90,6 @@ func RunEncoded(db *tde.Database, cfg Config) (*EncodedReport, error) {
 			for _, scanOnly := range []bool{false, true} {
 				opt := plan.Options{
 					ParallelWorkers: w,
-					EncodedExec:     plan.ForceEncodedExec,
 					NoDictPlan:      scanOnly,
 					NoIndexPlan:     scanOnly,
 				}

@@ -61,7 +61,7 @@ func groupingTable(t *testing.T, collation string, dirty bool) *tde.Database {
 // a computed key's per-block heaps, and a three-column string key. Each
 // must equal the serial decoded plan's answer.
 func TestGroupingOnTokens(t *testing.T) {
-	oracle := plan.Options{ParallelWorkers: -1, EncodedExec: -1}
+	oracle := plan.Options{ParallelWorkers: -1, NoEncodedExec: true}
 	cases := []struct {
 		name, collation string
 		dirty           bool

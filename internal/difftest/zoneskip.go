@@ -77,7 +77,7 @@ func BuildSkippingDatabase(sf float64, flightRows, sensorRows int, seed int64) (
 
 	// Dirty the tables: overlay insertions whose values land inside the
 	// base blocks' pruned ranges (and NULLs in sargable columns), plus
-	// base deletions, so DeltaScan's never-skip-insertions contract is
+	// base deletions, so the scan's never-skip-insertions contract is
 	// what keeps the answers right.
 	rng := rand.New(rand.NewSource(seed + 99))
 	for i := 0; i < 40; i++ {
@@ -154,14 +154,14 @@ func RunSkipping(db *tde.Database, cfg Config, sensorRows int) (*SkippingReport,
 		}
 		rep.Queries++
 		oracle, err := db.QueryWithOptions(sql, plan.Options{
-			ParallelWorkers: -1, ZoneSkip: plan.ZoneSkipOff,
+			ParallelWorkers: -1, NoZoneSkip: true,
 		})
 		if err != nil {
 			return rep, fmt.Errorf("difftest: skipping-off oracle failed: %w\n  query: %s", err, sql)
 		}
 		want := canonicalRows(oracle.Rows)
 		for _, w := range cfg.Workers {
-			opt := plan.Options{ParallelWorkers: w, ZoneSkip: plan.ForceZoneSkip}
+			opt := plan.Options{ParallelWorkers: w}
 			rep.Comparisons++
 			got, err := db.QueryContext(context.Background(), sql, tde.QueryOptions{
 				Plan:         opt,

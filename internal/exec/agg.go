@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"tde/internal/enc"
 	"tde/internal/heap"
@@ -96,10 +98,9 @@ type wideAcc struct {
 	all      []uint64            // MEDIAN
 }
 
-// aggCore is the grouping machinery shared by the serial Aggregate and
-// the per-worker partials of ParallelAggregate: it owns the group table,
-// the per-column string heaps, and the budget cost model, but not the
-// child iteration (its caller feeds it blocks).
+// aggCore is the grouping machinery of one Aggregate worker: it owns the
+// group table, the per-column string heaps, and the budget cost model, but
+// not the child iteration (its caller feeds it blocks).
 type aggCore struct {
 	in      []ColInfo
 	keyCols []int
@@ -372,6 +373,12 @@ func (c *aggCore) findGroup(b *vec.Block, i int) (int, error) {
 	for j, kc := range c.keyCols {
 		c.tuple[j] = b.Vecs[kc].Data[i]
 	}
+	return c.findTuple()
+}
+
+// findTuple is the mode dispatch behind findGroup and mergeFrom: the
+// group holding the key tuple in c.tuple, created on first sight.
+func (c *aggCore) findTuple() (int, error) {
 	switch c.chosen {
 	case AggDirect:
 		k := int64(c.tuple[0]) - c.dmin
@@ -544,9 +551,10 @@ func (c *aggCore) remapToken(o *aggCore, col int, tok uint64) uint64 {
 }
 
 // mergeFrom folds another core's partial groups into c — the merge stage
-// of parallel aggregation. Both cores were fed disjoint morsels of the
-// same input, so accumulators combine associatively; string tokens are
-// translated from o's heaps into c's.
+// of a multi-worker aggregation. Both cores were fed disjoint morsels of
+// the same input in the same mode, so accumulators combine associatively
+// and o's keys probe c exactly like rows do; string tokens are translated
+// from o's heaps into c's.
 func (c *aggCore) mergeFrom(o *aggCore, qc *QueryCtx) error {
 	o.finish()
 	// Both inputs are drained, so their memos are dead; the merge's own go
@@ -559,7 +567,10 @@ func (c *aggCore) mergeFrom(o *aggCore, qc *QueryCtx) error {
 		for j, kc := range c.keyCols {
 			c.tuple[j] = c.remapToken(o, kc, o.keys[g*nk+j])
 		}
-		dst := c.findGroupKeys(c.tuple)
+		dst, err := c.findTuple()
+		if err != nil {
+			return err
+		}
 		for j := range c.specs {
 			c.mergeAcc(dst*ns+j, g*ns+j, o, c.specs[j])
 		}
@@ -652,7 +663,14 @@ func (c *aggCore) release(qc *QueryCtx) {
 	c.charged = 0
 }
 
-// Aggregate is the stop-and-go grouping operator.
+// Aggregate is the stop-and-go grouping operator. With Workers > 1 it is
+// morsel-parallel: that many goroutines pull blocks from the shared child
+// (the morsel dispenser), each folding its morsels into a private aggCore,
+// and Open merges the partials into one result — Exchange → PartialAgg →
+// MergeAgg collapsed into one operator. The workers share the query's
+// memory budget through the (atomic) QueryCtx accountant and one spill
+// state. With one worker the same consume loop runs inline on the caller's
+// goroutine, with no lock and nothing to merge.
 type Aggregate struct {
 	OpInstr
 	child   Operator
@@ -662,19 +680,22 @@ type Aggregate struct {
 	chosen  AggMode
 	schema  []ColInfo
 
+	// Workers is the number of partial-aggregation workers; the strategic
+	// optimizer injects it (Sect. 2.3.1). Values below 2 mean serial.
+	Workers int
 	// EncodedOff, set by the planner when encoded execution is disabled,
 	// keeps the mode choice off the token-direct routine.
 	EncodedOff bool
 
-	core      *aggCore
-	emitAt    int
-	runBlocks int // blocks folded run-at-a-time (for the routine string)
+	cores     []*aggCore // one per worker, while Open consumes and merges
+	runBlocks int        // blocks folded run-at-a-time (for the routine string)
 
-	// spill-to-disk degradation state
+	// The result: em emits the merged core and then whatever the workers
+	// evicted to sp; ordered mode's spooled rows come out first.
 	qc    *QueryCtx
 	sp    *aggSpill
 	spool *orderedSpool
-	em    *aggSpillEmitter
+	em    *aggEmitter
 }
 
 // NewAggregate groups child by keyCols computing specs. mode AggAuto lets
@@ -728,36 +749,57 @@ func (a *Aggregate) Schema() []ColInfo { return a.schema }
 // Mode returns the algorithm actually chosen (valid after Open).
 func (a *Aggregate) Mode() AggMode { return a.chosen }
 
-// routine renders the chosen algorithm for OpStats, upgraded to the
-// rle-* encoded-routine names when any input block was folded
-// run-at-a-time (e.g. "rle-sum", or "rle-agg+token-direct" when grouped).
+// routine renders the chosen algorithm for OpStats — "hash", or
+// "hash(workers=4)" when parallel — upgraded to the rle-* encoded-routine
+// names when any input block was folded run-at-a-time (e.g. "rle-sum", or
+// "rle-agg+token-direct" when grouped).
 func (a *Aggregate) routine() string {
 	name := a.chosen.String()
+	if a.Workers > 1 {
+		name = fmt.Sprintf("%s(workers=%d)", name, a.Workers)
+	}
 	if a.runBlocks == 0 {
 		return name
 	}
 	r := "rle-agg"
-	if len(a.specs) == 1 {
+	if len(a.specs) == 1 && a.Workers <= 1 {
 		r = "rle-" + strings.ToLower(a.specs[0].Func.String())
 	}
-	if len(a.keyCols) > 0 {
+	if len(a.keyCols) > 0 || a.Workers > 1 {
 		r += "+" + name
 	}
 	return r
 }
 
-// OpKind implements Instrumented.
-func (a *Aggregate) OpKind() string { return "Aggregate" }
+// OpKind implements Instrumented: the plan label names the regime.
+func (a *Aggregate) OpKind() string {
+	if a.Workers > 1 {
+		return "ParallelAggregate"
+	}
+	return "Aggregate"
+}
 
 // OpChildren implements Instrumented.
 func (a *Aggregate) OpChildren() []Operator { return []Operator{a.child} }
 
 // chooseMode is the tactical decision: ordered beats direct beats hash
-// when applicable.
+// when applicable. The direct modes' preconditions — the key's envelope,
+// its dictionary — are schema properties and hold for any morsel subset;
+// sortedness does not survive the split, so with several workers ordered
+// mode is demoted to hash (the strategic planner keeps a sorted single
+// key serial for that reason).
 func (a *Aggregate) chooseMode() AggMode {
-	if a.mode != AggAuto {
-		return a.mode
+	mode := a.mode
+	if mode == AggAuto {
+		mode = a.autoMode()
 	}
+	if mode == AggOrdered && a.Workers > 1 {
+		return AggHash
+	}
+	return mode
+}
+
+func (a *Aggregate) autoMode() AggMode {
 	in := a.child.Schema()
 	if len(a.keyCols) == 1 {
 		md := in[a.keyCols[0]].Meta
@@ -767,7 +809,9 @@ func (a *Aggregate) chooseMode() AggMode {
 		if d := in[a.keyCols[0]].Dict; !a.EncodedOff && d != nil && len(d) <= tokenDirectLimit {
 			return AggTokenDirect
 		}
-		if md.HasRange && !md.HasNulls {
+		// A string key is grouped on tokens of the aggregation's own heap
+		// (internStrings), which the stored column's envelope does not bound.
+		if md.HasRange && !md.HasNulls && in[a.keyCols[0]].Type != types.String {
 			if span := md.Max - md.Min; span >= 0 && span < directLimit {
 				return AggDirect
 			}
@@ -776,18 +820,16 @@ func (a *Aggregate) chooseMode() AggMode {
 	return AggHash
 }
 
-// Open implements Operator: stop-and-go, so all grouping happens here.
-// When a charge is denied and a spill budget is set, the operator
-// degrades instead of failing: hash/direct mode evicts partitioned
-// partial groups to disk, ordered mode spools finished output rows.
+// Open implements Operator: stop-and-go, so all grouping happens here —
+// consume (inline or per worker), merge the partials, then hand the
+// result to the in-memory or spilled emit path.
 func (a *Aggregate) Open(qc *QueryCtx) (err error) {
-	start := a.beginOpen(qc, "Aggregate")
+	start := a.beginOpen(qc, a.OpKind())
 	defer func() {
 		a.st.SetRoutine(a.routine())
 		a.endOpen(start)
 	}()
 	a.qc = qc
-	a.emitAt = 0
 	a.runBlocks = 0
 	defer func() {
 		if err != nil {
@@ -798,69 +840,158 @@ func (a *Aggregate) Open(qc *QueryCtx) (err error) {
 		return err
 	}
 	defer a.child.Close()
+	in := a.child.Schema()
 	a.chosen = a.chooseMode()
-	core, err := newAggCore(a.child.Schema(), a.keyCols, a.specs, a.chosen, a.st, qc)
+	if err := a.newCores(qc, in); err != nil {
+		return err
+	}
+	if qc.SpillEnabled() {
+		if a.chosen == AggOrdered {
+			a.spool = newOrderedSpool(qc, a.st, in, a.keyCols, a.specs, a.schema)
+		} else {
+			a.sp = newAggSpill(qc, a.st, in, a.keyCols, a.specs)
+		}
+	}
+	if len(a.cores) == 1 {
+		err = a.consume(a.cores[0], a.child.Next)
+	} else {
+		err = a.consumeParallel()
+	}
 	if err != nil {
-		if (a.chosen != AggDirect && a.chosen != AggTokenDirect) || !spillableErr(qc, err) {
-			return err
-		}
-		// The direct table alone blows the budget: fall back to hash
-		// mode, which can evict.
-		a.chosen = AggHash
-		if core, err = newAggCore(a.child.Schema(), a.keyCols, a.specs, AggHash, a.st, qc); err != nil {
-			return err
-		}
+		return err
 	}
-	a.core = core
-	b := vec.NewBlock(len(a.child.Schema()))
-	for {
-		ok, err := a.child.Next(b)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		core.internStrings(b)
-		if cerr := core.consumeBlock(qc, b); cerr != nil {
-			if !spillableErr(qc, cerr) {
-				return cerr
+	merged := a.cores[0]
+	a.runBlocks = merged.runBlocks
+	for i, c := range a.cores[1:] {
+		a.runBlocks += c.runBlocks
+		if err := merged.mergeFrom(c, qc); err != nil {
+			if !spillableErr(qc, err) {
+				return err
 			}
-			if a.chosen == AggOrdered {
-				if a.spool == nil {
-					a.spool = newOrderedSpool(qc, a.st, a.child.Schema(), a.keyCols, a.specs, a.schema)
-				}
-				if serr := a.spool.spool(core); serr != nil {
-					return serr
-				}
-			} else {
-				if a.sp == nil {
-					a.sp = newAggSpill(qc, a.st, a.child.Schema(), a.keyCols, a.specs)
-				}
-				if serr := a.sp.evict(core); serr != nil {
-					return serr
-				}
+			// merged already holds this partial's groups (mergeFrom folds
+			// before charging): evict the union and carry on merging
+			if err := a.sp.evict(merged); err != nil {
+				return err
 			}
 		}
+		c.release(qc) // the partial's memory is garbage after the merge
+		a.cores[i+1] = nil
 	}
-	core.finish()
-	a.runBlocks = core.runBlocks
+	merged.finish()
+	a.cores = nil // merged's charge is the emitter's from here on
+	a.em = &aggEmitter{qc: qc, sp: a.sp, out: a.schema, core: merged}
 	if a.sp != nil && a.sp.spilled {
-		work, err := a.sp.finishConsume(core)
-		if err != nil {
+		// Evict what is left too: every group then comes from the fold.
+		if a.em.work, err = a.sp.finishConsume(merged); err != nil {
 			return err
 		}
-		core.release(qc)
-		a.core = nil
-		a.em = &aggSpillEmitter{sp: a.sp, out: a.schema, work: work}
-		return nil
 	}
 	if a.spool != nil {
-		if err := a.spool.finish(); err != nil {
-			return err
-		}
+		return a.spool.finish()
 	}
 	return nil
+}
+
+// newCores sets up one core per worker in the chosen mode. Every worker
+// charges its own direct table, so that up-front cost scales with Workers;
+// when the budget denies it the operator falls back to hash mode, which
+// allocates nothing up front (and can evict, when the query may spill).
+func (a *Aggregate) newCores(qc *QueryCtx, in []ColInfo) error {
+	n := a.Workers
+	if n < 1 {
+		n = 1
+	}
+	for len(a.cores) < n {
+		c, err := newAggCore(in, a.keyCols, a.specs, a.chosen, a.st, qc)
+		if err == nil {
+			a.cores = append(a.cores, c)
+			continue
+		}
+		if (a.chosen != AggDirect && a.chosen != AggTokenDirect) || !errors.Is(err, ErrBudgetExceeded) {
+			return err
+		}
+		a.releaseCores()
+		a.chosen = AggHash
+	}
+	return nil
+}
+
+// consume folds the blocks pull yields into core until the input ends.
+// When a charge is denied and a spill budget is set, the worker degrades
+// instead of failing — hash and direct modes evict core's partial groups
+// to partition files, ordered mode spools its finished output rows — and
+// keeps pulling.
+func (a *Aggregate) consume(core *aggCore, pull func(*vec.Block) (bool, error)) error {
+	b := vec.NewBlock(len(a.child.Schema()))
+	for {
+		ok, err := pull(b)
+		if err != nil || !ok {
+			return err
+		}
+		core.internStrings(b)
+		if err := core.consumeBlock(a.qc, b); err != nil {
+			if !spillableErr(a.qc, err) {
+				return err
+			}
+			if a.spool != nil {
+				err = a.spool.spool(core)
+			} else {
+				err = a.sp.evict(core)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// consumeParallel runs one consume loop per core, each on its own
+// goroutine, and returns the first failure. The workers pull morsels from
+// the shared child under a mutex and check cancellation once per block
+// like any serial operator; after a failure the others stop at their next
+// pull.
+func (a *Aggregate) consumeParallel() error {
+	var (
+		mu       sync.Mutex // serializes Next on the shared child; guards firstErr
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		mu.Unlock()
+	}
+	// The deferred unlock keeps the dispenser usable even if the child
+	// panics.
+	pull := func(b *vec.Block) (bool, error) {
+		if err := a.qc.Err(); err != nil {
+			return false, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if firstErr != nil {
+			return false, nil
+		}
+		return a.child.Next(b)
+	}
+	for _, core := range a.cores {
+		wg.Add(1)
+		go func(core *aggCore) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					fail(fmt.Errorf("exec: parallel aggregation worker panicked: %v", r))
+				}
+			}()
+			if err := a.consume(core, pull); err != nil {
+				fail(err)
+			}
+		}(core)
+	}
+	wg.Wait()
+	return firstErr
 }
 
 // Next implements Operator: emits one block of groups.
@@ -872,25 +1003,13 @@ func (a *Aggregate) Next(b *vec.Block) (bool, error) {
 }
 
 func (a *Aggregate) next(b *vec.Block) (bool, error) {
-	if a.em != nil {
-		return a.em.next(b)
-	}
 	if a.spool != nil {
-		ok, err := a.spool.next(b)
-		if err != nil {
-			return false, err
+		if ok, err := a.spool.next(b); ok || err != nil {
+			return ok, err
 		}
-		if ok {
-			return true, nil
-		}
-		// spool drained; fall through to the in-memory tail
+		// spool drained; the still-running group is the in-memory tail
 	}
-	n := a.core.emit(b, a.emitAt, a.schema)
-	if n == 0 {
-		return false, nil
-	}
-	a.emitAt += n
-	return true, nil
+	return a.em.next(b)
 }
 
 // finishAcc renders accumulator i, of spec s, as the aggregate's output
@@ -967,10 +1086,7 @@ func (a *Aggregate) Close() error {
 // cleanup releases the group state's charges and removes any spill
 // files this operator still owns.
 func (a *Aggregate) cleanup() {
-	if a.core != nil {
-		a.core.release(a.qc)
-		a.core = nil
-	}
+	a.releaseCores()
 	if a.em != nil {
 		a.em.close()
 		a.em = nil
@@ -985,17 +1101,12 @@ func (a *Aggregate) cleanup() {
 	}
 }
 
-// NumGroups returns the group count (valid after Open).
-func (a *Aggregate) NumGroups() int {
-	if a.core == nil {
-		return 0
+// releaseCores returns every live core's charges to the accountant.
+func (a *Aggregate) releaseCores() {
+	for _, c := range a.cores {
+		if c != nil {
+			c.release(a.qc)
+		}
 	}
-	return a.core.n
-}
-
-// KeyMetadataFromBuilt recomputes ColInfo metadata for a built column so
-// plans that aggregate over IndexedScan output can still make tactical
-// choices.
-func KeyMetadataFromBuilt(bc *BuiltColumn, signed bool) enc.Metadata {
-	return enc.MetadataFromStream(bc.Data, signed, sentinelFor(bc.Info), true)
+	a.cores = nil
 }

@@ -507,10 +507,13 @@ func (c *aggCore) resetAfterEvict(qc *QueryCtx) {
 	c.charged = c.directCharge
 }
 
-// aggSpillEmitter replaces the in-memory emit path after a spill: it
-// folds one partition at a time into a fresh core and emits its groups,
-// recursing into splits and the merge fallback as the budget dictates.
-type aggSpillEmitter struct {
+// aggEmitter is the aggregation's emit path: it emits the groups of the
+// core it is handed (the merged in-memory result — empty once everything
+// was evicted), then folds one spilled partition at a time into a fresh
+// core and emits that, recursing into splits and the merge fallback as
+// the budget dictates. With no spill there is no work and no sp.
+type aggEmitter struct {
+	qc     *QueryCtx
 	sp     *aggSpill
 	out    []ColInfo
 	work   []aggPartition
@@ -519,7 +522,7 @@ type aggSpillEmitter struct {
 	merge  *aggMergeEmit
 }
 
-func (e *aggSpillEmitter) next(b *vec.Block) (bool, error) {
+func (e *aggEmitter) next(b *vec.Block) (bool, error) {
 	for {
 		if e.merge != nil {
 			ok, err := e.merge.next(b)
@@ -537,7 +540,7 @@ func (e *aggSpillEmitter) next(b *vec.Block) (bool, error) {
 				e.emitAt += n
 				return true, nil
 			}
-			e.core.release(e.sp.qc)
+			e.core.release(e.qc)
 			e.core = nil
 		}
 		if len(e.work) == 0 {
@@ -554,7 +557,7 @@ func (e *aggSpillEmitter) next(b *vec.Block) (bool, error) {
 // foldPartition folds p into a fresh hash core, or — when even one
 // partition's groups exceed the budget — splits it (depth permitting)
 // or degrades to the merge fallback.
-func (e *aggSpillEmitter) foldPartition(p aggPartition) error {
+func (e *aggEmitter) foldPartition(p aggPartition) error {
 	sp := e.sp
 	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggHash, sp.st, sp.qc)
 	if err != nil {
@@ -606,9 +609,9 @@ func (e *aggSpillEmitter) foldPartition(p aggPartition) error {
 	return nil
 }
 
-func (e *aggSpillEmitter) close() {
+func (e *aggEmitter) close() {
 	if e.core != nil {
-		e.core.release(e.sp.qc)
+		e.core.release(e.qc)
 		e.core = nil
 	}
 	if e.merge != nil {
@@ -640,7 +643,7 @@ type aggMergeEmit struct {
 }
 
 // startMerge sorts p's rows into runs and opens the merge.
-func (e *aggSpillEmitter) startMerge(p aggPartition) error {
+func (e *aggEmitter) startMerge(p aggPartition) error {
 	sp := e.sp
 	sp.stats.AddSpill()
 	m := &aggMergeEmit{sp: sp, out: e.out,

@@ -586,8 +586,7 @@ func TestIndexedScanBasic(t *testing.T) {
 		{Info: ColInfo{Name: "$count", Type: types.Integer}, Data: cw.Finish()},
 		{Info: ColInfo{Name: "$start", Type: types.Integer}, Data: sw.Finish()},
 	}}
-	bs := NewBuiltScan(inner)
-	is, err := NewIndexedScan(bs, []int{0}, 1, 2, tab, "pay")
+	is, err := NewIndexedScan(inner, []int{0}, 1, 2, tab, "pay")
 	if err != nil {
 		t.Fatal(err)
 	}

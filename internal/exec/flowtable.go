@@ -64,7 +64,7 @@ type FlowTable struct {
 	schema []ColInfo
 
 	built *Built
-	scan  *BuiltScan
+	scan  *Scan
 
 	// memory accounting: cost is the full build footprint, charged the
 	// first time BuildTable runs and re-charged on cache hits under a new
@@ -120,11 +120,7 @@ func (f *FlowTable) BuildTable(qc *QueryCtx) (*Built, error) {
 			// freshly built or served from cache; the scanning wrapper below
 			// (Next) records time only, so rows are never double-counted.
 			f.st.addRowsOut(int64(f.built.Rows))
-			kinds := make([]enc.Kind, 0, len(f.built.Cols))
-			for i := range f.built.Cols {
-				kinds = append(kinds, f.built.Cols[i].Data.Kind())
-			}
-			f.st.SetRoutine(encRoutine(kinds))
+			f.st.SetRoutine(encRoutine(f.built.Cols))
 		}
 		f.endOpen(start)
 	}()

@@ -18,15 +18,9 @@ import (
 // directly into storage accesses, in the order given by the inner table.
 // Range skipping is therefore expressed simply as a join in the plan, and
 // sorting the inner on the value column yields ordered retrieval
-// (Sect. 4.2.2) that enables ordered aggregation downstream.
-// SchemaSource is a TableSource whose output schema is known before the
-// build (FlowTable, BuiltScan); IndexedScan needs it to describe its own
-// schema during strategic planning.
-type SchemaSource interface {
-	TableSource
-	Schema() []ColInfo
-}
-
+// (Sect. 4.2.2) that enables ordered aggregation downstream. It keeps its
+// own run cursor but reads the outer columns through the same colReader
+// as Scan.
 type IndexedScan struct {
 	OpInstr
 	inner    SchemaSource
@@ -42,10 +36,18 @@ type IndexedScan struct {
 	schema []ColInfo
 	built  *Built
 
-	readers []*enc.Reader
+	readers []colReader
 	runIdx  int // current inner row
 	runOff  int // rows of the current run already emitted
 	qc      *QueryCtx
+}
+
+// SchemaSource is a TableSource whose output schema is known before the
+// build (FlowTable, a Built itself); IndexedScan needs it to describe its
+// own schema during strategic planning.
+type SchemaSource interface {
+	TableSource
+	Schema() []ColInfo
 }
 
 // NewIndexedScan builds an indexed scan. passCols/countCol/startCol index
@@ -109,7 +111,6 @@ func (is *IndexedScan) Open(qc *QueryCtx) error {
 		return err
 	}
 	is.built = bt
-	is.schema = nil
 	var schema []ColInfo
 	for _, c := range is.passCols {
 		info := bt.Cols[c].Info
@@ -124,17 +125,17 @@ func (is *IndexedScan) Open(qc *QueryCtx) error {
 		info.Meta = md
 		schema = append(schema, info)
 	}
+	// Ranges come from the index, not from a block-aligned cursor, so the
+	// outer columns are read straight from their streams: whole-block cache
+	// entries would be filled for a few rows each.
+	is.readers = is.readers[:0]
 	for _, c := range is.outerCols {
 		col := is.outer.Columns[c]
-		schema = append(schema, ColInfo{Name: col.Name, Type: col.Type,
-			Heap: col.Heap, Dict: col.Dict, Meta: col.Meta})
+		info := ColInfo{Name: col.Name, Type: col.Type, Heap: col.Heap, Dict: col.Dict, Meta: col.Meta}
+		schema = append(schema, info)
+		is.readers = append(is.readers, newColReader(info, col.Data, nil))
 	}
 	is.schema = schema
-
-	is.readers = make([]*enc.Reader, len(is.outerCols))
-	for i, c := range is.outerCols {
-		is.readers[i] = enc.NewReader(is.outer.Columns[c].Data)
-	}
 	is.runIdx, is.runOff = 0, 0
 	return nil
 }
@@ -179,16 +180,10 @@ func (is *IndexedScan) next(b *vec.Block) (bool, error) {
 			}
 		}
 		// Translate the range directly into storage reads.
-		for oi, r := range is.readers {
-			col := is.outer.Columns[is.outerCols[oi]]
-			dst := b.Vecs[np+oi].Data[filled : filled+take]
-			got := r.Read(start+is.runOff, take, dst)
-			if got != take {
-				return false, fmt.Errorf("exec: indexed scan range [%d,%d) beyond outer table",
-					start+is.runOff, start+is.runOff+take)
+		for oi := range is.readers {
+			if err := is.readers[oi].fill(is.st, &b.Vecs[np+oi], filled, start+is.runOff, take); err != nil {
+				return false, fmt.Errorf("exec: indexed scan range beyond outer table: %w", err)
 			}
-			widenInPlace(dst, col.Data.Width(), is.schema[np+oi])
-			is.st.AddBytesScanned(int64(take * col.Data.Width()))
 		}
 		filled += take
 		is.runOff += take
@@ -200,10 +195,8 @@ func (is *IndexedScan) next(b *vec.Block) (bool, error) {
 	if filled == 0 {
 		return false, nil
 	}
-	for i, info := range is.schema {
-		b.Vecs[i].Type = info.Type
-		b.Vecs[i].Heap = info.Heap
-		b.Vecs[i].Dict = info.Dict
+	for i, info := range is.schema[:np] {
+		b.Vecs[i].Type, b.Vecs[i].Heap, b.Vecs[i].Dict = info.Type, info.Heap, info.Dict
 	}
 	b.N = filled
 	return true, nil

@@ -110,8 +110,8 @@ func NewHashJoin(outer Operator, inner TableSource, outerKey, innerKey int, algo
 // Schema implements Operator: outer columns followed by inner columns
 // (except the inner key, which duplicates the outer key). Before the
 // inner side is built, the schema comes from the TableSource's declared
-// schema when it has one (FlowTable, BuiltScan), so the strategic planner
-// can resolve names against the joined shape.
+// schema when it has one (FlowTable, a Built itself), so the strategic
+// planner can resolve names against the joined shape.
 func (j *HashJoin) Schema() []ColInfo {
 	if j.schema != nil {
 		return j.schema

@@ -94,14 +94,17 @@ func TestOperatorsReleaseAllMemory(t *testing.T) {
 				{Func: Count, Col: -1, Name: "n"}, {Func: Min, Col: 1, Name: "mv"}}, AggOrdered)
 		},
 		"agg-parallel": func() Operator {
-			return NewParallelAggregate(mustScan(fact), []int{0}, specs, 4)
+			return parallelAggregate(mustScan(fact), []int{0}, specs, AggHash, 4)
+		},
+		"agg-parallel-direct": func() Operator {
+			return parallelAggregate(mustScan(fact), []int{0}, specs, AggDirect, 4)
 		},
 		// String keys: the translators' memos are charged like the groups.
 		"agg-hash-strkey": func() Operator {
 			return NewAggregate(mustScan(fact), []int{2}, specs, AggHash)
 		},
 		"agg-parallel-strkey": func() Operator {
-			return NewParallelAggregate(mustScan(fact), []int{2, 0}, specs, 4)
+			return parallelAggregate(mustScan(fact), []int{2, 0}, specs, AggHash, 4)
 		},
 		"sort": func() Operator {
 			return NewSort(mustScan(fact), SortKey{Col: 2}, SortKey{Col: 1}, SortKey{Col: 0})

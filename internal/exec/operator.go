@@ -79,6 +79,10 @@ type BuiltColumn struct {
 	Zones *enc.ZoneMap
 }
 
+// BuildTable implements TableSource: a materialized table is its own
+// source, so a prebuilt index or slice can be a join or indexed-scan inner.
+func (bt *Built) BuildTable(*QueryCtx) (*Built, error) { return bt, nil }
+
 // Schema returns the built table's column descriptions.
 func (bt *Built) Schema() []ColInfo {
 	out := make([]ColInfo, len(bt.Cols))
@@ -86,16 +90,6 @@ func (bt *Built) Schema() []ColInfo {
 		out[i] = bt.Cols[i].Info
 	}
 	return out
-}
-
-// ColumnIndex returns the position of the named column, or -1.
-func (bt *Built) ColumnIndex(name string) int {
-	for i := range bt.Cols {
-		if bt.Cols[i].Info.Name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // Value resolves row r of column c to full-width value bits.

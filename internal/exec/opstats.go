@@ -19,7 +19,7 @@ import (
 // Wall times are inclusive: an operator's Next time contains its
 // children's Next time, exactly like a sampled profile collapsed onto
 // the plan tree. Sub-operators an operator creates privately at runtime
-// (HashJoin's internal Exchange, FlowTable's internal BuiltScan) carry
+// (HashJoin's internal Exchange, FlowTable's internal scan of its Built) carry
 // ID 0 and record into detached, unregistered stats; their work is
 // visible as part of the owning planned operator.
 
@@ -133,15 +133,15 @@ type OpStats struct {
 	nRowsOut   int64
 	nsOpen     int64
 	nsNext     int64
-	// bytesScanned counts encoded bytes decoded from storage (Scan,
-	// BuiltScan, IndexedScan); 0 elsewhere.
+	// bytesScanned counts encoded bytes decoded from storage (Scan over
+	// any source, IndexedScan); 0 elsewhere.
 	bytesScanned int64
 	// cacheHits / cacheMisses count shared decode-cache lookups by a Scan
 	// served from (or inserted into) the process-wide DecodeCache; both 0
 	// when no cache is attached.
 	cacheHits   int64
 	cacheMisses int64
-	// deltaRows / deletedRows count the write-overlay work of a DeltaScan:
+	// deltaRows / deletedRows count the overlay work of a Scan over a view:
 	// uncompressed delta rows spliced into the stream, and deleted base
 	// rows filtered out of it; 0 elsewhere.
 	deltaRows   int64
@@ -333,14 +333,14 @@ type OpStatsSnapshot struct {
 	// when the query ran without a cache.
 	CacheHits   int64 `json:"cache_hits,omitempty"`
 	CacheMisses int64 `json:"cache_misses,omitempty"`
-	// DeltaRows / DeletedRows are a DeltaScan's write-overlay counters:
+	// DeltaRows / DeletedRows are the overlay counters of a scan over a view:
 	// delta-store rows merged in, deleted base rows filtered out.
 	DeltaRows   int64 `json:"delta_rows,omitempty"`
 	DeletedRows int64 `json:"deleted_rows,omitempty"`
 	// BlocksSkipped counts storage blocks a scan pruned with zone maps
 	// instead of decoding (DESIGN.md §15).
 	BlocksSkipped int64 `json:"blocks_skipped,omitempty"`
-	// Of StringsTranslated string tokens an Aggregate, ParallelAggregate or
+	// Of StringsTranslated string tokens an Aggregate (any worker count) or
 	// FlowTable mapped into its own heap, StringsInterned had their heap
 	// bytes read; the rest were answered per distinct source token.
 	StringsInterned   int64 `json:"strings_interned,omitempty"`

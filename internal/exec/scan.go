@@ -3,113 +3,232 @@ package exec
 import (
 	"fmt"
 
+	"tde/internal/delta"
 	"tde/internal/enc"
+	"tde/internal/heap"
 	"tde/internal/storage"
 	"tde/internal/types"
 	"tde/internal/vec"
 )
 
-// Scan is the table scan flow operator: it reads stored columns one
-// decompression block at a time (one decode call per iteration block,
-// Sect. 3.1). Dictionary-compressed columns and string columns emit
-// tokens, preserving the invisible-join opportunity; plain scalars emit
-// resolved full-width values.
+// RowIDColumn is the name of the hidden row-address column a scan over a
+// write overlay can emit; the write path targets UPDATE/DELETE through it.
+// The '$' prefix keeps it out of the SQL namespace.
+const RowIDColumn = "$rowid"
+
+// Scan is the scan flow operator: it reads a column source — the selected
+// columns of a stored table, or a Built table's — one decompression block
+// at a time (one decode call per iteration block, Sect. 3.1). Dictionary-
+// compressed columns and string columns emit tokens, preserving the
+// invisible-join opportunity; plain scalars emit resolved full-width
+// values.
+//
+// A block passes through optional stages, each selected by what the
+// source is rather than by an option:
+//
+//   - zone pruning, when the source is a table with zone maps and the
+//     planner attached filters (Prune): a refuted block is a cursor bump;
+//   - the decode cache, when the query has one and the column is a stored
+//     table's block-structured stream (a Built's streams die with the
+//     query, and run-length streams have no blocks);
+//   - run emission, when EmitRuns is set and the source is a single scalar
+//     run-length column with no overlay;
+//   - the overlay, when the source is a delta.View (below).
+//
+// Over a view the scan merges the table's compressed base rows with the
+// snapshot — dropping deleted base rows and appending the visible
+// insertions as tail blocks — so every downstream operator sees one
+// consistent stream. That stream speaks values: dictionary tokens are
+// resolved for every base block and the schema advertises Dict: nil,
+// because aggregation and join hash raw block values as keys and inserted
+// rows have no dictionary. String columns still emit heap tokens, but
+// against two heaps: base blocks carry the stored heap, tail blocks a
+// per-open heap holding the inserted strings (string operators already
+// handle mixed-heap streams by content). Derived metadata (min/max,
+// sortedness) describes only the base rows, so the schema carries neutral
+// metadata and tactical upgrades fall back to their general routines.
+// Zone maps likewise describe only base rows: pruning applies to base
+// blocks, and the insertions are emitted after them regardless.
 type Scan struct {
 	OpInstr
-	table   *storage.Table
-	colIdxs []int
+	src *Built // the column source: what every stage reads
+	// table is the stored table src selects from (nil over a Built): it
+	// names the scan and binds the planner's zone filters, which index
+	// stored columns whether or not the scan selects them.
+	table *storage.Table
+	view  *delta.View // the write overlay; nil when the source is clean
+	// insIdxs[i] is where src.Cols[i]'s value sits in an inserted row.
+	insIdxs []int
+	rowID   bool // emit a trailing $rowid column (views only)
 	schema  []ColInfo
-	readers []*enc.Reader
-	at      int
-	rows    int
-	qc      *QueryCtx
+
 	// EmitRuns, set by the planner when encoded execution is on, lets the
-	// scan emit run-length columns as run-encoded blocks (vec.Vector.Runs)
-	// instead of expanding them row-by-row. Only single-column scans of a
-	// scalar RLE column qualify: multi-column blocks would need run
-	// alignment across columns, and string columns resolve through heaps.
+	// scan emit a run-length column as run-encoded blocks
+	// (vec.Vector.Runs) instead of expanding it row-by-row. Only
+	// single-column scans of a scalar RLE column qualify (EmitsRuns):
+	// multi-column blocks would need run alignment across columns, and
+	// string columns resolve through heaps.
 	EmitRuns bool
-	runCol   int
-	runBuf   []enc.Run
-	// cache is the shared decode cache (nil outside a serving process);
-	// cacheCols marks which columns it can serve (everything but
-	// run-length streams, which have no block structure).
-	cache     *DecodeCache
-	cacheCols []bool
 	// Prune holds the planner's sargable zone filters (DESIGN.md §15);
 	// blocks they prove empty are skipped without decoding.
-	Prune  []ZoneFilter
+	Prune []ZoneFilter
+
+	qc     *QueryCtx
+	cols   []colReader
 	pruner zonePruner
+	at     int // next base row
+	runs   bool
+
+	// overlay state: surviving row offsets of the current base block, the
+	// next insertion, and the inserted strings interned per selected
+	// string column (nil entries for scalars).
+	keep     []int
+	insAt    int
+	insHeaps []*heap.Heap
+	insToks  [][]uint64
 }
 
 // NewScan scans the named columns of t (all columns when names is nil).
 func NewScan(t *storage.Table, names ...string) (*Scan, error) {
-	s := &Scan{table: t, rows: t.Rows()}
+	s := &Scan{table: t, src: &Built{Rows: t.Rows()}}
 	if len(names) == 0 {
 		for i := range t.Columns {
-			s.colIdxs = append(s.colIdxs, i)
-		}
-	} else {
-		for _, n := range names {
-			idx := t.ColumnIndex(n)
-			if idx < 0 {
-				return nil, fmt.Errorf("exec: table %q has no column %q", t.Name, n)
-			}
-			s.colIdxs = append(s.colIdxs, idx)
+			s.insIdxs = append(s.insIdxs, i)
 		}
 	}
-	for _, idx := range s.colIdxs {
+	for _, n := range names {
+		idx := t.ColumnIndex(n)
+		if idx < 0 {
+			return nil, fmt.Errorf("exec: table %q has no column %q", t.Name, n)
+		}
+		s.insIdxs = append(s.insIdxs, idx)
+	}
+	for _, idx := range s.insIdxs {
 		c := t.Columns[idx]
-		s.schema = append(s.schema, ColInfo{
+		s.src.Cols = append(s.src.Cols, BuiltColumn{Data: c.Data, Zones: c.Zones, Info: ColInfo{
 			Name: c.Name, Type: c.Type, Collation: c.Collation,
 			Heap: c.Heap, Dict: c.Dict, Meta: c.Meta,
-		})
+		}})
+	}
+	s.schema = s.src.Schema()
+	return s, nil
+}
+
+// NewViewScan scans the named columns of v's table as the snapshot sees
+// them (all columns when names is nil). When withRowID is set, a trailing
+// $rowid integer column carries each row's stable row address.
+func NewViewScan(v *delta.View, withRowID bool, names ...string) (*Scan, error) {
+	s, err := NewScan(v.Table, names...)
+	if err != nil {
+		return nil, err
+	}
+	s.view, s.rowID = v, withRowID
+	meta := enc.Metadata{RowCount: v.VisibleRows()}
+	for i := range s.schema {
+		s.schema[i].Dict, s.schema[i].Meta = nil, meta
+	}
+	if withRowID {
+		s.schema = append(s.schema, ColInfo{Name: RowIDColumn, Type: types.Integer, Meta: meta})
 	}
 	return s, nil
+}
+
+// NewBuiltScan scans bt (the output of FlowTable and the pseudo-table
+// operators).
+func NewBuiltScan(bt *Built) *Scan {
+	return &Scan{src: bt, schema: bt.Schema()}
 }
 
 // Schema implements Operator.
 func (s *Scan) Schema() []ColInfo { return s.schema }
 
-// OpKind implements Instrumented.
-func (s *Scan) OpKind() string { return "Scan" }
+// OpKind implements Instrumented: the plan names the source — "Scan" of a
+// table, "DeltaScan" of a view, "BuiltScan" of a Built.
+func (s *Scan) OpKind() string {
+	switch {
+	case s.view != nil:
+		return "DeltaScan"
+	case s.table != nil:
+		return "Scan"
+	}
+	return "BuiltScan"
+}
 
 // OpLabel implements Instrumented.
-func (s *Scan) OpLabel() string { return s.table.Name }
+func (s *Scan) OpLabel() string {
+	switch {
+	case s.view != nil:
+		return fmt.Sprintf("%s +%d -%d", s.table.Name, len(s.view.Ins), s.view.DeletedRows)
+	case s.table != nil:
+		return s.table.Name
+	}
+	return ""
+}
 
 // Open implements Operator.
 func (s *Scan) Open(qc *QueryCtx) error {
-	start := s.beginOpen(qc, "Scan")
+	start := s.beginOpen(qc, s.OpKind())
 	defer s.endOpen(start)
 	s.qc = qc
-	s.at = 0
-	s.readers = make([]*enc.Reader, len(s.colIdxs))
-	kinds := make([]enc.Kind, 0, len(s.colIdxs))
-	for i, idx := range s.colIdxs {
-		s.readers[i] = enc.NewReader(s.table.Columns[idx].Data)
-		kinds = append(kinds, s.table.Columns[idx].Data.Kind())
+	s.at, s.insAt = 0, 0
+	var cache *DecodeCache
+	if s.table != nil {
+		cache = qc.Cache()
+		s.pruner = newZonePruner(s.table, s.Prune)
 	}
-	s.cache = qc.Cache()
-	s.cacheCols = s.cacheCols[:0]
-	for _, idx := range s.colIdxs {
-		s.cacheCols = append(s.cacheCols,
-			s.cache != nil && s.table.Columns[idx].Data.Kind() != enc.RunLength)
+	s.cols = make([]colReader, len(s.src.Cols))
+	for i := range s.src.Cols {
+		c := &s.src.Cols[i]
+		s.cols[i] = newColReader(c.Info, c.Data, cache)
 	}
-	s.runCol = -1
-	s.pruner = newZonePruner(s.table, s.Prune)
-	routine := encRoutine(kinds)
+	routine := encRoutine(s.src.Cols)
+	if s.view != nil {
+		s.internInsertions()
+		routine = fmt.Sprintf("base+delta(ins=%d dels=%d epoch=%d)", len(s.view.Ins), s.view.DeletedRows, s.view.Epoch)
+	}
 	if s.pruner.active() {
 		routine += "+zoneskip"
 	}
-	if s.EmitRuns && len(s.colIdxs) == 1 {
-		c := s.table.Columns[s.colIdxs[0]]
-		if c.Data.Kind() == enc.RunLength && c.Heap == nil && c.Type != types.String {
-			s.runCol = 0
-			routine += "(runs)"
-		}
+	if s.runs = s.EmitsRuns(); s.runs {
+		routine += "(runs)"
 	}
 	s.st.SetRoutine(routine)
 	return nil
+}
+
+// EmitsRuns reports whether the scan will hand its column downstream as
+// runs: EmitRuns is set and the source is one scalar run-length column
+// with no overlay (inserted rows have no runs, and deleted ones split
+// them).
+func (s *Scan) EmitsRuns() bool {
+	if !s.EmitRuns || s.view != nil || len(s.src.Cols) != 1 {
+		return false
+	}
+	c := &s.src.Cols[0]
+	return c.Data.Kind() == enc.RunLength && c.Info.Heap == nil && c.Info.Type != types.String
+}
+
+// internInsertions interns the visible inserted strings into per-open
+// heaps, one per selected string column; tail blocks carry these heaps.
+func (s *Scan) internInsertions() {
+	s.insHeaps = make([]*heap.Heap, len(s.src.Cols))
+	s.insToks = make([][]uint64, len(s.src.Cols))
+	for i, idx := range s.insIdxs {
+		info := &s.src.Cols[i].Info
+		if info.Type != types.String {
+			continue
+		}
+		h := heap.New(info.Collation)
+		toks := make([]uint64, len(s.view.Ins))
+		for r, ins := range s.view.Ins {
+			if v := ins.Vals[idx]; v.IsNullString() {
+				toks[r] = types.NullToken
+			} else {
+				toks[r] = h.Append(v.Str)
+			}
+		}
+		s.insHeaps[i], s.insToks[i] = h, toks
+	}
 }
 
 // Next implements Operator.
@@ -124,71 +243,199 @@ func (s *Scan) next(b *vec.Block) (bool, error) {
 	if err := s.qc.Err(); err != nil {
 		return false, err
 	}
-	// Zone pruning: the cursor is always vec.BlockSize-aligned, so blocks
-	// a filter proves empty advance it without decoding anything — no
+	// The cursor is always vec.BlockSize-aligned, so a block the zone
+	// filters prove empty advances it without decoding anything — no
 	// reader call, no decode-cache charge.
-	for s.at < s.rows && s.pruner.active() && s.pruner.skip(s.at/vec.BlockSize) {
-		step := s.rows - s.at
-		if step > vec.BlockSize {
-			step = vec.BlockSize
+	for s.at < s.src.Rows {
+		at, n := s.at, s.src.Rows-s.at
+		if n > vec.BlockSize {
+			n = vec.BlockSize
 		}
-		s.at += step
-		s.st.AddBlocksSkipped(1)
-	}
-	if s.at >= s.rows {
-		return false, nil
-	}
-	n := s.rows - s.at
-	if n > vec.BlockSize {
-		n = vec.BlockSize
-	}
-	ensureVecs(b, len(s.schema))
-	for i, r := range s.readers {
-		v := &b.Vecs[i]
-		info := s.schema[i]
-		v.Type = info.Type
-		v.Heap = info.Heap
-		v.Dict = info.Dict
-		w := s.table.Columns[s.colIdxs[i]].Data.Width()
-		if i == s.runCol {
-			// Compressed execution: hand the runs downstream instead of
-			// expanding them. Bytes scanned counts one value per run — the
-			// decode work actually done.
-			var covered int
-			s.runBuf, covered = r.ReadRuns(s.at, n, s.runBuf[:0])
-			if covered != n {
-				return false, fmt.Errorf("exec: short run read: %d of %d", covered, n)
-			}
-			for j := range s.runBuf {
-				s.runBuf[j].Value = resolveRaw(s.runBuf[j].Value, w, info)
-			}
-			v.Runs = s.runBuf
-			s.st.AddBytesScanned(int64(len(s.runBuf) * w))
+		s.at += n
+		if s.pruner.skip(at / vec.BlockSize) {
+			s.st.AddBlocksSkipped(1)
 			continue
 		}
-		var got int
-		if s.cacheCols[i] {
-			var hits, misses int64
-			got, hits, misses = cacheRead(s.cache, s.table.Columns[s.colIdxs[i]].Data, s.at, n, v.Data)
-			s.st.AddCacheHits(hits)
-			s.st.AddCacheMisses(misses)
+		if s.view != nil && !s.survivors(at, n) {
+			continue // whole block deleted: nothing to decode
+		}
+		// Runs are read into the buffer the caller's block already owns,
+		// never one of the scan's: parallel consumers each hold a block
+		// while the next is being filled.
+		var runBuf []enc.Run
+		if s.runs && len(b.Vecs) > 0 {
+			runBuf = b.Vecs[0].Runs[:0]
+		}
+		ensureVecs(b, len(s.schema))
+		if s.runs {
+			if err := s.fillRuns(&b.Vecs[0], runBuf, at, n); err != nil {
+				return false, err
+			}
 		} else {
-			got = r.Read(s.at, n, v.Data)
+			for i := range s.cols {
+				if err := s.cols[i].fill(s.st, &b.Vecs[i], 0, at, n); err != nil {
+					return false, err
+				}
+			}
 		}
-		if got != n {
-			return false, fmt.Errorf("exec: short column read: %d of %d", got, n)
+		b.N = n
+		if s.view != nil {
+			s.overlayBase(b, at, n)
 		}
-		widenInPlace(v.Data[:n], w, info)
-		s.st.AddBytesScanned(int64(n * w))
+		return true, nil
 	}
-	b.N = n
-	s.at += n
-	return true, nil
+	if s.view != nil && s.insAt < len(s.view.Ins) {
+		s.nextInserted(b)
+		return true, nil
+	}
+	return false, nil
+}
+
+// fillRuns hands the column's runs downstream instead of expanding them
+// (compressed execution). Bytes scanned counts one value per run — the
+// decode work actually done.
+func (s *Scan) fillRuns(v *vec.Vector, buf []enc.Run, at, n int) error {
+	c := &s.cols[0]
+	runs, covered := c.r.ReadRuns(at, n, buf)
+	if covered != n {
+		return fmt.Errorf("exec: short run read of column %q: %d of %d rows at %d", c.info.Name, covered, n, at)
+	}
+	w := c.data.Width()
+	for j := range runs {
+		runs[j].Value = resolveRaw(runs[j].Value, w, c.info)
+	}
+	v.Type, v.Heap, v.Dict = c.info.Type, c.info.Heap, c.info.Dict
+	v.Runs = runs
+	s.st.AddBytesScanned(int64(len(runs) * w))
+	return nil
+}
+
+// survivors collects into s.keep the offsets of base rows [at, at+n) the
+// view has not deleted, reporting whether any survive.
+func (s *Scan) survivors(at, n int) bool {
+	s.keep = s.keep[:0]
+	for i := 0; i < n; i++ {
+		if !s.view.BaseDeleted(at + i) {
+			s.keep = append(s.keep, i)
+		}
+	}
+	if dead := n - len(s.keep); dead > 0 {
+		s.st.AddDeletedRows(int64(dead))
+	}
+	return len(s.keep) > 0
+}
+
+// overlayBase turns a filled base block into the view's: dictionary
+// tokens become values (the merged stream must speak values, because
+// inserted rows have no dictionary), deleted rows are compacted away, and
+// the $rowid column is stamped.
+func (s *Scan) overlayBase(b *vec.Block, at, n int) {
+	for i := range s.cols {
+		v := &b.Vecs[i]
+		if dict := v.Dict; dict != nil {
+			null := types.NullBits(v.Type)
+			for j, tok := range v.Data[:n] {
+				if tok == types.NullToken {
+					v.Data[j] = null
+				} else {
+					v.Data[j] = dict[tok]
+				}
+			}
+			v.Dict = nil
+		}
+		if len(s.keep) != n {
+			for j, src := range s.keep {
+				v.Data[j] = v.Data[src]
+			}
+		}
+	}
+	if s.rowID {
+		v := &b.Vecs[len(s.cols)]
+		v.Type, v.Heap, v.Dict = types.Integer, nil, nil
+		for j, src := range s.keep {
+			v.Data[j] = uint64(at + src)
+		}
+	}
+	b.N = len(s.keep)
+}
+
+// nextInserted emits one tail block of visible inserted rows.
+func (s *Scan) nextInserted(b *vec.Block) {
+	ins := s.view.Ins[s.insAt:]
+	if len(ins) > vec.BlockSize {
+		ins = ins[:vec.BlockSize]
+	}
+	ensureVecs(b, len(s.schema))
+	for i, idx := range s.insIdxs {
+		v := &b.Vecs[i]
+		v.Type, v.Heap, v.Dict = s.schema[i].Type, s.insHeaps[i], nil
+		if toks := s.insToks[i]; toks != nil {
+			copy(v.Data, toks[s.insAt:s.insAt+len(ins)])
+			continue
+		}
+		for j := range ins {
+			v.Data[j] = ins[j].Vals[idx].Bits
+		}
+	}
+	if s.rowID {
+		v := &b.Vecs[len(s.cols)]
+		v.Type, v.Heap, v.Dict = types.Integer, nil, nil
+		for j := range ins {
+			v.Data[j] = ins[j].ID
+		}
+	}
+	b.N = len(ins)
+	s.insAt += len(ins)
+	s.st.AddDeltaRows(int64(len(ins)))
 }
 
 // Close implements Operator.
 func (s *Scan) Close() error {
-	s.readers = nil
+	s.cols, s.insHeaps, s.insToks = nil, nil, nil
+	return nil
+}
+
+// colReader fills block vectors from one column of a scan source. Scan
+// and IndexedScan both read through it, so every source gets the same
+// short-read check, widening, vector info and bytes_scanned accounting.
+type colReader struct {
+	info  ColInfo
+	data  *enc.Stream
+	r     *enc.Reader
+	cache *DecodeCache // nil: decode straight from the stream
+}
+
+// newColReader reads a column through cache when there is one and the stream
+// has the block structure the cache is keyed on.
+func newColReader(info ColInfo, data *enc.Stream, cache *DecodeCache) colReader {
+	if data.Kind() == enc.RunLength {
+		cache = nil
+	}
+	return colReader{info: info, data: data, r: enc.NewReader(data), cache: cache}
+}
+
+// fill reads rows [at, at+n) into v.Data[off:off+n] as full-width bits
+// and stamps v with the column's type, heap and dictionary. A stream that
+// ends early fails the query: the rows it promised would otherwise be
+// whatever the reused block held before.
+func (c *colReader) fill(st *OpStats, v *vec.Vector, off, at, n int) error {
+	dst := v.Data[off : off+n]
+	var got int
+	if c.cache != nil {
+		var hits, misses int64
+		got, hits, misses = cacheRead(c.cache, c.data, at, n, dst)
+		st.AddCacheHits(hits)
+		st.AddCacheMisses(misses)
+	} else {
+		got = c.r.Read(at, n, dst)
+	}
+	if got != n {
+		return fmt.Errorf("exec: short read of column %q: %d of %d rows at %d", c.info.Name, got, n, at)
+	}
+	w := c.data.Width()
+	widenInPlace(dst, w, c.info)
+	st.AddBytesScanned(int64(n * w))
+	v.Type, v.Heap, v.Dict = c.info.Type, c.info.Heap, c.info.Dict
 	return nil
 }
 
@@ -221,12 +468,13 @@ func cacheRead(c *DecodeCache, st *enc.Stream, start, n int, out []uint64) (copi
 	return copied, hits, misses
 }
 
-// encRoutine renders the deduplicated encoding kinds of a scan's columns
+// encRoutine renders the deduplicated encoding kinds of a table's columns
 // in first-seen order, e.g. "dict+rle+raw".
-func encRoutine(kinds []enc.Kind) string {
+func encRoutine(cols []BuiltColumn) string {
 	var out string
 	seen := map[enc.Kind]bool{}
-	for _, k := range kinds {
+	for i := range cols {
+		k := cols[i].Data.Kind()
 		if seen[k] {
 			continue
 		}
@@ -265,83 +513,3 @@ func ensureVecs(b *vec.Block, n int) {
 		b.Vecs[i].Runs = nil
 	}
 }
-
-// BuiltScan iterates a Built table (the output of FlowTable and the
-// pseudo-table operators).
-type BuiltScan struct {
-	OpInstr
-	built   *Built
-	readers []*enc.Reader
-	at      int
-	qc      *QueryCtx
-}
-
-// NewBuiltScan scans bt.
-func NewBuiltScan(bt *Built) *BuiltScan { return &BuiltScan{built: bt} }
-
-// Schema implements Operator.
-func (s *BuiltScan) Schema() []ColInfo { return s.built.Schema() }
-
-// OpKind implements Instrumented.
-func (s *BuiltScan) OpKind() string { return "BuiltScan" }
-
-// Open implements Operator.
-func (s *BuiltScan) Open(qc *QueryCtx) error {
-	start := s.beginOpen(qc, "BuiltScan")
-	defer s.endOpen(start)
-	s.qc = qc
-	s.at = 0
-	s.readers = make([]*enc.Reader, len(s.built.Cols))
-	kinds := make([]enc.Kind, 0, len(s.built.Cols))
-	for i := range s.built.Cols {
-		s.readers[i] = enc.NewReader(s.built.Cols[i].Data)
-		kinds = append(kinds, s.built.Cols[i].Data.Kind())
-	}
-	s.st.SetRoutine(encRoutine(kinds))
-	return nil
-}
-
-// Next implements Operator.
-func (s *BuiltScan) Next(b *vec.Block) (bool, error) {
-	start := nowNanos()
-	ok, err := s.next(b)
-	s.endNext(start, b, ok && err == nil)
-	return ok, err
-}
-
-func (s *BuiltScan) next(b *vec.Block) (bool, error) {
-	if err := s.qc.Err(); err != nil {
-		return false, err
-	}
-	rows := s.built.Rows
-	if s.at >= rows {
-		return false, nil
-	}
-	n := rows - s.at
-	if n > vec.BlockSize {
-		n = vec.BlockSize
-	}
-	ensureVecs(b, len(s.built.Cols))
-	for i, r := range s.readers {
-		col := &s.built.Cols[i]
-		v := &b.Vecs[i]
-		v.Type = col.Info.Type
-		v.Heap = col.Info.Heap
-		v.Dict = col.Info.Dict
-		r.Read(s.at, n, v.Data)
-		widenInPlace(v.Data[:n], col.Data.Width(), col.Info)
-		s.st.AddBytesScanned(int64(n * col.Data.Width()))
-	}
-	b.N = n
-	s.at += n
-	return true, nil
-}
-
-// Close implements Operator.
-func (s *BuiltScan) Close() error {
-	s.readers = nil
-	return nil
-}
-
-// BuildTable lets a BuiltScan act as a TableSource trivially.
-func (s *BuiltScan) BuildTable(qc *QueryCtx) (*Built, error) { return s.built, nil }

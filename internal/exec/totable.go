@@ -24,16 +24,3 @@ func (bt *Built) ToTable(name string) *storage.Table {
 	}
 	return t
 }
-
-// FromTable converts a stored table to a Built view without copying.
-func FromTable(t *storage.Table) *Built {
-	bt := &Built{Rows: t.Rows()}
-	for _, c := range t.Columns {
-		bt.Cols = append(bt.Cols, BuiltColumn{
-			Info:  ColInfo{Name: c.Name, Type: c.Type, Heap: c.Heap, Dict: c.Dict, Meta: c.Meta},
-			Data:  c.Data,
-			Zones: c.Zones,
-		})
-	}
-	return bt
-}

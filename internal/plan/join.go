@@ -151,15 +151,6 @@ func (a aliasOp) Schema() []exec.ColInfo {
 	return out
 }
 
-// BuildTable lets aliased FlowTable children keep working; aliasOp wraps
-// flow operators only, so this is never reached for stop-and-go nodes.
-func (a aliasOp) BuildTable(qc *exec.QueryCtx) (*exec.Built, error) {
-	if ts, ok := a.Operator.(exec.TableSource); ok {
-		return ts.BuildTable(qc)
-	}
-	return nil, fmt.Errorf("plan: alias wraps a flow operator")
-}
-
 // The Instrumented delegation below makes the alias transparent to
 // AssignOpIDs: the wrapped operator keeps its own identity and stats, and
 // only the rendered label carries the alias.

@@ -590,3 +590,35 @@ func TestConjunctSplittingIndexPlan(t *testing.T) {
 		}
 	}
 }
+
+// TestCountStarOverSingleRunLengthColumn plans SELECT COUNT(*) over a table
+// whose only column is a scalar run-length column: the query names no
+// column, so the scan selects all of them — that one — and emits runs.
+func TestCountStarOverSingleRunLengthColumn(t *testing.T) {
+	vals := make([]int64, 5000)
+	for i := range vals {
+		vals[i] = int64(i / 1000)
+	}
+	col := intColumn("a", types.Integer, vals)
+	if col.Data.Kind() != enc.RunLength {
+		t.Fatalf("column encoded as %v, want run-length", col.Data.Kind())
+	}
+	tab := &storage.Table{Name: "m", Columns: []*storage.Column{col}}
+	q := Query{Table: tab, Aggs: []AggItem{{Func: exec.Count, Col: ""}}}
+	for _, opt := range []Options{{ParallelWorkers: 1}, {ParallelWorkers: 1, NoEncodedExec: true}} {
+		op, ex, err := Build(q, opt)
+		if err != nil {
+			t.Fatalf("%+v: %v", opt, err)
+		}
+		if got, want := strings.Contains(ex.String(), "EncodedScan[a runs]"), !opt.NoEncodedExec; got != want {
+			t.Errorf("%+v: plan %q, EncodedScan step present = %v, want %v", opt, ex, got, want)
+		}
+		rows, err := exec.Collect(op)
+		if err != nil {
+			t.Fatalf("%+v: %v", opt, err)
+		}
+		if len(rows) != 1 || int64(rows[0][0]) != int64(len(vals)) {
+			t.Errorf("%+v: rows %v, want one row of %d", opt, rows, len(vals))
+		}
+	}
+}

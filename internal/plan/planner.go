@@ -38,8 +38,8 @@ type OrderItem struct {
 type Query struct {
 	Table *storage.Table
 	// Delta is the table's write-overlay snapshot (nil or clean = none).
-	// A dirty delta forces the plain scan plan with a DeltaScan source:
-	// the index and invisible-join rewrites reason from the base table's
+	// A dirty delta forces the plain scan plan over the overlaid scan: the
+	// index and invisible-join rewrites reason from the base table's
 	// stored encodings and metadata, which no longer describe the visible
 	// rows.
 	Delta   *delta.View
@@ -66,6 +66,17 @@ type Options struct {
 	NoIndexPlan bool
 	// NoDictPlan disables the invisible-join rewrite.
 	NoDictPlan bool
+	// NoEncodedExec disables compressed execution (DESIGN.md §12): scans
+	// decode every block instead of emitting runs, and Select/Aggregate
+	// use the row routines only (no dict-filter, rle-filter, rle-sum or
+	// token-direct grouping). It is the encoded sweep's oracle arm and the
+	// escape hatch.
+	NoEncodedExec bool
+	// NoZoneSkip disables zone-map block pruning (DESIGN.md §15): no
+	// sargable WHERE conjunct becomes a scan-level zone filter, so scans
+	// decode every block. It is the skipping sweep's oracle arm and the
+	// escape hatch.
+	NoZoneSkip bool
 	// OrderedIndex selects Fig. 10's plan 3 (sort the index, use ordered
 	// aggregation): <0 = strategic choice by run length, 0 = never,
 	// >0 = always.
@@ -86,42 +97,7 @@ type Options struct {
 	// choice from sortedness metadata, >0 = force order-preserving,
 	// <0 = force free routing.
 	Routing int
-	// EncodedExec controls compressed execution (DESIGN.md §12): whether
-	// scans emit run-encoded blocks and Select/Aggregate may pick the
-	// encoded routines (dict-filter, rle-filter, rle-sum, token-direct
-	// grouping). EncodedAuto (the zero value) leaves it on; the explicit
-	// levels exist for differential testing and as an escape hatch.
-	EncodedExec int
-	// ZoneSkip controls zone-map block pruning (DESIGN.md §15): whether
-	// sargable WHERE conjuncts are extracted into scan-level zone filters
-	// that skip blocks without decoding them. ZoneSkipAuto (the zero
-	// value) leaves it on; ZoneSkipOff is the differential sweep's oracle
-	// arm and the escape hatch.
-	ZoneSkip int
 }
-
-// EncodedExec levels.
-const (
-	// EncodedAuto enables encoded execution (the default).
-	EncodedAuto = 0
-	// ForceEncodedExec enables encoded execution explicitly — the
-	// differential sweep's "forced on" arm.
-	ForceEncodedExec = 1
-	// EncodedOff disables encoded execution: scans decode every block and
-	// operators use the row routines only.
-	EncodedOff = -1
-)
-
-// ZoneSkip levels.
-const (
-	// ZoneSkipAuto enables zone-map pruning (the default).
-	ZoneSkipAuto = 0
-	// ForceZoneSkip enables pruning explicitly — the differential sweep's
-	// "forced on" arm.
-	ForceZoneSkip = 1
-	// ZoneSkipOff disables pruning: scans decode every block.
-	ZoneSkipOff = -1
-)
 
 // Auto-parallelism thresholds: below parallelMinRows the fan-out costs
 // more than it saves; past that, one worker per parallelRowsPerWorker
@@ -203,7 +179,7 @@ func (e *Explain) String() string { return strings.Join(e.Steps, " => ") }
 // operators, driven by the metadata FlowTable and the scans derive.
 func Build(q Query, opt Options) (exec.Operator, *Explain, error) {
 	ex := &Explain{}
-	if opt.EncodedExec < 0 {
+	if opt.NoEncodedExec {
 		ex.add("EncodedExec[off]")
 	}
 	if q.Where != nil {
@@ -366,25 +342,19 @@ func tableRows(t *storage.Table, v *delta.View) int {
 	return t.Rows()
 }
 
-// newTableScan builds the scan source for a table: a plain compressed
-// Scan, or a DeltaScan when a write overlay is visible.
-func newTableScan(t *storage.Table, v *delta.View, ex *Explain, names ...string) (exec.Operator, error) {
+// newTableScan builds the scan source for a table: its compressed
+// columns, seen through the write overlay when one is visible.
+func newTableScan(t *storage.Table, v *delta.View, ex *Explain, names ...string) (scan *exec.Scan, err error) {
 	if deltaDirty(v) {
-		scan, err := exec.NewDeltaScan(v, false, names...)
-		if err != nil {
-			return nil, err
-		}
-		if ex != nil {
-			ex.add("DeltaScan(%s +%d -%d)", t.Name, len(v.Ins), v.DeletedRows)
-		}
-		return scan, nil
+		scan, err = exec.NewViewScan(v, false, names...)
+	} else {
+		scan, err = exec.NewScan(t, names...)
 	}
-	scan, err := exec.NewScan(t, names...)
 	if err != nil {
 		return nil, err
 	}
 	if ex != nil {
-		ex.add("Scan(%s)", t.Name)
+		ex.add("%s(%s)", scan.OpKind(), scan.OpLabel())
 	}
 	return scan, nil
 }
@@ -398,16 +368,9 @@ func buildScanPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 		return nil, err
 	}
 	attachZoneFilters(scan, q, opt, ex)
-	// DeltaScan always emits decoded blocks (the overlay merge works on
-	// plain rows), so only the plain Scan gets the run-emission switch.
-	if s, ok := scan.(*exec.Scan); ok && opt.EncodedExec >= 0 {
-		s.EmitRuns = true
-		if len(cols) == 1 {
-			if c := q.Table.Column(cols[0]); c != nil &&
-				c.Data.Kind() == enc.RunLength && c.Heap == nil && c.Type != types.String {
-				ex.add("EncodedScan[%s runs]", c.Name)
-			}
-		}
+	scan.EmitRuns = !opt.NoEncodedExec
+	if scan.EmitsRuns() {
+		ex.add("EncodedScan[%s runs]", scan.Schema()[0].Name)
 	}
 	var op exec.Operator = scan
 	if q.Where != nil {
@@ -536,7 +499,7 @@ func buildDictPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	scan.EmitRuns = opt.EncodedExec >= 0 // the join probe materializes if needed
+	scan.EmitRuns = !opt.NoEncodedExec // the join probe materializes if needed
 	attachZoneFilters(scan, q, opt, ex)
 	ex.add("Scan(%s)", q.Table.Name)
 	outerKey := -1
@@ -623,14 +586,14 @@ func finishPlan(op exec.Operator, q Query, opt Options, rows int, ex *Explain) (
 				workers = 1
 			}
 		}
+		agg := exec.NewAggregate(op, keyIdxs, specs, exec.AggAuto)
+		agg.Workers = workers
+		agg.EncodedOff = opt.NoEncodedExec
+		op = agg
 		if workers > 1 {
-			op = exec.NewParallelAggregate(op, keyIdxs, specs, workers)
 			ex.add("ParallelAggregate[%s, %d keys, %d aggs]",
 				workersLabel(workers, auto), len(keyIdxs), len(specs))
 		} else {
-			agg := exec.NewAggregate(op, keyIdxs, specs, exec.AggAuto)
-			agg.EncodedOff = opt.EncodedExec < 0
-			op = agg
 			ex.add("Aggregate[%d keys, %d aggs]", len(keyIdxs), len(specs))
 		}
 		if q.Having != nil {
@@ -685,10 +648,10 @@ func finishPlan(op exec.Operator, q Query, opt Options, rows int, ex *Explain) (
 }
 
 // newSelect builds a filter with the plan-level encoded-execution switch
-// threaded through, so every Select in a plan obeys Options.EncodedExec.
+// threaded through, so every Select in a plan obeys Options.NoEncodedExec.
 func newSelect(child exec.Operator, pred expr.Expr, opt Options) *exec.Select {
 	s := exec.NewSelect(child, pred)
-	s.EncodedOff = opt.EncodedExec < 0
+	s.EncodedOff = opt.NoEncodedExec
 	return s
 }
 

@@ -110,11 +110,3 @@ func IndexTable(col *storage.Column) (*exec.Built, error) {
 		},
 	}, nil
 }
-
-// builtSource adapts a prebuilt table to exec.TableSource.
-type builtSource struct{ bt *exec.Built }
-
-// Source wraps a Built as a TableSource.
-func Source(bt *exec.Built) exec.TableSource { return builtSource{bt} }
-
-func (s builtSource) BuildTable(qc *exec.QueryCtx) (*exec.Built, error) { return s.bt, nil }

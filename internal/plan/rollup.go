@@ -205,7 +205,7 @@ func aggregateSlice(index *exec.Built, lo, hi int, outer *storage.Table,
 		col.Data = sub
 		slice.Cols = append(slice.Cols, col)
 	}
-	is, err := exec.NewIndexedScan(exec.NewBuiltScan(slice), []int{0}, 1, 2, outer, otherCol)
+	is, err := exec.NewIndexedScan(slice, []int{0}, 1, 2, outer, otherCol)
 	if err != nil {
 		return nil, err
 	}

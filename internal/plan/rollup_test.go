@@ -82,7 +82,7 @@ func TestRollUpIndexToMonths(t *testing.T) {
 		t.Fatalf("rolled counts cover %d rows of %d", totalRows, tab.Rows())
 	}
 	// The rolled index must itself drive an IndexedScan correctly.
-	is, err := exec.NewIndexedScan(exec.NewBuiltScan(monthly), []int{0}, 1, 2, tab, "p")
+	is, err := exec.NewIndexedScan(monthly, []int{0}, 1, 2, tab, "p")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,22 +192,15 @@ func dictTokenRange(c *storage.Column, idx int, lo, hi int64) exec.ZoneFilter {
 }
 
 // attachZoneFilters extracts and attaches zone filters to a freshly
-// planned scan, honoring Options.ZoneSkip, and records the decision.
-func attachZoneFilters(scan exec.Operator, q Query, opt Options, ex *Explain) {
-	if q.Where == nil || opt.ZoneSkip < 0 {
+// planned scan, honoring Options.NoZoneSkip, and records the decision.
+func attachZoneFilters(scan *exec.Scan, q Query, opt Options, ex *Explain) {
+	if q.Where == nil || opt.NoZoneSkip {
 		return
 	}
 	zf := zoneFilters(q.Where, q.Table)
 	if len(zf) == 0 {
 		return
 	}
-	switch s := scan.(type) {
-	case *exec.Scan:
-		s.Prune = zf
-	case *exec.DeltaScan:
-		s.Prune = zf
-	default:
-		return
-	}
+	scan.Prune = zf
 	ex.add("ZoneSkip[%s]", exec.ZoneFilterList(zf))
 }

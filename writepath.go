@@ -689,7 +689,7 @@ func (tx *Tx) buildMutate(qc *exec.QueryCtx, dml *sqlparse.DML, t *storage.Table
 	if err != nil {
 		return nil, 0, err
 	}
-	ds, err := exec.NewDeltaScan(view, true)
+	ds, err := exec.NewViewScan(view, true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -907,7 +907,7 @@ func (db *Database) CompactContext(ctx context.Context, qopt QueryOptions) (err 
 
 // materializeLocked builds the merged table set: tables without overlay
 // rows pass through untouched; dirty tables are re-encoded from a
-// DeltaScan of their snapshot. Caller holds wmu with writers drained (so
+// scan of their snapshot. Caller holds wmu with writers drained (so
 // no commit can land mid-merge).
 func (db *Database) materializeLocked(ctx context.Context, qopt QueryOptions) (merged []*storage.Table, dirty bool, err error) {
 	db.mu.RLock()
@@ -929,7 +929,7 @@ func (db *Database) materializeLocked(ctx context.Context, qopt QueryOptions) (m
 			merged[i] = t
 			continue
 		}
-		ds, err := exec.NewDeltaScan(v, false)
+		ds, err := exec.NewViewScan(v, false)
 		if err != nil {
 			return nil, false, err
 		}

@@ -324,7 +324,7 @@ func TestConcurrentSnapshotInvariant(t *testing.T) {
 
 // viewAmountSum drains a held delta view's "amount" column the way a
 // query would, returning the sum and row count it observes.
-func viewAmountSum(t *testing.T, scanner *exec.DeltaScan) (sum int64, rows int) {
+func viewAmountSum(t *testing.T, scanner *exec.Scan) (sum int64, rows int) {
 	t.Helper()
 	qc := exec.NewQueryCtx(context.Background(), 0)
 	if err := scanner.Open(qc); err != nil {
@@ -390,7 +390,7 @@ func TestSnapshotHeldAcrossMergeAndGC(t *testing.T) {
 	}
 	db.GC()
 
-	ds, err := exec.NewDeltaScan(v, false, "amount")
+	ds, err := exec.NewViewScan(v, false, "amount")
 	if err != nil {
 		t.Fatal(err)
 	}
