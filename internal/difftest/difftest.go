@@ -73,8 +73,8 @@ type Report struct {
 	Spilled int
 }
 
-// BuildDatabase imports lineitem + orders at the given TPC-H scale factor
-// and a flights table, through the full text-import pipeline.
+// BuildDatabase imports lineitem + orders at the given TPC-H scale factor, the
+// modes dimension and a flights table, through the full text-import pipeline.
 func BuildDatabase(sf float64, flightRows int, seed int64) (*tde.Database, error) {
 	g := tpch.New(sf, seed)
 	db := tde.New()
@@ -99,6 +99,13 @@ func BuildDatabase(sf float64, flightRows int, seed int64) (*tde.Database, error
 	opt.HeaderSet, opt.HasHeader = true, false
 	if err := db.ImportCSV("orders", ord.Bytes(), opt); err != nil {
 		return nil, fmt.Errorf("difftest: import orders: %w", err)
+	}
+
+	// A dimension with duplicate and NULL keys: joins to it rest on the first-match rule.
+	opt.Schema = []string{"m_mode:str", "m_rank:int"}
+	modes := "AIR,1\nAIR,2\nRAIL,3\n,4\nMAIL,5\nSHIP,6\nMAIL,7\n,8\nTRUCK,9\n"
+	if err := db.ImportCSV("modes", []byte(modes), opt); err != nil {
+		return nil, fmt.Errorf("difftest: import modes: %w", err)
 	}
 
 	var fl bytes.Buffer

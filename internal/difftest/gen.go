@@ -7,7 +7,7 @@ import (
 )
 
 // The generator draws from a closed grammar: single-table aggregations
-// over lineitem and flights, lineitem-orders joins, and key-ordered
+// over lineitem and flights, lineitem-orders and -modes joins, and key-ordered
 // top-n selections. Every query is deterministic given the rng, and any
 // ORDER BY ... LIMIT ends in a total order (a unique key as tiebreaker)
 // so the cut is the same no matter which worker produced each row.
@@ -46,6 +46,9 @@ var joinAggCols = []colDef{
 	{"l_quantity", 'i'}, {"l_extendedprice", 'r'}, {"o_totalprice", 'r'},
 	{"o_shippriority", 'i'}, {"l_shipmode", 's'},
 }
+
+var modesGroupCols = []colDef{{"l_shipmode", 's'}, {"l_returnflag", 's'}}
+var modesAggCols = []colDef{{"m_rank", 'i'}, {"l_quantity", 'i'}}
 
 var shipmodes = []string{"AIR", "RAIL", "MAIL", "SHIP", "TRUCK", "FOB", "REG AIR"}
 var returnflags = []string{"A", "N", "R"}
@@ -157,11 +160,15 @@ func groupQuery(rng *rand.Rand, table string, groupCols, aggCols []colDef,
 }
 
 func joinQuery(rng *rand.Rand) string {
-	keys := pickCols(rng, joinGroupCols, 1+rng.Intn(2))
+	dim, on, groups, aggs, where := "orders", "l_orderkey = o_orderkey", joinGroupCols, joinAggCols, joinWhere
+	if rng.Intn(3) == 0 {
+		dim, on, groups, aggs, where = "modes", "l_shipmode = m_mode", modesGroupCols, modesAggCols, lineitemWhere
+	}
+	keys := pickCols(rng, groups, 1+rng.Intn(2))
 	items := append([]string{}, keys...)
 	nAggs := 1 + rng.Intn(2)
 	for i := 0; i < nAggs; i++ {
-		items = append(items, aggExpr(rng, joinAggCols, fmt.Sprintf("a%d", i)))
+		items = append(items, aggExpr(rng, aggs, fmt.Sprintf("a%d", i)))
 	}
 	items = append(items, "COUNT(*) AS cnt")
 	join := "JOIN"
@@ -169,10 +176,9 @@ func joinQuery(rng *rand.Rand) string {
 		join = "LEFT JOIN"
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "SELECT %s FROM lineitem %s orders ON l_orderkey = o_orderkey",
-		strings.Join(items, ", "), join)
+	fmt.Fprintf(&sb, "SELECT %s FROM lineitem %s %s ON %s", strings.Join(items, ", "), join, dim, on)
 	if rng.Intn(2) == 0 {
-		fmt.Fprintf(&sb, " WHERE %s", joinWhere(rng))
+		fmt.Fprintf(&sb, " WHERE %s", where(rng))
 	}
 	fmt.Fprintf(&sb, " GROUP BY %s", strings.Join(keys, ", "))
 	return sb.String()

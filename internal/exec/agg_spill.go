@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"io"
 	"sort"
 	"sync"
 
@@ -163,57 +162,40 @@ func (sp *aggSpill) evict(core *aggCore) error {
 // writeGroups writes core's groups as partial rows across fan partition
 // files (fan 1 = the serial spool). On failure every file of this
 // attempt is removed, so a torn write never becomes visible to the fold.
-func (sp *aggSpill) writeGroups(core *aggCore, fan int) (err error) {
-	writers := make([]*spill.Writer, fan)
-	defer func() {
-		if err != nil {
-			for _, w := range writers {
-				if w != nil {
-					w.Close()
-					_ = sp.mgr.Remove(w.Path())
-				}
-			}
-		}
-	}()
-	row := make([]uint64, len(sp.rowSpecs))
-	heaps := make([]*heap.Heap, len(sp.rowSpecs))
+func (sp *aggSpill) writeGroups(core *aggCore, fan int) error {
+	p := newSpillPartitioner(sp.mgr, sp.stats, sp.rowSpecs, fan)
+	defer p.abandon()
 	nk := len(sp.keyCols)
 	for g := 0; g < core.n; g++ {
-		p := 0
+		bucket := 0
 		if fan > 1 {
 			h := newSpillHasher(0)
 			for j, kc := range sp.keyCols {
 				h.fold(spillValHash(core.keys[g*nk+j], sp.rowSpecs[j].Str, sp.rowSpecs[j].Collation, core.strHeaps[kc]))
 			}
-			p = h.part()
+			bucket = h.part()
 		}
-		w := writers[p]
-		if w == nil {
-			if w, err = sp.mgr.NewWriter(sp.rowSpecs, &sp.stats.IO); err != nil {
-				return err
-			}
-			writers[p] = w
+		w, err := p.writer(bucket)
+		if err != nil {
+			return err
 		}
-		if err = sp.appendGroup(w, core, g, row, heaps); err != nil {
+		if err := sp.appendGroup(w, core, g, p.row, p.heaps); err != nil {
 			return err
 		}
 	}
-	for p := 0; p < fan; p++ {
-		w := writers[p]
-		if w == nil {
-			continue
-		}
-		if err = w.Close(); err != nil {
-			return err
-		}
-		if fan > 1 {
-			sp.parts[p] = append(sp.parts[p], w.Path())
-		} else {
-			sp.serial = append(sp.serial, w.Path())
-		}
-		sp.stats.AddPartitions(1)
+	paths, err := p.finish()
+	if err != nil {
+		return err
 	}
-	writers = nil // all closed and registered: nothing for the deferred cleanup
+	for b, path := range paths {
+		switch {
+		case path == "":
+		case fan > 1:
+			sp.parts[b] = append(sp.parts[b], path)
+		default:
+			sp.serial = append(sp.serial, path)
+		}
+	}
 	return nil
 }
 
@@ -376,76 +358,21 @@ func (sp *aggSpill) foldChunk(core *aggCore, ch *spill.Chunk) error {
 
 // split re-partitions p's rows with a deeper hash salt, consuming p's
 // files.
-func (sp *aggSpill) split(p aggPartition) (subs []aggPartition, err error) {
+func (sp *aggSpill) split(p aggPartition) ([]aggPartition, error) {
 	sp.stats.NoteDepth(p.depth + 1)
-	writers := make([]*spill.Writer, spillFanout)
-	defer func() {
-		if err != nil {
-			for _, w := range writers {
-				if w != nil {
-					w.Close()
-					_ = sp.mgr.Remove(w.Path())
-				}
-			}
-		}
-	}()
-	row := make([]uint64, len(sp.rowSpecs))
-	heaps := make([]*heap.Heap, len(sp.rowSpecs))
-	for _, path := range p.paths {
-		r, rerr := sp.mgr.OpenReader(path, &sp.stats.IO)
-		if rerr != nil {
-			return nil, rerr
-		}
-		for {
-			ch, cerr := r.Next()
-			if cerr == io.EOF {
-				break
-			}
-			if cerr != nil {
-				r.Close()
-				return nil, cerr
-			}
-			for i := 0; i < ch.Rows; i++ {
-				h := newSpillHasher(p.depth + 1)
-				for j := range sp.keyCols {
-					h.fold(spillValHash(ch.Cols[j].Values[i], sp.rowSpecs[j].Str, sp.rowSpecs[j].Collation, ch.Cols[j].Heap))
-				}
-				b := h.part()
-				w := writers[b]
-				if w == nil {
-					if w, err = sp.mgr.NewWriter(sp.rowSpecs, &sp.stats.IO); err != nil {
-						r.Close()
-						return nil, err
-					}
-					writers[b] = w
-				}
-				for c := range sp.rowSpecs {
-					row[c] = ch.Cols[c].Values[i]
-					if sp.rowSpecs[c].Str {
-						heaps[c] = ch.Cols[c].Heap
-					}
-				}
-				if err = w.Append(row, heaps); err != nil {
-					r.Close()
-					return nil, err
-				}
-			}
-		}
-		r.Close()
+	keyCols := make([]int, len(sp.keyCols)) // a partial row leads with its keys
+	for j := range keyCols {
+		keyCols[j] = j
 	}
-	for _, w := range writers {
-		if w == nil {
-			continue
-		}
-		if err = w.Close(); err != nil {
-			return nil, err
-		}
-		subs = append(subs, aggPartition{depth: p.depth + 1, paths: []string{w.Path()}})
-		sp.stats.AddPartitions(1)
+	paths, err := repartition(sp.mgr, sp.stats, sp.rowSpecs, p.paths, keyCols, p.depth+1)
+	if err != nil {
+		return nil, err
 	}
-	writers = nil
-	for _, path := range p.paths {
-		_ = sp.mgr.Remove(path)
+	var subs []aggPartition
+	for _, path := range paths {
+		if path != "" {
+			subs = append(subs, aggPartition{depth: p.depth + 1, paths: []string{path}})
+		}
 	}
 	return subs, nil
 }
@@ -563,42 +490,26 @@ func (e *aggEmitter) foldPartition(p aggPartition) error {
 	if err != nil {
 		return err
 	}
-	for _, path := range p.paths {
-		r, err := sp.mgr.OpenReader(path, &sp.stats.IO)
-		if err != nil {
-			core.release(sp.qc)
+	err = readChunks(sp.mgr, p.paths, &sp.stats.IO, func(ch *spill.Chunk) error {
+		return sp.foldChunk(core, ch)
+	})
+	if err != nil {
+		core.release(sp.qc)
+		if !spillableErr(sp.qc, err) {
 			return err
 		}
-		for {
-			ch, cerr := r.Next()
-			if cerr == io.EOF {
-				break
+		if p.depth < spillMaxDepth && !sp.diskFull {
+			subs, serr := sp.split(p)
+			if serr == nil {
+				e.work = append(subs, e.work...)
+				return nil
 			}
-			if cerr == nil {
-				cerr = sp.foldChunk(core, ch)
-				if cerr == nil {
-					continue
-				}
+			if !diskErr(serr) {
+				return serr
 			}
-			r.Close()
-			core.release(sp.qc)
-			if !spillableErr(sp.qc, cerr) {
-				return cerr
-			}
-			if p.depth < spillMaxDepth && !sp.diskFull {
-				subs, serr := sp.split(p)
-				if serr == nil {
-					e.work = append(subs, e.work...)
-					return nil
-				}
-				if !diskErr(serr) {
-					return serr
-				}
-				sp.diskFull = true
-			}
-			return e.startMerge(p)
+			sp.diskFull = true
 		}
-		r.Close()
+		return e.startMerge(p)
 	}
 	for _, path := range p.paths {
 		_ = sp.mgr.Remove(path)
@@ -698,74 +609,42 @@ func (e *aggEmitter) startMerge(p aggPartition) error {
 		resetHeaps()
 		return nil
 	}
-	for _, path := range p.paths {
-		r, err := sp.mgr.OpenReader(path, &sp.stats.IO)
-		if err != nil {
-			release()
-			return err
+	err := readChunks(sp.mgr, p.paths, &sp.stats.IO, func(ch *spill.Chunk) error {
+		for i := 0; i < ch.Rows; i++ {
+			row := make([]uint64, nc)
+			for c := 0; c < nc; c++ {
+				v := ch.Cols[c].Values[i]
+				if sp.rowSpecs[c].Str && v != types.NullToken {
+					v = accs[c].Intern(ch.Cols[c].Heap.Get(v))
+				}
+				row[c] = v
+			}
+			rows = append(rows, row)
 		}
-		for {
-			ch, cerr := r.Next()
-			if cerr == io.EOF {
-				break
+		grown := heapSizes(hs)
+		cost := ch.Rows*nc*8 + (grown - heapBytes)
+		heapBytes = grown
+		if err := sp.qc.Charge(sp.st.kind, cost); err != nil {
+			if !spillableErr(sp.qc, err) {
+				return err
 			}
-			if cerr != nil {
-				r.Close()
-				release()
-				return cerr
-			}
-			for i := 0; i < ch.Rows; i++ {
-				row := make([]uint64, nc)
-				for c := 0; c < nc; c++ {
-					v := ch.Cols[c].Values[i]
-					if sp.rowSpecs[c].Str && v != types.NullToken {
-						v = accs[c].Intern(ch.Cols[c].Heap.Get(v))
-					}
-					row[c] = v
-				}
-				rows = append(rows, row)
-			}
-			grown := heapSizes(hs)
-			cost := ch.Rows*nc*8 + (grown - heapBytes)
-			heapBytes = grown
-			if err := sp.qc.Charge(sp.st.kind, cost); err != nil {
-				if !spillableErr(sp.qc, err) {
-					r.Close()
-					release()
-					return err
-				}
-				if err := flush(); err != nil {
-					r.Close()
-					release()
-					return err
-				}
-			} else {
-				charged += cost
-			}
+			return flush()
 		}
-		r.Close()
+		charged += cost
+		return nil
+	})
+	if err == nil {
+		err = flush()
 	}
-	if err := flush(); err != nil {
+	if err != nil {
 		release()
 		return err
 	}
 	for _, path := range p.paths {
 		_ = sp.mgr.Remove(path)
 	}
-	for len(runs) > spillMergeFanIn {
-		merged, err := mergeRuns(sp.qc, sp.st.kind, sp.mgr, sp.rowSpecs, runs[:spillMergeFanIn], &sp.stats.IO, m.keyLess)
-		if err != nil {
-			return err
-		}
-		runs = append([]string{merged}, runs[spillMergeFanIn:]...)
-	}
-	for _, path := range runs {
-		c, err := openMergeCursor(sp.qc, sp.st.kind, sp.mgr, path, &sp.stats.IO)
-		if err != nil {
-			m.close()
-			return err
-		}
-		m.cursors = append(m.cursors, c)
+	if m.cursors, err = openMerge(sp.qc, sp.st.kind, sp.mgr, sp.rowSpecs, runs, &sp.stats.IO, m.keyLess); err != nil {
+		return err
 	}
 	e.merge = m
 	return nil

@@ -816,7 +816,7 @@ func TestHashJoinDecodesSlowPayloadOnce(t *testing.T) {
 		kind := j.built.Cols[c].Data.Kind()
 		kinds[kind] = true
 		slow := kind == enc.Delta || kind == enc.RunLength
-		if decoded := j.payload[c] != nil; decoded != (slow && c != j.innerKey) {
+		if decoded := j.part.cols[c] != nil; decoded != (slow && c != j.innerKey) {
 			t.Errorf("column %d (%v): decoded flat = %v", c, kind, decoded)
 		}
 	}

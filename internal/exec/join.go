@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"tde/internal/enc"
 	"tde/internal/heap"
@@ -12,8 +11,8 @@ import (
 
 // JoinAlgo identifies the lookup algorithm the tactical optimizer picked
 // for a join (Sect. 2.3.4): fetch joins need no lookup structure at all;
-// direct lookups index a table over the key envelope (the perfect/direct
-// hash cases); chained hashing is the expensive general fallback.
+// direct lookups index an array over the key envelope; the collision-
+// checked hash index is the general fallback.
 type JoinAlgo uint8
 
 // Join algorithms.
@@ -23,10 +22,11 @@ const (
 	// JoinFetch computes the inner row id as an affine transformation of
 	// the key value: row = (key - base) / delta (Sect. 2.3.5). Fastest.
 	JoinFetch
-	// JoinDirect indexes an array over the inner key's [min,max] envelope
-	// — the direct (<=2 byte) and perfect (3-4 byte) hash cases.
+	// JoinDirect indexes an array over the inner key's exact [min,max]
+	// envelope when that is narrower than directJoinLimit.
 	JoinDirect
-	// JoinHash uses a chained hash table with collision detection.
+	// JoinHash finds the row through an open-addressing index verified
+	// against the key column.
 	JoinHash
 )
 
@@ -34,9 +34,7 @@ func (a JoinAlgo) String() string {
 	return [...]string{"auto", "fetch", "direct", "hash"}[a]
 }
 
-// directJoinLimit bounds the envelope array for direct lookups. 2-byte
-// keys always fit (64K); wider keys qualify when their envelope happens to
-// be small (the constructed perfect hash).
+// directJoinLimit bounds the envelope array for direct lookups.
 const directJoinLimit = 1 << 24
 
 // HashJoin is a many-to-one (PK/FK) join: each outer row matches at most
@@ -44,6 +42,11 @@ const directJoinLimit = 1 << 24
 // TableSource (Sect. 4.1.2: "The TDE Join operator takes a stop-and-go
 // operator as the inner relation"), typically a FlowTable whose extracted
 // metadata drives the algorithm choice.
+//
+// When the inner side holds several rows with one key, the first of them
+// in inner order is the match — under every algorithm, in memory and
+// spilled alike, and for the NULL string key (which matches NULL, Tableau
+// semantics) as well.
 type HashJoin struct {
 	OpInstr
 	outer    Operator
@@ -53,8 +56,7 @@ type HashJoin struct {
 	// LeftOuter keeps unmatched outer rows with NULL inner columns;
 	// otherwise they are dropped.
 	LeftOuter bool
-	// Workers > 1 parallelizes the build (inner key decode + partitioned
-	// hash insert) and runs the probe phase as an Exchange over the outer
+	// Workers > 1 runs the probe phase as an Exchange over the outer
 	// child. Set before Open; 0/1 keeps the serial path.
 	Workers int
 	// PreserveOrder keeps the parallel probe's output in outer order
@@ -63,39 +65,16 @@ type HashJoin struct {
 	algo          JoinAlgo
 	chosen        JoinAlgo
 
-	built    *Built
-	schema   []ColInfo
-	innerCol []uint64 // decoded inner key values
-	// payload[c] holds inner column c decoded flat when its encoding has no
-	// constant-time Get (a delta block or run list is walked from its start
-	// for every probe hit); nil for the columns read in place.
-	payload [][]uint64
-	// lookup structures
-	direct []int32
-	dmin   int64
-	table  map[uint64][]int32
-	// Partitioned hash table (parallel build): shards[joinShard(v)]
-	// replaces table when non-nil.
-	shards    []map[uint64][]int32
-	shardBits uint
-	// String keys join by content (tokens from different heaps are not
-	// comparable): collation-hashed candidates verified by collated
-	// equality, plus the NULL row for Tableau NULL-join semantics.
-	stringJoin bool
-	strTable   map[uint64][]int32
-	strNullRow int32
-	coll       types.Collation
-	innerHeap  *heap.Heap
-	// fetch parameters
-	base, delta int64
-
-	buf *vec.Block
-	ex  *Exchange // parallel probe (Workers > 1), nil on the serial path
-	qc  *QueryCtx
-
-	// charged tracks this operator's accountant charges so Close (and the
-	// grace fallback) can return them.
-	charged int
+	built  *Built
+	schema []ColInfo
+	// part is the resident inner: the whole Built in memory, the loaded
+	// partition under the grace join (nil between partitions and while a
+	// partition is joined by block-nested-loop).
+	part *joinPart
+	sc   joinScratch // the serial probe's
+	buf  *vec.Block
+	ex   *Exchange // parallel probe (Workers > 1), nil on the serial path
+	qc   *QueryCtx
 	// grace is the spill-to-disk fallback state when the in-memory build
 	// exceeded the memory budget (nil on the in-memory path).
 	grace *graceJoin
@@ -173,29 +152,6 @@ func (j *HashJoin) OpChildren() []Operator {
 	return out
 }
 
-// charge routes a charge through the accountant and tracks it for
-// release on Close.
-func (j *HashJoin) charge(qc *QueryCtx, n int) error {
-	if err := qc.Charge("HashJoin", n); err != nil {
-		return err
-	}
-	j.charged += n
-	return nil
-}
-
-// releaseBuild drops the lookup structures and returns their charges —
-// the first step of degrading to a grace join.
-func (j *HashJoin) releaseBuild(qc *QueryCtx) {
-	j.direct = nil
-	j.table = nil
-	j.shards = nil
-	j.strTable = nil
-	j.innerCol = nil
-	j.payload = nil
-	qc.Release(j.charged)
-	j.charged = 0
-}
-
 // spillInnerSource returns an operator that re-streams the inner rows
 // for grace partitioning, or nil when the inner side cannot be
 // re-streamed.
@@ -232,7 +188,7 @@ func (j *HashJoin) Open(qc *QueryCtx) error {
 	if src == nil {
 		return err
 	}
-	j.releaseBuild(qc)
+	j.releasePart()
 	return j.openGrace(qc, src)
 }
 
@@ -246,180 +202,238 @@ func (j *HashJoin) openBuilt(qc *QueryCtx) error {
 	j.schema = nil
 	j.schema = j.Schema()
 	j.buf = vec.NewBlock(len(j.outer.Schema()))
-	j.payload = make([][]uint64, len(bt.Cols))
-	for c := range bt.Cols {
-		if k := bt.Cols[c].Data.Kind(); c != j.innerKey && (k == enc.Delta || k == enc.RunLength) {
-			if j.payload[c], err = j.decodeColumn(qc, &bt.Cols[c]); err != nil {
-				return err
-			}
-		}
-	}
-
-	key := &bt.Cols[j.innerKey]
-	if key.Info.Type == types.String {
-		return j.openStringJoin(qc, key)
-	}
-	md := key.Info.Meta
-	j.chosen = j.algo
-	if j.chosen == JoinAuto {
-		switch {
-		case md.IsAffine && md.AffineDelta != 0:
-			// Dense/unique (or any exact affine) inner key: fetch join.
-			j.chosen = JoinFetch
-		case md.HasRange && md.RangeExact && !md.HasNulls &&
-			md.Max-md.Min >= 0 && md.Max-md.Min < directJoinLimit:
-			j.chosen = JoinDirect
-		default:
-			j.chosen = JoinHash
-		}
-	}
-
-	switch j.chosen {
-	case JoinFetch:
-		j.base, j.delta = md.AffineBase, md.AffineDelta
-		if j.delta == 0 {
-			return fmt.Errorf("exec: fetch join requires nonzero affine delta")
-		}
-	case JoinDirect:
-		j.dmin = md.Min
-		if err := j.charge(qc, int(md.Max-md.Min+1)*4); err != nil {
-			return err
-		}
-		j.direct = make([]int32, md.Max-md.Min+1)
-		for i := range j.direct {
-			j.direct[i] = -1
-		}
-		if j.innerCol, err = j.decodeColumn(qc, key); err != nil {
-			return err
-		}
-		for r, v := range j.innerCol {
-			idx := int64(v) - j.dmin
-			if idx < 0 || idx >= int64(len(j.direct)) {
-				return fmt.Errorf("exec: join key %d outside direct envelope (corrupt column metadata?)", int64(v))
-			}
-			j.direct[idx] = int32(r)
-		}
-	case JoinHash:
-		if j.innerCol, err = j.decodeColumn(qc, key); err != nil {
-			return err
-		}
-		// Chained hash table: ~2 words per entry on top of the key vector.
-		if err := j.charge(qc, len(j.innerCol)*16); err != nil {
-			return err
-		}
-		if err := j.buildHashTable(); err != nil {
-			return err
-		}
+	if err := j.indexBuilt(qc); err != nil {
+		return err
 	}
 	return j.openOuter(qc)
 }
 
-// parallelBuildMin is the inner cardinality below which a partitioned
-// parallel build costs more than it saves.
-const parallelBuildMin = 1 << 15
+// indexBuilt makes the Built the resident inner: the algorithm its key
+// metadata admits (Sect. 2.3.5: an affine key is fetched, an exact narrow
+// envelope indexed directly, anything else hashed), the lookup structure
+// that algorithm needs, and a flat copy of every payload column whose
+// encoding has no constant-time Get (a delta block or run list is walked
+// from its start for every probe hit).
+func (j *HashJoin) indexBuilt(qc *QueryCtx) error {
+	bt := j.built
+	p := &joinPart{built: bt, info: bt.Schema(), cols: make([][]uint64, len(bt.Cols)),
+		rows: bt.Rows, key: j.innerKey, nullRow: -1}
+	j.part = p
+	for c := range bt.Cols {
+		if k := bt.Cols[c].Data.Kind(); c != p.key && (k == enc.Delta || k == enc.RunLength) {
+			if err := p.decode(qc, c); err != nil {
+				return err
+			}
+		}
+	}
+	key := p.info[p.key]
+	md := key.Meta
+	p.algo = j.algo
+	switch {
+	case key.Type == types.String:
+		// String keys join by content: tokens from different heaps are not
+		// comparable.
+		p.algo, p.keyStr, p.coll = JoinHash, true, collationOf(key)
+	case p.algo != JoinAuto:
+	case md.IsAffine && md.AffineDelta != 0:
+		p.algo = JoinFetch
+	case md.HasRange && md.RangeExact && !md.HasNulls &&
+		md.Max-md.Min >= 0 && md.Max-md.Min < directJoinLimit:
+		p.algo = JoinDirect
+	default:
+		p.algo = JoinHash
+	}
+	j.chosen = p.algo
 
-// buildHashTable inserts the decoded inner keys: serially into one
-// chained table, or — with enough workers and rows — as a two-phase
-// partitioned build: phase 1 range-splits the rows and buckets them by
-// key shard per worker; phase 2 merges each shard's buckets in worker
-// (= ascending row) order, so duplicate keys keep the same first-match
-// winner the serial insert produces.
-func (j *HashJoin) buildHashTable() error {
-	n := len(j.innerCol)
-	p := shardCount(j.Workers)
-	if p < 2 || n < parallelBuildMin {
-		j.table = make(map[uint64][]int32)
-		for r, v := range j.innerCol {
-			j.table[v] = append(j.table[v], int32(r))
+	if p.algo == JoinFetch {
+		p.base, p.delta = md.AffineBase, md.AffineDelta
+		if p.delta == 0 {
+			return fmt.Errorf("exec: fetch join requires nonzero affine delta")
 		}
 		return nil
 	}
-	j.shardBits = uint(0)
-	for 1<<j.shardBits < p {
-		j.shardBits++
-	}
-	buckets := make([][][]int32, p) // [worker][shard][]rows
-	if err := parallelRanges(p, n, func(w, lo, hi int) {
-		local := make([][]int32, p)
-		for r := lo; r < hi; r++ {
-			s := joinShard(j.innerCol[r], j.shardBits)
-			local[s] = append(local[s], int32(r))
-		}
-		buckets[w] = local
-	}); err != nil {
+	if err := p.decode(qc, p.key); err != nil {
 		return err
 	}
-	j.shards = make([]map[uint64][]int32, p)
-	return parallelRanges(p, p, func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			m := make(map[uint64][]int32)
-			for w := 0; w < p; w++ {
-				for _, r := range buckets[w][s] {
-					v := j.innerCol[r]
-					m[v] = append(m[v], r)
-				}
-			}
-			j.shards[s] = m
-		}
-	})
-}
-
-// shardCount rounds workers down to a power of two, capped at 8.
-func shardCount(workers int) int {
-	p := 1
-	for p*2 <= workers && p < 8 {
-		p *= 2
+	if p.algo == JoinHash {
+		return p.buildHashIndex(qc)
 	}
-	return p
-}
-
-// joinShard maps a key to its partition by multiplicative hashing.
-func joinShard(v uint64, bits uint) uint64 {
-	return (v * 0x9E3779B97F4A7C15) >> (64 - bits)
-}
-
-// parallelRanges runs fn over p contiguous ranges of [0,n) concurrently,
-// containing panics (goroutines here escape the engine's single-threaded
-// panic boundary).
-func parallelRanges(p, n int, fn func(w, lo, hi int)) error {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	per := (n + p - 1) / p
-	for w := 0; w < p; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > n {
-			hi = n
+	p.dmin = md.Min
+	if err := p.charge(qc, int(md.Max-md.Min+1)*4); err != nil {
+		return err
+	}
+	p.index = make([]int32, md.Max-md.Min+1)
+	for r, v := range p.cols[p.key] {
+		idx := int64(v) - p.dmin
+		if idx < 0 || idx >= int64(len(p.index)) {
+			return fmt.Errorf("exec: join key %d outside direct envelope (corrupt column metadata?)", int64(v))
 		}
-		if lo >= hi {
+		if p.index[idx] == 0 {
+			p.index[idx] = int32(r + 1)
+		}
+	}
+	return nil
+}
+
+// joinPart is one resident inner relation with the one way to look a key
+// up in it (probe) — the whole Built on the in-memory path, one loaded
+// partition under the grace join, and the matched rows of one outer block
+// under block-nested-loop (which only gathers from it).
+type joinPart struct {
+	// info describes the columns; a string column's Heap is the heap the
+	// part's tokens point into.
+	info []ColInfo
+	// Column c is cols[c], flat full-width values, or — where that is nil
+	// — read in place from built.
+	cols  [][]uint64
+	built *Built
+	rows  int
+	key   int // the inner key column
+
+	algo        JoinAlgo
+	base, delta int64 // JoinFetch: row = (key - base) / delta
+	dmin        int64 // JoinDirect: row = index[key - dmin]
+	// index is the one key index: a key's first row +1, 0 = empty.
+	// JoinDirect addresses it by envelope offset; JoinHash by open
+	// addressing (at most half full, linear probing from the top bits of
+	// the hashed scalar key or collation hash), each hit verified against
+	// the flat key column.
+	index   []int32
+	shift   uint
+	keyStr  bool
+	coll    types.Collation
+	nullRow int32 // first row with the NULL string key, or -1
+
+	charged int
+}
+
+// charge routes a charge through the accountant and tracks it for release.
+func (p *joinPart) charge(qc *QueryCtx, n int) error {
+	if err := qc.Charge("HashJoin", n); err != nil {
+		return err
+	}
+	p.charged += n
+	return nil
+}
+
+// releasePart drops the resident inner and returns its charges.
+func (j *HashJoin) releasePart() {
+	if j.part != nil {
+		j.qc.Release(j.part.charged)
+		j.part, j.sc.memoPart = nil, nil
+	}
+}
+
+// decode flattens built column c into resolved values.
+func (p *joinPart) decode(qc *QueryCtx, c int) error {
+	col := &p.built.Cols[c]
+	n := col.Data.Len()
+	if err := p.charge(qc, n*8); err != nil {
+		return err
+	}
+	out := make([]uint64, n)
+	enc.NewReader(col.Data).Read(0, n, out)
+	w := col.Data.Width()
+	for i := range out {
+		out[i] = resolveRaw(out[i], w, col.Info)
+	}
+	p.cols[c] = out
+	return nil
+}
+
+// buildHashIndex indexes the flat key column, charging the slots it
+// allocates. Rows go in in order and a key already present keeps its
+// first row.
+func (p *joinPart) buildHashIndex(qc *QueryCtx) error {
+	n := 8
+	p.shift = 64 - 3
+	for n < 2*p.rows {
+		n *= 2
+		p.shift--
+	}
+	if err := p.charge(qc, n*4); err != nil {
+		return err
+	}
+	p.index = make([]int32, n)
+	kh := p.info[p.key].Heap
+	for r, v := range p.cols[p.key] {
+		if p.keyStr && v == types.NullToken {
+			if p.nullRow < 0 {
+				p.nullRow = int32(r)
+			}
 			continue
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("exec: parallel join build panicked: %v", r)
-					}
-					mu.Unlock()
-				}
-			}()
-			fn(w, lo, hi)
-		}(w, lo, hi)
+		if slot, row := p.find(v, kh); row < 0 {
+			p.index[slot] = int32(r + 1)
+		}
 	}
-	wg.Wait()
-	return firstErr
+	return nil
+}
+
+// find walks key's probe sequence to its first row, or to the empty slot
+// ending the sequence (row -1). h resolves a string key's token; when it
+// is the part's own key heap, equal tokens settle a hit without a string
+// compare (the invisible-join case, Sect. 4.1).
+func (p *joinPart) find(key uint64, h *heap.Heap) (slot uint64, row int) {
+	keys := p.cols[p.key]
+	kh := p.info[p.key].Heap
+	hash := key
+	var s string
+	if p.keyStr {
+		s = h.Get(key)
+		hash = p.coll.Hash(s)
+	}
+	mask := uint64(len(p.index) - 1)
+	for i := (hash * 0x9E3779B97F4A7C15) >> p.shift; ; i = (i + 1) & mask {
+		r := int(p.index[i]) - 1
+		if r < 0 {
+			return i, -1
+		}
+		eq := keys[r] == key
+		if p.keyStr && !(eq && h == kh) {
+			eq = p.coll.Equal(kh.Get(keys[r]), s)
+		}
+		if eq {
+			return i, r
+		}
+	}
+}
+
+// probe returns the first inner row matching key, or -1.
+func (p *joinPart) probe(key uint64, h *heap.Heap) int {
+	switch p.algo {
+	case JoinFetch:
+		// No intermediate lookup table at all (Sect. 2.3.5).
+		off := int64(key) - p.base
+		if off%p.delta != 0 {
+			return -1
+		}
+		row := off / p.delta
+		if row < 0 || row >= int64(p.rows) {
+			return -1
+		}
+		return int(row)
+	case JoinDirect:
+		idx := int64(key) - p.dmin
+		if idx < 0 || idx >= int64(len(p.index)) {
+			return -1
+		}
+		return int(p.index[idx]) - 1
+	}
+	if p.keyStr && key == types.NullToken {
+		return int(p.nullRow) // Tableau NULL join semantics: NULL matches NULL
+	}
+	_, row := p.find(key, h)
+	return row
 }
 
 // openOuter opens the probe side: serially, or wrapped in an Exchange
-// whose workers run joinBlock (read-only over the built state) per block.
+// whose workers run joinBlock (read-only over the resident inner) per
+// block.
 func (j *HashJoin) openOuter(qc *QueryCtx) error {
 	if j.Workers > 1 {
 		newChain := func() []BlockTransform {
-			return []BlockTransform{probeTransform{j}}
+			return []BlockTransform{&probeTransform{j: j}}
 		}
 		j.ex = NewExchange(j.outer, newChain, j.Workers, j.PreserveOrder, j.schema)
 		return j.ex.Open(qc)
@@ -428,98 +442,15 @@ func (j *HashJoin) openOuter(qc *QueryCtx) error {
 }
 
 // probeTransform adapts the probe phase to the Exchange worker interface;
-// joinBlock only reads the lookup structures built in Open, so workers
-// share one HashJoin.
-type probeTransform struct{ j *HashJoin }
-
-func (p probeTransform) Transform(in, out *vec.Block) int {
-	return p.j.joinBlock(in, out)
+// joinBlock only reads the part built in Open, so workers share one
+// HashJoin and own nothing but their scratch.
+type probeTransform struct {
+	j  *HashJoin
+	sc joinScratch
 }
 
-// openStringJoin builds the content-based lookup for string join keys.
-// Same-heap fast paths are possible when both sides share one heap, but
-// content hashing is always correct and collation-aware.
-func (j *HashJoin) openStringJoin(qc *QueryCtx, key *BuiltColumn) error {
-	j.stringJoin = true
-	j.chosen = JoinHash
-	j.coll = key.Info.Collation
-	if key.Info.Heap != nil {
-		j.coll = key.Info.Heap.Collation()
-	}
-	j.strTable = make(map[uint64][]int32)
-	j.table = make(map[uint64][]int32) // token-keyed fast path (same heap)
-	j.strNullRow = -1
-	j.innerHeap = key.Info.Heap
-	var err error
-	if j.innerCol, err = j.decodeColumn(qc, key); err != nil {
-		return err
-	}
-	// Two hash tables (token and content keyed), ~2 words per entry each.
-	if err := j.charge(qc, len(j.innerCol)*32); err != nil {
-		return err
-	}
-	for r, tok := range j.innerCol {
-		if tok == types.NullToken {
-			// Tableau NULL join semantics: NULL matches NULL.
-			j.strNullRow = int32(r)
-			continue
-		}
-		j.table[tok] = append(j.table[tok], int32(r))
-		s := key.Info.Heap.Get(tok)
-		h := j.coll.Hash(s)
-		j.strTable[h] = append(j.strTable[h], int32(r))
-	}
-	return j.openOuter(qc)
-}
-
-// probeString resolves an outer token through its (block) heap and looks
-// up the matching inner row by content.
-func (j *HashJoin) probeString(tok uint64, h *heap.Heap) int {
-	if tok == types.NullToken {
-		return int(j.strNullRow)
-	}
-	if h != nil && h == j.innerHeap {
-		// Invisible-join fast path: both sides share a heap with distinct
-		// tokens, so token equality is string equality (Sect. 4.1).
-		for _, r := range j.table[tok] {
-			if j.innerCol[r] == tok {
-				return int(r)
-			}
-		}
-		return -1
-	}
-	s := h.Get(tok)
-	key := &j.built.Cols[j.innerKey]
-	for _, r := range j.strTable[j.coll.Hash(s)] {
-		if j.coll.Equal(key.Info.Heap.Get(j.innerCol[r]), s) {
-			return int(r)
-		}
-	}
-	return -1
-}
-
-// decodeColumn decodes one built column into a flat array of resolved
-// values, charged to the query until releaseBuild or Close.
-func (j *HashJoin) decodeColumn(qc *QueryCtx, col *BuiltColumn) ([]uint64, error) {
-	n := col.Data.Len()
-	if err := j.charge(qc, n*8); err != nil {
-		return nil, err
-	}
-	out := make([]uint64, n)
-	w := col.Data.Width()
-	p := shardCount(j.Workers)
-	if n < parallelBuildMin {
-		p = 1
-	}
-	// enc.Reader caches decode state, so each range decodes through its
-	// own; Stream itself is stateless and shared.
-	return out, parallelRanges(p, n, func(_, lo, hi int) {
-		r := enc.NewReader(col.Data)
-		r.Read(lo, hi-lo, out[lo:hi])
-		for i := lo; i < hi; i++ {
-			out[i] = resolveRaw(out[i], w, col.Info)
-		}
-	})
+func (p *probeTransform) Transform(in, out *vec.Block) int {
+	return p.j.joinBlock(p.j.part, in, out, &p.sc)
 }
 
 // Next implements Operator.
@@ -542,113 +473,96 @@ func (j *HashJoin) nextBlock(b *vec.Block) (bool, error) {
 		if err != nil || !ok {
 			return false, err
 		}
-		if n := j.joinBlock(j.buf, b); n > 0 {
+		if n := j.joinBlock(j.part, j.buf, b, &j.sc); n > 0 {
 			return true, nil
 		}
 	}
 }
 
-func (j *HashJoin) joinBlock(in, out *vec.Block) int {
+// joinScratch is one prober's state. match[i] is outer row i's inner row
+// (or -1) going into emit, which compacts it beside sel, the outer rows
+// kept. memo remembers the rows found for string tokens of one outer
+// heap in one part: a key column repeats few tokens many times, and a
+// token seen before needs no string hash and compare (token +1, 0 =
+// empty).
+type joinScratch struct {
+	match, sel [vec.BlockSize]int32
+	memoPart   *joinPart
+	memoHeap   *heap.Heap
+	memoTok    [1 << joinMemoBits]uint64
+	memoRow    [1 << joinMemoBits]int32
+}
+
+const joinMemoBits = 10
+
+// joinBlock probes one outer block against p and assembles the joined
+// rows: a join is probe -> inner row position, then a gather.
+func (j *HashJoin) joinBlock(p *joinPart, in, out *vec.Block, sc *joinScratch) int {
 	in.Materialize() // late-decode boundary: the probe is row-at-a-time
-	nOuter := len(in.Vecs)
-	ensureVecs(out, len(j.schema))
-	keyVec := &in.Vecs[j.outerKey]
-	keys := keyVec.Data
-	k := 0
-	for i := 0; i < in.N; i++ {
-		var row int
-		if j.stringJoin {
-			row = j.probeString(keys[i], keyVec.Heap)
-		} else {
-			row = j.probe(keys[i])
-		}
-		if row < 0 && !j.LeftOuter {
+	kv := &in.Vecs[j.outerKey]
+	if p.keyStr && (sc.memoPart != p || sc.memoHeap != kv.Heap) {
+		sc.memoPart, sc.memoHeap, sc.memoTok = p, kv.Heap, [1 << joinMemoBits]uint64{}
+	}
+	for i, key := range kv.Data[:in.N] {
+		if !p.keyStr || key == types.NullToken {
+			sc.match[i] = int32(p.probe(key, kv.Heap))
 			continue
 		}
-		for c := 0; c < nOuter; c++ {
-			out.Vecs[c].Data[k] = in.Vecs[c].Data[i]
+		m := (key * 0x9E3779B97F4A7C15) >> (64 - joinMemoBits)
+		if sc.memoTok[m] != key+1 {
+			sc.memoTok[m], sc.memoRow[m] = key+1, int32(p.probe(key, kv.Heap))
 		}
-		oc := nOuter
-		for c := range j.built.Cols {
-			if c == j.innerKey {
-				continue
-			}
+		sc.match[i] = sc.memoRow[m]
+	}
+	return j.emit(p, in, out, sc)
+}
+
+// emit is the one row-assembly loop: the outer rows with a match in
+// sc.match (all of them under LeftOuter) followed by their row of p, or
+// NULLs.
+func (j *HashJoin) emit(p *joinPart, in, out *vec.Block, sc *joinScratch) int {
+	ensureVecs(out, len(j.schema))
+	k := 0
+	for i, row := range sc.match[:in.N] {
+		if row >= 0 || j.LeftOuter {
+			sc.sel[k], sc.match[k] = int32(i), row
+			k++
+		}
+	}
+	for c := range in.Vecs {
+		src, dst := &in.Vecs[c], &out.Vecs[c]
+		dst.Type, dst.Heap, dst.Dict = src.Type, src.Heap, src.Dict
+		for t, i := range sc.sel[:k] {
+			dst.Data[t] = src.Data[i]
+		}
+	}
+	oc := len(in.Vecs)
+	for c := range p.info {
+		if c == p.key {
+			continue
+		}
+		info, dst, flat := &p.info[c], &out.Vecs[oc], p.cols[c]
+		oc++
+		dst.Type, dst.Heap, dst.Dict = info.Type, info.Heap, info.Dict
+		null := types.NullBits(info.Type)
+		for t, row := range sc.match[:k] {
 			switch {
 			case row < 0:
-				out.Vecs[oc].Data[k] = types.NullBits(j.built.Cols[c].Info.Type)
-			case j.payload[c] != nil:
-				out.Vecs[oc].Data[k] = j.payload[c][row]
+				dst.Data[t] = null
+			case flat != nil:
+				dst.Data[t] = flat[row]
 			default:
-				out.Vecs[oc].Data[k] = j.built.Value(c, row)
+				dst.Data[t] = p.built.Value(c, int(row))
 			}
-			oc++
 		}
-		k++
-	}
-	for c := 0; c < nOuter; c++ {
-		out.Vecs[c].Type = in.Vecs[c].Type
-		out.Vecs[c].Heap = in.Vecs[c].Heap
-		out.Vecs[c].Dict = in.Vecs[c].Dict
-	}
-	oc := nOuter
-	for c := range j.built.Cols {
-		if c == j.innerKey {
-			continue
-		}
-		info := j.built.Cols[c].Info
-		out.Vecs[oc].Type = info.Type
-		out.Vecs[oc].Heap = info.Heap
-		out.Vecs[oc].Dict = info.Dict
-		oc++
 	}
 	out.N = k
 	return k
 }
 
-// probe returns the matching inner row, or -1.
-func (j *HashJoin) probe(key uint64) int {
-	switch j.chosen {
-	case JoinFetch:
-		// No intermediate lookup table at all (Sect. 2.3.5).
-		off := int64(key) - j.base
-		if off%j.delta != 0 {
-			return -1
-		}
-		row := off / j.delta
-		if row < 0 || row >= int64(j.built.Rows) {
-			return -1
-		}
-		return int(row)
-	case JoinDirect:
-		idx := int64(key) - j.dmin
-		if idx < 0 || idx >= int64(len(j.direct)) {
-			return -1
-		}
-		return int(j.direct[idx])
-	default:
-		m := j.table
-		if j.shards != nil {
-			m = j.shards[joinShard(key, j.shardBits)]
-		}
-		for _, r := range m[key] {
-			if j.innerCol[r] == key {
-				return int(r)
-			}
-		}
-		return -1
-	}
-}
-
 // Close implements Operator.
 func (j *HashJoin) Close() error {
-	j.direct = nil
-	j.table = nil
-	j.shards = nil
-	j.strTable = nil
-	j.innerCol = nil
-	j.payload = nil
-	j.qc.Release(j.charged)
-	j.charged = 0
+	j.releasePart()
 	// The inner table source holds materialized (and charged) state that
 	// nothing else owns once the join is done.
 	if c, ok := j.inner.(interface{ Close() error }); ok {
@@ -666,18 +580,4 @@ func (j *HashJoin) Close() error {
 		return ex.Close() // closes the outer child
 	}
 	return j.outer.Close()
-}
-
-// InvisibleJoinResolve is a convenience used by tests: given a token block
-// column and a dictionary table, resolve tokens to values.
-func InvisibleJoinResolve(tokens []uint64, dict []uint64) []uint64 {
-	out := make([]uint64, len(tokens))
-	for i, t := range tokens {
-		if t == types.NullToken {
-			out[i] = types.NullToken
-			continue
-		}
-		out[i] = dict[t]
-	}
-	return out
 }

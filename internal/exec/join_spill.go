@@ -28,11 +28,12 @@ type gracePart struct {
 
 // graceJoin is the spilling fallback of HashJoin: both sides are
 // partitioned by a content hash of the join key into compressed spill
-// files, and each partition is joined independently — the inner
-// partition's hash table fits where the whole table did not. Partitions
-// that still do not fit are re-partitioned with a deeper hash salt, and
-// at spillMaxDepth the probe degrades to a block-nested-loop over the
-// partition files, which needs only one chunk of memory per side.
+// files, and each partition is joined independently — loaded, the inner
+// partition is a joinPart like the in-memory inner, and fits where the
+// whole table did not. Partitions that still do not fit are
+// re-partitioned with a deeper hash salt, and at spillMaxDepth the probe
+// degrades to a block-nested-loop over the partition files, which needs
+// only one chunk of memory per side.
 //
 // ENOSPC ladder: if spilling the outer side fails, the outer is
 // re-streamed from its child once per partition (multi-pass); if
@@ -57,17 +58,11 @@ type graceJoin struct {
 
 	work []gracePart
 
-	// active partition state
-	cur   gracePart
-	inner *graceInner // hash-probe state, nil in bnl mode
-	bnl   bool
-	osrc  *graceOuterSrc
-	obuf  *vec.Block
-
-	// bnl scratch, sized one outer block
-	matched []uint8
-	bnlVals [][]uint64 // [inner col][outer row] matched values
-	bnlStrs [][]string // [inner col][outer row] matched string content
+	// active partition state; its inner side, loaded, is j.part — nil
+	// while the partition is joined by block-nested-loop
+	cur  gracePart
+	osrc *graceOuterSrc
+	obuf *vec.Block
 }
 
 // openGrace partitions both sides and leaves the probe to Next.
@@ -83,7 +78,6 @@ func (j *HashJoin) openGrace(qc *QueryCtx, src Operator) error {
 	ki := g.innerInfo[j.innerKey]
 	g.keyStr = ki.Type == types.String
 	g.coll = collationOf(ki)
-	j.stringJoin = g.keyStr
 
 	// Grace output is partition-ordered, not outer-ordered: strip the
 	// outer columns' order metadata from the schema.
@@ -98,15 +92,6 @@ func (j *HashJoin) openGrace(qc *QueryCtx, src Operator) error {
 	}
 	j.schema = sch
 	g.obuf = vec.NewBlock(len(g.outerInfo))
-	g.matched = make([]uint8, vec.BlockSize)
-	g.bnlVals = make([][]uint64, len(g.innerInfo))
-	g.bnlStrs = make([][]string, len(g.innerInfo))
-	for c, s := range g.innerSpecs {
-		g.bnlVals[c] = make([]uint64, vec.BlockSize)
-		if s.Str {
-			g.bnlStrs[c] = make([]string, vec.BlockSize)
-		}
-	}
 
 	// Phase 1: partition the inner side.
 	innerPaths, err := g.partitionStream(src, g.innerSpecs, j.innerKey, spillFanout)
@@ -122,11 +107,11 @@ func (j *HashJoin) openGrace(qc *QueryCtx, src Operator) error {
 		if serr != nil {
 			return serr
 		}
-		var files []string
+		p := gracePart{depth: spillMaxDepth}
 		if single[0] != "" {
-			files = []string{single[0]}
+			p.inner = single
 		}
-		g.work = []gracePart{{depth: spillMaxDepth, inner: files}}
+		g.work = []gracePart{p}
 		return nil
 	}
 
@@ -140,95 +125,42 @@ func (j *HashJoin) openGrace(qc *QueryCtx, src Operator) error {
 		// partition, filtering rows by the partition's hash route.
 		g.multiPass = true
 		g.diskFull = true
-		outerPaths = nil
 	}
-	for b := 0; b < spillFanout; b++ {
-		p := gracePart{depth: 0, route: []int{b}}
-		if innerPaths[b] != "" {
-			p.inner = []string{innerPaths[b]}
-		}
-		if !g.multiPass {
-			if outerPaths[b] == "" {
-				// no outer rows in this bucket: its inner rows join nothing
-				for _, path := range p.inner {
-					_ = g.mgr.Remove(path)
-				}
-				continue
-			}
-			p.outer = []string{outerPaths[b]}
-		}
-		if len(p.inner) == 0 && !j.LeftOuter && !g.multiPass {
-			// no inner rows and inner-join semantics: nothing to emit
-			for _, path := range p.outer {
-				_ = g.mgr.Remove(path)
-			}
-			continue
-		}
-		g.work = append(g.work, p)
-	}
+	g.work = g.pairParts(0, nil, innerPaths, outerPaths)
 	return nil
 }
 
-// graceSink fans rows out to one lazily-created spill writer per bucket.
-type graceSink struct {
-	g       *graceJoin
-	specs   []spill.ColSpec
-	writers []*spill.Writer
-	row     []uint64
-	heaps   []*heap.Heap
-}
-
-func (g *graceJoin) newSink(specs []spill.ColSpec, fan int) *graceSink {
-	return &graceSink{g: g, specs: specs, writers: make([]*spill.Writer, fan),
-		row: make([]uint64, len(specs)), heaps: make([]*heap.Heap, len(specs))}
-}
-
-func (s *graceSink) add(bucket int, val func(c int) uint64, strHeap func(c int) *heap.Heap) error {
-	w := s.writers[bucket]
-	if w == nil {
-		var err error
-		if w, err = s.g.mgr.NewWriter(s.specs, &s.g.stats.IO); err != nil {
-			return err
+// pairParts turns one partitioning level's per-bucket files into work
+// items, dropping (and removing the files of) buckets that can emit
+// nothing: no outer rows, or no inner rows under inner-join semantics.
+// outer is unused in multi-pass mode, where every bucket stays.
+func (g *graceJoin) pairParts(depth int, route []int, inner, outer []string) []gracePart {
+	var parts []gracePart
+	for b := 0; b < spillFanout; b++ {
+		p := gracePart{depth: depth, route: append(append([]int{}, route...), b)}
+		if inner[b] != "" {
+			p.inner = []string{inner[b]}
 		}
-		s.writers[bucket] = w
+		if !g.multiPass {
+			if outer[b] != "" {
+				p.outer = []string{outer[b]}
+			}
+			if p.outer == nil || p.inner == nil && !g.j.LeftOuter {
+				g.removeFiles(p)
+				continue
+			}
+		}
+		parts = append(parts, p)
 	}
-	for c := range s.specs {
-		s.row[c] = val(c)
-		if s.specs[c].Str {
-			s.heaps[c] = strHeap(c)
-		}
-	}
-	return w.Append(s.row, s.heaps)
+	return parts
 }
 
-// finish closes the writers and returns one path per bucket ("" for
-// buckets no row reached).
-func (s *graceSink) finish() ([]string, error) {
-	paths := make([]string, len(s.writers))
-	for b, w := range s.writers {
-		if w == nil {
-			continue
-		}
-		if err := w.Close(); err != nil {
-			s.abandon()
-			return nil, err
-		}
-		paths[b] = w.Path()
-		s.g.stats.AddPartitions(1)
+func (g *graceJoin) removeFiles(p gracePart) {
+	for _, path := range p.inner {
+		_ = g.mgr.Remove(path)
 	}
-	return paths, nil
-}
-
-// abandon removes every file of this attempt so a torn write never
-// becomes visible.
-func (s *graceSink) abandon() {
-	for b, w := range s.writers {
-		if w == nil {
-			continue
-		}
-		w.Close()
-		_ = s.g.mgr.Remove(w.Path())
-		s.writers[b] = nil
+	for _, path := range p.outer {
+		_ = g.mgr.Remove(path)
 	}
 }
 
@@ -242,223 +174,88 @@ func (g *graceJoin) bucketOf(v uint64, h *heap.Heap, depth int) int {
 // partitionStream drains op (opening and closing it), appending each row
 // to the bucket its key hashes to at depth 0. fan 1 spools every row to
 // bucket 0.
-func (g *graceJoin) partitionStream(op Operator, specs []spill.ColSpec, keyCol, fan int) (paths []string, err error) {
-	sink := g.newSink(specs, fan)
-	defer func() {
-		if err != nil {
-			sink.abandon()
-		}
-	}()
-	if err = op.Open(g.qc); err != nil {
+func (g *graceJoin) partitionStream(op Operator, specs []spill.ColSpec, keyCol, fan int) ([]string, error) {
+	p := newSpillPartitioner(g.mgr, g.stats, specs, fan)
+	defer p.abandon()
+	if err := op.Open(g.qc); err != nil {
 		return nil, err
 	}
 	defer op.Close()
 	b := vec.NewBlock(len(specs))
 	for {
-		ok, nerr := op.Next(b)
-		if nerr != nil {
-			return nil, nerr
+		ok, err := op.Next(b)
+		if err != nil {
+			return nil, err
 		}
 		if !ok {
-			break
+			return p.finish()
 		}
+		b.Materialize()
+		for c := range specs {
+			p.heaps[c] = b.Vecs[c].Heap
+		}
+		kv := &b.Vecs[keyCol]
 		for i := 0; i < b.N; i++ {
 			bucket := 0
 			if fan > 1 {
-				bucket = g.bucketOf(b.Vecs[keyCol].Data[i], b.Vecs[keyCol].Heap, 0)
+				bucket = g.bucketOf(kv.Data[i], kv.Heap, 0)
 			}
-			i := i
-			if err = sink.add(bucket,
-				func(c int) uint64 { return b.Vecs[c].Data[i] },
-				func(c int) *heap.Heap { return b.Vecs[c].Heap }); err != nil {
+			for c := range specs {
+				p.row[c] = b.Vecs[c].Data[i]
+			}
+			if err := p.append(bucket); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return sink.finish()
 }
 
-// partitionFiles re-partitions spill files with a deeper hash salt,
-// removing the originals on success.
-func (g *graceJoin) partitionFiles(files []string, specs []spill.ColSpec, keyCol, depth int) (paths []string, err error) {
-	sink := g.newSink(specs, spillFanout)
-	defer func() {
-		if err != nil {
-			sink.abandon()
-		}
-	}()
-	for _, path := range files {
-		r, rerr := g.mgr.OpenReader(path, &g.stats.IO)
-		if rerr != nil {
-			return nil, rerr
-		}
-		for {
-			ch, cerr := r.Next()
-			if cerr == io.EOF {
-				break
-			}
-			if cerr != nil {
-				r.Close()
-				return nil, cerr
-			}
-			for i := 0; i < ch.Rows; i++ {
-				bucket := g.bucketOf(ch.Cols[keyCol].Values[i], ch.Cols[keyCol].Heap, depth)
-				i := i
-				if err = sink.add(bucket,
-					func(c int) uint64 { return ch.Cols[c].Values[i] },
-					func(c int) *heap.Heap { return ch.Cols[c].Heap }); err != nil {
-					r.Close()
-					return nil, err
-				}
-			}
-		}
-		r.Close()
-	}
-	paths, err = sink.finish()
-	if err != nil {
-		return nil, err
-	}
-	for _, path := range files {
-		_ = g.mgr.Remove(path)
-	}
-	return paths, nil
-}
-
-// graceInner is one loaded inner partition: decoded columns, accumulated
-// string heaps, and the key lookup table.
-type graceInner struct {
-	n       int
-	cols    [][]uint64
-	heaps   []*heap.Heap
-	table   map[uint64][]int32 // scalar key (or content hash) -> rows
-	nullRow int32
-	charged int
-}
-
-func (in *graceInner) release(qc *QueryCtx) {
-	qc.Release(in.charged)
-	in.charged = 0
-	in.cols = nil
-	in.table = nil
-}
-
-// loadInner materializes one partition's inner files, charging as it
-// grows; on a denied charge the partial load is released and the budget
-// error returned (the caller splits or degrades).
-func (g *graceJoin) loadInner(paths []string) (*graceInner, error) {
-	in := &graceInner{nullRow: -1}
+// loadInner materializes one partition's inner files as a joinPart —
+// flat columns, strings re-interned into one heap per column, the hash
+// index — charging as it grows; on a denied charge the partial load is
+// released and the budget error returned (the caller splits or degrades).
+func (g *graceJoin) loadInner(paths []string) (*joinPart, error) {
 	nc := len(g.innerSpecs)
-	in.cols = make([][]uint64, nc)
-	in.heaps = make([]*heap.Heap, nc)
+	p := &joinPart{info: append([]ColInfo{}, g.innerInfo...), cols: make([][]uint64, nc),
+		key: g.j.innerKey, algo: JoinHash, keyStr: g.keyStr, coll: g.coll, nullRow: -1}
+	heaps := make([]*heap.Heap, nc)
 	accs := make([]*heap.Accelerator, nc)
 	for c, s := range g.innerSpecs {
 		if s.Str {
-			in.heaps[c] = heap.New(s.Collation)
-			accs[c] = heap.NewAccelerator(in.heaps[c], 0)
+			heaps[c] = heap.New(s.Collation)
+			accs[c] = heap.NewAccelerator(heaps[c], 0)
+			p.info[c].Heap = heaps[c]
 		}
-	}
-	charge := func(n int) error {
-		if err := g.qc.Charge("HashJoin", n); err != nil {
-			in.release(g.qc)
-			return err
-		}
-		in.charged += n
-		return nil
 	}
 	heapBytes := 0
-	for _, path := range paths {
-		r, err := g.mgr.OpenReader(path, &g.stats.IO)
-		if err != nil {
-			in.release(g.qc)
-			return nil, err
-		}
-		for {
-			ch, cerr := r.Next()
-			if cerr == io.EOF {
-				break
-			}
-			if cerr != nil {
-				r.Close()
-				in.release(g.qc)
-				return nil, cerr
-			}
-			for c := 0; c < nc; c++ {
-				col := ch.Cols[c]
-				if accs[c] != nil {
-					for i := 0; i < ch.Rows; i++ {
-						v := col.Values[i]
-						if v != types.NullToken {
-							v = accs[c].Intern(col.Heap.Get(v))
-						}
-						in.cols[c] = append(in.cols[c], v)
-					}
-				} else {
-					in.cols[c] = append(in.cols[c], col.Values[:ch.Rows]...)
-				}
-			}
-			in.n += ch.Rows
-			grown := heapSizes(in.heaps)
-			if err := charge(ch.Rows*nc*8 + (grown - heapBytes)); err != nil {
-				r.Close()
-				return nil, err
-			}
-			heapBytes = grown
-		}
-		r.Close()
-	}
-	// Build the lookup table (~2 words per entry; doubled for the content
-	// hash of string keys, matching the in-memory build's cost model).
-	tblCost := in.n * 16
-	if g.keyStr {
-		tblCost = in.n * 32
-	}
-	if err := charge(tblCost); err != nil {
-		return nil, err
-	}
-	in.table = make(map[uint64][]int32)
-	key := in.cols[g.j.innerKey]
-	if g.keyStr {
-		for r, tok := range key {
-			if tok == types.NullToken {
-				// last NULL row wins, as in the in-memory build
-				in.nullRow = int32(r)
+	err := readChunks(g.mgr, paths, &g.stats.IO, func(ch *spill.Chunk) error {
+		for c := 0; c < nc; c++ {
+			col := ch.Cols[c]
+			if accs[c] == nil {
+				p.cols[c] = append(p.cols[c], col.Values[:ch.Rows]...)
 				continue
 			}
-			h := g.coll.Hash(in.heaps[g.j.innerKey].Get(tok))
-			in.table[h] = append(in.table[h], int32(r))
-		}
-	} else {
-		for r, v := range key {
-			in.table[v] = append(in.table[v], int32(r))
-		}
-	}
-	return in, nil
-}
-
-// probePart returns the first matching inner row of the loaded
-// partition, or -1 — the same first-match, NULL-matches-NULL semantics
-// as the in-memory probe.
-func (g *graceJoin) probePart(key uint64, h *heap.Heap) int {
-	kc := g.j.innerKey
-	in := g.inner
-	if g.keyStr {
-		if key == types.NullToken {
-			return int(in.nullRow)
-		}
-		s := h.Get(key)
-		for _, r := range in.table[g.coll.Hash(s)] {
-			if g.coll.Equal(in.heaps[kc].Get(in.cols[kc][r]), s) {
-				return int(r)
+			for _, v := range col.Values[:ch.Rows] {
+				if v != types.NullToken {
+					v = accs[c].Intern(col.Heap.Get(v))
+				}
+				p.cols[c] = append(p.cols[c], v)
 			}
 		}
-		return -1
+		p.rows += ch.Rows
+		grown := heapSizes(heaps)
+		cost := ch.Rows*nc*8 + (grown - heapBytes)
+		heapBytes = grown
+		return p.charge(g.qc, cost)
+	})
+	if err == nil {
+		err = p.buildHashIndex(g.qc)
 	}
-	for _, r := range in.table[key] {
-		if in.cols[kc][r] == key {
-			return int(r)
-		}
+	if err != nil {
+		g.qc.Release(p.charged)
+		return nil, err
 	}
-	return -1
+	return p, nil
 }
 
 // graceOuterSrc feeds the current partition's outer rows: from its spill
@@ -500,6 +297,7 @@ func (s *graceOuterSrc) next(b *vec.Block) (bool, error) {
 			if err != nil || !ok {
 				return false, err
 			}
+			s.buf.Materialize()
 			ensureVecs(b, len(s.buf.Vecs))
 			k := 0
 			kv := &s.buf.Vecs[key]
@@ -590,12 +388,10 @@ func (g *graceJoin) next(b *vec.Block) (bool, error) {
 			}
 			if ok {
 				var k int
-				if g.bnl {
-					if k, err = g.bnlJoinBlock(g.obuf, b); err != nil {
-						return false, err
-					}
-				} else {
-					k = g.joinOuterBlock(g.obuf, b)
+				if g.j.part != nil {
+					k = g.j.joinBlock(g.j.part, g.obuf, b, &g.j.sc)
+				} else if k, err = g.bnlJoinBlock(g.obuf, b); err != nil {
+					return false, err
 				}
 				if k > 0 {
 					return true, nil
@@ -618,33 +414,27 @@ func (g *graceJoin) next(b *vec.Block) (bool, error) {
 // startPartition loads p's inner side, splitting or degrading to
 // block-nested-loop when the budget refuses it.
 func (g *graceJoin) startPartition(p gracePart) error {
-	in, err := g.loadInner(p.inner)
-	if err == nil {
-		g.inner = in
-		g.bnl = false
-		g.cur = p
-		g.osrc = g.newOuterSrc(p)
-		return nil
-	}
-	if !spillableErr(g.qc, err) {
-		return err
-	}
-	if p.depth < spillMaxDepth && !g.diskFull {
-		subs, serr := g.splitPart(p)
-		if serr == nil {
-			g.work = append(subs, g.work...)
-			return nil // the caller's loop starts the first sub-partition
+	part, err := g.loadInner(p.inner)
+	if err != nil {
+		if !spillableErr(g.qc, err) {
+			return err
 		}
-		if !diskErr(serr) {
-			return serr
+		if p.depth < spillMaxDepth && !g.diskFull {
+			subs, serr := g.splitPart(p)
+			if serr == nil {
+				g.work = append(subs, g.work...)
+				return nil // the caller's loop starts the first sub-partition
+			}
+			if !diskErr(serr) {
+				return serr
+			}
+			g.diskFull = true
 		}
-		g.diskFull = true
+		// Block-nested-loop: one inner chunk and one outer block of memory,
+		// whatever the partition's size.
+		g.stats.AddSpill()
 	}
-	// Block-nested-loop: one inner chunk and one outer block of memory,
-	// whatever the partition's size.
-	g.stats.AddSpill()
-	g.inner = nil
-	g.bnl = true
+	g.j.part = part
 	g.cur = p
 	g.osrc = g.newOuterSrc(p)
 	return nil
@@ -654,246 +444,98 @@ func (g *graceJoin) startPartition(p gracePart) error {
 func (g *graceJoin) splitPart(p gracePart) ([]gracePart, error) {
 	d := p.depth + 1
 	g.stats.NoteDepth(d)
-	innerPaths, err := g.partitionFiles(p.inner, g.innerSpecs, g.j.innerKey, d)
+	innerPaths, err := repartition(g.mgr, g.stats, g.innerSpecs, p.inner, []int{g.j.innerKey}, d)
 	if err != nil {
 		return nil, err
 	}
 	var outerPaths []string
 	if !g.multiPass {
-		if outerPaths, err = g.partitionFiles(p.outer, g.outerSpecs, g.j.outerKey, d); err != nil {
-			for _, path := range innerPaths {
-				if path != "" {
-					_ = g.mgr.Remove(path)
-				}
-			}
+		if outerPaths, err = repartition(g.mgr, g.stats, g.outerSpecs, p.outer, []int{g.j.outerKey}, d); err != nil {
+			g.removeFiles(gracePart{inner: innerPaths})
 			return nil, err
 		}
 	}
-	var subs []gracePart
-	for b := 0; b < spillFanout; b++ {
-		sub := gracePart{depth: d, route: append(append([]int{}, p.route...), b)}
-		if innerPaths[b] != "" {
-			sub.inner = []string{innerPaths[b]}
-		}
-		if !g.multiPass {
-			if outerPaths[b] == "" {
-				for _, path := range sub.inner {
-					_ = g.mgr.Remove(path)
-				}
-				continue
-			}
-			sub.outer = []string{outerPaths[b]}
-			if len(sub.inner) == 0 && !g.j.LeftOuter {
-				for _, path := range sub.outer {
-					_ = g.mgr.Remove(path)
-				}
-				continue
-			}
-		}
-		subs = append(subs, sub)
-	}
-	return subs, nil
-}
-
-// joinOuterBlock probes one outer block against the loaded inner
-// partition — the grace twin of joinBlock.
-func (g *graceJoin) joinOuterBlock(in *vec.Block, out *vec.Block) int {
-	j := g.j
-	nOuter := len(g.outerInfo)
-	ensureVecs(out, len(j.schema))
-	keyVec := &in.Vecs[j.outerKey]
-	k := 0
-	for i := 0; i < in.N; i++ {
-		row := g.probePart(keyVec.Data[i], keyVec.Heap)
-		if row < 0 && !j.LeftOuter {
-			continue
-		}
-		for c := 0; c < nOuter; c++ {
-			out.Vecs[c].Data[k] = in.Vecs[c].Data[i]
-		}
-		oc := nOuter
-		for c := range g.innerInfo {
-			if c == j.innerKey {
-				continue
-			}
-			if row < 0 {
-				out.Vecs[oc].Data[k] = types.NullBits(g.innerInfo[c].Type)
-			} else {
-				out.Vecs[oc].Data[k] = g.inner.cols[c][row]
-			}
-			oc++
-		}
-		k++
-	}
-	for c := 0; c < nOuter; c++ {
-		out.Vecs[c].Type = in.Vecs[c].Type
-		out.Vecs[c].Heap = in.Vecs[c].Heap
-		out.Vecs[c].Dict = in.Vecs[c].Dict
-	}
-	oc := nOuter
-	for c := range g.innerInfo {
-		if c == j.innerKey {
-			continue
-		}
-		info := g.innerInfo[c]
-		out.Vecs[oc].Type = info.Type
-		out.Vecs[oc].Heap = info.Heap
-		if g.innerSpecs[c].Str {
-			out.Vecs[oc].Heap = g.inner.heaps[c]
-		}
-		out.Vecs[oc].Dict = info.Dict
-		oc++
-	}
-	out.N = k
-	return k
+	return g.pairParts(d, p.route, innerPaths, outerPaths), nil
 }
 
 // bnlJoinBlock joins one outer block by scanning the partition's inner
 // files front to back, keeping the first match per outer row (and the
-// last NULL-key inner row for string NULL-matches-NULL semantics).
-// Matched inner values are copied out of the transient chunks as they
-// are found, so memory stays bounded by one chunk plus one block.
+// first NULL-key inner row for string NULL-matches-NULL semantics).
+// Matched inner rows are copied out of the transient chunks as they are
+// found — into a block-sized joinPart with fresh string heaps that emit
+// gathers from — so memory stays bounded by one chunk plus one block.
 func (g *graceJoin) bnlJoinBlock(in *vec.Block, out *vec.Block) (int, error) {
 	j := g.j
-	n := in.N
-	keyVec := &in.Vecs[j.outerKey]
-	for i := 0; i < n; i++ {
-		g.matched[i] = 0
-	}
-	var lastNullVals []uint64
-	var lastNullStrs []string
-	haveNull := false
-	for _, path := range g.cur.inner {
-		r, err := g.mgr.OpenReader(path, &g.stats.IO)
-		if err != nil {
-			return 0, err
-		}
-		for {
-			ch, cerr := r.Next()
-			if cerr == io.EOF {
-				break
-			}
-			if cerr != nil {
-				r.Close()
-				return 0, cerr
-			}
-			for ir := 0; ir < ch.Rows; ir++ {
-				ktok := ch.Cols[j.innerKey].Values[ir]
-				if g.keyStr && ktok == types.NullToken {
-					// remember the last NULL-key inner row's values
-					if lastNullVals == nil {
-						lastNullVals = make([]uint64, len(g.innerInfo))
-						lastNullStrs = make([]string, len(g.innerInfo))
-					}
-					for c := range g.innerInfo {
-						v := ch.Cols[c].Values[ir]
-						lastNullVals[c] = v
-						if g.innerSpecs[c].Str && v != types.NullToken {
-							lastNullStrs[c] = ch.Cols[c].Heap.Get(v)
-						}
-					}
-					haveNull = true
-					continue
-				}
-				var kstr string
-				if g.keyStr {
-					kstr = ch.Cols[j.innerKey].Heap.Get(ktok)
-				}
-				for i := 0; i < n; i++ {
-					if g.matched[i] != 0 {
-						continue
-					}
-					ok := false
-					if g.keyStr {
-						otok := keyVec.Data[i]
-						ok = otok != types.NullToken && g.coll.Equal(keyVec.Heap.Get(otok), kstr)
-					} else {
-						ok = keyVec.Data[i] == ktok
-					}
-					if !ok {
-						continue
-					}
-					g.matched[i] = 1
-					for c := range g.innerInfo {
-						v := ch.Cols[c].Values[ir]
-						g.bnlVals[c][i] = v
-						if g.innerSpecs[c].Str && v != types.NullToken {
-							g.bnlStrs[c][i] = ch.Cols[c].Heap.Get(v)
-						}
-					}
-				}
-			}
-		}
-		r.Close()
-	}
-	if g.keyStr && haveNull {
-		for i := 0; i < n; i++ {
-			if g.matched[i] == 0 && keyVec.Data[i] == types.NullToken {
-				g.matched[i] = 1
-				for c := range g.innerInfo {
-					g.bnlVals[c][i] = lastNullVals[c]
-					if g.innerSpecs[c].Str {
-						g.bnlStrs[c][i] = lastNullStrs[c]
-					}
-				}
-			}
-		}
-	}
-	// emit: matched values re-interned into fresh per-block heaps
-	nOuter := len(g.outerInfo)
-	ensureVecs(out, len(j.schema))
-	blockHeaps := make([]*heap.Heap, len(g.innerInfo))
+	kc := j.innerKey
+	p := &joinPart{info: append([]ColInfo{}, g.innerInfo...), cols: make([][]uint64, len(g.innerInfo)), key: kc}
 	for c, s := range g.innerSpecs {
-		if s.Str && c != j.innerKey {
-			blockHeaps[c] = heap.New(s.Collation)
+		if s.Str && c != kc {
+			p.info[c].Heap = heap.New(s.Collation)
 		}
 	}
-	k := 0
-	for i := 0; i < n; i++ {
-		if g.matched[i] == 0 && !j.LeftOuter {
-			continue
-		}
-		for c := 0; c < nOuter; c++ {
-			out.Vecs[c].Data[k] = in.Vecs[c].Data[i]
-		}
-		oc := nOuter
-		for c := range g.innerInfo {
-			if c == j.innerKey {
+	keep := func(ch *spill.Chunk, ir int) int32 {
+		for c := range p.cols {
+			if c == kc {
 				continue
 			}
-			switch {
-			case g.matched[i] == 0:
-				out.Vecs[oc].Data[k] = types.NullBits(g.innerInfo[c].Type)
-			case blockHeaps[c] != nil && g.bnlVals[c][i] != types.NullToken:
-				out.Vecs[oc].Data[k] = blockHeaps[c].Append(g.bnlStrs[c][i])
-			default:
-				out.Vecs[oc].Data[k] = g.bnlVals[c][i]
+			v := ch.Cols[c].Values[ir]
+			if g.innerSpecs[c].Str && v != types.NullToken {
+				v = p.info[c].Heap.Append(ch.Cols[c].Heap.Get(v))
 			}
-			oc++
+			p.cols[c] = append(p.cols[c], v)
 		}
-		k++
+		p.rows++
+		return int32(p.rows - 1)
 	}
-	for c := 0; c < nOuter; c++ {
-		out.Vecs[c].Type = in.Vecs[c].Type
-		out.Vecs[c].Heap = in.Vecs[c].Heap
-		out.Vecs[c].Dict = in.Vecs[c].Dict
+	match := j.sc.match[:in.N]
+	for i := range match {
+		match[i] = -1
 	}
-	oc := nOuter
-	for c := range g.innerInfo {
-		if c == j.innerKey {
-			continue
+	nullRow := int32(-1)
+	keyVec := &in.Vecs[j.outerKey]
+	err := readChunks(g.mgr, g.cur.inner, &g.stats.IO, func(ch *spill.Chunk) error {
+		for ir, ktok := range ch.Cols[kc].Values[:ch.Rows] {
+			var kstr string
+			if g.keyStr {
+				if ktok == types.NullToken {
+					if nullRow < 0 {
+						nullRow = keep(ch, ir)
+					}
+					continue
+				}
+				kstr = ch.Cols[kc].Heap.Get(ktok)
+			}
+			kept := int32(-1)
+			for i, otok := range keyVec.Data[:in.N] {
+				if match[i] >= 0 {
+					continue
+				}
+				if g.keyStr {
+					if otok == types.NullToken || !g.coll.Equal(keyVec.Heap.Get(otok), kstr) {
+						continue
+					}
+				} else if otok != ktok {
+					continue
+				}
+				if kept < 0 {
+					kept = keep(ch, ir)
+				}
+				match[i] = kept
+			}
 		}
-		info := g.innerInfo[c]
-		out.Vecs[oc].Type = info.Type
-		out.Vecs[oc].Heap = info.Heap
-		if blockHeaps[c] != nil {
-			out.Vecs[oc].Heap = blockHeaps[c]
-		}
-		out.Vecs[oc].Dict = info.Dict
-		oc++
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	out.N = k
-	return k, nil
+	if g.keyStr {
+		for i, otok := range keyVec.Data[:in.N] {
+			if otok == types.NullToken {
+				match[i] = nullRow
+			}
+		}
+	}
+	return j.emit(p, in, out, &j.sc), nil
 }
 
 // finishPartition releases the active partition's memory and disk.
@@ -902,18 +544,9 @@ func (g *graceJoin) finishPartition() {
 		g.osrc.close()
 		g.osrc = nil
 	}
-	if g.inner != nil {
-		g.inner.release(g.qc)
-		g.inner = nil
-	}
-	for _, path := range g.cur.inner {
-		_ = g.mgr.Remove(path)
-	}
-	for _, path := range g.cur.outer {
-		_ = g.mgr.Remove(path)
-	}
+	g.j.releasePart()
+	g.removeFiles(g.cur)
 	g.cur = gracePart{}
-	g.bnl = false
 }
 
 // cleanup releases everything the grace join still holds — called from
@@ -921,12 +554,7 @@ func (g *graceJoin) finishPartition() {
 func (g *graceJoin) cleanup() {
 	g.finishPartition()
 	for _, p := range g.work {
-		for _, path := range p.inner {
-			_ = g.mgr.Remove(path)
-		}
-		for _, path := range p.outer {
-			_ = g.mgr.Remove(path)
-		}
+		g.removeFiles(p)
 	}
 	g.work = nil
 }

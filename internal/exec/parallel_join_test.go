@@ -8,13 +8,13 @@ import (
 	"tde/internal/types"
 )
 
-// TestParallelJoinMatchesSerial checks the partitioned build and the
-// Exchange probe agree with the serial join for every algorithm, worker
-// count and routing mode, including duplicate inner keys (where the
-// first-match winner must not change) and sparse keys (misses).
+// TestParallelJoinMatchesSerial checks the Exchange probe agrees with the
+// serial join for every worker count and routing mode, including
+// duplicate inner keys (where the first-match winner must not change) and
+// sparse keys (misses).
 func TestParallelJoinMatchesSerial(t *testing.T) {
 	n := 60_000
-	inner := 40_000 // over parallelBuildMin so the partitioned build runs
+	inner := 40_000
 	rng := rand.New(rand.NewSource(23))
 	fk := make([]int64, n)
 	for i := range fk {

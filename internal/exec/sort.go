@@ -266,21 +266,11 @@ func (s *Sort) spillRun() error {
 // toward the earlier cursor, preserving the stability of the in-memory
 // sort.
 func (s *Sort) openMerge() error {
-	for len(s.runs) > spillMergeFanIn {
-		merged, err := mergeRuns(s.qc, "Sort", s.mgr, s.specs, s.runs[:spillMergeFanIn], &s.stats.IO, s.cursorLess)
-		if err != nil {
-			return err
-		}
-		s.runs = append([]string{merged}, s.runs[spillMergeFanIn:]...)
+	cursors, err := openMerge(s.qc, "Sort", s.mgr, s.specs, s.runs, &s.stats.IO, s.cursorLess)
+	if err != nil {
+		return err
 	}
-	s.cursors = make([]*mergeCursor, len(s.runs))
-	for i, path := range s.runs {
-		c, err := openMergeCursor(s.qc, "Sort", s.mgr, path, &s.stats.IO)
-		if err != nil {
-			return err
-		}
-		s.cursors[i] = c
-	}
+	s.cursors = cursors
 	s.runs = nil
 	s.rowBuf = make([]uint64, len(s.schema))
 	s.heapBuf = make([]*heap.Heap, len(s.schema))

@@ -115,6 +115,138 @@ func (s *spillHasher) part() int {
 	return int(h >> 61)
 }
 
+// readChunks calls fn on every chunk of the given spill files, in order.
+func readChunks(mgr *spill.Manager, paths []string, stats *spill.Stats, fn func(*spill.Chunk) error) error {
+	for _, path := range paths {
+		r, err := mgr.OpenReader(path, stats)
+		if err != nil {
+			return err
+		}
+		for {
+			ch, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err == nil {
+				err = fn(ch)
+			}
+			if err != nil {
+				r.Close()
+				return err
+			}
+		}
+		r.Close()
+	}
+	return nil
+}
+
+// spillPartitioner is the one hash-fan-out spill writer, shared by the
+// aggregation's evictions and the grace join's two sides: rows go to a
+// lazily created writer per bucket, and every file not handed over by
+// finish is removed by abandon, so a torn write never becomes visible.
+type spillPartitioner struct {
+	mgr     *spill.Manager
+	stats   *OpSpillStats
+	specs   []spill.ColSpec
+	writers []*spill.Writer
+	// row and heaps (the heaps resolving row's string tokens) are the
+	// scratch a caller fills before append.
+	row   []uint64
+	heaps []*heap.Heap
+}
+
+func newSpillPartitioner(mgr *spill.Manager, stats *OpSpillStats, specs []spill.ColSpec, fan int) *spillPartitioner {
+	return &spillPartitioner{mgr: mgr, stats: stats, specs: specs, writers: make([]*spill.Writer, fan),
+		row: make([]uint64, len(specs)), heaps: make([]*heap.Heap, len(specs))}
+}
+
+// writer returns bucket's writer, creating its file on first use.
+func (p *spillPartitioner) writer(bucket int) (*spill.Writer, error) {
+	if p.writers[bucket] == nil {
+		w, err := p.mgr.NewWriter(p.specs, &p.stats.IO)
+		if err != nil {
+			return nil, err
+		}
+		p.writers[bucket] = w
+	}
+	return p.writers[bucket], nil
+}
+
+// append writes p.row to bucket.
+func (p *spillPartitioner) append(bucket int) error {
+	w, err := p.writer(bucket)
+	if err != nil {
+		return err
+	}
+	return w.Append(p.row, p.heaps)
+}
+
+// finish closes the writers and hands over one path per bucket ("" for
+// buckets no row reached).
+func (p *spillPartitioner) finish() ([]string, error) {
+	paths := make([]string, len(p.writers))
+	for b, w := range p.writers {
+		if w == nil {
+			continue
+		}
+		if err := w.Close(); err != nil {
+			return nil, err
+		}
+		paths[b] = w.Path()
+		p.stats.AddPartitions(1)
+	}
+	p.writers = nil
+	return paths, nil
+}
+
+// abandon removes every file of an attempt finish did not complete; the
+// partitioning functions defer it.
+func (p *spillPartitioner) abandon() {
+	for _, w := range p.writers {
+		if w != nil {
+			w.Close()
+			_ = p.mgr.Remove(w.Path())
+		}
+	}
+	p.writers = nil
+}
+
+// repartition fans the rows of files out again by the depth-salted content
+// hash of keyCols, removing the inputs on success.
+func repartition(mgr *spill.Manager, stats *OpSpillStats, specs []spill.ColSpec, files []string, keyCols []int, depth int) ([]string, error) {
+	p := newSpillPartitioner(mgr, stats, specs, spillFanout)
+	defer p.abandon()
+	err := readChunks(mgr, files, &stats.IO, func(ch *spill.Chunk) error {
+		for c := range specs {
+			p.heaps[c] = ch.Cols[c].Heap
+		}
+		for i := 0; i < ch.Rows; i++ {
+			h := newSpillHasher(depth)
+			for _, kc := range keyCols {
+				h.fold(spillValHash(ch.Cols[kc].Values[i], specs[kc].Str, specs[kc].Collation, ch.Cols[kc].Heap))
+			}
+			for c := range specs {
+				p.row[c] = ch.Cols[c].Values[i]
+			}
+			if err := p.append(h.part()); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	paths, err := p.finish()
+	if err != nil {
+		return nil, err
+	}
+	for _, path := range files {
+		_ = mgr.Remove(path)
+	}
+	return paths, nil
+}
+
 // mergeCursor walks the rows of one spill run during a merge, holding one
 // decoded chunk at a time and charging its footprint against the memory
 // budget (released when the next chunk replaces it).
@@ -180,7 +312,7 @@ func (c *mergeCursor) advance() error {
 	return c.load()
 }
 
-func (c *mergeCursor) val(col int) uint64        { return c.ch.Cols[col].Values[c.at] }
+func (c *mergeCursor) val(col int) uint64         { return c.ch.Cols[col].Values[c.at] }
 func (c *mergeCursor) strHeap(col int) *heap.Heap { return c.ch.Cols[col].Heap }
 
 // close releases the chunk charge and the file handle; remove also
@@ -212,23 +344,41 @@ func pickMin(cs []*mergeCursor, less func(a, b *mergeCursor) bool) int {
 	return best
 }
 
-// mergeRuns merges the given runs into one new run under less, removing
-// the inputs. Used by the external sort's pre-merge passes when more runs
-// exist than a single merge should fan in.
-func mergeRuns(qc *QueryCtx, op string, m *spill.Manager, specs []spill.ColSpec, paths []string, stats *spill.Stats, less func(a, b *mergeCursor) bool) (out string, err error) {
-	cursors := make([]*mergeCursor, 0, len(paths))
-	defer func() {
+// openMerge opens the final merge over runs under less, first pre-merging
+// runs (in input order, which with pickMin's tie-break keeps an external
+// sort stable) while there are more than one merge can read at once:
+// spillMergeFanIn, or as many as the memory budget holds a chunk of.
+func openMerge(qc *QueryCtx, op string, m *spill.Manager, specs []spill.ColSpec, runs []string, stats *spill.Stats, less func(a, b *mergeCursor) bool) ([]*mergeCursor, error) {
+	for {
+		var cursors []*mergeCursor
+		var err error
+		for _, path := range runs[:min(len(runs), spillMergeFanIn)] {
+			var c *mergeCursor
+			if c, err = openMergeCursor(qc, op, m, path, stats); err != nil {
+				break
+			}
+			cursors = append(cursors, c)
+		}
+		if err == nil && len(cursors) == len(runs) {
+			return cursors, nil
+		}
+		n := len(cursors)
+		var merged string
+		if err == nil || n >= 2 && spillableErr(qc, err) {
+			merged, err = mergeCursors(m, specs, stats, cursors, less)
+		}
 		for _, c := range cursors {
 			c.close(err == nil) // inputs are consumed on success, kept for cleanup on failure
 		}
-	}()
-	for _, p := range paths {
-		c, cerr := openMergeCursor(qc, op, m, p, stats)
-		if cerr != nil {
-			return "", cerr
+		if err != nil {
+			return nil, err
 		}
-		cursors = append(cursors, c)
+		runs = append([]string{merged}, runs[n:]...)
 	}
+}
+
+// mergeCursors drains the cursors into one new run under less.
+func mergeCursors(m *spill.Manager, specs []spill.ColSpec, stats *spill.Stats, cursors []*mergeCursor, less func(a, b *mergeCursor) bool) (string, error) {
 	w, err := m.NewWriter(specs, stats)
 	if err != nil {
 		return "", err
