@@ -39,7 +39,7 @@ type Stats struct {
 	SortedAscU bool
 
 	// Distinct tracking, abandoned past the dictionary limit.
-	distinct    map[uint64]struct{}
+	distinct    valueSet
 	DistinctCap int  // tracking limit, 2^DictMaxBits by default
 	Overflowed  bool // true once tracking gave up
 
@@ -56,7 +56,6 @@ func NewStats(signed bool, sentinel uint64, hasSentinel bool) *Stats {
 	return &Stats{
 		SortedAsc:   true,
 		SortedAscU:  true,
-		distinct:    make(map[uint64]struct{}),
 		DistinctCap: 1 << DictMaxBits,
 		signed:      signed,
 		sentinel:    sentinel,
@@ -138,15 +137,9 @@ func (st *Stats) Update(vals []uint64) {
 				}
 			}
 		}
-		if !st.Overflowed {
-			if _, ok := st.distinct[v]; !ok {
-				if len(st.distinct) >= st.DistinctCap {
-					st.Overflowed = true
-					st.distinct = nil
-				} else {
-					st.distinct[v] = struct{}{}
-				}
-			}
+		if !st.Overflowed && st.distinct.add(v) && st.distinct.n > st.DistinctCap {
+			st.Overflowed = true
+			st.distinct = valueSet{}
 		}
 		st.N++
 	}
@@ -164,7 +157,66 @@ func (st *Stats) Distinct() (int, bool) {
 	if st.Overflowed {
 		return 0, false
 	}
-	return len(st.distinct), true
+	return st.distinct.n, true
+}
+
+// valueSet is a set of values in one flat open-addressing table, at most
+// half full and addressed by the top bits of a multiplicative hash. Zero
+// marks an empty slot, so the value zero is a flag of its own.
+type valueSet struct {
+	slots []uint64
+	shift uint
+	n     int // members, zero included
+	zero  bool
+}
+
+const (
+	setMinSlots = 64
+	setFibMul   = 0x9E3779B97F4A7C15
+)
+
+// add inserts v and reports whether it was new.
+func (s *valueSet) add(v uint64) bool {
+	if v == 0 {
+		if s.zero {
+			return false
+		}
+		s.zero = true
+		s.n++
+		return true
+	}
+	if s.slots == nil {
+		s.slots, s.shift = make([]uint64, setMinSlots), 64-6
+	}
+	mask := uint64(len(s.slots) - 1)
+	i := (v * setFibMul) >> s.shift
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		if s.slots[i] == v {
+			return false
+		}
+	}
+	s.slots[i] = v
+	if s.n++; s.n*2 > len(s.slots) {
+		s.grow()
+	}
+	return true
+}
+
+func (s *valueSet) grow() {
+	old := s.slots
+	s.slots = make([]uint64, 2*len(old))
+	s.shift--
+	mask := uint64(len(s.slots) - 1)
+	for _, v := range old {
+		if v == 0 {
+			continue
+		}
+		i := (v * setFibMul) >> s.shift
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = v
+	}
 }
 
 // ConstantDelta reports whether all consecutive deltas are equal, the

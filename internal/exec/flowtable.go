@@ -205,46 +205,10 @@ func (f *FlowTable) BuildTable(qc *QueryCtx) (*Built, error) {
 			break
 		}
 		b.Materialize() // late-decode boundary: builders re-encode plain data
-		if workers > 1 && len(builders) > 1 {
-			var wg sync.WaitGroup
-			var panicErr error
-			var panicMu sync.Mutex
-			work := make(chan int)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					// A panicking column builder must fail the build, not
-					// the process: deadlocking the wait or crashing here
-					// would escape the engine's panic boundary.
-					defer func() {
-						if r := recover(); r != nil {
-							panicMu.Lock()
-							if panicErr == nil {
-								panicErr = fmt.Errorf("exec: FlowTable column builder panicked: %v", r)
-							}
-							panicMu.Unlock()
-							for range work { // drain so the feeder never blocks
-							}
-						}
-					}()
-					for c := range work {
-						builders[c].appendBlock(&b.Vecs[c], b.N)
-					}
-				}()
-			}
-			for c := range builders {
-				work <- c
-			}
-			close(work)
-			wg.Wait()
-			if panicErr != nil {
-				return nil, panicErr
-			}
-		} else {
-			for c := range builders {
-				builders[c].appendBlock(&b.Vecs[c], b.N)
-			}
+		if err := forColumns(workers, len(builders), func(c int) {
+			builders[c].appendBlock(&b.Vecs[c], b.N)
+		}); err != nil {
+			return nil, err
 		}
 		// Charge the materialized block plus output-heap growth against
 		// the query's memory budget.
@@ -262,9 +226,11 @@ func (f *FlowTable) BuildTable(qc *QueryCtx) (*Built, error) {
 		heapBytes = grown
 	}
 
-	bt := &Built{}
-	for _, cb := range builders {
-		bt.Cols = append(bt.Cols, cb.finish(&f.cfg))
+	bt := &Built{Cols: make([]BuiltColumn, len(builders))}
+	if err := forColumns(workers, len(builders), func(c int) {
+		bt.Cols[c] = builders[c].finish(&f.cfg)
+	}); err != nil {
+		return nil, err
 	}
 	if len(bt.Cols) > 0 {
 		bt.Rows = bt.Cols[0].Data.Len()
@@ -274,6 +240,49 @@ func (f *FlowTable) BuildTable(qc *QueryCtx) (*Built, error) {
 	f.cost = f.charged
 	f.qc = qc
 	return bt, nil
+}
+
+// forColumns runs fn once per column, on up to workers goroutines
+// ("encoding of each column is independent", Sect. 3.3). A panicking
+// column fails the build with an error, not the process: deadlocking the
+// wait or crashing a worker would escape the engine's panic boundary.
+func forColumns(workers, n int, fn func(c int)) error {
+	if workers <= 1 || n <= 1 {
+		for c := 0; c < n; c++ {
+			fn(c)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	var panicErr error
+	var panicMu sync.Mutex
+	work := make(chan int)
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicMu.Lock()
+					if panicErr == nil {
+						panicErr = fmt.Errorf("exec: FlowTable column builder panicked: %v", r)
+					}
+					panicMu.Unlock()
+					for range work { // drain so the feeder never blocks
+					}
+				}
+			}()
+			for c := range work {
+				fn(c)
+			}
+		}()
+	}
+	for c := 0; c < n; c++ {
+		work <- c
+	}
+	close(work)
+	wg.Wait()
+	return panicErr
 }
 
 // appendBlock folds one block of one column into the builder. Input

@@ -9,14 +9,24 @@ import "tde/internal/types"
 // configurable.
 const DefaultAcceleratorLimit = 1 << 22
 
+// accSlot is one index entry: a string's collated hash and its token
+// stored plus one (zero marks an empty slot).
+type accSlot struct{ hash, tok uint64 }
+
 // Accelerator maintains a hash table of all strings seen so far so string
 // columns with small domains get minimal heaps and distinct tokens
 // (Sect. 5.1.4). Hashing is collation-aware, matching the heap. Once the
 // element count passes the limit the accelerator gives up: subsequent
 // appends go straight to the heap, duplicated and non-distinct.
+//
+// The index is one flat open-addressing table, at most half full and
+// addressed by the top bits of the collated hash, like the Translator's
+// memo: a probe compares hashes first and a candidate's bytes in place
+// second, so a hit allocates nothing.
 type Accelerator struct {
 	heap     *Heap
-	index    map[uint64][]uint64 // collated hash → candidate tokens
+	slots    []accSlot // nil once given up
+	shift    uint
 	limit    int
 	active   bool
 	distinct bool // tokens handed out so far are distinct
@@ -30,7 +40,8 @@ func NewAccelerator(h *Heap, limit int) *Accelerator {
 	}
 	return &Accelerator{
 		heap:     h,
-		index:    make(map[uint64][]uint64),
+		slots:    make([]accSlot, memoMinSlots),
+		shift:    64 - 6,
 		limit:    limit,
 		active:   true,
 		distinct: true,
@@ -52,29 +63,53 @@ func (a *Accelerator) DomainSize() int { return a.heap.Len() }
 
 // Intern returns the token for s, appending it to the heap only if it has
 // not been seen. After giving up, Intern degenerates to a plain append.
+// s is not retained, so it may be a view of another heap's bytes.
 func (a *Accelerator) Intern(s string) uint64 {
 	if !a.active {
 		return a.heap.Append(s)
 	}
 	coll := a.heap.Collation()
 	hash := coll.Hash(s)
-	for _, tok := range a.index[hash] {
+	mask := uint64(len(a.slots) - 1)
+	i := hash >> a.shift
+	for ; a.slots[i].tok != 0; i = (i + 1) & mask {
 		// Heap collision comparisons: the extra I/O the paper worries
 		// about when domains grow large (Sect. 6.2).
-		if candidate := a.heap.Get(tok); coll.Equal(candidate, s) {
-			return tok
+		if e := a.slots[i]; e.hash == hash && coll.Equal(a.heap.view(e.tok-1), s) {
+			return e.tok - 1
 		}
 	}
 	tok := a.heap.Append(s)
-	a.index[hash] = append(a.index[hash], tok)
-	if a.heap.Len() >= a.limit {
+	a.slots[i] = accSlot{hash, tok + 1}
+	switch n := a.heap.Len(); {
+	case n >= a.limit:
 		// "The accelerator gives up on hashing once the number of heap
 		// elements passes the threshold."
 		a.active = false
-		a.index = nil
+		a.slots = nil
 		a.distinct = false
+	case n*2 > len(a.slots):
+		a.grow()
 	}
 	return tok
+}
+
+// grow doubles the index; entries keep their hash, so nothing is rehashed.
+func (a *Accelerator) grow() {
+	old := a.slots
+	a.slots = make([]accSlot, 2*len(old))
+	a.shift--
+	mask := uint64(len(a.slots) - 1)
+	for _, e := range old {
+		if e.tok == 0 {
+			continue
+		}
+		i := e.hash >> a.shift
+		for a.slots[i].tok != 0 {
+			i = (i + 1) & mask
+		}
+		a.slots[i] = e
+	}
 }
 
 // Null returns the NULL string token.

@@ -14,6 +14,7 @@ package heap
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"tde/internal/corrupt"
 	"tde/internal/types"
@@ -81,13 +82,36 @@ func (h *Heap) setSorted(v bool) { h.sorted = v }
 // Append adds a string and returns its token (byte offset). No
 // deduplication is performed; use an Accelerator for that.
 func (h *Heap) Append(s string) uint64 {
-	if len(s) > 0xFFFFFFFF {
+	tok := h.header(len(s))
+	h.buf = append(h.buf, s...)
+	return tok
+}
+
+// AppendBytes is Append for a caller holding bytes (a text field), with no
+// string conversion.
+func (h *Heap) AppendBytes(b []byte) uint64 {
+	tok := h.header(len(b))
+	h.buf = append(h.buf, b...)
+	return tok
+}
+
+// Grow makes room for elems more elements holding n string bytes in all,
+// so appending them allocates nothing more.
+func (h *Heap) Grow(elems, n int) {
+	if need := len(h.buf) + elems*elemHeader + n; need > cap(h.buf) {
+		buf := make([]byte, len(h.buf), need)
+		copy(buf, h.buf)
+		h.buf = buf
+	}
+}
+
+// header starts an element of n bytes and returns its token.
+func (h *Heap) header(n int) uint64 {
+	if n > 0xFFFFFFFF {
 		panic("heap: string exceeds 4-byte length header")
 	}
 	tok := uint64(len(h.buf))
-	n := uint32(len(s))
 	h.buf = append(h.buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-	h.buf = append(h.buf, s...)
 	h.count++
 	h.sorted = false
 	return tok
@@ -97,20 +121,35 @@ func (h *Heap) Append(s string) uint64 {
 // (possible when corrupt column data carries a stale offset) yield the
 // empty string rather than a fault; FromBytes guarantees every genuine
 // element boundary is safe.
-func (h *Heap) Get(tok uint64) string {
+func (h *Heap) Get(tok uint64) string { return string(h.elem(tok)) }
+
+// elem returns the bytes of the element at tok in place, nil for NULL or a
+// token outside the heap.
+func (h *Heap) elem(tok uint64) []byte {
 	if tok == types.NullToken {
-		return ""
+		return nil
 	}
 	off := int(tok)
 	if off < 0 || off+elemHeader > len(h.buf) {
-		return ""
+		return nil
 	}
 	n := int(uint32(h.buf[off]) | uint32(h.buf[off+1])<<8 |
 		uint32(h.buf[off+2])<<16 | uint32(h.buf[off+3])<<24)
 	if n < 0 || off+elemHeader+n > len(h.buf) {
-		return ""
+		return nil
 	}
-	return string(h.buf[off+elemHeader : off+elemHeader+n])
+	return h.buf[off+elemHeader : off+elemHeader+n]
+}
+
+// view returns the element at tok as a string sharing the heap's bytes —
+// Get without the copy, for a probe that only reads it (hash, compare, or
+// Append into another heap, which copies). It is sound because a heap is
+// append-only: an element's bytes are never written again, and growing the
+// buffer moves later appends to a new array while the one the view points
+// into stays as it was. This is the package's only use of unsafe.
+func (h *Heap) view(tok uint64) string {
+	b := h.elem(tok)
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // Tokens returns every element's token in offset (insertion) order.
@@ -140,7 +179,7 @@ func (h *Heap) Compare(a, b uint64) int {
 			return 0
 		}
 	}
-	return h.collation.Compare(h.Get(a), h.Get(b))
+	return h.collation.Compare(h.view(a), h.view(b))
 }
 
 // SortedRemap builds a new heap containing the same elements in ascending
@@ -151,13 +190,13 @@ func (h *Heap) Compare(a, b uint64) int {
 func (h *Heap) SortedRemap() (*Heap, map[uint64]uint64) {
 	toks := h.Tokens()
 	sort.Slice(toks, func(i, j int) bool {
-		return h.collation.Compare(h.Get(toks[i]), h.Get(toks[j])) < 0
+		return h.collation.Compare(h.view(toks[i]), h.view(toks[j])) < 0
 	})
 	nh := New(h.collation)
 	nh.buf = make([]byte, 0, len(h.buf))
 	remap := make(map[uint64]uint64, len(toks))
 	for _, old := range toks {
-		remap[old] = nh.Append(h.Get(old))
+		remap[old] = nh.Append(h.view(old))
 	}
 	nh.sorted = true
 	return nh, remap
@@ -173,7 +212,7 @@ func (h *Heap) IsSortedOrder() bool {
 	for off < len(h.buf) {
 		n := int(uint32(h.buf[off]) | uint32(h.buf[off+1])<<8 |
 			uint32(h.buf[off+2])<<16 | uint32(h.buf[off+3])<<24)
-		s := string(h.buf[off+elemHeader : off+elemHeader+n])
+		s := h.view(uint64(off))
 		if !first && h.collation.Compare(prev, s) > 0 {
 			return false
 		}

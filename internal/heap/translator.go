@@ -108,14 +108,15 @@ func (t *Translator) one(s *source, src *Heap, tok uint64) uint64 {
 	}
 }
 
-// intern reads tok's bytes and homes them — the cost a memo hit avoids. A
-// token outside src reads as the empty string, as Heap.Get has it.
+// intern reads tok's bytes in place and homes them — the cost a memo hit
+// avoids. A token outside src reads as the empty string, as Heap.Get has
+// it.
 func (t *Translator) intern(src *Heap, tok uint64) uint64 {
 	t.Interned++
 	if t.acc == nil {
-		return t.dst.Append(src.Get(tok))
+		return t.dst.Append(src.view(tok))
 	}
-	return t.acc.Intern(src.Get(tok))
+	return t.acc.Intern(src.view(tok))
 }
 
 // memoFor finds src's memo or starts one; nil means translate directly,

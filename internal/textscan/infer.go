@@ -75,11 +75,12 @@ func sampleRows(data []byte, n int) [][]byte {
 	return lines
 }
 
-// splitFields tokenizes one record. A trailing separator (TPC-H .tbl
-// style) does not produce an empty final field. Minimal quote support:
-// a field starting with '"' runs to the closing quote, with "" escapes.
+// splitFields tokenizes one record, appending its fields to out. A
+// trailing separator (TPC-H .tbl style) does not produce an empty final
+// field. Minimal quote support: a field starting with '"' runs to the
+// closing quote, with "" escapes. Fields are slices of line; only a field
+// holding an escape is copied.
 func splitFields(line []byte, sep byte, out [][]byte) [][]byte {
-	out = out[:0]
 	i := 0
 	for i <= len(line) {
 		if i == len(line) {
@@ -91,7 +92,7 @@ func splitFields(line []byte, sep byte, out [][]byte) [][]byte {
 		}
 		if i < len(line) && line[i] == '"' {
 			j := i + 1
-			var field []byte
+			var field []byte // nil until an escape forces a copy
 			for j < len(line) {
 				if line[j] == '"' {
 					if j+1 < len(line) && line[j+1] == '"' {
@@ -104,7 +105,11 @@ func splitFields(line []byte, sep byte, out [][]byte) [][]byte {
 				}
 				j++
 			}
-			field = append(field, line[i+1:j]...)
+			if field == nil {
+				field = line[i+1 : j]
+			} else {
+				field = append(field, line[i+1:j]...)
+			}
 			out = append(out, field)
 			// Skip to past the next separator.
 			j++

@@ -3,7 +3,6 @@ package textscan
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"tde/internal/exec"
@@ -12,11 +11,12 @@ import (
 
 // The parallel import pipeline (Sect. 5.1.2) replaces per-column
 // goroutines with morsel parallelism over row blocks: one producer owns
-// the byte cursor and tokenizes line batches; workers split fields and
-// parse all columns of their batch into private blocks; the consumer
-// (TextScan.Next) reassembles the stream in input order, so a parallel
-// import is byte-identical to a serial one. Finished blocks are recycled
-// through a free list to keep the steady-state allocation rate flat.
+// the byte cursor and tokenizes line batches; workers split fields into
+// a private reused slab and parse all columns of their batch into private
+// blocks; the consumer (TextScan.Next) reassembles the stream in input
+// order, so a parallel import is byte-identical to a serial one. Finished
+// blocks are recycled through a free list to keep the steady-state
+// allocation rate flat.
 
 // lineBatch is one morsel: up to BlockSize raw lines (slices into the
 // immutable input buffer).
@@ -42,7 +42,9 @@ type pipeline struct {
 	errMu sync.Mutex
 	err   error
 
-	pending []parsedBlock // reorder buffer
+	// pending is the reorder buffer: pending[i] holds block nextSeq+i, nil
+	// until it arrives (sequence numbers are dense).
+	pending []*vec.Block
 	nextSeq int
 }
 
@@ -97,14 +99,7 @@ func (ts *TextScan) startPipeline(qc *exec.QueryCtx) {
 				return
 			default:
 			}
-			lines := make([][]byte, 0, vec.BlockSize)
-			for len(lines) < vec.BlockSize {
-				line, ok := ts.nextLine()
-				if !ok {
-					break
-				}
-				lines = append(lines, line)
-			}
+			lines := ts.readBatch(make([][]byte, 0, vec.BlockSize))
 			if len(lines) == 0 {
 				return
 			}
@@ -128,21 +123,13 @@ func (ts *TextScan) startPipeline(qc *exec.QueryCtx) {
 			defer p.all.Done()
 			defer wg.Done()
 			defer p.contain("worker")
+			var sp splitter
 			for batch := range work {
 				if p.loadErr() != nil {
 					continue // keep draining so the producer never blocks
 				}
-				rows := make([][][]byte, 0, len(batch.lines))
-				for _, line := range batch.lines {
-					rows = append(rows, splitFields(line, ts.sep, nil))
-				}
 				b := p.getBlock()
-				n := len(rows)
-				ensure(b, len(ts.specs), n)
-				for c := range ts.specs {
-					ts.parseColumn(c, rows, b)
-				}
-				b.N = n
+				ts.parseBlock(sp.split(batch.lines, ts.sep), b)
 				select {
 				case out <- parsedBlock{seq: batch.seq, b: b}:
 				case <-done:
@@ -210,22 +197,24 @@ func (p *pipeline) next(b *vec.Block) (bool, error) {
 		if err := p.loadErr(); err != nil {
 			return false, err
 		}
-		if len(p.pending) > 0 && p.pending[0].seq == p.nextSeq {
-			pb := p.pending[0]
-			p.pending = p.pending[1:]
+		if len(p.pending) > 0 && p.pending[0] != nil {
+			src := p.pending[0]
+			copy(p.pending, p.pending[1:])
+			p.pending[len(p.pending)-1] = nil
+			p.pending = p.pending[:len(p.pending)-1]
 			p.nextSeq++
-			p.emit(pb.b, b)
+			p.emit(src, b)
 			return true, nil
 		}
 		pb, ok := <-p.out
 		if !ok {
-			if len(p.pending) > 0 && p.pending[0].seq == p.nextSeq {
-				continue
-			}
 			return false, p.loadErr()
 		}
-		p.pending = append(p.pending, pb)
-		sort.Slice(p.pending, func(i, j int) bool { return p.pending[i].seq < p.pending[j].seq })
+		i := pb.seq - p.nextSeq
+		for len(p.pending) <= i {
+			p.pending = append(p.pending, nil)
+		}
+		p.pending[i] = pb.b
 	}
 }
 

@@ -52,6 +52,34 @@ func TestPipelineExactOrder(t *testing.T) {
 	}
 }
 
+// TestWorkerBlockParseAllocations pins what one worker spends on a block:
+// fields go to the reused slab and strings straight into the block heap,
+// so the allocations are the heaps' own (a new heap per string column and
+// its presized buffer) — a constant, not one or more per row.
+func TestWorkerBlockParseAllocations(t *testing.T) {
+	ts, err := New(pipelineTestData(vec.BlockSize), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.lineEnd() // header
+	lines := ts.readBatch(nil)
+	if len(lines) != vec.BlockSize {
+		t.Fatalf("batch of %d lines, want %d", len(lines), vec.BlockSize)
+	}
+	var sp splitter
+	b := vec.NewBlock(len(ts.specs))
+	ts.parseBlock(sp.split(lines, ts.sep), b) // grow the slab and the block
+	allocs := testing.AllocsPerRun(20, func() { ts.parseBlock(sp.split(lines, ts.sep), b) })
+	const perStringColumn = 2 // heap.New and its one presized buffer
+	if allocs > perStringColumn {
+		t.Fatalf("one block parse allocates %.0f times (%d rows, one string column), want <= %d",
+			allocs, len(lines), perStringColumn)
+	}
+	if b.N != len(lines) || ts.specs[3].Name != "tag" || b.Vecs[3].Heap.Get(b.Vecs[3].Data[7]) != "tag7" {
+		t.Fatalf("parsed block is wrong: N=%d specs=%v", b.N, ts.specs)
+	}
+}
+
 // TestPipelineCancel cancels mid-import and checks the error surfaces and
 // every goroutine joins on Close.
 func TestPipelineCancel(t *testing.T) {

@@ -1,6 +1,7 @@
 package textscan
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 
@@ -48,11 +49,11 @@ type TextScan struct {
 	specs  []ColumnSpec
 	header bool
 
-	at     int // byte offset of the next record
-	fields [][]byte
-	rows   [][][]byte
-	qc     *exec.QueryCtx
-	pipe   *pipeline // parallel parse pipeline (opt.Parallel), nil = serial
+	at    int // byte offset of the next record
+	lines [][]byte
+	slab  splitter
+	qc    *exec.QueryCtx
+	pipe  *pipeline // parallel parse pipeline (opt.Parallel), nil = serial
 }
 
 // Open prepares iteration; inference already ran in New.
@@ -65,7 +66,7 @@ func (ts *TextScan) Open(qc *exec.QueryCtx) error {
 	ts.qc = qc
 	ts.at = 0
 	if ts.header {
-		ts.skipLine()
+		ts.lineEnd() // skip it
 	}
 	if ts.opt.Parallel {
 		// The producer goroutine owns the cursor from here until Close.
@@ -179,35 +180,68 @@ func (ts *TextScan) HasHeader() bool { return ts.header }
 // Schema implements exec.Operator.
 func (ts *TextScan) Schema() []exec.ColInfo { return ts.schema }
 
-func (ts *TextScan) skipLine() {
-	for ts.at < len(ts.data) && ts.data[ts.at] != '\n' {
-		ts.at++
+// lineEnd moves the cursor past the current line and returns where the
+// line's bytes end.
+func (ts *TextScan) lineEnd() int {
+	i := bytes.IndexByte(ts.data[ts.at:], '\n')
+	if i < 0 {
+		ts.at = len(ts.data)
+		return ts.at
 	}
-	if ts.at < len(ts.data) {
-		ts.at++
-	}
+	end := ts.at + i
+	ts.at = end + 1
+	return end
 }
 
-// nextLine returns the next record without the line terminator.
+// nextLine returns the next record without the line terminator, skipping
+// blank lines.
 func (ts *TextScan) nextLine() ([]byte, bool) {
-	if ts.at >= len(ts.data) {
-		return nil, false
+	for ts.at < len(ts.data) {
+		start := ts.at
+		end := ts.lineEnd()
+		if end > start && ts.data[end-1] == '\r' {
+			end--
+		}
+		if end > start {
+			return ts.data[start:end], true
+		}
 	}
-	start := ts.at
-	for ts.at < len(ts.data) && ts.data[ts.at] != '\n' {
-		ts.at++
+	return nil, false
+}
+
+// readBatch appends up to BlockSize records to lines.
+func (ts *TextScan) readBatch(lines [][]byte) [][]byte {
+	for len(lines) < vec.BlockSize {
+		line, ok := ts.nextLine()
+		if !ok {
+			break
+		}
+		lines = append(lines, line)
 	}
-	end := ts.at
-	if ts.at < len(ts.data) {
-		ts.at++
+	return lines
+}
+
+// splitter splits a batch of records into one reused slab of fields, so
+// tokenizing a block allocates nothing once the slab has grown.
+type splitter struct {
+	fields [][]byte   // every field of the batch, row after row
+	ends   []int      // ends[r]: row r's fields end at fields[ends[r]]
+	rows   [][][]byte // row r's fields, slices of the slab
+}
+
+// split tokenizes lines; the rows it returns live until the next split.
+func (s *splitter) split(lines [][]byte, sep byte) [][][]byte {
+	s.fields, s.ends, s.rows = s.fields[:0], s.ends[:0], s.rows[:0]
+	for _, line := range lines {
+		s.fields = splitFields(line, sep, s.fields)
+		s.ends = append(s.ends, len(s.fields))
 	}
-	if end > start && ts.data[end-1] == '\r' {
-		end--
+	start := 0
+	for _, end := range s.ends {
+		s.rows = append(s.rows, s.fields[start:end:end])
+		start = end
 	}
-	if end == start {
-		return ts.nextLine() // skip blank lines
-	}
-	return ts.data[start:end], true
+	return s.rows
 }
 
 // Next implements exec.Operator: tokenize a block of rows, then parse
@@ -221,28 +255,21 @@ func (ts *TextScan) Next(b *vec.Block) (bool, error) {
 	if ts.pipe != nil {
 		return ts.pipe.next(b)
 	}
-	// Gather up to BlockSize tokenized rows.
-	if ts.rows == nil {
-		ts.rows = make([][][]byte, 0, vec.BlockSize)
-	}
-	ts.rows = ts.rows[:0]
-	for len(ts.rows) < vec.BlockSize {
-		line, ok := ts.nextLine()
-		if !ok {
-			break
-		}
-		ts.rows = append(ts.rows, splitFields(line, ts.sep, nil))
-	}
-	if len(ts.rows) == 0 {
+	ts.lines = ts.readBatch(ts.lines[:0])
+	if len(ts.lines) == 0 {
 		return false, nil
 	}
-	n := len(ts.rows)
-	ensure(b, len(ts.specs), n)
-	for c := range ts.specs {
-		ts.parseColumn(c, ts.rows, b)
-	}
-	b.N = n
+	ts.parseBlock(ts.slab.split(ts.lines, ts.sep), b)
 	return true, nil
+}
+
+// parseBlock parses every column of the tokenized rows into b.
+func (ts *TextScan) parseBlock(rows [][][]byte, b *vec.Block) {
+	ensure(b, len(ts.specs), len(rows))
+	for c := range ts.specs {
+		ts.parseColumn(c, rows, b)
+	}
+	b.N = len(rows)
 }
 
 func ensure(b *vec.Block, cols, n int) {
@@ -308,13 +335,20 @@ func (ts *TextScan) parseColumn(c int, rows [][][]byte, b *vec.Block) {
 		}
 		h := heap.New(ts.opt.Collation)
 		v.Heap = h
+		elems, size := 0, 0
+		for _, r := range rows {
+			if f := fieldAt(r, c); len(f) > 0 {
+				elems, size = elems+1, size+len(f)
+			}
+		}
+		h.Grow(elems, size)
 		for i, r := range rows {
 			f := fieldAt(r, c)
 			if len(f) == 0 {
 				v.Data[i] = types.NullToken
 				continue
 			}
-			v.Data[i] = h.Append(string(f))
+			v.Data[i] = h.AppendBytes(f)
 		}
 	}
 }
@@ -385,7 +419,7 @@ func (ts *TextScan) Close() error {
 		ts.pipe.stop()
 		ts.pipe = nil
 	}
-	ts.rows = nil
+	ts.lines, ts.slab = nil, splitter{}
 	return nil
 }
 
