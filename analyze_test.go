@@ -54,7 +54,9 @@ func twoJoinSpillDB(t testing.TB) *Database {
 	return db
 }
 
-const twoJoinSpillSQL = "SELECT d1v, COUNT(*), SUM(v) FROM f " +
+// Each join carries a payload column: a join builds only the columns the
+// query reads, and a key alone would fit the budget.
+const twoJoinSpillSQL = "SELECT d1v, COUNT(*), SUM(v), MAX(d2v) FROM f " +
 	"JOIN d1 ON k1 = d1k JOIN d2 ON k2 = d2k GROUP BY d1v"
 
 // TestTwoJoinSpillStatsDistinct is the regression test for the operator

@@ -56,7 +56,7 @@ func TestDifferentialSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, budget := range []int64{256 << 10, 1 << 20} {
+	for _, budget := range []int64{256 << 10, 384 << 10} {
 		cfg := DefaultConfig(11, queries)
 		cfg.MemoryBudget = budget
 		cfg.SpillBudget = 1 << 30

@@ -111,15 +111,34 @@ func flightsWhere(rng *rand.Rand) string {
 	}
 }
 
-func joinWhere(rng *rand.Rand) string {
-	switch rng.Intn(3) {
+// joinWhere draws a lineitem-orders filter; q qualifies a column name for
+// the query's shape. The l_shipdate bound sits in the first days of the
+// generated domain, so few rows qualify.
+func joinWhere(rng *rand.Rand, q func(string) string) string {
+	switch rng.Intn(4) {
 	case 0:
-		return fmt.Sprintf("o_totalprice > %d", 10000+1000*rng.Intn(100))
+		return fmt.Sprintf("%s > %d", q("o_totalprice"), 10000+1000*rng.Intn(100))
 	case 1:
-		return fmt.Sprintf("l_quantity > %d", 1+rng.Intn(45))
+		return fmt.Sprintf("%s > %d", q("l_quantity"), 1+rng.Intn(45))
+	case 2:
+		return fmt.Sprintf("%s < DATE '1992-01-%02d'", q("l_shipdate"), 2+rng.Intn(8))
 	default:
-		return fmt.Sprintf("o_orderstatus = '%s'", []string{"F", "O", "P"}[rng.Intn(3)])
+		return fmt.Sprintf("%s = '%s'", q("o_orderstatus"), []string{"F", "O", "P"}[rng.Intn(3)])
 	}
+}
+
+// qualifyTPCH qualifies a lineitem or orders column with the aliased
+// join shape's table alias (l, o).
+func qualifyTPCH(name string) string { return name[:1] + "." + name }
+
+func bareName(name string) string { return name }
+
+func qualifyCols(cols []colDef, q func(string) string) []colDef {
+	out := make([]colDef, len(cols))
+	for i, c := range cols {
+		out[i] = colDef{q(c.name), c.kind}
+	}
+	return out
 }
 
 // groupQuery: [keys,] aggs FROM table [WHERE ...] [GROUP BY keys]
@@ -159,10 +178,19 @@ func groupQuery(rng *rand.Rand, table string, groupCols, aggCols []colDef,
 	return sb.String()
 }
 
+// joinQuery draws a join of lineitem to orders — with bare names, or
+// aliased with qualified references — or to the duplicate- and NULL-keyed
+// modes dimension.
 func joinQuery(rng *rand.Rand) string {
-	dim, on, groups, aggs, where := "orders", "l_orderkey = o_orderkey", joinGroupCols, joinAggCols, joinWhere
-	if rng.Intn(3) == 0 {
-		dim, on, groups, aggs, where = "modes", "l_shipmode = m_mode", modesGroupCols, modesAggCols, lineitemWhere
+	from, on, groups, aggs := "lineitem %s orders", "l_orderkey = o_orderkey", joinGroupCols, joinAggCols
+	where := func(rng *rand.Rand) string { return joinWhere(rng, bareName) }
+	switch rng.Intn(3) {
+	case 0:
+		from, on, groups, aggs, where = "lineitem %s modes", "l_shipmode = m_mode", modesGroupCols, modesAggCols, lineitemWhere
+	case 1:
+		from, on = "lineitem l %s orders o", "l.l_orderkey = o.o_orderkey"
+		groups, aggs = qualifyCols(joinGroupCols, qualifyTPCH), qualifyCols(joinAggCols, qualifyTPCH)
+		where = func(rng *rand.Rand) string { return joinWhere(rng, qualifyTPCH) }
 	}
 	keys := pickCols(rng, groups, 1+rng.Intn(2))
 	items := append([]string{}, keys...)
@@ -176,7 +204,7 @@ func joinQuery(rng *rand.Rand) string {
 		join = "LEFT JOIN"
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "SELECT %s FROM lineitem %s %s ON %s", strings.Join(items, ", "), join, dim, on)
+	fmt.Fprintf(&sb, "SELECT %s FROM %s ON %s", strings.Join(items, ", "), fmt.Sprintf(from, join), on)
 	if rng.Intn(2) == 0 {
 		fmt.Fprintf(&sb, " WHERE %s", where(rng))
 	}

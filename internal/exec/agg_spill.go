@@ -566,16 +566,18 @@ func (e *aggEmitter) startMerge(p aggPartition) error {
 	var runs []string
 	var rows [][]uint64
 	hs := make([]*heap.Heap, nc)
-	accs := make([]*heap.Accelerator, nc)
+	trs := make([]*heap.Translator, nc)
 	resetHeaps := func() {
+		releaseTranslators(trs)
 		for c, s := range sp.rowSpecs {
 			if s.Str {
 				hs[c] = heap.New(s.Collation)
-				accs[c] = heap.NewAccelerator(hs[c], 0)
+				trs[c] = heap.NewTranslator(hs[c], heap.NewAccelerator(hs[c], 0), sp.qc, sp.st.kind)
 			}
 		}
 	}
 	resetHeaps()
+	defer releaseTranslators(trs)
 	charged, heapBytes := 0, 0
 	release := func() {
 		sp.qc.Release(charged)
@@ -614,8 +616,8 @@ func (e *aggEmitter) startMerge(p aggPartition) error {
 			row := make([]uint64, nc)
 			for c := 0; c < nc; c++ {
 				v := ch.Cols[c].Values[i]
-				if sp.rowSpecs[c].Str && v != types.NullToken {
-					v = accs[c].Intern(ch.Cols[c].Heap.Get(v))
+				if trs[c] != nil {
+					v = trs[c].One(ch.Cols[c].Heap, v)
 				}
 				row[c] = v
 			}

@@ -272,6 +272,12 @@ func (j *HashJoin) indexBuilt(qc *QueryCtx) error {
 			p.index[idx] = int32(r + 1)
 		}
 	}
+	// The envelope index answers every probe on its own; the flat key
+	// column was only its input.
+	n := len(p.cols[p.key]) * 8
+	p.cols[p.key] = nil
+	p.charged -= n
+	qc.Release(n)
 	return nil
 }
 

@@ -219,27 +219,23 @@ func (g *graceJoin) loadInner(paths []string) (*joinPart, error) {
 	p := &joinPart{info: append([]ColInfo{}, g.innerInfo...), cols: make([][]uint64, nc),
 		key: g.j.innerKey, algo: JoinHash, keyStr: g.keyStr, coll: g.coll, nullRow: -1}
 	heaps := make([]*heap.Heap, nc)
-	accs := make([]*heap.Accelerator, nc)
+	trs := make([]*heap.Translator, nc)
 	for c, s := range g.innerSpecs {
 		if s.Str {
 			heaps[c] = heap.New(s.Collation)
-			accs[c] = heap.NewAccelerator(heaps[c], 0)
+			trs[c] = heap.NewTranslator(heaps[c], heap.NewAccelerator(heaps[c], 0), g.qc, "HashJoin")
 			p.info[c].Heap = heaps[c]
 		}
 	}
+	defer releaseTranslators(trs)
 	heapBytes := 0
 	err := readChunks(g.mgr, paths, &g.stats.IO, func(ch *spill.Chunk) error {
 		for c := 0; c < nc; c++ {
 			col := ch.Cols[c]
-			if accs[c] == nil {
-				p.cols[c] = append(p.cols[c], col.Values[:ch.Rows]...)
-				continue
-			}
-			for _, v := range col.Values[:ch.Rows] {
-				if v != types.NullToken {
-					v = accs[c].Intern(col.Heap.Get(v))
-				}
-				p.cols[c] = append(p.cols[c], v)
+			at := len(p.cols[c])
+			p.cols[c] = append(p.cols[c], col.Values[:ch.Rows]...)
+			if trs[c] != nil {
+				trs[c].Translate(col.Heap, p.cols[c][at:], p.cols[c][at:])
 			}
 		}
 		p.rows += ch.Rows

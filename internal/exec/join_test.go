@@ -382,3 +382,50 @@ func TestGraceJoinMaterializesRunBlocks(t *testing.T) {
 	rowsEqual(t, want, got, "grace over a run-emitting outer")
 	qc.CleanupSpill()
 }
+
+// TestDirectJoinDropsKeyColumn: a direct join probes its envelope index
+// alone, so once the index is built the flat key column is gone and its
+// rows × 8 bytes are back with the accountant. The join holds exactly the
+// index slots and whatever flat payload columns it decoded.
+func TestDirectJoinDropsKeyColumn(t *testing.T) {
+	rg := joinRegime{name: "direct", want: JoinDirect, shuffled: true, noNulls: true,
+		key: func(i int) string { return strconv.Itoa(100 + i) }}
+	fx := newJoinFixture(rg, joinDataset{name: "unique"}, 4000, 1500, 1)
+	scan, err := NewScan(fx.fact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dimScan, err := NewScan(fx.dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := NewFlowTable(dimScan, DefaultFlowTableConfig())
+	j := NewHashJoin(scan, ft, 0, 0, JoinAuto)
+	qc := NewQueryCtx(nil, 0)
+	if err := j.Open(qc); err != nil {
+		t.Fatal(err)
+	}
+	p := j.part
+	if j.Algo() != JoinDirect {
+		t.Fatalf("ran as %v, want direct", j.Algo())
+	}
+	if p.cols[p.key] != nil {
+		t.Fatal("the direct join kept its flat key column")
+	}
+	held := len(p.index) * 4
+	for _, col := range p.cols {
+		held += len(col) * 8
+	}
+	if p.charged != held {
+		t.Errorf("the join accounts %d bytes and holds %d", p.charged, held)
+	}
+	if got, want := qc.Used(), int64(ft.cost+held); got != want {
+		t.Errorf("query charged %d bytes, want %d (FlowTable %d + join %d)", got, want, ft.cost, held)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if qc.Used() != 0 {
+		t.Errorf("%d bytes still charged after Close", qc.Used())
+	}
+}

@@ -33,7 +33,7 @@ type Sort struct {
 
 	cols  [][]uint64
 	heaps []*heap.Heap // unified output heap per string column
-	accs  []*heap.Accelerator
+	trs   []*heap.Translator
 	order []int32
 	at    int
 
@@ -86,16 +86,27 @@ func (s *Sort) charge(n int) error {
 // initBuffers (re)creates the accumulation buffers, fresh heaps included.
 func (s *Sort) initBuffers() {
 	nc := len(s.schema)
+	releaseTranslators(s.trs)
 	s.cols = make([][]uint64, nc)
 	s.heaps = make([]*heap.Heap, nc)
-	s.accs = make([]*heap.Accelerator, nc)
+	s.trs = make([]*heap.Translator, nc)
 	for c, info := range s.schema {
 		if info.Type == types.String {
 			s.heaps[c] = heap.New(collationOf(info))
-			s.accs[c] = heap.NewAccelerator(s.heaps[c], 0)
+			s.trs[c] = heap.NewTranslator(s.heaps[c], heap.NewAccelerator(s.heaps[c], 0), s.qc, "Sort")
 		}
 	}
 	s.heapBytes = 0
+}
+
+// releaseTranslators returns the memos of a set of per-column translators
+// (nil entries for non-string columns) to their budget.
+func releaseTranslators(trs []*heap.Translator) {
+	for _, tr := range trs {
+		if tr != nil {
+			tr.Release()
+		}
+	}
 }
 
 // OpKind implements Instrumented.
@@ -126,6 +137,7 @@ func (s *Sort) Open(qc *QueryCtx) (err error) {
 	}
 	defer s.child.Close()
 	s.initBuffers()
+	defer func() { releaseTranslators(s.trs) }() // the memos die with the input
 	nc := len(s.schema)
 	b := vec.NewBlock(nc)
 	for {
@@ -139,17 +151,10 @@ func (s *Sort) Open(qc *QueryCtx) (err error) {
 		b.Materialize() // late-decode boundary: sort buffers plain columns
 		for c := 0; c < nc; c++ {
 			v := &b.Vecs[c]
-			if s.heaps[c] != nil {
-				for i := 0; i < b.N; i++ {
-					tok := v.Data[i]
-					if tok == types.NullToken {
-						s.cols[c] = append(s.cols[c], types.NullToken)
-					} else {
-						s.cols[c] = append(s.cols[c], s.accs[c].Intern(v.Heap.Get(tok)))
-					}
-				}
-			} else {
-				s.cols[c] = append(s.cols[c], v.Data[:b.N]...)
+			at := len(s.cols[c])
+			s.cols[c] = append(s.cols[c], v.Data[:b.N]...)
+			if s.trs[c] != nil {
+				s.trs[c].Translate(v.Heap, s.cols[c][at:], s.cols[c][at:])
 			}
 		}
 		// Sort buffers its whole input: charge the materialized block plus
@@ -462,7 +467,7 @@ func (s *Sort) cleanup() {
 	s.runs = nil
 	s.cols = nil
 	s.order = nil
-	s.accs = nil
+	s.trs = nil
 	s.qc.Release(s.charged)
 	s.charged = 0
 }

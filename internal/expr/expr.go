@@ -170,14 +170,25 @@ func (c *Cmp) Eval(b *vec.Block, out *vec.Vector) {
 		c.evalString(b, lv, rv, out)
 		return
 	}
+	rt := c.R.Type()
 	for i := 0; i < b.N; i++ {
 		a, bb := lv.Value(i), rv.Value(i)
-		if types.IsNull(t, a) || types.IsNull(t, bb) {
+		if types.IsNull(t, a) || types.IsNull(rt, bb) {
 			out.Data[i] = types.NullBoolean
 			continue
 		}
-		out.Data[i] = types.FromBool(c.Op.match(types.Compare(t, a, bb)))
+		out.Data[i] = types.FromBool(c.Op.match(compareMixed(t, a, rt, bb)))
 	}
+}
+
+// compareMixed compares a of type lt with b of type rt: as reals when
+// exactly one side is real, the promotion arithmetic applies too
+// (o_totalprice > 150000), otherwise in lt's domain.
+func compareMixed(lt types.Type, a uint64, rt types.Type, b uint64) int {
+	if lt != rt && (lt == types.Real || rt == types.Real) {
+		return types.Compare(types.Real, types.FromReal(asReal(lt, a)), types.FromReal(asReal(rt, b)))
+	}
+	return types.Compare(lt, a, b)
 }
 
 func (c *Cmp) evalString(b *vec.Block, lv, rv *vec.Vector, out *vec.Vector) {

@@ -27,6 +27,25 @@ func intBlock(cols ...[]int64) *vec.Block {
 	return b
 }
 
+// TestCmpRealAgainstInteger: a real column against an integer literal
+// compares values, not bit patterns (o_totalprice > 150000), and so does
+// folding two such literals.
+func TestCmpRealAgainstInteger(t *testing.T) {
+	b := &vec.Block{N: 3, Vecs: []vec.Vector{{Type: types.Real,
+		Data: []uint64{types.FromReal(149999.5), types.FromReal(150000.25), types.NullBits(types.Real)}}}}
+	got := evalBlock(NewCmp(GT, NewColRef(0, "p", types.Real), NewIntConst(150000)), b)
+	if got[0] != 0 || got[1] != 1 || got[2] != types.NullBoolean {
+		t.Errorf("real > integer literal: %v", got)
+	}
+	got = evalBlock(NewCmp(LT, NewIntConst(150000), NewColRef(0, "p", types.Real)), b)
+	if got[0] != 0 || got[1] != 1 || got[2] != types.NullBoolean {
+		t.Errorf("integer literal < real: %v", got)
+	}
+	if c, ok := Simplify(NewCmp(LT, NewIntConst(1), NewRealConst(1.5))).(*Const); !ok || c.Bits != types.FromBool(true) {
+		t.Errorf("1 < 1.5 folded to %v", c)
+	}
+}
+
 func TestCmpIntegers(t *testing.T) {
 	b := intBlock([]int64{1, 5, -3, types.NullInteger})
 	e := NewCmp(GT, NewColRef(0, "a", types.Integer), NewIntConst(0))

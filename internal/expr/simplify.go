@@ -65,7 +65,7 @@ func foldCmp(op CmpOp, l, r *Const) Expr {
 	if l.Typ == types.String && r.Typ == types.String {
 		return NewBoolConst(op.match(types.CollateBinary.Compare(l.Str, r.Str)))
 	}
-	return NewBoolConst(op.match(types.Compare(l.Typ, l.Bits, r.Bits)))
+	return NewBoolConst(op.match(compareMixed(l.Typ, l.Bits, r.Typ, r.Bits)))
 }
 
 func foldLogic(op LogicOp, l, r Expr) Expr {

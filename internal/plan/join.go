@@ -48,39 +48,31 @@ type JoinQuery struct {
 // BuildJoin plans a JoinQuery: scan the fact table, hash-join each
 // dimension (inner sides materialized by FlowTables with the Sect. 4.3
 // RLE restriction), then apply the usual filter/compute/aggregate tail.
+// Every side's scan reads only the columns the query touches (joinSides).
 // Tactical join-algorithm upgrades (fetch/direct) happen per join from
 // the dimensions' FlowTable metadata.
 func BuildJoin(q JoinQuery, opt Options) (exec.Operator, *Explain, error) {
 	ex := &Explain{}
-	scan, err := newTableScan(q.Fact, q.FactDelta, ex)
+	sides, err := joinSides(q)
 	if err != nil {
 		return nil, nil, err
 	}
-	var op exec.Operator = aliasOp{Operator: scan, prefix: q.FactAlias}
-
-	for _, j := range q.Joins {
-		innerScan, err := newTableScan(j.Table, j.Delta, nil)
+	op, err := sides[0].scan(ex)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, j := range q.Joins {
+		dim := sides[i+1]
+		inner, err := dim.scan(nil)
 		if err != nil {
 			return nil, nil, err
 		}
 		cfg := exec.DefaultFlowTableConfig()
 		cfg.DisallowRLE = true // hash-join inner restriction (Sect. 4.3)
-		ft := exec.NewFlowTable(aliasOp{Operator: innerScan, prefix: j.Alias}, cfg)
-		outerIdx := colIndex(op.Schema(), j.OuterKey)
-		if outerIdx < 0 {
-			return nil, nil, fmt.Errorf("plan: join key %q not in outer schema", j.OuterKey)
-		}
-		innerIdx := -1
-		for i, info := range ft.Schema() {
-			if info.Name == qualify(j.Alias, j.InnerKey) || info.Name == j.InnerKey {
-				innerIdx = i
-				break
-			}
-		}
-		if innerIdx < 0 {
-			return nil, nil, fmt.Errorf("plan: join key %q not in table %q", j.InnerKey, j.Table.Name)
-		}
-		join := exec.NewHashJoin(op, ft, outerIdx, innerIdx, exec.JoinAuto)
+		ft := exec.NewFlowTable(inner, cfg)
+		innerKey := qualify(j.Alias, j.Table.Columns[dim.key].Name)
+		join := exec.NewHashJoin(op, ft, colIndex(op.Schema(), j.OuterKey),
+			colIndex(ft.Schema(), innerKey), exec.JoinAuto)
 		join.LeftOuter = j.LeftOuter
 		kind := "Join"
 		if j.LeftOuter {
@@ -122,6 +114,85 @@ func BuildJoin(q JoinQuery, opt Options) (exec.Operator, *Explain, error) {
 	}
 	ex.Tree = exec.AssignOpIDs(op)
 	return op, ex, nil
+}
+
+// joinSide is one input of a star join — the fact table (side 0) or a
+// dimension — and the stored columns the query needs of it.
+type joinSide struct {
+	table  *storage.Table
+	delta  *delta.View
+	alias  string
+	key    int // the dimension's inner key column; -1 on the fact side
+	needed []bool
+}
+
+// joinSides resolves the query's column references against the sides and
+// marks the columns each side must read: everything neededColumns lists,
+// every join's outer key, and every dimension's inner key.
+func joinSides(q JoinQuery) ([]*joinSide, error) {
+	sides := []*joinSide{{table: q.Fact, delta: q.FactDelta, alias: q.FactAlias, key: -1,
+		needed: make([]bool, len(q.Fact.Columns))}}
+	for _, j := range q.Joins {
+		s := &joinSide{table: j.Table, delta: j.Delta, alias: j.Alias, key: -1,
+			needed: make([]bool, len(j.Table.Columns))}
+		for ci, c := range j.Table.Columns {
+			if c.Name == j.InnerKey || qualify(j.Alias, c.Name) == j.InnerKey {
+				s.key = ci
+				break
+			}
+		}
+		if s.key < 0 {
+			return nil, fmt.Errorf("plan: join key %q not in table %q", j.InnerKey, j.Table.Name)
+		}
+		s.needed[s.key] = true
+		sides = append(sides, s)
+	}
+	for i, j := range q.Joins {
+		// The outer key names a column of the joined schema so far.
+		si, ci := resolveColumn(sides[:i+1], j.OuterKey)
+		if si < 0 {
+			return nil, fmt.Errorf("plan: join key %q not in outer schema", j.OuterKey)
+		}
+		sides[si].needed[ci] = true
+	}
+	for _, n := range neededColumns(Query{Where: q.Where, Compute: q.Compute,
+		GroupBy: q.GroupBy, Aggs: q.Aggs, Select: q.Select, OrderBy: q.OrderBy}) {
+		// An unresolved name fails later, where the tail binds it.
+		if si, ci := resolveColumn(sides, n); si >= 0 {
+			sides[si].needed[ci] = true
+		}
+	}
+	return sides, nil
+}
+
+// resolveColumn finds the column a name reads in the joined schema — each
+// side's columns in order, alias-qualified, without a dimension's inner
+// key (the join drops it) — taking the first match, as binding does.
+func resolveColumn(sides []*joinSide, name string) (side, col int) {
+	for si, s := range sides {
+		for ci, c := range s.table.Columns {
+			if ci != s.key && qualify(s.alias, c.Name) == name {
+				return si, ci
+			}
+		}
+	}
+	return -1, -1
+}
+
+// scan reads the side's needed columns under its alias; ex, when set,
+// records the scan step.
+func (s *joinSide) scan(ex *Explain) (exec.Operator, error) {
+	var cols []string
+	for ci, c := range s.table.Columns {
+		if s.needed[ci] {
+			cols = append(cols, c.Name)
+		}
+	}
+	scan, err := newTableScan(s.table, s.delta, ex, cols...)
+	if err != nil {
+		return nil, err
+	}
+	return aliasOp{Operator: scan, prefix: s.alias}, nil
 }
 
 func qualify(alias, name string) string {

@@ -165,6 +165,62 @@ func TestJoinWithAliases(t *testing.T) {
 	}
 }
 
+// TestBuildJoinReadsOnlyTouchedColumns: every side's scan reads the
+// columns the query touches plus the join keys — a chained outer key that
+// nothing else reads included.
+func TestBuildJoinReadsOnlyTouchedColumns(t *testing.T) {
+	const n = 2000
+	fact, dim := starSchema(t, n)
+	fact.Columns = append(fact.Columns, intColumn("unused", types.Integer, make([]int64, n)))
+	next := make([]int64, dim.Rows())
+	for i := range next {
+		next[i] = int64(i % 7)
+	}
+	dim.Columns = append(dim.Columns, intColumn("next", types.Integer, next))
+	hop := &storage.Table{Name: "hop", Columns: []*storage.Column{
+		intColumn("id", types.Integer, []int64{0, 1, 2, 3, 4, 5, 6}),
+		intColumn("label", types.Integer, []int64{10, 11, 12, 13, 14, 15, 16}),
+		intColumn("junk", types.Integer, make([]int64, 7)),
+	}}
+	q := JoinQuery{
+		Fact: fact,
+		Joins: []JoinSpec{{Table: dim, OuterKey: "fk", InnerKey: "pk"},
+			{Table: hop, OuterKey: "next", InnerKey: "id"}},
+		Where:   expr.NewCmp(expr.GT, expr.NewColRef(-1, "amount", types.Integer), expr.NewIntConst(500)),
+		GroupBy: []string{"label"},
+		Aggs:    []AggItem{{Func: exec.Sum, Col: "amount"}},
+	}
+	op, _, err := BuildJoin(q, Options{ParallelWorkers: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	widths := map[string]int{}
+	var walk func(exec.Operator)
+	walk = func(o exec.Operator) {
+		if a, ok := o.(aliasOp); ok {
+			o = a.Operator
+		}
+		if s, ok := o.(*exec.Scan); ok {
+			widths[s.OpLabel()] = len(s.Schema())
+		}
+		if inst, ok := o.(exec.Instrumented); ok {
+			for _, c := range inst.OpChildren() {
+				walk(c)
+			}
+		}
+	}
+	walk(op)
+	// sales: fk, amount; product: pk, next; hop: id, label.
+	for _, table := range []string{"sales", "product", "hop"} {
+		if widths[table] != 2 {
+			t.Errorf("the %s scan reads %d columns, want 2 (%v)", table, widths[table], widths)
+		}
+	}
+	if _, err := exec.Collect(op); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestJoinErrors(t *testing.T) {
 	fact, dim := starSchema(t, 100)
 	if _, _, err := BuildJoin(JoinQuery{Fact: fact,

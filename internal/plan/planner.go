@@ -229,20 +229,27 @@ func neededColumns(q Query) []string {
 		}
 	}
 	var out []string
-	add := func(n string) {
-		if n != "" && !seen[n] && !computed[n] {
+	input := func(n string) {
+		if n != "" && !seen[n] {
 			seen[n] = true
 			out = append(out, n)
 		}
 	}
+	add := func(n string) {
+		if !computed[n] {
+			input(n)
+		}
+	}
+	// WHERE and the computations run below Compute, over stored columns
+	// only, even where a computed name shadows one.
 	if q.Where != nil {
 		for _, n := range Columns(q.Where) {
-			add(n)
+			input(n)
 		}
 	}
 	for _, c := range q.Compute {
 		for _, n := range Columns(c.E) {
-			add(n)
+			input(n)
 		}
 	}
 	for _, g := range q.GroupBy {

@@ -275,6 +275,8 @@ func (w *Writer) Append(row []uint64, heaps []*heap.Heap) error {
 	for c, spec := range w.specs {
 		v := row[c]
 		if spec.Str && v != types.NullToken {
+			// Not a heap.Translator, unlike the exec re-intern sites: the
+			// writer has no query budget to charge the memos to.
 			v = w.accs[c].Intern(heaps[c].Get(v))
 		}
 		w.cols[c] = append(w.cols[c], v)

@@ -75,7 +75,8 @@ func (ts *TextScan) Open(qc *exec.QueryCtx) error {
 	return nil
 }
 
-// NewFile memory-maps (reads) the file and constructs a TextScan.
+// NewFile reads the whole file into memory (os.ReadFile, no mapping) and
+// constructs a TextScan over it.
 func NewFile(path string, opt Options) (*TextScan, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
