@@ -9,8 +9,10 @@ package difftest
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,6 +73,10 @@ type Report struct {
 	// Spilled counts variant queries that actually degraded to disk
 	// (meaningful only with a MemoryBudget set).
 	Spilled int
+	// Unsplittable counts budget errors the oracle proves unavoidable:
+	// the query aggregates one group whose MEDIAN/COUNTD state alone
+	// exceeds the budget. They are not mismatches.
+	Unsplittable int
 }
 
 // BuildDatabase imports lineitem + orders at the given TPC-H scale factor, the
@@ -166,6 +172,16 @@ func Compare(db *tde.Database, sql string, oracleOpt plan.Options, cfg Config, r
 				SpillBudget:  cfg.SpillBudget,
 			})
 			if err != nil {
+				if cfg.MemoryBudget > 0 && errors.Is(err, tde.ErrBudgetExceeded) {
+					ok, uerr := unsplittable(db, sql, cfg.MemoryBudget)
+					if uerr != nil {
+						return uerr
+					}
+					if ok {
+						rep.Unsplittable++
+						continue
+					}
+				}
 				rep.Mismatches = append(rep.Mismatches, Mismatch{
 					SQL: sql, Opt: opt, Detail: fmt.Sprintf("query error: %v", err)})
 				continue
@@ -179,6 +195,58 @@ func Compare(db *tde.Database, sql string, oracleOpt plan.Options, cfg Config, r
 		}
 	}
 	return nil
+}
+
+// stateAggs finds the MEDIAN and COUNTD aggregates of a generated query
+// and their input columns.
+var stateAggs = regexp.MustCompile(`(MEDIAN|COUNTD)\(([\w.]+)\)`)
+
+// unsplittable reports whether the serial oracle proves a budget error
+// unavoidable: the query aggregates one group — it has no GROUP BY, or
+// its keys alone, with no ORDER BY or LIMIT, answer one row — and the
+// state that group's MEDIAN and COUNTD aggregates hold at once, 16 bytes
+// per non-NULL input value each (the engine's per-row charge), exceeds
+// the budget. No spilling can split one group's state.
+func unsplittable(db *tde.Database, sql string, budget int64) (bool, error) {
+	aggs := stateAggs.FindAllStringSubmatch(sql, -1)
+	if len(aggs) == 0 {
+		return false, nil
+	}
+	// The group's input: the query's FROM and WHERE.
+	from, keys := sql[strings.Index(sql, " FROM "):], ""
+	if i := strings.Index(from, " ORDER BY "); i >= 0 {
+		from = from[:i]
+	}
+	if i := strings.Index(from, " GROUP BY "); i >= 0 {
+		from, keys = from[:i], from[i+len(" GROUP BY "):]
+	}
+	serial := plan.Options{ParallelWorkers: -1}
+	if keys != "" {
+		res, err := db.QueryWithOptions("SELECT "+keys+from+" GROUP BY "+keys, serial)
+		if err != nil {
+			return false, fmt.Errorf("difftest: counting the groups of %q: %w", sql, err)
+		}
+		if len(res.Rows) != 1 {
+			return false, nil
+		}
+	}
+	counts := make([]string, len(aggs))
+	for i, a := range aggs {
+		counts[i] = fmt.Sprintf("COUNT(%s) AS n%d", a[2], i)
+	}
+	res, err := db.QueryWithOptions("SELECT "+strings.Join(counts, ", ")+from, serial)
+	if err != nil {
+		return false, fmt.Errorf("difftest: sizing the group of %q: %w", sql, err)
+	}
+	var state int64
+	for _, cell := range res.Rows[0] {
+		n, err := strconv.ParseInt(cell, 10, 64)
+		if err != nil {
+			return false, err
+		}
+		state += 16 * n
+	}
+	return state > budget, nil
 }
 
 // canonicalRows renders a result as a sorted multiset of rows. Group

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"tde/internal/plan"
 )
 
 // -long runs the full sweep (more queries over bigger tables); the
@@ -46,7 +48,10 @@ func TestDifferentialQueries(t *testing.T) {
 // budgets tight enough to force spill-to-disk degradation: every variant
 // — serial and parallel alike — must still be row-set-identical to the
 // unbudgeted serial oracle, and at least one query must actually have
-// spilled (otherwise the budget was too loose to test anything).
+// spilled (otherwise the budget was too loose to test anything). The one
+// error a variant may return instead is ErrBudgetExceeded on a query the
+// oracle proves unsplittable — one group whose MEDIAN/COUNTD state alone
+// exceeds the budget — and the sweep prints how many it excused.
 func TestDifferentialSpill(t *testing.T) {
 	queries := 25
 	if *long {
@@ -70,8 +75,8 @@ func TestDifferentialSpill(t *testing.T) {
 		if rep.Spilled == 0 {
 			t.Errorf("budget %d: no query spilled; the budget is too loose to exercise degradation", budget)
 		}
-		t.Logf("budget %d: %d queries, %d comparisons, %d spilled, %d mismatches",
-			budget, rep.Queries, rep.Comparisons, rep.Spilled, len(rep.Mismatches))
+		t.Logf("budget %d: %d queries, %d comparisons, %d spilled, %d mismatches, %d unsplittable (one group's MEDIAN/COUNTD state exceeds the budget)",
+			budget, rep.Queries, rep.Comparisons, rep.Spilled, len(rep.Mismatches), rep.Unsplittable)
 	}
 }
 
@@ -158,4 +163,38 @@ func TestDifferentialEncoded(t *testing.T) {
 	}
 	t.Logf("%d queries, %d comparisons, %d encoded-routine hits, %d mismatches",
 		rep.Queries, rep.Comparisons, rep.EncodedHits, len(rep.Mismatches))
+}
+
+// TestUnsplittableNeedsOneGroup pins what Compare excuses: a budget
+// error on a global MEDIAN is the one group's state and passes as
+// unsplittable, but a grouped top-n whose LIMIT 1 answer is one row still
+// aggregates several groups, so the same error is a mismatch.
+func TestUnsplittableNeedsOneGroup(t *testing.T) {
+	db, err := BuildDatabase(0.001, 1000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workers: []int{1}, Routings: []int{1}, MemoryBudget: 4 << 10}
+	for _, c := range []struct {
+		sql          string
+		unsplittable bool
+	}{
+		{"SELECT MEDIAN(l_quantity) AS a0 FROM lineitem", true},
+		{"SELECT l_returnflag, MEDIAN(l_quantity) AS a0 FROM lineitem GROUP BY l_returnflag ORDER BY a0 DESC, l_returnflag LIMIT 1", false},
+	} {
+		rep := &Report{}
+		if err := Compare(db, c.sql, plan.Options{ParallelWorkers: -1}, cfg, rep); err != nil {
+			t.Fatal(err)
+		}
+		excused := rep.Unsplittable == 1 && len(rep.Mismatches) == 0
+		if excused != c.unsplittable || rep.Unsplittable+len(rep.Mismatches) != 1 {
+			t.Errorf("%s: %d unsplittable, mismatches %v; want unsplittable=%v",
+				c.sql, rep.Unsplittable, rep.Mismatches, c.unsplittable)
+		}
+		for _, m := range rep.Mismatches {
+			if !strings.Contains(m.Detail, "budget") {
+				t.Errorf("%s: want a budget error, got %s", c.sql, m.Detail)
+			}
+		}
+	}
 }

@@ -157,12 +157,16 @@ func (s *Stream) DecodeAll() []uint64 {
 
 // Reader provides cursor-based sequential access to a stream. Sequential
 // reads of run-length data are O(runs); every other encoding decodes one
-// block at a time. Reading backwards re-scans (RLE) or re-decodes a block.
+// block at a time — straight into the caller's slice when the read covers
+// the whole block. Reading backwards re-scans (RLE) or re-decodes a block.
+// A Reader is not safe for concurrent use; readers of one stream share
+// nothing.
 type Reader struct {
 	s        *Stream
 	block    []uint64
 	blockIdx int
 	blockLen int
+	dict     []uint64 // a Dictionary stream's entries, decoded on first use
 	// run-length cursor
 	runIdx int
 	runPos int // logical index of the start of runIdx
@@ -190,18 +194,22 @@ func (r *Reader) Read(start, n int, out []uint64) int {
 		return r.readRLE(start, n, out)
 	}
 	bs := r.s.BlockSize()
-	if r.block == nil {
-		r.block = make([]uint64, bs)
-	}
 	copied := 0
 	for copied < n {
 		idx := start + copied
-		b := idx / bs
+		b, off := idx/bs, idx%bs
+		if off == 0 && b != r.blockIdx && n-copied >= min(bs, total-idx) {
+			// The caller wants the whole block: no staging copy.
+			copied += r.decodeBlock(b, out[copied:])
+			continue
+		}
 		if b != r.blockIdx {
-			r.blockLen = r.s.DecodeBlock(b, r.block)
+			if r.block == nil {
+				r.block = make([]uint64, bs)
+			}
+			r.blockLen = r.decodeBlock(b, r.block)
 			r.blockIdx = b
 		}
-		off := idx % bs
 		k := copy(out[copied:n], r.block[off:r.blockLen])
 		if k == 0 {
 			break
@@ -209,6 +217,30 @@ func (r *Reader) Read(start, n int, out []uint64) int {
 		copied += k
 	}
 	return copied
+}
+
+// decodeBlock is DecodeBlock with a Dictionary stream's entries looked up
+// in the reader's decoded table instead of the header, one per value.
+func (r *Reader) decodeBlock(b int, out []uint64) int {
+	if r.s.Kind() != Dictionary {
+		return r.s.DecodeBlock(b, out)
+	}
+	if r.dict == nil {
+		r.dict = make([]uint64, r.s.DictLen())
+		for i := range r.dict {
+			r.dict[i] = r.s.DictEntry(i)
+		}
+	}
+	n := r.s.DecodeTokenBlock(b, out)
+	dict := r.dict
+	for i, tok := range out[:n] {
+		if tok < uint64(len(dict)) {
+			out[i] = dict[tok]
+		} else {
+			out[i] = 0 // a token past the entries (corrupt data), as DictEntry
+		}
+	}
+	return n
 }
 
 func (r *Reader) readRLE(start, n int, out []uint64) int {

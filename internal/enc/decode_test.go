@@ -214,3 +214,89 @@ func TestKindStrings(t *testing.T) {
 		t.Error("unknown kind should still render")
 	}
 }
+
+// TestReaderReadMatchesGet is the Reader's property: for every kind, a
+// window read from an aligned or unaligned start — by a fresh reader, and
+// by one reader reused across windows — returns exactly what Get returns
+// position by position, at the bit widths where unpacking takes its
+// special paths (0 and 64) as well as between them.
+func TestReaderReadMatchesGet(t *testing.T) {
+	const bs = 128
+	const n = 5*bs + 37 // a short last block
+	rng := rand.New(rand.NewSource(5))
+	vals := func(f func(i int) uint64) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	build := func(a appender, vs []uint64) *Stream {
+		t.Helper()
+		for i := 0; i < len(vs); i += bs {
+			if err := a.appendBlock(vs[i:min(i+bs, len(vs))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := FromBytes(a.finish(len(vs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	random := vals(func(int) uint64 { return rng.Uint64() })
+	small := vals(func(int) uint64 { return uint64(rng.Intn(1 << 13)) })
+	domain := vals(func(int) uint64 { return uint64(rng.Intn(90)) * 1_000_003 })
+	step := vals(func(i int) uint64 { return uint64(i * 7) })
+	walk := make([]uint64, n)
+	for i := 1; i < n; i++ {
+		walk[i] = walk[i-1] + 3 + uint64(rng.Intn(500))
+	}
+	runs := vals(func(i int) uint64 { return uint64(i / 61 % 9) })
+	rle, err := BuildRLE(runs, n, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		s    *Stream
+		bits int // -1: the kind has no bit width
+	}{
+		{"raw/bits64", build(newRawAppender(8, bs), random), 64},
+		{"raw/bits16", build(newRawAppender(2, bs), vals(func(int) uint64 { return uint64(rng.Intn(1 << 16)) })), 16},
+		{"for/bits0", build(newFORAppender(4, bs, 0, 77), vals(func(int) uint64 { return 77 })), 0},
+		{"for/bits13", build(newFORAppender(8, bs, 13, 0), small), 13},
+		{"for/bits64", build(newFORAppender(8, bs, 64, 0), random), 64},
+		{"delta/bits0", build(newDeltaAppender(8, bs, 0, 7), step), 0},
+		{"delta/bits9", build(newDeltaAppender(8, bs, 9, 3), walk), 9},
+		{"dict/bits7", build(newDictAppender(8, bs, 7), domain), 7},
+		{"affine", build(newAffineAppender(8, bs, 0, 7), step), -1},
+		{"rle", rle, -1},
+	} {
+		if tc.bits >= 0 && tc.s.Bits() != tc.bits {
+			t.Fatalf("%s: stream has %d bits", tc.name, tc.s.Bits())
+		}
+		want := make([]uint64, n)
+		for i := range want {
+			want[i] = tc.s.Get(i)
+		}
+		reused := NewReader(tc.s)
+		for _, start := range []int{0, bs, 3 * bs, 5 * bs, 1, bs - 1, bs + 5, 4*bs + 100, n - 1} {
+			for _, count := range []int{1, bs, bs + 1, 2*bs + 3, n} {
+				for _, r := range []*Reader{NewReader(tc.s), reused} {
+					out := make([]uint64, count)
+					got := r.Read(start, count, out)
+					if wantN := min(count, n-start); got != wantN {
+						t.Fatalf("%s: Read(%d, %d) = %d values, want %d", tc.name, start, count, got, wantN)
+					}
+					for j := 0; j < got; j++ {
+						if out[j] != want[start+j] {
+							t.Fatalf("%s: Read(%d, %d)[%d] = %#x, Get(%d) = %#x",
+								tc.name, start, count, j, out[j], start+j, want[start+j])
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -3,9 +3,11 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"tde/internal/enc"
 	"tde/internal/heap"
@@ -53,19 +55,20 @@ const (
 	AggAuto AggMode = iota
 	// AggHash uses a chained hash table keyed on the group tuple.
 	AggHash
-	// AggDirect indexes groups directly in an array over the key's
-	// [min,max] envelope — the perfect/direct hashing of Sect. 2.3.4,
-	// available when the key is narrow or its range is known small.
+	// AggDirect indexes groups directly in an array over the product of
+	// the keys' dense domains — the perfect/direct hashing of Sect. 2.3.4,
+	// available when every key maps to a small ordinal domain (directKey)
+	// and the product fits directLimit.
 	AggDirect
 	// AggOrdered exploits grouped (sorted) input: one running group at a
 	// time, flushed on key change — the ordered ("sandwiched")
 	// aggregation of Sect. 4.2.2.
 	AggOrdered
-	// AggTokenDirect indexes groups by dictionary token in a dense array
-	// sized to the dictionary plus one NULL slot — GROUP BY the compressed
-	// code with no hashing and no token decode, available when the key is
-	// dictionary-compressed with a domain ≤ tokenDirectLimit (compressed
-	// execution, DESIGN.md §12).
+	// AggTokenDirect is AggDirect over one dictionary-compressed key: the
+	// slot is the token, plus one NULL slot — GROUP BY the compressed code
+	// with no hashing and no token decode, available when the dictionary
+	// holds ≤ tokenDirectLimit entries (compressed execution, DESIGN.md
+	// §12).
 	AggTokenDirect
 )
 
@@ -73,8 +76,9 @@ func (m AggMode) String() string {
 	return [...]string{"auto", "hash", "direct", "ordered", "token-direct"}[m]
 }
 
-// directLimit caps the envelope size for AggDirect: the 64K-element direct
-// lookup table of Sect. 2.3.4.
+// directLimit caps the slot count of AggDirect's table — the product of
+// the keys' domains, NULL slots included: the 64K-element direct lookup
+// table of Sect. 2.3.4.
 const directLimit = 1 << 16
 
 // tokenDirectLimit caps the dictionary size for AggTokenDirect.
@@ -111,20 +115,24 @@ type aggCore struct {
 	// The flat group table, shared by every mode: group g's key tuple is
 	// keys[g*len(keyCols):] and its accumulators accs[g*len(specs):], in
 	// creation order; wide parallels accs when a spec is COUNTD or MEDIAN
-	// (perRow > 0) and is empty otherwise. Hash mode finds groups through
+	// (perRow > 0) and is empty otherwise. The slabs have room for slabCap
+	// groups and grow together (growSlabs). Hash mode finds groups through
 	// slots, an open-addressing index (group +1, 0 = empty, at most half
 	// full) addressed by the top bits of the key hash; the direct modes
-	// through direct; ordered mode only ever looks at the last group.
-	n         int
-	keys      []uint64
-	accs      []acc
-	wide      []wideAcc
-	slots     []int32
-	shift     uint
-	tuple     []uint64 // one row's key tuple
-	direct    []int    // envelope -> group index +1 (AggDirect / AggTokenDirect)
-	dmin      int64
-	tokenDict []uint64 // the key's dictionary (AggTokenDirect)
+	// through direct, indexed by the slot dkeys compute; ordered mode only
+	// ever looks at the last group.
+	n       int
+	slabCap int
+	keys    []uint64
+	accs    []acc
+	wide    []wideAcc
+	slots   []int32
+	shift   uint
+	tuple   []uint64    // one row's key tuple
+	dkeys   []directKey // the direct modes' key ordinals, shared by every worker
+	direct  []int32     // slot -> group index +1 (the direct modes)
+
+	gids []int32 // one block's group ids
 
 	// runBlocks counts input blocks folded run-at-a-time instead of
 	// row-at-a-time — the rle-sum/rle-count routines of compressed
@@ -134,39 +142,42 @@ type aggCore struct {
 	// curSet: ordered mode's last group is still running (open to more rows)
 	curSet bool
 
-	// String columns that participate in grouping or MIN/MAX/COUNTD are
-	// translated into one heap per column so tokens stay comparable
-	// across blocks (computed string columns carry per-block heaps).
+	// String columns that participate in hash or ordered grouping, or in
+	// MIN/MAX/COUNTD without a stored heap, are translated into one heap
+	// per column so tokens stay comparable across blocks (computed string
+	// columns carry per-block heaps). A StoredHeap aggregate input keeps
+	// its stored tokens: MIN/MAX compare them through the stored heap and
+	// COUNTD counts their collation classes when it finishes, so its
+	// state is one token per distinct element, with no strings copied.
 	strHeaps []*heap.Heap
 	strTr    []*heap.Translator
+	stored   []int // the aggregate inputs that keep stored tokens
 
-	// budget cost model
+	// budget cost model: groupCost per group the slabs have room for
+	// (slabCharged of them charged so far), perRow per input row
 	groupCost    int
 	perRow       int
 	heapBytes    int
+	slabCharged  int
 	charged      int
 	directCharge int // the direct table's up-front charge, kept across evictions
 }
 
-// newAggCore sets up the grouping state for the chosen mode; the direct
-// table (the one up-front allocation) is charged against qc.
-func newAggCore(in []ColInfo, keyCols []int, specs []AggSpec, chosen AggMode, st *OpStats, qc *QueryCtx) (*aggCore, error) {
-	c := &aggCore{in: in, keyCols: keyCols, specs: specs, chosen: chosen, st: st, tuple: make([]uint64, len(keyCols))}
+// newAggCore sets up the grouping state for the chosen mode — a direct
+// mode when dkeys is non-nil; the direct table (the one up-front
+// allocation) is charged against qc.
+func newAggCore(in []ColInfo, keyCols []int, specs []AggSpec, chosen AggMode, dkeys []directKey, st *OpStats, qc *QueryCtx) (*aggCore, error) {
+	c := &aggCore{in: in, keyCols: keyCols, specs: specs, chosen: chosen, st: st, dkeys: dkeys,
+		tuple: make([]uint64, len(keyCols)), gids: make([]int32, vec.BlockSize)}
 	direct := 0
-	switch chosen {
-	case AggDirect:
-		md := in[keyCols[0]].Meta
-		c.dmin = md.Min
-		direct = int(md.Max - md.Min + 1)
-	case AggTokenDirect:
-		c.tokenDict = in[keyCols[0]].Dict
-		direct = len(c.tokenDict) + 1 // the last slot is the NULL token's
+	if dkeys != nil {
+		direct = directSlots(dkeys)
 	}
-	if err := qc.Charge(st.kind, direct*8); err != nil {
+	if err := qc.Charge(st.kind, direct*4); err != nil {
 		return nil, err
 	}
-	c.charged, c.directCharge = direct*8, direct*8
-	c.direct = make([]int, direct)
+	c.charged, c.directCharge = direct*4, direct*4
+	c.direct = make([]int32, direct)
 	c.strHeaps = make([]*heap.Heap, len(in))
 	c.strTr = make([]*heap.Translator, len(in))
 	strCol := func(col int) {
@@ -174,11 +185,21 @@ func newAggCore(in []ColInfo, keyCols []int, specs []AggSpec, chosen AggMode, st
 			c.freshHeap(qc, col, collationOf(in[col]))
 		}
 	}
-	for _, kc := range keyCols {
-		strCol(kc)
+	if dkeys == nil { // direct keys are grouped as stored, never re-homed
+		for _, kc := range keyCols {
+			strCol(kc)
+		}
 	}
 	for _, s := range specs {
-		strCol(s.Col)
+		switch {
+		case s.Col < 0 || in[s.Col].Type != types.String || c.strTr[s.Col] != nil:
+		case in[s.Col].StoredHeap:
+			if !slices.Contains(c.stored, s.Col) {
+				c.stored = append(c.stored, s.Col)
+			}
+		default:
+			strCol(s.Col)
+		}
 	}
 	// Per-group hash-table footprint: keys, accumulators, bookkeeping.
 	c.groupCost = 64 + 16*(len(keyCols)+len(specs))
@@ -230,33 +251,126 @@ func (c *aggCore) internStrings(b *vec.Block) {
 	}
 }
 
-// consumeBlock groups one block (whose string columns internStrings has
-// already rewritten) and charges the growth against the budget.
+// consumeBlock groups one block and charges the growth against the
+// budget. A plain block takes two passes: one computing every row's group
+// id, then one fold loop per aggregate. The direct modes compute the ids
+// on the block's keys as they arrive, before internStrings rewrites the
+// string columns the aggregates read; the others group on the rewritten
+// tokens.
 func (c *aggCore) consumeBlock(qc *QueryCtx, b *vec.Block) error {
-	before := c.n
 	if c.runCapable(b) {
+		c.internStrings(b)
 		if err := c.consumeRuns(b); err != nil {
 			return err
 		}
-	} else {
-		b.Materialize() // late-decode boundary for shapes the run path skips
-		for i := 0; i < b.N; i++ {
-			g, err := c.findGroup(b, i)
-			if err != nil {
-				return err
-			}
-			c.updateW(g, b, i, 1)
+		return c.chargeGrowth(qc, b.N)
+	}
+	b.Materialize() // late-decode boundary for shapes the run path skips
+	for _, col := range c.stored {
+		if b.Vecs[col].Heap != c.in[col].Heap {
+			return fmt.Errorf("exec: aggregate input %q: a block whose heap is not the column's stored heap", c.in[col].Name)
 		}
 	}
-	return c.chargeGrowth(qc, before, b.N)
+	gids := c.gids[:b.N]
+	if c.dkeys != nil {
+		if err := c.directIDs(b, gids); err != nil {
+			return err
+		}
+		c.internStrings(b)
+	} else {
+		c.internStrings(b)
+		c.groupIDs(b, gids)
+	}
+	c.fold(b, gids)
+	return c.chargeGrowth(qc, b.N)
 }
 
-// chargeGrowth charges what the table grew by since it held before
-// groups, plus rows input rows' worth of retained per-row state.
-func (c *aggCore) chargeGrowth(qc *QueryCtx, before, rows int) error {
+// groupIDs is the hash and ordered modes' group-id pass.
+func (c *aggCore) groupIDs(b *vec.Block, gids []int32) {
+	if c.chosen == AggHash && len(c.keyCols) == 1 {
+		keys := b.Vecs[c.keyCols[0]].Data
+		for i := range gids {
+			gids[i] = int32(c.findGroupKey(keys[i]))
+		}
+		return
+	}
+	for i := range gids {
+		for j, kc := range c.keyCols {
+			c.tuple[j] = b.Vecs[kc].Data[i]
+		}
+		g, _ := c.findTuple() // only the direct modes fail
+		gids[i] = int32(g)
+	}
+}
+
+// fold is the accumulation pass: one loop per aggregate over the block's
+// group ids. COUNT(*), COUNT, SUM and AVG over plain vectors run
+// specialised loops; the rest fold row by row through updateSpec.
+func (c *aggCore) fold(b *vec.Block, gids []int32) {
+	ns := len(c.specs)
+	for j, s := range c.specs {
+		accs := c.accs[j:]
+		if s.Col < 0 { // COUNT(*)
+			for _, g := range gids {
+				accs[int(g)*ns].count++
+			}
+			continue
+		}
+		v := &b.Vecs[s.Col]
+		data := v.Data[:len(gids)]
+		isReal := c.in[s.Col].Type == types.Real
+		switch {
+		case v.Dict != nil: // tokens: resolved per row below
+		case s.Func == Count:
+			null := nullOf(v)
+			for i, g := range gids {
+				if data[i] != null {
+					accs[int(g)*ns].count++
+				}
+			}
+			continue
+		case (s.Func == Sum || s.Func == Avg) && isReal:
+			null := nullOf(v)
+			for i, g := range gids {
+				if x := data[i]; x != null {
+					ac := &accs[int(g)*ns]
+					ac.count++
+					ac.sumF += types.ToReal(x)
+				}
+			}
+			continue
+		case s.Func == Sum || s.Func == Avg:
+			null := nullOf(v)
+			for i, g := range gids {
+				if x := data[i]; x != null {
+					ac := &accs[int(g)*ns]
+					ac.count++
+					ac.sumI += int64(x)
+				}
+			}
+			continue
+		}
+		for i, g := range gids {
+			c.updateSpec(int(g), j, v, i, 1)
+		}
+	}
+}
+
+// nullOf is the NULL pattern of a plain (non-dictionary) vector's data.
+func nullOf(v *vec.Vector) uint64 {
+	if v.Heap != nil {
+		return types.NullToken
+	}
+	return types.NullBits(v.Type)
+}
+
+// chargeGrowth charges what the slabs and heaps grew by since the last
+// charge — the slabs by capacity, so the slack a doubling leaves is
+// charged too — plus rows input rows' worth of retained per-row state.
+func (c *aggCore) chargeGrowth(qc *QueryCtx, rows int) error {
 	grown := heapSizes(c.strHeaps)
-	cost := (c.n-before)*c.groupCost + rows*c.perRow + (grown - c.heapBytes)
-	c.heapBytes = grown
+	cost := (c.slabCap-c.slabCharged)*c.groupCost + rows*c.perRow + (grown - c.heapBytes)
+	c.heapBytes, c.slabCharged = grown, c.slabCap
 	if err := qc.Charge(c.st.kind, cost); err != nil {
 		return err
 	}
@@ -380,30 +494,17 @@ func (c *aggCore) findGroup(b *vec.Block, i int) (int, error) {
 // group holding the key tuple in c.tuple, created on first sight.
 func (c *aggCore) findTuple() (int, error) {
 	switch c.chosen {
-	case AggDirect:
-		k := int64(c.tuple[0]) - c.dmin
-		if k < 0 || k >= int64(len(c.direct)) {
-			// Metadata promised this cannot happen; stored metadata can be
-			// stale or corrupt, so fail the query rather than the process.
-			return 0, fmt.Errorf("exec: direct aggregation key outside [min,max] envelope (corrupt column metadata?)")
-		}
-		if c.direct[k] == 0 {
-			c.direct[k] = c.newGroup(c.tuple) + 1
-		}
-		return c.direct[k] - 1, nil
-	case AggTokenDirect:
-		tok := c.tuple[0]
-		k := len(c.direct) - 1 // the NULL token's slot
-		if tok != types.NullToken {
-			if tok >= uint64(len(c.tokenDict)) {
-				return 0, fmt.Errorf("exec: dictionary token outside the dictionary (corrupt column metadata?)")
+	case AggDirect, AggTokenDirect:
+		slot := 0
+		for i := range c.dkeys {
+			dk := &c.dkeys[i]
+			o, ok := dk.ordinal(c.tuple[i])
+			if !ok {
+				return 0, dk.domainErr(c.in)
 			}
-			k = int(tok)
+			slot += o * dk.stride
 		}
-		if c.direct[k] == 0 {
-			c.direct[k] = c.newGroup(c.tuple) + 1
-		}
-		return c.direct[k] - 1, nil
+		return c.directGroup(slot), nil
 	case AggOrdered:
 		if !c.curSet || !c.keysEqual(c.n-1, c.tuple) {
 			c.newGroup(c.tuple)
@@ -427,6 +528,9 @@ func (c *aggCore) keysEqual(g int, keys []uint64) bool {
 // newGroup appends a group with the given key tuple to the slabs and
 // returns its index.
 func (c *aggCore) newGroup(keys []uint64) int {
+	if c.n == c.slabCap {
+		c.growSlabs()
+	}
 	c.keys = append(c.keys, keys...)
 	for _, s := range c.specs {
 		c.accs = append(c.accs, acc{})
@@ -440,6 +544,53 @@ func (c *aggCore) newGroup(keys []uint64) int {
 	}
 	c.n++
 	return c.n - 1
+}
+
+// growSlabs doubles the room of every group slab (from nothing: 16
+// groups), up to the direct table's size, which bounds the groups of a
+// direct mode. append grows a large slice by about 1.25×, which copies a
+// group slab far more often.
+func (c *aggCore) growSlabs() {
+	c.slabCap = max(2*c.slabCap, 16)
+	if len(c.direct) > 0 {
+		c.slabCap = min(c.slabCap, len(c.direct))
+	}
+	c.keys = regrow(c.keys, c.slabCap*len(c.keyCols))
+	c.accs = regrow(c.accs, c.slabCap*len(c.specs))
+	if c.perRow > 0 {
+		c.wide = regrow(c.wide, c.slabCap*len(c.specs))
+	}
+}
+
+// regrow returns s copied into a slice of capacity n.
+func regrow[T any](s []T, n int) []T {
+	grown := make([]T, len(s), n)
+	copy(grown, s)
+	return grown
+}
+
+// findGroupKey is findGroupKeys for a single key.
+func (c *aggCore) findGroupKey(key uint64) int {
+	if c.n*2 >= len(c.slots) {
+		c.growSlots()
+	}
+	mask := uint64(len(c.slots) - 1)
+	for i := hashTuple1(key) >> c.shift; ; i = (i + 1) & mask {
+		g := int(c.slots[i]) - 1
+		if g < 0 {
+			c.slots[i] = int32(c.n + 1)
+			c.tuple[0] = key
+			return c.newGroup(c.tuple)
+		}
+		if c.keys[g] == key {
+			return g
+		}
+	}
+}
+
+// hashTuple1 is hashTuple of a one-key tuple.
+func hashTuple1(k uint64) uint64 {
+	return (uint64(1469598103934665603) ^ k) * 0x9E3779B97F4A7C15
 }
 
 // findGroupKeys is hash mode's probe: the group holding the key tuple,
@@ -482,41 +633,45 @@ func (c *aggCore) growSlots() {
 }
 
 // updateW folds row i into g's accumulators w times in O(1) — w is a run
-// length when the caller is consumeRuns, 1 on the row path.
+// length; consumeRuns is the caller.
 func (c *aggCore) updateW(g int, b *vec.Block, i int, w int64) {
-	accs := c.accs[g*len(c.specs):]
 	for j, s := range c.specs {
-		ac := &accs[j]
 		if s.Col < 0 { // COUNT(*)
-			ac.count += w
+			c.accs[g*len(c.specs)+j].count += w
 			continue
 		}
-		v := &b.Vecs[s.Col]
-		bits := v.Value(i)
-		t := c.in[s.Col].Type
-		if v.IsNull(i) {
-			continue // aggregates skip NULLs
+		c.updateSpec(g, j, &b.Vecs[s.Col], i, w)
+	}
+}
+
+// updateSpec folds row i of v, aggregate j's input, into g's accumulator
+// w times.
+func (c *aggCore) updateSpec(g, j int, v *vec.Vector, i int, w int64) {
+	if v.IsNull(i) {
+		return // aggregates skip NULLs
+	}
+	s := c.specs[j]
+	ac := &c.accs[g*len(c.specs)+j]
+	bits := v.Value(i)
+	switch s.Func {
+	case Count:
+		ac.count += w
+	case CountD:
+		c.wide[g*len(c.specs)+j].distinct[v.Data[i]] = struct{}{}
+	case Sum, Avg:
+		ac.count += w
+		if c.in[s.Col].Type == types.Real {
+			ac.sumF += types.ToReal(bits) * float64(w)
+		} else {
+			ac.sumI += int64(bits) * w
 		}
-		switch s.Func {
-		case Count:
-			ac.count += w
-		case CountD:
-			c.wide[g*len(c.specs)+j].distinct[v.Data[i]] = struct{}{}
-		case Sum, Avg:
-			ac.count += w
-			if t == types.Real {
-				ac.sumF += types.ToReal(bits) * float64(w)
-			} else {
-				ac.sumI += int64(bits) * w
-			}
-		case Min, Max:
-			c.foldMinMax(ac, s.Col, bits)
-		case Median:
-			ac.count += w
-			wd := &c.wide[g*len(c.specs)+j]
-			for k := int64(0); k < w; k++ {
-				wd.all = append(wd.all, bits)
-			}
+	case Min, Max:
+		c.foldMinMax(ac, s.Col, bits)
+	case Median:
+		ac.count += w
+		wd := &c.wide[g*len(c.specs)+j]
+		for k := int64(0); k < w; k++ {
+			wd.all = append(wd.all, bits)
 		}
 	}
 }
@@ -535,10 +690,20 @@ func (c *aggCore) foldMinMax(ac *acc, col int, v uint64) {
 }
 
 func (c *aggCore) compare(col int, a, b uint64) int {
-	if h := c.strHeaps[col]; h != nil {
+	if h := c.valHeap(col); h != nil {
 		return h.Compare(a, b)
 	}
 	return types.Compare(c.in[col].Type, a, b)
+}
+
+// valHeap is the heap column col's aggregate state resolves through:
+// the aggregation's own when it re-homed the column's strings, the
+// column's otherwise (a stored heap, or nil for a scalar).
+func (c *aggCore) valHeap(col int) *heap.Heap {
+	if h := c.strHeaps[col]; h != nil {
+		return h
+	}
+	return c.in[col].Heap
 }
 
 // remapToken translates a string token minted in o's per-column heap into
@@ -561,8 +726,21 @@ func (c *aggCore) mergeFrom(o *aggCore, qc *QueryCtx) error {
 	// before the merged table — the operator's memory peak — is charged.
 	o.dropMemos()
 	c.dropMemos()
-	before := c.n
 	nk, ns := len(c.keyCols), len(c.specs)
+	if c.dkeys != nil {
+		// Same keys, same slots: partials merge slot for slot.
+		for slot, og := range o.direct {
+			if og == 0 {
+				continue
+			}
+			dst := c.directGroup(slot)
+			for j := range c.specs {
+				c.mergeAcc(dst*ns+j, int(og-1)*ns+j, o, c.specs[j])
+			}
+		}
+		c.dropMemos()
+		return c.chargeGrowth(qc, 0)
+	}
 	for g := 0; g < o.n; g++ {
 		for j, kc := range c.keyCols {
 			c.tuple[j] = c.remapToken(o, kc, o.keys[g*nk+j])
@@ -576,7 +754,7 @@ func (c *aggCore) mergeFrom(o *aggCore, qc *QueryCtx) error {
 		}
 	}
 	c.dropMemos()
-	return c.chargeGrowth(qc, before, 0)
+	return c.chargeGrowth(qc, 0)
 }
 
 // mergeAcc folds o's accumulator si into c's accumulator di.
@@ -623,10 +801,7 @@ func (c *aggCore) emit(b *vec.Block, at int, outSchema []ColInfo) int {
 	for j, kc := range c.keyCols {
 		v := &b.Vecs[j]
 		v.Type = c.in[kc].Type
-		v.Heap = c.in[kc].Heap
-		if c.strHeaps[kc] != nil {
-			v.Heap = c.strHeaps[kc]
-		}
+		v.Heap = c.keyHeap(kc)
 		v.Dict = c.in[kc].Dict
 		for r := 0; r < n; r++ {
 			v.Data[r] = c.keys[(at+r)*nk+j]
@@ -638,10 +813,7 @@ func (c *aggCore) emit(b *vec.Block, at int, outSchema []ColInfo) int {
 		v.Heap = nil
 		v.Dict = nil
 		if (s.Func == Min || s.Func == Max) && s.Col >= 0 {
-			v.Heap = c.in[s.Col].Heap
-			if c.strHeaps[s.Col] != nil {
-				v.Heap = c.strHeaps[s.Col]
-			}
+			v.Heap = c.valHeap(s.Col)
 			v.Dict = c.in[s.Col].Dict
 		}
 		for r := 0; r < n; r++ {
@@ -652,10 +824,31 @@ func (c *aggCore) emit(b *vec.Block, at int, outSchema []ColInfo) int {
 	return n
 }
 
+// keyHeap is the heap key column col's group tokens resolve through: the
+// aggregation's own when it re-homed the column's strings, the column's
+// otherwise — the stored heap the direct modes group on by element
+// position. (A direct key that is also a MIN/MAX/COUNTD input has a heap
+// of its own for the aggregate, not for the key.)
+func (c *aggCore) keyHeap(col int) *heap.Heap {
+	if c.chosen == AggDirect || c.chosen == AggTokenDirect {
+		return c.in[col].Heap
+	}
+	return c.valHeap(col)
+}
+
+// dropDirect frees the direct table and forgets the key ordinals once no
+// row is left to group: emit and eviction read the group slabs only.
+func (c *aggCore) dropDirect(qc *QueryCtx) {
+	qc.Release(c.directCharge)
+	c.charged -= c.directCharge
+	c.direct, c.dkeys, c.directCharge = nil, nil, 0
+}
+
 // release drops the group state and returns the charged bytes to the
 // accountant.
 func (c *aggCore) release(qc *QueryCtx) {
-	c.n, c.keys, c.accs, c.wide, c.slots, c.direct = 0, nil, nil, nil, nil, nil
+	c.n, c.slabCap, c.slabCharged = 0, 0, 0
+	c.keys, c.accs, c.wide, c.slots, c.direct, c.dkeys = nil, nil, nil, nil, nil, nil
 	for col := range c.strTr {
 		c.retire(col)
 	}
@@ -664,10 +857,10 @@ func (c *aggCore) release(qc *QueryCtx) {
 }
 
 // Aggregate is the stop-and-go grouping operator. With Workers > 1 it is
-// morsel-parallel: that many goroutines pull blocks from the shared child
-// (the morsel dispenser), each folding its morsels into a private aggCore,
-// and Open merges the partials into one result — Exchange → PartialAgg →
-// MergeAgg collapsed into one operator. The workers share the query's
+// morsel-parallel: that many goroutines claim the child's blocks through
+// the morsel dispenser (morsels), each folding its morsels into a private
+// aggCore, and Open merges the partials into one result — Exchange →
+// PartialAgg → MergeAgg collapsed into one operator. The workers share the query's
 // memory budget through the (atomic) QueryCtx accountant and one spill
 // state. With one worker the same consume loop runs inline on the caller's
 // goroutine, with no lock and nothing to merge.
@@ -687,8 +880,9 @@ type Aggregate struct {
 	// keeps the mode choice off the token-direct routine.
 	EncodedOff bool
 
-	cores     []*aggCore // one per worker, while Open consumes and merges
-	runBlocks int        // blocks folded run-at-a-time (for the routine string)
+	cores     []*aggCore  // one per worker, while Open consumes and merges
+	dkeys     []directKey // the direct modes' key ordinals (nil otherwise)
+	runBlocks int         // blocks folded run-at-a-time (for the routine string)
 
 	// The result: em emits the merged core and then whatever the workers
 	// evicted to sp; ordered mode's spooled rows come out first.
@@ -711,7 +905,9 @@ func NewAggregate(child Operator, keyCols []int, specs []AggSpec, mode AggMode) 
 func aggSchema(in []ColInfo, keyCols []int, specs []AggSpec) []ColInfo {
 	var schema []ColInfo
 	for _, k := range keyCols {
-		schema = append(schema, in[k])
+		key := in[k]
+		key.StoredHeap = false // hash mode emits its own heaps' tokens
+		schema = append(schema, key)
 	}
 	for _, s := range specs {
 		name := s.Name
@@ -783,39 +979,47 @@ func (a *Aggregate) OpKind() string {
 func (a *Aggregate) OpChildren() []Operator { return []Operator{a.child} }
 
 // chooseMode is the tactical decision: ordered beats direct beats hash
-// when applicable. The direct modes' preconditions — the key's envelope,
-// its dictionary — are schema properties and hold for any morsel subset;
-// sortedness does not survive the split, so with several workers ordered
-// mode is demoted to hash (the strategic planner keeps a sorted single
-// key serial for that reason).
-func (a *Aggregate) chooseMode() AggMode {
+// when applicable, and it returns the direct modes' key ordinals. The
+// direct modes' preconditions — the keys' domains — are schema
+// properties and hold for any morsel subset; sortedness does not survive
+// the split, so with several workers ordered mode is demoted to hash (the
+// strategic planner keeps a sorted single key serial for that reason).
+// A direct mode the keys do not support falls back to hash.
+func (a *Aggregate) chooseMode(in []ColInfo) (AggMode, []directKey) {
 	mode := a.mode
 	if mode == AggAuto {
-		mode = a.autoMode()
+		mode = a.autoMode(in)
 	}
-	if mode == AggOrdered && a.Workers > 1 {
-		return AggHash
+	switch mode {
+	case AggOrdered:
+		if a.Workers > 1 {
+			return AggHash, nil
+		}
+	case AggDirect, AggTokenDirect:
+		dks := directKeys(in, a.keyCols, mode == AggTokenDirect || !a.EncodedOff)
+		if dks == nil || mode == AggTokenDirect && (len(dks) != 1 || dks[0].kind != keyToken) {
+			return AggHash, nil
+		}
+		return mode, dks
 	}
-	return mode
+	return mode, nil
 }
 
-func (a *Aggregate) autoMode() AggMode {
-	in := a.child.Schema()
+func (a *Aggregate) autoMode(in []ColInfo) AggMode {
+	if len(a.keyCols) == 0 {
+		return AggHash
+	}
 	if len(a.keyCols) == 1 {
-		md := in[a.keyCols[0]].Meta
-		if md.SortedKnown && md.SortedAsc {
+		k := &in[a.keyCols[0]]
+		if k.Meta.SortedKnown && k.Meta.SortedAsc {
 			return AggOrdered
 		}
-		if d := in[a.keyCols[0]].Dict; !a.EncodedOff && d != nil && len(d) <= tokenDirectLimit {
+		if !a.EncodedOff && k.Dict != nil && len(k.Dict) <= tokenDirectLimit {
 			return AggTokenDirect
 		}
-		// A string key is grouped on tokens of the aggregation's own heap
-		// (internStrings), which the stored column's envelope does not bound.
-		if md.HasRange && !md.HasNulls && in[a.keyCols[0]].Type != types.String {
-			if span := md.Max - md.Min; span >= 0 && span < directLimit {
-				return AggDirect
-			}
-		}
+	}
+	if directKeys(in, a.keyCols, !a.EncodedOff) != nil {
+		return AggDirect
 	}
 	return AggHash
 }
@@ -841,7 +1045,21 @@ func (a *Aggregate) Open(qc *QueryCtx) (err error) {
 	}
 	defer a.child.Close()
 	in := a.child.Schema()
-	a.chosen = a.chooseMode()
+	a.chosen, a.dkeys = a.chooseMode(in)
+	if a.dkeys != nil {
+		// The heap keys' ordinal tables live while the input is consumed
+		// and merged: the groups keep their tokens, not their ordinals.
+		n := ordinalBytes(a.dkeys)
+		if err := qc.Charge(a.st.kind, n); err != nil {
+			if !errors.Is(err, ErrBudgetExceeded) {
+				return err
+			}
+			a.chosen, a.dkeys = AggHash, nil
+		} else {
+			defer qc.Release(n)
+			bindDirectKeys(a.dkeys)
+		}
+	}
 	if err := a.newCores(qc, in); err != nil {
 		return err
 	}
@@ -878,6 +1096,9 @@ func (a *Aggregate) Open(qc *QueryCtx) (err error) {
 		a.cores[i+1] = nil
 	}
 	merged.finish()
+	// The ordinal tables' charge goes with Open's deferred Release.
+	merged.dropDirect(qc)
+	a.dkeys = nil
 	a.cores = nil // merged's charge is the emitter's from here on
 	a.em = &aggEmitter{qc: qc, sp: a.sp, out: a.schema, core: merged}
 	if a.sp != nil && a.sp.spilled {
@@ -902,16 +1123,16 @@ func (a *Aggregate) newCores(qc *QueryCtx, in []ColInfo) error {
 		n = 1
 	}
 	for len(a.cores) < n {
-		c, err := newAggCore(in, a.keyCols, a.specs, a.chosen, a.st, qc)
+		c, err := newAggCore(in, a.keyCols, a.specs, a.chosen, a.dkeys, a.st, qc)
 		if err == nil {
 			a.cores = append(a.cores, c)
 			continue
 		}
-		if (a.chosen != AggDirect && a.chosen != AggTokenDirect) || !errors.Is(err, ErrBudgetExceeded) {
+		if a.dkeys == nil || !errors.Is(err, ErrBudgetExceeded) {
 			return err
 		}
 		a.releaseCores()
-		a.chosen = AggHash
+		a.chosen, a.dkeys = AggHash, nil
 	}
 	return nil
 }
@@ -928,7 +1149,9 @@ func (a *Aggregate) consume(core *aggCore, pull func(*vec.Block) (bool, error)) 
 		if err != nil || !ok {
 			return err
 		}
-		core.internStrings(b)
+		if b.N == 0 {
+			continue // a morsel the zone maps refuted
+		}
 		if err := core.consumeBlock(a.qc, b); err != nil {
 			if !spillableErr(a.qc, err) {
 				return err
@@ -946,14 +1169,14 @@ func (a *Aggregate) consume(core *aggCore, pull func(*vec.Block) (bool, error)) 
 }
 
 // consumeParallel runs one consume loop per core, each on its own
-// goroutine, and returns the first failure. The workers pull morsels from
-// the shared child under a mutex and check cancellation once per block
-// like any serial operator; after a failure the others stop at their next
-// pull.
+// goroutine pulling its own morsel source, and returns the first failure.
+// Workers check cancellation once per block like any serial operator;
+// after a failure the others stop at their next pull.
 func (a *Aggregate) consumeParallel() error {
 	var (
-		mu       sync.Mutex // serializes Next on the shared child; guards firstErr
+		mu       sync.Mutex // guards firstErr
 		firstErr error
+		failed   atomic.Bool
 		wg       sync.WaitGroup
 	)
 	fail := func(err error) {
@@ -962,23 +1185,23 @@ func (a *Aggregate) consumeParallel() error {
 			firstErr = err
 		}
 		mu.Unlock()
+		failed.Store(true)
 	}
-	// The deferred unlock keeps the dispenser usable even if the child
-	// panics.
-	pull := func(b *vec.Block) (bool, error) {
-		if err := a.qc.Err(); err != nil {
-			return false, err
+	srcs := morsels(a.child, len(a.cores))
+	for i, core := range a.cores {
+		src := srcs[i]
+		pull := func(b *vec.Block) (bool, error) {
+			if failed.Load() {
+				return false, nil
+			}
+			if err := a.qc.Err(); err != nil {
+				return false, err
+			}
+			_, ok, err := src.next(b)
+			return ok, err
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr != nil {
-			return false, nil
-		}
-		return a.child.Next(b)
-	}
-	for _, core := range a.cores {
 		wg.Add(1)
-		go func(core *aggCore) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -988,7 +1211,7 @@ func (a *Aggregate) consumeParallel() error {
 			if err := a.consume(core, pull); err != nil {
 				fail(err)
 			}
-		}(core)
+		}()
 	}
 	wg.Wait()
 	return firstErr
@@ -1024,6 +1247,9 @@ func (c *aggCore) finishAcc(i int, s AggSpec) uint64 {
 	case Count:
 		return uint64(ac.count)
 	case CountD:
+		if slices.Contains(c.stored, s.Col) {
+			return uint64(countClasses(c.wide[i].distinct, c.in[s.Col].Heap))
+		}
 		return uint64(int64(len(c.wide[i].distinct)))
 	case Sum:
 		if ac.count == 0 {
@@ -1075,6 +1301,23 @@ func (c *aggCore) finishAcc(i int, s AggSpec) uint64 {
 		return types.FromReal((vals[mid-1] + vals[mid]) / 2)
 	}
 	return 0
+}
+
+// countClasses counts the collation classes among the distinct tokens of
+// h: a stored heap may hold equal elements more than once.
+func countClasses(distinct map[uint64]struct{}, h *heap.Heap) int {
+	toks := make([]uint64, 0, len(distinct))
+	for tok := range distinct {
+		toks = append(toks, tok)
+	}
+	slices.SortFunc(toks, h.Compare)
+	n := 0
+	for i, tok := range toks {
+		if i == 0 || h.Compare(toks[i-1], tok) != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // Close implements Operator.

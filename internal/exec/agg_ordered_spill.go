@@ -70,12 +70,12 @@ func (o *orderedSpool) spool(core *aggCore) error {
 	kc := len(o.keyCols)
 	for j, kcol := range o.keyCols {
 		if o.specs[j].Str {
-			o.heaps[j] = core.strHeaps[kcol]
+			o.heaps[j] = core.keyHeap(kcol)
 		}
 	}
 	for j, s := range o.aspecs {
 		if o.specs[kc+j].Str {
-			o.heaps[kc+j] = core.strHeaps[s.Col]
+			o.heaps[kc+j] = core.valHeap(s.Col)
 		}
 	}
 	done := core.n // the finished groups: all but the running one
@@ -189,12 +189,18 @@ func (c *aggCore) resetOrderedAfterSpool(qc *QueryCtx) error {
 		keep--
 	}
 	c.n -= keep
-	keys := append(c.keys[:0], c.keys[keep*nk:]...)
-	accs := append(c.accs[:0], c.accs[keep*ns:]...)
-	if c.perRow > 0 {
-		c.wide = append([]wideAcc(nil), c.wide[keep*ns:]...) // a fresh slab lets the spooled groups' state go
+	// Fresh slabs let the spooled groups' state go.
+	oldKeys, oldAccs, oldWide := c.keys, c.accs, c.wide
+	c.keys, c.accs, c.wide, c.slabCap = nil, nil, nil, 0
+	if c.n > 0 {
+		c.growSlabs()
+		c.keys = append(c.keys, oldKeys[keep*nk:]...)
+		c.accs = append(c.accs, oldAccs[keep*ns:]...)
+		if c.perRow > 0 {
+			c.wide = append(c.wide, oldWide[keep*ns:]...)
+		}
 	}
-	c.keys, c.accs = keys, accs
+	keys, accs := c.keys, c.accs
 	retained := 0
 	if c.curSet {
 		for j, kc := range c.keyCols {
@@ -232,8 +238,9 @@ func (c *aggCore) resetOrderedAfterSpool(qc *QueryCtx) error {
 	c.charged = 0
 	cost := 0
 	if c.curSet {
-		cost = c.groupCost + c.heapBytes + retained*16
+		cost = c.slabCap*c.groupCost + c.heapBytes + retained*16
 	}
+	c.slabCharged = c.slabCap
 	if err := qc.Charge(c.st.kind, cost); err != nil {
 		return err
 	}

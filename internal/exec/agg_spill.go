@@ -112,8 +112,11 @@ type aggSpill struct {
 }
 
 func newAggSpill(qc *QueryCtx, st *OpStats, in []ColInfo, keyCols []int, specs []AggSpec) *aggSpill {
-	sp := &aggSpill{qc: qc, st: st, in: in, keyCols: keyCols, aspecs: specs,
+	sp := &aggSpill{qc: qc, st: st, in: append([]ColInfo(nil), in...), keyCols: keyCols, aspecs: specs,
 		mgr: qc.SpillManager(), stats: &st.Spill}
+	for i := range sp.in {
+		sp.in[i].StoredHeap = false // spilled rows carry their chunks' heaps
+	}
 	for _, kc := range keyCols {
 		sp.rowSpecs = append(sp.rowSpecs, spillSpecFor(in[kc]))
 	}
@@ -171,7 +174,7 @@ func (sp *aggSpill) writeGroups(core *aggCore, fan int) error {
 		if fan > 1 {
 			h := newSpillHasher(0)
 			for j, kc := range sp.keyCols {
-				h.fold(spillValHash(core.keys[g*nk+j], sp.rowSpecs[j].Str, sp.rowSpecs[j].Collation, core.strHeaps[kc]))
+				h.fold(spillValHash(core.keys[g*nk+j], sp.rowSpecs[j].Str, sp.rowSpecs[j].Collation, core.keyHeap(kc)))
 			}
 			bucket = h.part()
 		}
@@ -230,13 +233,13 @@ func (sp *aggSpill) appendGroup(w *spill.Writer, core *aggCore, g int, row []uin
 	}
 	for j, kcol := range sp.keyCols {
 		if sp.rowSpecs[j].Str {
-			heaps[j] = core.strHeaps[kcol]
+			heaps[j] = core.keyHeap(kcol)
 		}
 	}
 	for j, s := range sp.aspecs {
 		if s.Col >= 0 && (s.Func == Min || s.Func == Max || s.Func == CountD) &&
 			sp.rowSpecs[sp.fieldAt[j]+1].Str {
-			heaps[sp.fieldAt[j]+1] = core.strHeaps[s.Col]
+			heaps[sp.fieldAt[j]+1] = core.valHeap(s.Col)
 		}
 	}
 	for r := 0; r < rows; r++ {
@@ -345,7 +348,6 @@ func (sp *aggSpill) foldRow(core *aggCore, val func(c int) uint64, strHeap func(
 // foldChunk folds one spilled chunk into core and charges the growth,
 // mirroring consumeBlock's cost model.
 func (sp *aggSpill) foldChunk(core *aggCore, ch *spill.Chunk) error {
-	before := core.n
 	keys := make([]uint64, len(sp.keyCols))
 	for r := 0; r < ch.Rows; r++ {
 		sp.foldRow(core,
@@ -353,7 +355,7 @@ func (sp *aggSpill) foldChunk(core *aggCore, ch *spill.Chunk) error {
 			func(c int) *heap.Heap { return ch.Cols[c].Heap },
 			keys)
 	}
-	return core.chargeGrowth(sp.qc, before, ch.Rows)
+	return core.chargeGrowth(sp.qc, ch.Rows)
 }
 
 // split re-partitions p's rows with a deeper hash salt, consuming p's
@@ -420,7 +422,8 @@ func (sp *aggSpill) cleanup() {
 // keeping the direct table (still allocated and charged) and minting
 // fresh string heaps.
 func (c *aggCore) resetAfterEvict(qc *QueryCtx) {
-	c.n, c.keys, c.accs, c.wide, c.slots = 0, nil, nil, nil, nil
+	c.n, c.slabCap, c.slabCharged = 0, 0, 0
+	c.keys, c.accs, c.wide, c.slots = nil, nil, nil, nil
 	for i := range c.direct {
 		c.direct[i] = 0
 	}
@@ -486,7 +489,7 @@ func (e *aggEmitter) next(b *vec.Block) (bool, error) {
 // or degrades to the merge fallback.
 func (e *aggEmitter) foldPartition(p aggPartition) error {
 	sp := e.sp
-	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggHash, sp.st, sp.qc)
+	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggHash, nil, sp.st, sp.qc)
 	if err != nil {
 		return err
 	}
@@ -753,7 +756,7 @@ const mergeGroupCap = 256
 // groups and emits them as one block.
 func (m *aggMergeEmit) next(b *vec.Block) (bool, error) {
 	sp := m.sp
-	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggHash, sp.st, sp.qc)
+	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggHash, nil, sp.st, sp.qc)
 	if err != nil {
 		return false, err
 	}
@@ -793,7 +796,7 @@ func (m *aggMergeEmit) next(b *vec.Block) (bool, error) {
 		core.release(sp.qc)
 		return false, nil
 	}
-	cost := core.n*core.groupCost + folded*core.perRow + heapSizes(core.strHeaps)
+	cost := core.slabCap*core.groupCost + folded*core.perRow + heapSizes(core.strHeaps)
 	if err := sp.qc.Charge(sp.st.kind, cost); err != nil {
 		core.release(sp.qc)
 		return false, err

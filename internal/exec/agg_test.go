@@ -5,12 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"tde/internal/delta"
 	"tde/internal/enc"
+	"tde/internal/heap"
 	"tde/internal/storage"
 	"tde/internal/types"
 	"tde/internal/vec"
@@ -94,82 +97,148 @@ func parallelAggregate(child Operator, keyCols []int, specs []AggSpec, mode AggM
 	return a
 }
 
-// TestAggregateRegimes runs every aggregate function through the one
-// Aggregate across its regimes — workers 1/2/8 × the mode the tactical
-// choice lands on for each key shape (hash for a key with NULLs or
-// several keys, direct for a narrow envelope, token-direct for a
-// dictionary column, ordered for a sorted key, which more than one worker
-// demotes to hash) × unbudgeted
-// and 256 KiB with spilling — and requires each to agree with the serial
-// unbudgeted hash aggregation, in the mode expected, with EncodedOff
-// keeping token-direct off at any worker count.
-func TestAggregateRegimes(t *testing.T) {
+// regimeTable is aggTestTable plus the key shapes the mode choice tells
+// apart: 6 kd, a dictionary-compressed integer; 7 ko, a sorted integer;
+// 8 kn, a narrow integer with NULLs; 9 kci, a string under the ci
+// collation whose heap stores case variants as separate elements, and
+// NULLs; 10 kw, an envelope of 65 535 values (65 536 slots with NULL's);
+// 11 kx, one value more.
+func regimeTable(t *testing.T) *storage.Table {
+	t.Helper()
 	base := aggTestTable(6_000, 7)
 	n := base.Rows()
-	dv := make([]int64, n)
-	ov := make([]int64, n)
+	dv, ov, nv, wv, xv := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
 	rng := rand.New(rand.NewSource(3))
 	for i := range dv {
 		dv[i] = int64(1000 + 50*rng.Intn(9))
 		ov[i] = int64(i / 100)
+		nv[i] = int64(rng.Intn(10))
+		if rng.Intn(10) == 0 {
+			nv[i] = types.NullInteger
+		}
+		wv[i] = int64(i*7919) % 65_535
+		xv[i] = wv[i]
 	}
+	wv[1], xv[1] = 65_534, 65_535
 	kd := makeIntColumn("kd", types.Integer, dv)
 	if err := storage.ConvertToDictCompression(kd); err != nil {
 		t.Fatalf("dictionary-compressing kd: %v", err)
 	}
-	tab := makeTable("aggtest", append(append([]*storage.Column{}, base.Columns...),
-		kd, makeIntColumn("ko", types.Integer, ov))...)
-	specs := []AggSpec{
-		{Func: Count, Col: -1},
-		{Func: Sum, Col: 4},
-		{Func: Sum, Col: 3},
-		{Func: Avg, Col: 4},
-		{Func: Min, Col: 4},
-		{Func: Max, Col: 3},
-		{Func: Min, Col: 5},
-		{Func: Max, Col: 5},
-		{Func: CountD, Col: 5},
-		{Func: CountD, Col: 2},
-		{Func: Median, Col: 4},
+	// The first rows name each class by its first heap element, so the
+	// serial hash reference (which keeps the first variant it sees) and
+	// direct mode (which emits a class's first element) agree on spelling.
+	h := heap.New(types.CollateCaseFold)
+	var elems []uint64
+	for _, s := range []string{"North", "South", "East", "north", "NORTH", "south", "EAST"} {
+		elems = append(elems, h.Append(s))
 	}
-	run := func(keys []int, mode AggMode, workers int, encodedOff bool, qc *QueryCtx) ([][]string, AggMode) {
-		t.Helper()
-		scan, err := NewScan(tab)
+	w := enc.NewWriter(enc.WriterConfig{ConvertOptimal: true, Sentinel: types.NullToken, HasSentinel: true})
+	for i := 0; i < n; i++ {
+		tok := elems[rng.Intn(len(elems))]
+		switch {
+		case i < 3:
+			tok = elems[i]
+		case rng.Intn(20) == 0:
+			tok = types.NullToken
+		}
+		w.AppendOne(tok)
+	}
+	kci := &storage.Column{Name: "kci", Type: types.String, Collation: types.CollateCaseFold,
+		Data: w.Finish(), Heap: h, Meta: enc.MetadataFromStats(w.Stats(), false)}
+	return makeTable("aggtest", append(append([]*storage.Column{}, base.Columns...),
+		kd, makeIntColumn("ko", types.Integer, ov), makeIntColumn("kn", types.Integer, nv), kci,
+		makeIntColumn("kw", types.Integer, wv), makeIntColumn("kx", types.Integer, xv))...)
+}
+
+// regimeSpecs reads every aggregate function; MIN, MAX and COUNTD read
+// the string column hs (5) as well.
+var regimeSpecs = []AggSpec{
+	{Func: Count, Col: -1},
+	{Func: Sum, Col: 4},
+	{Func: Sum, Col: 3},
+	{Func: Avg, Col: 4},
+	{Func: Min, Col: 4},
+	{Func: Max, Col: 3},
+	{Func: Min, Col: 5},
+	{Func: Max, Col: 5},
+	{Func: CountD, Col: 5},
+	{Func: CountD, Col: 2},
+	{Func: Median, Col: 4},
+}
+
+// runAgg aggregates what mk returns by keys over regimeSpecs and returns
+// the sorted rows and the mode the operator ran in.
+func runAgg(t *testing.T, mk func() Operator, keys []int, mode AggMode, workers int, encodedOff bool, qc *QueryCtx) ([][]string, AggMode) {
+	t.Helper()
+	agg := parallelAggregate(mk(), keys, regimeSpecs, mode, workers)
+	agg.EncodedOff = encodedOff
+	rows, err := CollectStringsCtx(qc, agg)
+	if err != nil {
+		t.Fatalf("keys=%v workers=%d: %v", keys, workers, err)
+	}
+	sortRows(rows)
+	return rows, agg.Mode()
+}
+
+// TestAggregateRegimes runs every aggregate function through the one
+// Aggregate across its regimes — workers 1/2/8 × the mode the tactical
+// choice lands on for each key shape (hash for a key whose domain is
+// unknown or too wide, direct for keys whose domains multiply to at most
+// 64K slots — narrow integers, dictionary tokens, strings over a
+// deduplicated heap, NULL slots included — token-direct for a single
+// dictionary key, ordered for a sorted key, which more than one worker
+// demotes to hash) × unbudgeted and 256 KiB with spilling — and requires
+// each to agree with the serial unbudgeted hash aggregation, in the mode
+// expected, with EncodedOff keeping dictionary keys off the direct modes
+// at any worker count.
+func TestAggregateRegimes(t *testing.T) {
+	tab := regimeTable(t)
+	scan := func() Operator {
+		s, err := NewScan(tab)
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg := parallelAggregate(scan, keys, specs, mode, workers)
-		agg.EncodedOff = encodedOff
-		rows, err := CollectStringsCtx(qc, agg)
-		if err != nil {
-			t.Fatalf("keys=%v workers=%d: %v", keys, workers, err)
-		}
-		sortRows(rows)
-		return rows, agg.Mode()
+		return s
 	}
 	for _, tc := range []struct {
 		name     string
 		keys     []int
 		serial   AggMode // what AggAuto picks with one worker
 		parallel AggMode // ... and with several
+		// Under the 256 KiB budget, from this many workers on the
+		// workers' direct tables (one each) do not fit and the operator
+		// runs hash cores instead; 0 = never.
+		hashFrom int
 	}{
-		{"hash", []int{4}, AggHash, AggHash},
-		{"hash-multi-key", []int{0, 2}, AggHash, AggHash},
-		{"hash-global", nil, AggHash, AggHash},
-		{"direct", []int{1}, AggDirect, AggDirect},
-		// A string key's stored token envelope does not bound the re-interned
-		// tokens the aggregation groups on: never direct.
-		{"hash-string", []int{0}, AggHash, AggHash},
-		{"token-direct", []int{6}, AggTokenDirect, AggTokenDirect},
-		{"ordered-demoted", []int{7}, AggOrdered, AggHash},
+		{"hash", []int{4}, AggHash, AggHash, 0},
+		// 30 006 slots: two workers' tables fit the budget, eight do not.
+		{"direct-multi-key", []int{0, 2}, AggDirect, AggDirect, 8},
+		{"hash-global", nil, AggHash, AggHash, 0},
+		{"direct", []int{1}, AggDirect, AggDirect, 0},
+		// A string key groups on its element's position in the stored heap.
+		{"direct-string", []int{0}, AggDirect, AggDirect, 0},
+		{"direct-three-keys", []int{1, 6, 0}, AggDirect, AggDirect, 0},
+		{"direct-null-slot", []int{8, 9}, AggDirect, AggDirect, 0},
+		// Case variants are separate heap elements but one ci group.
+		{"direct-ci-string", []int{9}, AggDirect, AggDirect, 0},
+		// hs is the key and the input of MIN, MAX and COUNTD.
+		{"direct-key-is-minmax-input", []int{5}, AggDirect, AggDirect, 0},
+		// 65 536 slots fill the budget on their own.
+		{"direct-64k", []int{10}, AggDirect, AggDirect, 2},
+		{"hash-64k+1", []int{11}, AggHash, AggHash, 0},
+		{"token-direct", []int{6}, AggTokenDirect, AggTokenDirect, 0},
+		{"ordered-demoted", []int{7}, AggOrdered, AggHash, 0},
 	} {
-		want, _ := run(tc.keys, AggHash, 1, false, nil)
+		want, _ := runAgg(t, scan, tc.keys, AggHash, 1, false, nil)
 		for _, workers := range []int{1, 2, 8} {
-			wantMode := tc.serial
-			if workers > 1 {
-				wantMode = tc.parallel
-			}
 			for _, budgeted := range []bool{false, true} {
+				wantMode := tc.serial
+				if workers > 1 {
+					wantMode = tc.parallel
+				}
+				if budgeted && tc.hashFrom > 0 && workers >= tc.hashFrom {
+					wantMode = AggHash
+				}
 				if budgeted && len(tc.keys) == 0 {
 					continue // one group's COUNTD/MEDIAN state cannot be evicted piecemeal
 				}
@@ -178,7 +247,7 @@ func TestAggregateRegimes(t *testing.T) {
 				if budgeted {
 					qc = NewQueryCtxSpill(nil, 256<<10, SpillConfig{Budget: 1 << 30, Dir: t.TempDir()})
 				}
-				got, mode := run(tc.keys, AggAuto, workers, false, qc)
+				got, mode := runAgg(t, scan, tc.keys, AggAuto, workers, false, qc)
 				if mode != wantMode {
 					t.Fatalf("%s: ran in %v mode, want %v", label, mode, wantMode)
 				}
@@ -191,20 +260,157 @@ func TestAggregateRegimes(t *testing.T) {
 				}
 				qc.CleanupSpill()
 			}
-			if tc.serial == AggTokenDirect {
-				got, mode := run(tc.keys, AggAuto, workers, true, nil)
-				if mode == AggTokenDirect {
-					t.Fatalf("%s workers=%d: EncodedOff did not reach the mode choice", tc.name, workers)
+			if slices.Contains(tc.keys, 6) {
+				got, mode := runAgg(t, scan, tc.keys, AggAuto, workers, true, nil)
+				if mode != AggHash {
+					t.Fatalf("%s workers=%d: EncodedOff ran in %v mode, want hash", tc.name, workers, mode)
 				}
 				rowsEqual(t, want, got, tc.name+" encoded-off")
 			}
 		}
 	}
+
+	// A dirty view's schema carries neutral metadata and its inserted rows
+	// a heap of their own: never direct.
+	view := deltaView(t, tab, []delta.Op{{Table: "aggtest", Kind: delta.OpDelete, RowID: 5}})
+	viewScan := func() Operator {
+		s, err := NewViewScan(view, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want, _ := runAgg(t, viewScan, []int{0, 2}, AggHash, 1, false, nil)
+	for _, workers := range []int{1, 2, 8} {
+		got, mode := runAgg(t, viewScan, []int{0, 2}, AggAuto, workers, false, nil)
+		if mode != AggHash {
+			t.Fatalf("dirty view workers=%d: ran in %v mode, want hash", workers, mode)
+		}
+		rowsEqual(t, want, got, fmt.Sprintf("dirty view workers=%d", workers))
+	}
+
+	// A block whose string key does not carry the column's heap cannot be
+	// grouped by element position: a typed error, never a wrong group.
+	for _, workers := range []int{1, 2, 8} {
+		alien := func() Operator { return &foreignHeapOp{child: scan(), col: 0, after: 2} }
+		qc := NewQueryCtx(nil, 0)
+		agg := parallelAggregate(alien(), []int{0, 2}, regimeSpecs, AggAuto, workers)
+		_, err := CollectStringsCtx(qc, agg)
+		if !errors.Is(err, ErrDirectKey) {
+			t.Fatalf("foreign heap workers=%d: err = %v, want ErrDirectKey", workers, err)
+		}
+		if used := qc.Used(); used != 0 {
+			t.Fatalf("foreign heap workers=%d: %d bytes still charged after Close", workers, used)
+		}
+	}
+}
+
+// foreignHeapOp passes its child's blocks through, except that from the
+// after-th block on, column col carries a copy of its heap: same strings,
+// same tokens, another heap.
+type foreignHeapOp struct {
+	child Operator
+	col   int
+	after int
+	seen  int
+}
+
+func (f *foreignHeapOp) Schema() []ColInfo       { return f.child.Schema() }
+func (f *foreignHeapOp) Open(qc *QueryCtx) error { f.seen = 0; return f.child.Open(qc) }
+func (f *foreignHeapOp) Close() error            { return f.child.Close() }
+func (f *foreignHeapOp) Next(b *vec.Block) (bool, error) {
+	ok, err := f.child.Next(b)
+	if f.seen++; ok && f.seen > f.after {
+		v := &b.Vecs[f.col]
+		copied, err := heap.FromBytes(v.Heap.Bytes(), v.Heap.Len(), v.Heap.Collation(), v.Heap.Sorted())
+		if err != nil {
+			return false, err
+		}
+		v.Heap = copied
+	}
+	return ok, err
+}
+
+// TestAggregateStoredTokenInputs checks MIN, MAX and COUNTD over string
+// columns that keep their stored tokens (hs, and kci, whose ci heap
+// stores case variants as separate elements) against the same
+// aggregation over a schema that hides the stored heap, which translates
+// every string into heaps of its own: equal rows under hash, direct and
+// global grouping, workers 1/2/8, unbudgeted and spilling, while the
+// stored path charges no string bytes. A block on another heap is an
+// error, never a count.
+func TestAggregateStoredTokenInputs(t *testing.T) {
+	tab := regimeTable(t)
+	scan := func() Operator {
+		s, err := NewScan(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	specs := []AggSpec{{Func: Count, Col: -1}, {Func: CountD, Col: 9}, {Func: Min, Col: 9},
+		{Func: Max, Col: 9}, {Func: CountD, Col: 5}, {Func: Min, Col: 5}}
+	run := func(child Operator, keys []int, workers int, qc *QueryCtx) [][]string {
+		t.Helper()
+		rows, err := CollectStringsCtx(qc, parallelAggregate(child, keys, specs, AggAuto, workers))
+		if err != nil {
+			t.Fatalf("keys=%v workers=%d: %v", keys, workers, err)
+		}
+		for _, r := range rows { // ci MIN/MAX may name a class by any of its elements
+			aggs := r[len(r)-len(specs):]
+			aggs[2], aggs[3] = strings.ToLower(aggs[2]), strings.ToLower(aggs[3])
+		}
+		sortRows(rows)
+		return rows
+	}
+	global := run(scan(), nil, 1, nil)
+	if got := global[0][1]; got != "3" {
+		t.Fatalf("COUNTD(kci) = %s, want 3 ci classes", got)
+	}
+	for _, keys := range [][]int{nil, {4}, {1}} {
+		qc := NewQueryCtx(nil, 0)
+		want := run(hiddenHeapOp{scan()}, keys, 1, qc)
+		translated := qc.Peak()
+		for _, workers := range []int{1, 2, 8} {
+			qc := NewQueryCtx(nil, 0)
+			got := run(scan(), keys, workers, qc)
+			rowsEqual(t, want, got, fmt.Sprintf("keys=%v workers=%d", keys, workers))
+			if workers == 1 && qc.Peak() >= translated {
+				t.Errorf("keys=%v: stored tokens peaked at %d bytes, translated strings at %d", keys, qc.Peak(), translated)
+			}
+			if len(keys) == 0 {
+				continue // one group's state cannot be evicted piecemeal
+			}
+			qc = NewQueryCtxSpill(nil, 64<<10, SpillConfig{Budget: 1 << 30, Dir: t.TempDir()})
+			got = run(scan(), keys, workers, qc)
+			rowsEqual(t, want, got, fmt.Sprintf("keys=%v workers=%d spilling", keys, workers))
+			if qc.SpillPeak() == 0 || qc.Used() != 0 {
+				t.Fatalf("keys=%v workers=%d: spill peak %d, %d bytes charged after Close", keys, workers, qc.SpillPeak(), qc.Used())
+			}
+			qc.CleanupSpill()
+		}
+	}
+	alien := parallelAggregate(&foreignHeapOp{child: scan(), col: 5, after: 2}, []int{4}, specs, AggAuto, 2)
+	if _, err := CollectStringsCtx(NewQueryCtx(nil, 0), alien); err == nil {
+		t.Fatal("a block on another heap was aggregated as stored tokens")
+	}
+}
+
+// hiddenHeapOp passes its child through with a schema that does not
+// claim the stored heaps.
+type hiddenHeapOp struct{ Operator }
+
+func (h hiddenHeapOp) Schema() []ColInfo {
+	out := append([]ColInfo(nil), h.Operator.Schema()...)
+	for i := range out {
+		out[i].StoredHeap = false
+	}
+	return out
 }
 
 // TestAggregateDirectChargeScalesWithWorkers pins the memory behaviour of
 // direct mode inside workers: every worker charges its own envelope-sized
-// table (here 60 001 slots, 480 KB), so a budget that holds one or two of
+// table (here 60 002 slots, 240 KB), so a budget that holds one or two of
 // them denies eight — and the operator then runs hash cores, which is what
 // a budget too small for the direct tables always meant, spilling or not.
 func TestAggregateDirectChargeScalesWithWorkers(t *testing.T) {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"tde/internal/enc"
@@ -18,10 +17,11 @@ type BlockTransform interface {
 	Transform(in, out *vec.Block) int
 }
 
-// Exchange parallelizes a flow segment (Sect. 4.3 / [8]): a producer reads
-// the child; workers apply a transform chain per block; the consumer
-// merges. With PreserveOrder the blocks are numbered and emitted in input
-// order ("order-preserving routing"), which the strategic optimizer forces
+// Exchange parallelizes a flow segment (Sect. 4.3 / [8]): workers claim
+// the child's blocks through the morsel dispenser, apply a transform chain
+// per block, and the consumer merges. With PreserveOrder the blocks carry
+// their input sequence numbers and are emitted in input order
+// ("order-preserving routing"), which the strategic optimizer forces
 // above encoding FlowTables at a measured 10-15% overhead; without it,
 // completion order wins, disturbing value order and potentially ruining
 // downstream encodings.
@@ -35,15 +35,17 @@ type Exchange struct {
 	preserveOrder bool
 	schema        []ColInfo
 
-	out     chan seqBlock
-	pending []seqBlock // reorder buffer (PreserveOrder)
+	out chan seqBlock
+	// pending is the reorder buffer (PreserveOrder): pending[i] holds
+	// sequence number nextSeq+i once it has arrived, nil until then.
+	pending []*vec.Block
 	nextSeq int
 	errMu   sync.Mutex
 	err     error
 	done    chan struct{}
-	// all tracks every goroutine Open spawned (producer, workers, closer)
-	// so Close can wait for a fully quiesced state — no leaks even when
-	// the consumer abandons the stream early or the query is cancelled.
+	// all tracks every goroutine Open spawned (workers, closer) so Close
+	// can wait for a fully quiesced state — no leaks even when the
+	// consumer abandons the stream early or the query is cancelled.
 	all sync.WaitGroup
 	qc  *QueryCtx
 }
@@ -52,6 +54,10 @@ type seqBlock struct {
 	seq int
 	b   *vec.Block
 }
+
+// emptyMorsel stands in the reorder buffer for a sequence number whose
+// block came out empty (zone-refuted, or every row filtered away).
+var emptyMorsel = &vec.Block{}
 
 // NewExchange parallelizes chain over child with the given worker count.
 func NewExchange(child Operator, newChain func() []BlockTransform, workers int, preserveOrder bool, outSchema []ColInfo) *Exchange {
@@ -80,7 +86,7 @@ func (e *Exchange) OpLabel() string {
 // OpChildren implements Instrumented.
 func (e *Exchange) OpChildren() []Operator { return []Operator{e.child} }
 
-// Open implements Operator: spawns the producer and workers.
+// Open implements Operator: spawns the workers.
 func (e *Exchange) Open(qc *QueryCtx) error {
 	start := e.beginOpen(qc, "Exchange")
 	defer e.endOpen(start)
@@ -92,85 +98,20 @@ func (e *Exchange) Open(qc *QueryCtx) error {
 	e.pending = nil
 	e.err = nil
 	e.done = make(chan struct{})
-	in := make(chan seqBlock, e.workers*2)
 	e.out = make(chan seqBlock, e.workers*2)
 	// The goroutines below capture the channels as locals: Close nils the
 	// struct fields from the consumer side, and sharing the fields with the
 	// workers would race.
 	done, out := e.done, e.out
-
-	// Producer: copies each child block (the child reuses its buffers).
-	e.all.Add(1)
-	go func() {
-		defer e.all.Done()
-		defer close(in)
-		defer e.containPanic("producer")
-		b := vec.NewBlock(len(e.child.Schema()))
-		seq := 0
-		for {
-			if err := qc.Err(); err != nil {
-				e.setErr(err)
-				return
-			}
-			if e.loadErr() != nil {
-				// A worker already failed: stop consuming the child instead
-				// of draining its whole stream into a doomed query.
-				return
-			}
-			select {
-			case <-done:
-				return
-			default:
-			}
-			ok, err := e.child.Next(b)
-			if err != nil {
-				e.setErr(err)
-				return
-			}
-			if !ok {
-				return
-			}
-			select {
-			case in <- seqBlock{seq: seq, b: copyBlock(b)}:
-			case <-done:
-				return
-			case <-qc.Done():
-				e.setErr(qc.Err())
-				return
-			}
-			seq++
-		}
-	}()
-
 	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
+	for _, src := range morsels(e.child, e.workers) {
 		wg.Add(1)
 		e.all.Add(1)
 		go func() {
 			defer e.all.Done()
 			defer wg.Done()
 			defer e.containPanic("worker")
-			chain := e.newChain()
-			scratch := vec.NewBlock(len(e.schema))
-			for sb := range in {
-				if e.loadErr() != nil {
-					continue // drain without transforming; the query is doomed
-				}
-				cur := sb.b
-				for _, t := range chain {
-					if t.Transform(cur, scratch) >= 0 {
-						cur, scratch = scratch, cur
-					}
-				}
-				select {
-				case out <- seqBlock{seq: sb.seq, b: copyBlock(cur)}:
-				case <-done:
-					return
-				case <-qc.Done():
-					e.setErr(qc.Err())
-					return
-				}
-			}
+			e.work(src, done, out)
 		}()
 	}
 	e.all.Add(1)
@@ -180,6 +121,62 @@ func (e *Exchange) Open(qc *QueryCtx) error {
 		close(out)
 	}()
 	return nil
+}
+
+// work is one worker's loop: claim a morsel, run the chain over it, and
+// send a copy of the result downstream, until the input ends, the query
+// fails or is cancelled, or the consumer closes.
+func (e *Exchange) work(src morselSource, done <-chan struct{}, out chan<- seqBlock) {
+	chain := e.newChain()
+	in := vec.NewBlock(len(e.child.Schema()))
+	scratch := vec.NewBlock(len(e.schema))
+	for {
+		if e.loadErr() != nil {
+			// Another worker already failed: stop consuming the child
+			// instead of draining its whole stream into a doomed query.
+			return
+		}
+		if err := e.qc.Err(); err != nil {
+			e.setErr(err)
+			return
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
+		seq, ok, err := src.next(in)
+		if err != nil {
+			e.setErr(err)
+			return
+		}
+		if !ok {
+			return
+		}
+		cur, spare := in, scratch
+		if cur.N > 0 {
+			for _, t := range chain {
+				if t.Transform(cur, spare) >= 0 {
+					cur, spare = spare, cur
+				}
+			}
+		}
+		sb := seqBlock{seq: seq, b: emptyMorsel}
+		switch {
+		case cur.N > 0:
+			sb.b = copyBlock(cur)
+		case !e.preserveOrder:
+			continue
+		}
+		select {
+		case out <- sb:
+		case <-done:
+			return
+		case <-e.qc.Done():
+			e.setErr(e.qc.Err())
+			return
+		}
+	}
 }
 
 // containPanic converts a panicking parallel stage into a query error so
@@ -212,36 +209,29 @@ func (e *Exchange) next(b *vec.Block) (bool, error) {
 		if err := e.loadErr(); err != nil {
 			return false, err
 		}
-		if e.preserveOrder {
-			// Emit from the reorder buffer when the next sequence number
-			// has arrived.
-			if len(e.pending) > 0 && e.pending[0].seq == e.nextSeq {
-				sb := e.pending[0]
-				e.pending = e.pending[1:]
-				e.nextSeq++
-				if sb.b.N == 0 {
-					continue
-				}
-				moveBlock(sb.b, b)
-				return true, nil
+		if e.preserveOrder && len(e.pending) > 0 && e.pending[0] != nil {
+			// The next sequence number has arrived.
+			sb := e.pending[0]
+			e.pending = e.pending[1:]
+			e.nextSeq++
+			if sb.N == 0 {
+				continue
 			}
-			sb, ok := <-e.out
-			if !ok {
-				// Stream ended; drain whatever is buffered in order.
-				if len(e.pending) > 0 && e.pending[0].seq == e.nextSeq {
-					continue
-				}
-				return false, e.loadErr()
-			}
-			e.pending = append(e.pending, sb)
-			sort.Slice(e.pending, func(i, j int) bool { return e.pending[i].seq < e.pending[j].seq })
-			continue
+			moveBlock(sb, b)
+			return true, nil
 		}
 		sb, ok := <-e.out
 		if !ok {
+			// Every worker is done. A sequence number still missing was
+			// claimed by a worker that failed, so the error explains it.
 			return false, e.loadErr()
 		}
-		if sb.b.N == 0 {
+		if e.preserveOrder {
+			i := sb.seq - e.nextSeq
+			for len(e.pending) <= i {
+				e.pending = append(e.pending, nil)
+			}
+			e.pending[i] = sb.b
 			continue
 		}
 		moveBlock(sb.b, b)

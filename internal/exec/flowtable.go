@@ -308,7 +308,7 @@ func (cb *columnBuilder) finish(cfg *FlowTableConfig) BuiltColumn {
 
 	info := cb.info
 	if cb.tr != nil {
-		info.Heap = cb.outHeap
+		info.Heap, info.StoredHeap = cb.outHeap, true
 		// Heap sorting (Sect. 3.4.3): when the token column is dictionary
 		// encoded, the domain is small; sort the heap and write the new
 		// tokens back over the dictionary entries — never touching rows.

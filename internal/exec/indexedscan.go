@@ -81,7 +81,7 @@ func (is *IndexedScan) Schema() []ColInfo {
 	}
 	for _, c := range is.outerCols {
 		col := is.outer.Columns[c]
-		out = append(out, ColInfo{Name: col.Name, Type: col.Type, Heap: col.Heap, Dict: col.Dict})
+		out = append(out, ColInfo{Name: col.Name, Type: col.Type, Heap: col.Heap, StoredHeap: col.Heap != nil, Dict: col.Dict})
 	}
 	return out
 }
@@ -131,7 +131,7 @@ func (is *IndexedScan) Open(qc *QueryCtx) error {
 	is.readers = is.readers[:0]
 	for _, c := range is.outerCols {
 		col := is.outer.Columns[c]
-		info := ColInfo{Name: col.Name, Type: col.Type, Heap: col.Heap, Dict: col.Dict, Meta: col.Meta}
+		info := ColInfo{Name: col.Name, Type: col.Type, Heap: col.Heap, StoredHeap: col.Heap != nil, Dict: col.Dict, Meta: col.Meta}
 		schema = append(schema, info)
 		is.readers = append(is.readers, newColReader(info, col.Data, nil))
 	}

@@ -96,6 +96,10 @@ func (j *HashJoin) Schema() []ColInfo {
 		return j.schema
 	}
 	out := append([]ColInfo{}, j.outer.Schema()...)
+	// A grace join spills the outer key as a string and re-homes every
+	// inner string into its partitions' heaps; the other outer columns
+	// come back on their stored heaps.
+	out[j.outerKey].StoredHeap = false
 	// Outer columns keep their order metadata (the join preserves outer
 	// order), but filtering by an inner join can break density — the very
 	// effect Sect. 3.4.2 describes for filtered dimensions.
@@ -112,6 +116,7 @@ func (j *HashJoin) Schema() []ColInfo {
 		info.Meta.IsAffine = false
 		info.Meta.Dense = false
 		info.Meta.Unique = false
+		info.StoredHeap = false
 		if j.LeftOuter {
 			info.Meta.NullsKnown = false
 		}
@@ -339,10 +344,7 @@ func (p *joinPart) decode(qc *QueryCtx, c int) error {
 	}
 	out := make([]uint64, n)
 	enc.NewReader(col.Data).Read(0, n, out)
-	w := col.Data.Width()
-	for i := range out {
-		out[i] = resolveRaw(out[i], w, col.Info)
-	}
+	widenInPlace(out, col.Data.Width(), &col.Info)
 	p.cols[c] = out
 	return nil
 }

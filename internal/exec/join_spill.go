@@ -74,6 +74,14 @@ func (j *HashJoin) openGrace(qc *QueryCtx, src Operator) error {
 	g.outerInfo = j.outer.Schema()
 	g.innerInfo = src.Schema()
 	g.outerSpecs = spillSpecs(g.outerInfo)
+	for c, info := range g.outerInfo {
+		if info.StoredHeap && c != j.outerKey {
+			// Stored tokens outlive the query: spill them as they are, so
+			// the partitions' outer rows come back on the stored heap.
+			// The key is spilled as a string: repartitioning hashes it.
+			g.outerSpecs[c] = spill.ColSpec{Sentinel: types.NullToken}
+		}
+	}
 	g.innerSpecs = spillSpecs(g.innerInfo)
 	ki := g.innerInfo[j.innerKey]
 	g.keyStr = ki.Type == types.String

@@ -383,6 +383,45 @@ func TestGraceJoinMaterializesRunBlocks(t *testing.T) {
 	qc.CleanupSpill()
 }
 
+// TestGraceJoinKeepsOuterStoredHeap: a grace join spills an outer string
+// column that is not the key as stored tokens, so its blocks come back on
+// the stored heap and the join's schema keeps StoredHeap for it — which
+// lets an aggregate above keep the tokens too. The outer key and the inner
+// strings are re-homed into partition heaps and do not claim it.
+func TestGraceJoinKeepsOuterStoredHeap(t *testing.T) {
+	const nOuter, nInner = 2000, 6000
+	fk, names := make([]int64, nOuter), make([]string, nOuter)
+	for i := range fk {
+		fk[i], names[i] = int64(i*3%nInner*7), fmt.Sprintf("name-%d", i%997)
+	}
+	fact := makeTable("fact", makeIntColumn("fk", types.Integer, fk), makeStringColumn("name", names))
+	pk, tags := make([]int64, nInner), make([]string, nInner)
+	for i := range pk {
+		pk[i], tags[i] = int64(i*7), fmt.Sprintf("tag-%d", i%13)
+	}
+	dim := makeTable("dim", makeIntColumn("pk", types.Integer, pk), makeStringColumn("tag", tags))
+	qc := NewQueryCtxSpill(nil, 64<<10, SpillConfig{Budget: 1 << 30, Dir: t.TempDir()})
+	defer qc.CleanupSpill()
+	scan, _ := NewScan(fact)
+	dimScan, _ := NewScan(dim)
+	j := NewHashJoin(scan, NewFlowTable(dimScan, DefaultFlowTableConfig()), 0, 0, JoinAuto)
+	if s := j.Schema(); s[0].StoredHeap || !s[1].StoredHeap || s[2].StoredHeap {
+		t.Fatalf("StoredHeap of (fk, name, tag) = (%v, %v, %v), want (false, true, false)",
+			s[0].StoredHeap, s[1].StoredHeap, s[2].StoredHeap)
+	}
+	agg := NewAggregate(j, nil, []AggSpec{{Func: Count, Col: -1}, {Func: CountD, Col: 1}}, AggAuto)
+	rows, err := CollectStringsCtx(qc, agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.opStats().Routine() != "grace" || qc.SpillPeak() == 0 {
+		t.Fatalf("the join ran [%s] with %d spill bytes, want grace", j.opStats().Routine(), qc.SpillPeak())
+	}
+	if got := strings.Join(rows[0], ","); got != fmt.Sprintf("%d,997", nOuter) {
+		t.Fatalf("COUNT(*), COUNTD(name) = %s, want %d,997", got, nOuter)
+	}
+}
+
 // TestDirectJoinDropsKeyColumn: a direct join probes its envelope index
 // alone, so once the index is built the flat key column is gone and its
 // rows × 8 bytes are back with the accountant. The join holds exactly the

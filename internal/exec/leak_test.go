@@ -1,8 +1,12 @@
 package exec
 
 import (
+	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tde/internal/storage"
 	"tde/internal/types"
@@ -147,5 +151,72 @@ func TestOperatorsReleaseAllMemory(t *testing.T) {
 				t.Fatalf("disk-full run returned a non-budget error: %v", err)
 			}
 		})
+	}
+}
+
+// cancelOn passes blocks through and cancels the query on its at-th one.
+type cancelOn struct {
+	seen   *atomic.Int64
+	at     int64
+	cancel context.CancelFunc
+}
+
+func (c cancelOn) Transform(in, out *vec.Block) int {
+	if c.seen.Add(1) == c.at {
+		c.cancel()
+	}
+	return -1
+}
+
+// TestMorselCancelLeaksNothing cancels the parallel consumers of a clean
+// scan's claim cursor mid-scan — an Exchange, cancelled by its own chain
+// on the third block, and a parallel aggregation, cancelled once its
+// groups are being charged — and requires context.Canceled, nothing
+// charged after Close, and every worker goroutine gone.
+func TestMorselCancelLeaksNothing(t *testing.T) {
+	tab := bigTable(1_000_000)
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{2, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		scan, err := NewScan(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen atomic.Int64
+		ex := NewExchange(scan, func() []BlockTransform {
+			return []BlockTransform{cancelOn{seen: &seen, at: 3, cancel: cancel}}
+		}, workers, false, scan.Schema())
+		if err := runLeakChecked(t, "exchange", NewQueryCtx(ctx, 0), ex); !errors.Is(err, context.Canceled) {
+			t.Fatalf("exchange workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		cancel()
+
+		ctx, cancel = context.WithCancel(context.Background())
+		qc := NewQueryCtx(ctx, 0)
+		scan, err = NewScan(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg := parallelAggregate(scan, []int{1}, []AggSpec{{Func: Count, Col: -1}}, AggHash, workers)
+		done := make(chan struct{})
+		go func() {
+			for qc.Used() < 1<<16 {
+				select {
+				case <-done:
+					return
+				case <-time.After(50 * time.Microsecond):
+				}
+			}
+			cancel()
+		}()
+		err = runLeakChecked(t, "aggregate", qc, agg)
+		close(done)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("aggregate workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+	}
+	if after := countGoroutines(before); after > before {
+		t.Fatalf("goroutine leak: %d before, %d after cancelled scans", before, after)
 	}
 }

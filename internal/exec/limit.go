@@ -236,7 +236,7 @@ func (t *TopN) outHeaps(strs [][]string, strCols []bool) {
 			}
 			t.sorted[r][c] = hp.Append(strs[r][c])
 		}
-		t.schema[c].Heap = hp
+		t.schema[c].Heap, t.schema[c].StoredHeap = hp, false
 	}
 }
 

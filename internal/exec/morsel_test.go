@@ -1,0 +1,181 @@
+package exec
+
+import (
+	"sync"
+	"testing"
+
+	"tde/internal/delta"
+	"tde/internal/enc"
+	"tde/internal/storage"
+	"tde/internal/types"
+	"tde/internal/vec"
+)
+
+// stripedTable holds one integer column a whose blocks alternate between
+// small values (even blocks: the row number) and large ones (odd blocks:
+// the row number + 1e6), with a zone map, so a range filter on small
+// values refutes every odd block.
+func stripedTable(t *testing.T, rows int) *storage.Table {
+	t.Helper()
+	vals := make([]int64, rows)
+	for i := range vals {
+		vals[i] = int64(i)
+		if i/vec.BlockSize%2 == 1 {
+			vals[i] += 1_000_000
+		}
+	}
+	w := enc.NewWriter(enc.WriterConfig{Signed: true, ConvertOptimal: true,
+		Sentinel: types.NullBits(types.Integer), HasSentinel: true})
+	for _, v := range vals {
+		w.AppendOne(uint64(v))
+	}
+	a := &storage.Column{Name: "a", Type: types.Integer, Data: w.Finish(),
+		Meta: enc.MetadataFromStats(w.Stats(), true), Zones: w.Zones()}
+	if a.Zones == nil {
+		t.Fatal("no zone map")
+	}
+	return makeTable("striped", a)
+}
+
+// smallOnly is the zone filter that keeps stripedTable's even blocks.
+var smallOnly = []ZoneFilter{{Col: 0, Kind: ZFRange, Lo: 0, Hi: 999_999, Name: "a"}}
+
+// TestMorselsDeliverEveryRowOnce drains the dispenser's sources on
+// concurrent goroutines, as parallel consumers do, and requires every
+// row to arrive exactly once: through the claim cursor of a clean scan
+// with zone-refuted blocks (which come back empty but numbered), and
+// through the locked path of a scan that cannot be split.
+func TestMorselsDeliverEveryRowOnce(t *testing.T) {
+	const rows = 20*vec.BlockSize + 300
+	tab := stripedTable(t, rows)
+	view := deltaView(t, tab, []delta.Op{{Table: "striped", Kind: delta.OpDelete, RowID: 7}})
+	for _, tc := range []struct {
+		name     string
+		newScan  func() (*Scan, error)
+		prune    []ZoneFilter
+		claimed  bool
+		wantRows func(v int64) bool
+	}{
+		{"clean", func() (*Scan, error) { return NewScan(tab) }, nil, true,
+			func(int64) bool { return true }},
+		{"clean+zoneskip", func() (*Scan, error) { return NewScan(tab) }, smallOnly, true,
+			func(v int64) bool { return v < 1_000_000 }},
+		{"dirty", func() (*Scan, error) { return NewViewScan(view, false) }, nil, false,
+			func(v int64) bool { return v != 7 }},
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			scan, err := tc.newScan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan.Prune = tc.prune
+			qc := NewQueryCtx(nil, 0)
+			if err := scan.Open(qc); err != nil {
+				t.Fatal(err)
+			}
+			srcs := morsels(scan, workers)
+			if _, claimed := srcs[0].(*scanMorsels); claimed != tc.claimed {
+				t.Fatalf("%s: claim-cursor sources = %v, want %v", tc.name, claimed, tc.claimed)
+			}
+			var (
+				mu    sync.Mutex
+				seen  = map[int64]int{}
+				seqs  = map[int]bool{}
+				wg    sync.WaitGroup
+				fails []error
+			)
+			for _, src := range srcs {
+				wg.Add(1)
+				go func(src morselSource) {
+					defer wg.Done()
+					b := vec.NewBlock(1)
+					for {
+						seq, ok, err := src.next(b)
+						mu.Lock()
+						if err != nil {
+							fails = append(fails, err)
+						}
+						if err != nil || !ok {
+							mu.Unlock()
+							return
+						}
+						if seqs[seq] {
+							t.Errorf("%s workers=%d: sequence number %d handed out twice", tc.name, workers, seq)
+						}
+						seqs[seq] = true
+						for _, v := range b.Vecs[0].Data[:b.N] {
+							seen[int64(v)]++
+						}
+						mu.Unlock()
+					}
+				}(src)
+			}
+			wg.Wait()
+			scan.Close()
+			if len(fails) > 0 {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, fails[0])
+			}
+			want := 0
+			for i := 0; i < rows; i++ {
+				v := int64(i)
+				if i/vec.BlockSize%2 == 1 {
+					v += 1_000_000
+				}
+				if !tc.wantRows(v) {
+					continue
+				}
+				want++
+				if seen[v] != 1 {
+					t.Fatalf("%s workers=%d: row %d arrived %d times", tc.name, workers, i, seen[v])
+				}
+			}
+			if len(seen) != want {
+				t.Fatalf("%s workers=%d: %d distinct rows arrived, want %d", tc.name, workers, len(seen), want)
+			}
+			for seq := range seqs {
+				if seq < 0 || seq >= len(seqs) {
+					t.Fatalf("%s workers=%d: sequence numbers are not 0..%d: saw %d", tc.name, workers, len(seqs)-1, seq)
+				}
+			}
+			if skipped := scan.opStats().blocksSkipped; tc.prune != nil && skipped != 10 {
+				t.Fatalf("%s workers=%d: %d blocks skipped, want the 10 odd ones", tc.name, workers, skipped)
+			}
+		}
+	}
+}
+
+// TestExchangePreserveOrderOverZoneSkips runs an order-preserving
+// exchange over a clean scan whose zone maps refute every other block:
+// the refuted morsels still use up their sequence numbers, so the
+// reorder buffer never waits on a gap and the surviving rows come out
+// in input order.
+func TestExchangePreserveOrderOverZoneSkips(t *testing.T) {
+	const rows = 40*vec.BlockSize + 17
+	tab := stripedTable(t, rows)
+	for _, workers := range []int{2, 8} {
+		scan, err := NewScan(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan.Prune = smallOnly
+		ex := NewExchange(scan, func() []BlockTransform { return nil }, workers, true, scan.Schema())
+		got, err := Collect(ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int64
+		for i := 0; i < rows; i++ {
+			if i/vec.BlockSize%2 == 0 {
+				want = append(want, int64(i))
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d rows, want %d", workers, len(got), len(want))
+		}
+		for i, r := range got {
+			if int64(r[0]) != want[i] {
+				t.Fatalf("workers=%d: row %d = %d, want %d (input order lost)", workers, i, int64(r[0]), want[i])
+			}
+		}
+	}
+}

@@ -25,6 +25,15 @@ type ColInfo struct {
 	// Heap resolves string tokens; nil for scalars. May be nil for
 	// computed string columns whose heap is created per block.
 	Heap *heap.Heap
+	// StoredHeap says every block of this column carries Heap itself, so
+	// a token is the position of an element in that one heap. A clean
+	// Scan, an IndexedScan and a FlowTable's output set it; an operator
+	// that may emit the column's tokens against heaps of its own (a
+	// spilled join's partitions, a spilled sort's runs, an aggregation's
+	// or a top-n's heaps) clears it. Direct grouping takes a string
+	// key's element positions for its domain, and an aggregate input
+	// keeps its stored tokens, only when it is set.
+	StoredHeap bool
 	// Dict marks dictionary-compressed scalar columns.
 	Dict []uint64
 	// Meta carries derived properties (min/max, cardinality, sortedness,
@@ -95,28 +104,63 @@ func (bt *Built) Schema() []ColInfo {
 // Value resolves row r of column c to full-width value bits.
 func (bt *Built) Value(c, r int) uint64 {
 	col := &bt.Cols[c]
-	return resolveRaw(col.Data.Get(r), col.Data.Width(), col.Info)
+	return resolveRaw(col.Data.Get(r), col.Data.Width(), &col.Info)
 }
 
-// resolveRaw widens a raw stream value: sign-extending signed scalars and
-// restoring the full-width NULL sentinel for token columns. Token columns
-// are never narrowed onto their sentinel pattern (FlowTable reserves it),
-// so the mapping is unambiguous.
-func resolveRaw(v uint64, width int, info ColInfo) uint64 {
-	if width == 8 {
-		return v
+// widening is how a column's raw stream values become full-width bits.
+type widening uint8
+
+const (
+	widenNone   widening = iota // already full width, or unsigned
+	widenTokens                 // restore the full-width NULL token
+	widenSigned                 // sign-extend
+)
+
+// widenOf chooses the widening of a column stored width bytes wide.
+// Token columns are never narrowed onto their sentinel pattern
+// (FlowTable reserves it), so the token mapping is unambiguous.
+func widenOf(width int, info *ColInfo) widening {
+	switch {
+	case width == 8:
+		return widenNone
+	case info.Heap != nil || info.Dict != nil || info.Type == types.String:
+		return widenTokens
+	case signedType(info.Type):
+		return widenSigned
 	}
-	tokens := info.Heap != nil || info.Dict != nil || info.Type == types.String
-	if tokens {
+	return widenNone
+}
+
+// resolveRaw widens one raw stream value: sign-extending signed scalars
+// and restoring the full-width NULL sentinel for token columns.
+func resolveRaw(v uint64, width int, info *ColInfo) uint64 {
+	switch widenOf(width, info) {
+	case widenTokens:
 		if v == types.NullToken&enc.WidthMask(width) {
 			return types.NullToken
 		}
-		return v
-	}
-	if signedType(info.Type) {
+	case widenSigned:
 		return uint64(enc.SignExtend(v, width))
 	}
 	return v
+}
+
+// widenInPlace is resolveRaw over a slice, with the widening chosen once.
+func widenInPlace(data []uint64, width int, info *ColInfo) {
+	switch widenOf(width, info) {
+	case widenTokens:
+		null := types.NullToken & enc.WidthMask(width)
+		for i, v := range data {
+			if v == null {
+				data[i] = types.NullToken
+			}
+		}
+	case widenSigned:
+		shift := uint(64 - 8*width)
+		for i, v := range data {
+			data[i] = uint64(int64(v<<shift) >> shift)
+		}
+	}
 }
 
 func signedType(t types.Type) bool {

@@ -75,6 +75,7 @@ type Scan struct {
 
 	qc     *QueryCtx
 	cols   []colReader
+	cache  *DecodeCache // the query's decode cache over a stored table
 	pruner zonePruner
 	at     int // next base row
 	runs   bool
@@ -107,7 +108,7 @@ func NewScan(t *storage.Table, names ...string) (*Scan, error) {
 		c := t.Columns[idx]
 		s.src.Cols = append(s.src.Cols, BuiltColumn{Data: c.Data, Zones: c.Zones, Info: ColInfo{
 			Name: c.Name, Type: c.Type, Collation: c.Collation,
-			Heap: c.Heap, Dict: c.Dict, Meta: c.Meta,
+			Heap: c.Heap, StoredHeap: c.Heap != nil, Dict: c.Dict, Meta: c.Meta,
 		}})
 	}
 	s.schema = s.src.Schema()
@@ -125,7 +126,8 @@ func NewViewScan(v *delta.View, withRowID bool, names ...string) (*Scan, error) 
 	s.view, s.rowID = v, withRowID
 	meta := enc.Metadata{RowCount: v.VisibleRows()}
 	for i := range s.schema {
-		s.schema[i].Dict, s.schema[i].Meta = nil, meta
+		// Inserted strings come in heaps of their own.
+		s.schema[i].Dict, s.schema[i].Meta, s.schema[i].StoredHeap = nil, meta, false
 	}
 	if withRowID {
 		s.schema = append(s.schema, ColInfo{Name: RowIDColumn, Type: types.Integer, Meta: meta})
@@ -171,16 +173,12 @@ func (s *Scan) Open(qc *QueryCtx) error {
 	defer s.endOpen(start)
 	s.qc = qc
 	s.at, s.insAt = 0, 0
-	var cache *DecodeCache
+	s.cache = nil
 	if s.table != nil {
-		cache = qc.Cache()
+		s.cache = qc.Cache()
 		s.pruner = newZonePruner(s.table, s.Prune)
 	}
-	s.cols = make([]colReader, len(s.src.Cols))
-	for i := range s.src.Cols {
-		c := &s.src.Cols[i]
-		s.cols[i] = newColReader(c.Info, c.Data, cache)
-	}
+	s.cols = s.newReaders()
 	routine := encRoutine(s.src.Cols)
 	if s.view != nil {
 		s.internInsertions()
@@ -193,6 +191,36 @@ func (s *Scan) Open(qc *QueryCtx) error {
 		routine += "(runs)"
 	}
 	s.st.SetRoutine(routine)
+	return nil
+}
+
+// newReaders returns a fresh column reader per selected column: the
+// scan's own, or a parallel consumer's (morsels).
+func (s *Scan) newReaders() []colReader {
+	cols := make([]colReader, len(s.src.Cols))
+	for i := range s.src.Cols {
+		c := &s.src.Cols[i]
+		cols[i] = newColReader(c.Info, c.Data, s.cache)
+	}
+	return cols
+}
+
+// claimable reports whether parallel consumers may decode the opened
+// scan's blocks themselves: a clean source whose every block is the
+// plain rows [at, at+BlockSize) — no overlay to merge, no runs to emit.
+func (s *Scan) claimable() bool { return s.view == nil && !s.runs }
+
+// fillBlock decodes the plain rows of the block starting at row at into
+// b through cols.
+func (s *Scan) fillBlock(cols []colReader, b *vec.Block, at int) error {
+	n := min(s.src.Rows-at, vec.BlockSize)
+	ensureVecs(b, len(s.schema))
+	for i := range cols {
+		if err := cols[i].fill(s.st, &b.Vecs[i], 0, at, n); err != nil {
+			return err
+		}
+	}
+	b.N = n
 	return nil
 }
 
@@ -259,26 +287,22 @@ func (s *Scan) next(b *vec.Block) (bool, error) {
 		if s.view != nil && !s.survivors(at, n) {
 			continue // whole block deleted: nothing to decode
 		}
-		// Runs are read into the buffer the caller's block already owns,
-		// never one of the scan's: parallel consumers each hold a block
-		// while the next is being filled.
-		var runBuf []enc.Run
-		if s.runs && len(b.Vecs) > 0 {
-			runBuf = b.Vecs[0].Runs[:0]
-		}
-		ensureVecs(b, len(s.schema))
 		if s.runs {
+			// Runs are read into the buffer the caller's block already
+			// owns, never one of the scan's: parallel consumers each hold
+			// a block while the next is being filled.
+			var runBuf []enc.Run
+			if len(b.Vecs) > 0 {
+				runBuf = b.Vecs[0].Runs[:0]
+			}
+			ensureVecs(b, len(s.schema))
 			if err := s.fillRuns(&b.Vecs[0], runBuf, at, n); err != nil {
 				return false, err
 			}
-		} else {
-			for i := range s.cols {
-				if err := s.cols[i].fill(s.st, &b.Vecs[i], 0, at, n); err != nil {
-					return false, err
-				}
-			}
+			b.N = n
+		} else if err := s.fillBlock(s.cols, b, at); err != nil {
+			return false, err
 		}
-		b.N = n
 		if s.view != nil {
 			s.overlayBase(b, at, n)
 		}
@@ -302,7 +326,7 @@ func (s *Scan) fillRuns(v *vec.Vector, buf []enc.Run, at, n int) error {
 	}
 	w := c.data.Width()
 	for j := range runs {
-		runs[j].Value = resolveRaw(runs[j].Value, w, c.info)
+		runs[j].Value = resolveRaw(runs[j].Value, w, &c.info)
 	}
 	v.Type, v.Heap, v.Dict = c.info.Type, c.info.Heap, c.info.Dict
 	v.Runs = runs
@@ -391,7 +415,7 @@ func (s *Scan) nextInserted(b *vec.Block) {
 
 // Close implements Operator.
 func (s *Scan) Close() error {
-	s.cols, s.insHeaps, s.insToks = nil, nil, nil
+	s.cols, s.cache, s.insHeaps, s.insToks = nil, nil, nil, nil
 	return nil
 }
 
@@ -433,7 +457,7 @@ func (c *colReader) fill(st *OpStats, v *vec.Vector, off, at, n int) error {
 		return fmt.Errorf("exec: short read of column %q: %d of %d rows at %d", c.info.Name, got, n, at)
 	}
 	w := c.data.Width()
-	widenInPlace(dst, w, c.info)
+	widenInPlace(dst, w, &c.info)
 	st.AddBytesScanned(int64(n * w))
 	v.Type, v.Heap, v.Dict = c.info.Type, c.info.Heap, c.info.Dict
 	return nil
@@ -485,16 +509,6 @@ func encRoutine(cols []BuiltColumn) string {
 		out += k.String()
 	}
 	return out
-}
-
-// widenInPlace converts raw width-sized stream values to full-width bits.
-func widenInPlace(data []uint64, width int, info ColInfo) {
-	if width == 8 {
-		return
-	}
-	for i, v := range data {
-		data[i] = resolveRaw(v, width, info)
-	}
 }
 
 // ensureVecs sizes a block for n columns. Vectors come back plain (Runs

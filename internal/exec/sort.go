@@ -64,6 +64,7 @@ func (s *Sort) Schema() []ColInfo {
 		if s.heaps != nil && s.heaps[i] != nil {
 			out[i].Heap = s.heaps[i]
 		}
+		out[i].StoredHeap = false // a spilled merge emits its runs' heaps
 	}
 	// The primary key column is sorted on output (the external merge
 	// produces the same order as the in-memory sort).
