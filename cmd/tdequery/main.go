@@ -3,7 +3,7 @@
 // Usage:
 //
 //	tdequery -db extract.tde "SELECT status, COUNT(*) FROM orders GROUP BY status"
-//	tdequery -db extract.tde -explain "SELECT ... "
+//	tdequery -db extract.tde -explain "SELECT ... "   # or "UPDATE/DELETE ...": plan only
 //	tdequery -db extract.tde -csv "SELECT ... " > out.csv
 //	tdequery -db extract.tde "INSERT INTO orders VALUES ('open', 10, NULL)"
 //	tdequery -db extract.tde -i        # interactive shell (\compact merges logged writes)
@@ -133,15 +133,8 @@ func main() {
 		return
 	}
 	sql := strings.Join(flag.Args(), " ")
-	if isDML(sql) {
-		n, err := execDML(db, sql, *retry)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tdequery:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(%d rows affected)\n", n)
-		return
-	}
+	// -explain never executes: an UPDATE or DELETE prints the plan that
+	// would select its rows.
 	if *explain {
 		p, err := db.ExplainWithOptions(sql, qopt.Plan)
 		if err != nil {
@@ -149,6 +142,15 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(p)
+		return
+	}
+	if isDML(sql) {
+		n, err := execDML(db, sql, *retry)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tdequery:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("(%d rows affected)\n", n)
 		return
 	}
 	res, err := db.QueryContext(context.Background(), sql, qopt)

@@ -17,10 +17,18 @@ import (
 // plain real payload.
 func encodedTestDB(t testing.TB) *Database {
 	t.Helper()
+	return encodedDB(t, 0, 1)
+}
+
+// encodedDB is encodedTestDB with g's values base + step×(0..19), so
+// that with base or step moved its dictionary tokens differ from its
+// values.
+func encodedDB(t testing.TB, base, step int) *Database {
+	t.Helper()
 	db := New()
 	var sb strings.Builder
 	for i := 0; i < 20000; i++ {
-		fmt.Fprintf(&sb, "%d,%d,%d.%02d\n", i/64, (i*7)%20, i%97, i%100)
+		fmt.Fprintf(&sb, "%d,%d,%d.%02d\n", i/64, base+step*((i*7)%20), i%97, i%100)
 	}
 	opt := DefaultImportOptions()
 	opt.Schema = []string{"r:int", "g:int", "v:real"}
@@ -111,6 +119,25 @@ func TestEncodedRoutinesChosen(t *testing.T) {
 		}
 	}
 
+	// A join's WHERE runs above the last join through the same filter
+	// builder, so the escape hatch reaches it too.
+	opt := DefaultImportOptions()
+	opt.Schema = []string{"dk:int", "label:str"}
+	opt.HeaderSet, opt.HasHeader = true, false
+	if err := db.ImportCSV("d", []byte("0,zero\n1,one\n2,two\n3,three\n"), opt); err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []bool{false, true} {
+		res, err = db.QueryContext(ctx, "SELECT COUNT(*) FROM m JOIN d ON r = dk WHERE g = 3",
+			QueryOptions{Plan: scanPlanSerial(off)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := routineOf(t, res, "Select"); (r == "dict-filter") == off {
+			t.Fatalf("join filter routine %q with NoEncodedExec=%v", r, off)
+		}
+	}
+
 	// Plain column: no encoded routine applies, with no knob needed.
 	res, err = db.QueryContext(ctx, "SELECT SUM(v) FROM m WHERE v > 50",
 		QueryOptions{Plan: scanPlanSerial(false)})
@@ -119,6 +146,26 @@ func TestEncodedRoutinesChosen(t *testing.T) {
 	}
 	if r := routineOf(t, res, "Select"); r != "" {
 		t.Fatalf("select routine %q on a plain real column, want the default row path", r)
+	}
+}
+
+// TestOrderByDictionaryColumn: a dictionary-compressed column comes out
+// of ORDER BY — bounded (TopN) or not (Sort), from a scan or the index
+// rewrite — as values, not tokens.
+func TestOrderByDictionaryColumn(t *testing.T) {
+	db := encodedDB(t, 100, 3)
+	for _, sql := range []string{
+		"SELECT g, v FROM m ORDER BY g, v LIMIT 2",
+		"SELECT g FROM m WHERE r < 2 ORDER BY g",
+		"SELECT g, v FROM m WHERE r = 5 ORDER BY g, v LIMIT 2",
+	} {
+		res, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0]; got != "100" {
+			t.Errorf("%s: first g = %s, want 100\n  plan: %s", sql, got, res.Plan)
+		}
 	}
 }
 

@@ -274,7 +274,7 @@ func TestAggregateRegimes(t *testing.T) {
 	// a heap of their own: never direct.
 	view := deltaView(t, tab, []delta.Op{{Table: "aggtest", Kind: delta.OpDelete, RowID: 5}})
 	viewScan := func() Operator {
-		s, err := NewViewScan(view, false)
+		s, err := NewViewScan(view)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ type IndexedScan struct {
 	passCols []int
 
 	outer     *storage.Table
-	outerCols []int
+	outerCols []BuiltColumn
 
 	schema []ColInfo
 	built  *Built
@@ -51,17 +51,18 @@ type SchemaSource interface {
 }
 
 // NewIndexedScan builds an indexed scan. passCols/countCol/startCol index
-// the inner's columns; outerNames name the outer columns to fetch.
+// the inner's columns; outerNames name the outer columns to fetch, where
+// RowIDColumn is each fetched row's position.
 func NewIndexedScan(inner SchemaSource, passCols []int, countCol, startCol int,
 	outer *storage.Table, outerNames ...string) (*IndexedScan, error) {
 	is := &IndexedScan{inner: inner, countCol: countCol, startCol: startCol,
 		passCols: passCols, outer: outer}
 	for _, n := range outerNames {
-		idx := outer.ColumnIndex(n)
-		if idx < 0 {
-			return nil, fmt.Errorf("exec: outer table has no column %q", n)
+		c, _, err := tableColumn(outer, n)
+		if err != nil {
+			return nil, err
 		}
-		is.outerCols = append(is.outerCols, idx)
+		is.outerCols = append(is.outerCols, c)
 	}
 	return is, nil
 }
@@ -80,8 +81,9 @@ func (is *IndexedScan) Schema() []ColInfo {
 		out = append(out, innerSchema[c])
 	}
 	for _, c := range is.outerCols {
-		col := is.outer.Columns[c]
-		out = append(out, ColInfo{Name: col.Name, Type: col.Type, Heap: col.Heap, StoredHeap: col.Heap != nil, Dict: col.Dict})
+		info := c.Info
+		info.Meta = enc.Metadata{}
+		out = append(out, info)
 	}
 	return out
 }
@@ -130,10 +132,8 @@ func (is *IndexedScan) Open(qc *QueryCtx) error {
 	// entries would be filled for a few rows each.
 	is.readers = is.readers[:0]
 	for _, c := range is.outerCols {
-		col := is.outer.Columns[c]
-		info := ColInfo{Name: col.Name, Type: col.Type, Heap: col.Heap, StoredHeap: col.Heap != nil, Dict: col.Dict, Meta: col.Meta}
-		schema = append(schema, info)
-		is.readers = append(is.readers, newColReader(info, col.Data, nil))
+		schema = append(schema, c.Info)
+		is.readers = append(is.readers, newColReader(c.Info, c.Data, nil))
 	}
 	is.schema = schema
 	is.runIdx, is.runOff = 0, 0

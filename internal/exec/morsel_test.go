@@ -42,9 +42,10 @@ var smallOnly = []ZoneFilter{{Col: 0, Kind: ZFRange, Lo: 0, Hi: 999_999, Name: "
 
 // TestMorselsDeliverEveryRowOnce drains the dispenser's sources on
 // concurrent goroutines, as parallel consumers do, and requires every
-// row to arrive exactly once: through the claim cursor of a clean scan
-// with zone-refuted blocks (which come back empty but numbered), and
-// through the locked path of a scan that cannot be split.
+// row to arrive exactly once, with its own $rowid: through the claim
+// cursor of a clean scan with zone-refuted blocks (which come back empty
+// but numbered), and through the locked path of a scan that cannot be
+// split.
 func TestMorselsDeliverEveryRowOnce(t *testing.T) {
 	const rows = 20*vec.BlockSize + 300
 	tab := stripedTable(t, rows)
@@ -56,11 +57,11 @@ func TestMorselsDeliverEveryRowOnce(t *testing.T) {
 		claimed  bool
 		wantRows func(v int64) bool
 	}{
-		{"clean", func() (*Scan, error) { return NewScan(tab) }, nil, true,
+		{"clean", func() (*Scan, error) { return NewScan(tab, "a", RowIDColumn) }, nil, true,
 			func(int64) bool { return true }},
-		{"clean+zoneskip", func() (*Scan, error) { return NewScan(tab) }, smallOnly, true,
+		{"clean+zoneskip", func() (*Scan, error) { return NewScan(tab, "a", RowIDColumn) }, smallOnly, true,
 			func(v int64) bool { return v < 1_000_000 }},
-		{"dirty", func() (*Scan, error) { return NewViewScan(view, false) }, nil, false,
+		{"dirty", func() (*Scan, error) { return NewViewScan(view, "a", RowIDColumn) }, nil, false,
 			func(v int64) bool { return v != 7 }},
 	} {
 		for _, workers := range []int{1, 2, 8} {
@@ -88,7 +89,7 @@ func TestMorselsDeliverEveryRowOnce(t *testing.T) {
 				wg.Add(1)
 				go func(src morselSource) {
 					defer wg.Done()
-					b := vec.NewBlock(1)
+					b := vec.NewBlock(2)
 					for {
 						seq, ok, err := src.next(b)
 						mu.Lock()
@@ -103,8 +104,15 @@ func TestMorselsDeliverEveryRowOnce(t *testing.T) {
 							t.Errorf("%s workers=%d: sequence number %d handed out twice", tc.name, workers, seq)
 						}
 						seqs[seq] = true
-						for _, v := range b.Vecs[0].Data[:b.N] {
+						for j, v := range b.Vecs[0].Data[:b.N] {
 							seen[int64(v)]++
+							id := int64(b.Vecs[1].Data[j])
+							if id/vec.BlockSize%2 == 1 {
+								id += 1_000_000
+							}
+							if id != int64(v) {
+								t.Errorf("%s workers=%d: row %d arrived with $rowid %d", tc.name, workers, v, b.Vecs[1].Data[j])
+							}
 						}
 						mu.Unlock()
 					}

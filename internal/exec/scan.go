@@ -11,9 +11,10 @@ import (
 	"tde/internal/vec"
 )
 
-// RowIDColumn is the name of the hidden row-address column a scan over a
-// write overlay can emit; the write path targets UPDATE/DELETE through it.
-// The '$' prefix keeps it out of the SQL namespace.
+// RowIDColumn names the hidden row-address column every table scan can
+// read like a stored one: a base row's position, an inserted row's ID.
+// The write path targets UPDATE/DELETE through it; SQL cannot name it,
+// because no identifier starts with '$'.
 const RowIDColumn = "$rowid"
 
 // Scan is the scan flow operator: it reads a column source — the selected
@@ -34,6 +35,9 @@ const RowIDColumn = "$rowid"
 //   - run emission, when EmitRuns is set and the source is a single scalar
 //     run-length column with no overlay;
 //   - the overlay, when the source is a delta.View (below).
+//
+// A stored table's scan may select RowIDColumn among its columns: it has
+// no stream, and its reader stamps each row's position.
 //
 // Over a view the scan merges the table's compressed base rows with the
 // snapshot — dropping deleted base rows and appending the visible
@@ -57,9 +61,9 @@ type Scan struct {
 	// stored columns whether or not the scan selects them.
 	table *storage.Table
 	view  *delta.View // the write overlay; nil when the source is clean
-	// insIdxs[i] is where src.Cols[i]'s value sits in an inserted row.
+	// insIdxs[i] is where src.Cols[i]'s value sits in an inserted row
+	// (-1 for $rowid).
 	insIdxs []int
-	rowID   bool // emit a trailing $rowid column (views only)
 	schema  []ColInfo
 
 	// EmitRuns, set by the planner when encoded execution is on, lets the
@@ -89,48 +93,57 @@ type Scan struct {
 	insToks  [][]uint64
 }
 
-// NewScan scans the named columns of t (all columns when names is nil).
+// NewScan scans the named columns of t (all columns when names is nil);
+// RowIDColumn names the row-position column.
 func NewScan(t *storage.Table, names ...string) (*Scan, error) {
 	s := &Scan{table: t, src: &Built{Rows: t.Rows()}}
 	if len(names) == 0 {
-		for i := range t.Columns {
-			s.insIdxs = append(s.insIdxs, i)
+		for _, c := range t.Columns {
+			names = append(names, c.Name)
 		}
 	}
 	for _, n := range names {
-		idx := t.ColumnIndex(n)
-		if idx < 0 {
-			return nil, fmt.Errorf("exec: table %q has no column %q", t.Name, n)
+		c, idx, err := tableColumn(t, n)
+		if err != nil {
+			return nil, err
 		}
+		s.src.Cols = append(s.src.Cols, c)
 		s.insIdxs = append(s.insIdxs, idx)
-	}
-	for _, idx := range s.insIdxs {
-		c := t.Columns[idx]
-		s.src.Cols = append(s.src.Cols, BuiltColumn{Data: c.Data, Zones: c.Zones, Info: ColInfo{
-			Name: c.Name, Type: c.Type, Collation: c.Collation,
-			Heap: c.Heap, StoredHeap: c.Heap != nil, Dict: c.Dict, Meta: c.Meta,
-		}})
 	}
 	s.schema = s.src.Schema()
 	return s, nil
 }
 
+// tableColumn describes column name of t as a scan source column and
+// returns its storage position; RowIDColumn has no stream and position -1.
+func tableColumn(t *storage.Table, name string) (BuiltColumn, int, error) {
+	if name == RowIDColumn {
+		return BuiltColumn{Info: ColInfo{Name: RowIDColumn, Type: types.Integer}}, -1, nil
+	}
+	idx := t.ColumnIndex(name)
+	if idx < 0 {
+		return BuiltColumn{}, -1, fmt.Errorf("exec: table %q has no column %q", t.Name, name)
+	}
+	c := t.Columns[idx]
+	return BuiltColumn{Data: c.Data, Zones: c.Zones, Info: ColInfo{
+		Name: c.Name, Type: c.Type, Collation: c.Collation,
+		Heap: c.Heap, StoredHeap: c.Heap != nil, Dict: c.Dict, Meta: c.Meta,
+	}}, idx, nil
+}
+
 // NewViewScan scans the named columns of v's table as the snapshot sees
-// them (all columns when names is nil). When withRowID is set, a trailing
-// $rowid integer column carries each row's stable row address.
-func NewViewScan(v *delta.View, withRowID bool, names ...string) (*Scan, error) {
+// them (all columns when names is nil); RowIDColumn carries each row's
+// stable row address.
+func NewViewScan(v *delta.View, names ...string) (*Scan, error) {
 	s, err := NewScan(v.Table, names...)
 	if err != nil {
 		return nil, err
 	}
-	s.view, s.rowID = v, withRowID
+	s.view = v
 	meta := enc.Metadata{RowCount: v.VisibleRows()}
 	for i := range s.schema {
 		// Inserted strings come in heaps of their own.
 		s.schema[i].Dict, s.schema[i].Meta, s.schema[i].StoredHeap = nil, meta, false
-	}
-	if withRowID {
-		s.schema = append(s.schema, ColInfo{Name: RowIDColumn, Type: types.Integer, Meta: meta})
 	}
 	return s, nil
 }
@@ -233,7 +246,7 @@ func (s *Scan) EmitsRuns() bool {
 		return false
 	}
 	c := &s.src.Cols[0]
-	return c.Data.Kind() == enc.RunLength && c.Info.Heap == nil && c.Info.Type != types.String
+	return c.Data != nil && c.Data.Kind() == enc.RunLength && c.Info.Heap == nil && c.Info.Type != types.String
 }
 
 // internInsertions interns the visible inserted strings into per-open
@@ -351,8 +364,8 @@ func (s *Scan) survivors(at, n int) bool {
 
 // overlayBase turns a filled base block into the view's: dictionary
 // tokens become values (the merged stream must speak values, because
-// inserted rows have no dictionary), deleted rows are compacted away, and
-// the $rowid column is stamped.
+// inserted rows have no dictionary) and deleted rows are compacted away,
+// $rowid's positions with the rest.
 func (s *Scan) overlayBase(b *vec.Block, at, n int) {
 	for i := range s.cols {
 		v := &b.Vecs[i]
@@ -373,13 +386,6 @@ func (s *Scan) overlayBase(b *vec.Block, at, n int) {
 			}
 		}
 	}
-	if s.rowID {
-		v := &b.Vecs[len(s.cols)]
-		v.Type, v.Heap, v.Dict = types.Integer, nil, nil
-		for j, src := range s.keep {
-			v.Data[j] = uint64(at + src)
-		}
-	}
 	b.N = len(s.keep)
 }
 
@@ -393,19 +399,17 @@ func (s *Scan) nextInserted(b *vec.Block) {
 	for i, idx := range s.insIdxs {
 		v := &b.Vecs[i]
 		v.Type, v.Heap, v.Dict = s.schema[i].Type, s.insHeaps[i], nil
-		if toks := s.insToks[i]; toks != nil {
+		switch toks := s.insToks[i]; {
+		case toks != nil:
 			copy(v.Data, toks[s.insAt:s.insAt+len(ins)])
-			continue
-		}
-		for j := range ins {
-			v.Data[j] = ins[j].Vals[idx].Bits
-		}
-	}
-	if s.rowID {
-		v := &b.Vecs[len(s.cols)]
-		v.Type, v.Heap, v.Dict = types.Integer, nil, nil
-		for j := range ins {
-			v.Data[j] = ins[j].ID
+		case idx < 0:
+			for j := range ins {
+				v.Data[j] = ins[j].ID
+			}
+		default:
+			for j := range ins {
+				v.Data[j] = ins[j].Vals[idx].Bits
+			}
 		}
 	}
 	b.N = len(ins)
@@ -422,6 +426,7 @@ func (s *Scan) Close() error {
 // colReader fills block vectors from one column of a scan source. Scan
 // and IndexedScan both read through it, so every source gets the same
 // short-read check, widening, vector info and bytes_scanned accounting.
+// A reader without a stream is $rowid's: it stamps row positions.
 type colReader struct {
 	info  ColInfo
 	data  *enc.Stream
@@ -432,6 +437,9 @@ type colReader struct {
 // newColReader reads a column through cache when there is one and the stream
 // has the block structure the cache is keyed on.
 func newColReader(info ColInfo, data *enc.Stream, cache *DecodeCache) colReader {
+	if data == nil {
+		return colReader{info: info}
+	}
 	if data.Kind() == enc.RunLength {
 		cache = nil
 	}
@@ -444,6 +452,13 @@ func newColReader(info ColInfo, data *enc.Stream, cache *DecodeCache) colReader 
 // whatever the reused block held before.
 func (c *colReader) fill(st *OpStats, v *vec.Vector, off, at, n int) error {
 	dst := v.Data[off : off+n]
+	v.Type, v.Heap, v.Dict = c.info.Type, c.info.Heap, c.info.Dict
+	if c.data == nil {
+		for j := range dst {
+			dst[j] = uint64(at + j)
+		}
+		return nil
+	}
 	var got int
 	if c.cache != nil {
 		var hits, misses int64
@@ -459,7 +474,6 @@ func (c *colReader) fill(st *OpStats, v *vec.Vector, off, at, n int) error {
 	w := c.data.Width()
 	widenInPlace(dst, w, &c.info)
 	st.AddBytesScanned(int64(n * w))
-	v.Type, v.Heap, v.Dict = c.info.Type, c.info.Heap, c.info.Dict
 	return nil
 }
 
@@ -498,6 +512,9 @@ func encRoutine(cols []BuiltColumn) string {
 	var out string
 	seen := map[enc.Kind]bool{}
 	for i := range cols {
+		if cols[i].Data == nil {
+			continue // $rowid
+		}
 		k := cols[i].Data.Kind()
 		if seen[k] {
 			continue

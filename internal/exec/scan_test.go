@@ -127,11 +127,11 @@ func drainContract(t *testing.T, op Operator, qc *QueryCtx, wantRuns bool) []str
 	}
 }
 
-// TestScanContract runs the one Scan over every source — a clean table,
-// a dirty view (scattered deletes, one wholly deleted block, inserted rows
-// with a NULL string, $rowid), each also through a decode cache, and a
-// Built — pruned and unpruned, and requires the same block contract and
-// the right rows from each.
+// TestScanContract runs the one Scan over every source — a clean table
+// and a dirty view (scattered deletes, one wholly deleted block, inserted
+// rows with a NULL string), both selecting $rowid and each also through a
+// decode cache, and a Built — pruned and unpruned, and requires the same
+// block contract and the right rows from each.
 func TestScanContract(t *testing.T) {
 	tab := contractTable(t)
 	// Deletes: every 97th row, and all of block 1.
@@ -160,17 +160,18 @@ func TestScanContract(t *testing.T) {
 	// The zone filter refutes blocks 0 and 1; only a stored table's zone
 	// maps can act on it.
 	prune := []ZoneFilter{{Col: 0, Kind: ZFRange, Lo: 2 * vec.BlockSize, Hi: contractRows, Name: "a"}}
+	names := []string{"a", "d", "s", RowIDColumn}
 	sources := []struct {
 		name    string
 		dirty   bool
-		prunes  bool
+		prunes  bool // a table scan: it also selects $rowid
 		cache   bool
 		newScan func() (*Scan, error)
 	}{
-		{name: "clean", prunes: true, newScan: func() (*Scan, error) { return NewScan(tab) }},
-		{name: "clean+cache", prunes: true, cache: true, newScan: func() (*Scan, error) { return NewScan(tab) }},
-		{name: "dirty", dirty: true, prunes: true, newScan: func() (*Scan, error) { return NewViewScan(view, true) }},
-		{name: "dirty+cache", dirty: true, prunes: true, cache: true, newScan: func() (*Scan, error) { return NewViewScan(view, true) }},
+		{name: "clean", prunes: true, newScan: func() (*Scan, error) { return NewScan(tab, names...) }},
+		{name: "clean+cache", prunes: true, cache: true, newScan: func() (*Scan, error) { return NewScan(tab, names...) }},
+		{name: "dirty", dirty: true, prunes: true, newScan: func() (*Scan, error) { return NewViewScan(view, names...) }},
+		{name: "dirty+cache", dirty: true, prunes: true, cache: true, newScan: func() (*Scan, error) { return NewViewScan(view, names...) }},
 		{name: "built", newScan: func() (*Scan, error) { return NewBuiltScan(built), nil }},
 	}
 	for _, src := range sources {
@@ -194,7 +195,7 @@ func TestScanContract(t *testing.T) {
 						continue
 					}
 					row := contractRow(i)
-					if src.dirty {
+					if src.prunes {
 						row += fmt.Sprintf("|%d", i) // $rowid
 					}
 					want = append(want, row)
@@ -270,7 +271,7 @@ func TestScanEmitsRunsOnlyWhereLegal(t *testing.T) {
 		{"clean", true, true, false, clean, func() (*Scan, error) { return NewScan(tab) }},
 		{"clean+cache", true, true, true, clean, func() (*Scan, error) { return NewScan(tab) }},
 		{"clean/emit-off", false, false, false, clean, func() (*Scan, error) { return NewScan(tab) }},
-		{"dirty", true, false, false, dirty, func() (*Scan, error) { return NewViewScan(view, false) }},
+		{"dirty", true, false, false, dirty, func() (*Scan, error) { return NewViewScan(view) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			scan, err := tc.newScan()
@@ -318,7 +319,7 @@ func TestScanShortColumnFailsFromEverySource(t *testing.T) {
 	}{
 		{"clean", false, func() (Operator, error) { return NewScan(tab) }},
 		{"clean+cache", true, func() (Operator, error) { return NewScan(tab) }},
-		{"dirty", false, func() (Operator, error) { return NewViewScan(view, false) }},
+		{"dirty", false, func() (Operator, error) { return NewViewScan(view) }},
 		{"built", false, func() (Operator, error) { return NewBuiltScan(built), nil }},
 		{"indexed", false, func() (Operator, error) {
 			return NewIndexedScan(index, []int{0}, 1, 2, tab, "b")
@@ -342,7 +343,7 @@ func TestScanShortColumnFailsFromEverySource(t *testing.T) {
 }
 
 // TestViewScanSchema: a view scan advertises the visible row count, no
-// dictionary, and the trailing $rowid column; projection and unknown
+// dictionary, and $rowid where it is named; projection and unknown
 // columns behave like a table scan's.
 func TestViewScanSchema(t *testing.T) {
 	tab := contractTable(t)
@@ -351,7 +352,7 @@ func TestViewScanSchema(t *testing.T) {
 		{Table: "t", Kind: delta.OpInsert, Row: []delta.Value{delta.Scalar(1), delta.Scalar(2), delta.String("x")}},
 		{Table: "t", Kind: delta.OpInsert, Row: []delta.Value{delta.Scalar(3), delta.Scalar(4), delta.String("y")}},
 	})
-	scan, err := NewViewScan(view, true, "d")
+	scan, err := NewViewScan(view, "d", RowIDColumn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +374,7 @@ func TestViewScanSchema(t *testing.T) {
 	if len(rows) != contractRows+1 || int64(last[0]) != 4 || last[1] != contractRows+1 {
 		t.Fatalf("%d rows, last = %v", len(rows), last)
 	}
-	if _, err := NewViewScan(view, false, "missing"); err == nil {
+	if _, err := NewViewScan(view, "missing"); err == nil {
 		t.Fatal("unknown column accepted")
 	}
 }
@@ -382,7 +383,7 @@ func TestViewScanSchema(t *testing.T) {
 // table's rows (the write path scans clean views for their $rowid).
 func TestViewScanCleanViewEqualsScan(t *testing.T) {
 	tab := contractTable(t)
-	scan, err := NewViewScan(deltaView(t, tab, nil), false)
+	scan, err := NewViewScan(deltaView(t, tab, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -334,8 +334,14 @@ type Project struct {
 // NewProject computes exprs (named names) over child.
 func NewProject(child Operator, exprs []expr.Expr, names []string) *Project {
 	p := &Project{child: child, exprs: exprs, names: names}
+	in := child.Schema()
 	for i, e := range exprs {
-		p.schema = append(p.schema, ColInfo{Name: names[i], Type: e.Type()})
+		info := ColInfo{Name: names[i], Type: e.Type()}
+		if ref, ok := e.(*expr.ColRef); ok {
+			// A column reference passes its dictionary tokens through.
+			info.Dict = in[ref.Idx].Dict
+		}
+		p.schema = append(p.schema, info)
 	}
 	return p
 }

@@ -5,11 +5,13 @@ import (
 
 	"tde/internal/delta"
 	"tde/internal/exec"
-	"tde/internal/expr"
 	"tde/internal/storage"
 )
 
 // JoinSpec describes one many-to-one join step against a dimension table.
+// Joins follow Tableau's NULL join semantics (a reason the TDE exists,
+// Sect. 2.3): NULL keys match NULL keys, because the sentinel value
+// compares equal to itself.
 type JoinSpec struct {
 	Table *storage.Table
 	// Delta is the dimension's write-overlay snapshot (nil = none).
@@ -24,48 +26,26 @@ type JoinSpec struct {
 	LeftOuter bool
 }
 
-// JoinQuery is a star-shaped query: a fact table joined to dimension
-// tables, then filtered/aggregated like Query. Joins follow Tableau's
-// NULL join semantics (a reason the TDE exists, Sect. 2.3): NULL keys
-// match NULL keys, because the sentinel value compares equal to itself.
-type JoinQuery struct {
-	Fact *storage.Table
-	// FactDelta is the fact table's write-overlay snapshot (nil = none).
-	FactDelta *delta.View
-	FactAlias string
-	Joins     []JoinSpec
-
-	Where   expr.Expr
-	Compute []Computed
-	GroupBy []string
-	Aggs    []AggItem
-	Select  []string
-	OrderBy []OrderItem
-	Having  expr.Expr
-	Limit   int
-}
-
-// BuildJoin plans a JoinQuery: scan the fact table, hash-join each
-// dimension (inner sides materialized by FlowTables with the Sect. 4.3
-// RLE restriction), then apply the usual filter/compute/aggregate tail.
-// Every side's scan reads only the columns the query touches (joinSides).
+// buildJoinPlan is the join step of a star query: scan the fact table,
+// hash-join each dimension (inner sides materialized by FlowTables with
+// the Sect. 4.3 RLE restriction), then filter above the last join. Every
+// side's scan reads only the columns the query touches (joinSides).
 // Tactical join-algorithm upgrades (fetch/direct) happen per join from
 // the dimensions' FlowTable metadata.
-func BuildJoin(q JoinQuery, opt Options) (exec.Operator, *Explain, error) {
-	ex := &Explain{}
+func buildJoinPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 	sides, err := joinSides(q)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	op, err := sides[0].scan(ex)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for i, j := range q.Joins {
 		dim := sides[i+1]
 		inner, err := dim.scan(nil)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cfg := exec.DefaultFlowTableConfig()
 		cfg.DisallowRLE = true // hash-join inner restriction (Sect. 4.3)
@@ -78,42 +58,24 @@ func BuildJoin(q JoinQuery, opt Options) (exec.Operator, *Explain, error) {
 		if j.LeftOuter {
 			kind = "LeftJoin"
 		}
-		if workers, auto := resolveWorkers(opt, tableRows(q.Fact, q.FactDelta)); workers > 1 {
+		step := fmt.Sprintf("%s(%s.%s = %s.%s)", kind, q.Table.Name, j.OuterKey, j.Table.Name, j.InnerKey)
+		if workers, auto := resolveWorkers(opt, tableRows(q.Table, q.Delta)); workers > 1 {
 			join.Workers = workers
 			join.PreserveOrder = preserveOrderRouting(opt, op.Schema())
-			ex.add("%s(%s.%s = %s.%s)[%s]", kind, q.Fact.Name, j.OuterKey,
-				j.Table.Name, j.InnerKey, workersLabel(workers, auto))
-		} else {
-			ex.add("%s(%s.%s = %s.%s)", kind, q.Fact.Name, j.OuterKey, j.Table.Name, j.InnerKey)
+			step += "[" + workersLabel(workers, auto) + "]"
 		}
+		ex.add("%s", step)
 		op = join
 	}
-
-	// Reuse the single-table tail by lowering into a Query with the fact
-	// table ignored (the operators are already built).
-	tail := Query{
-		Compute: q.Compute,
-		GroupBy: q.GroupBy,
-		Aggs:    q.Aggs,
-		Select:  q.Select,
-		OrderBy: q.OrderBy,
-		Having:  q.Having,
-		Limit:   q.Limit,
-	}
 	if q.Where != nil {
-		pred, err := Rebind(expr.Simplify(q.Where), op.Schema())
+		pred, err := Rebind(q.Where, op.Schema())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		op = exec.NewSelect(op, pred)
+		op = newSelect(op, pred, opt)
 		ex.add("Filter[%s]", pred)
 	}
-	op, err = finishPlan(op, tail, opt, tableRows(q.Fact, q.FactDelta), ex)
-	if err != nil {
-		return nil, nil, err
-	}
-	ex.Tree = exec.AssignOpIDs(op)
-	return op, ex, nil
+	return op, nil
 }
 
 // joinSide is one input of a star join — the fact table (side 0) or a
@@ -129,9 +91,9 @@ type joinSide struct {
 // joinSides resolves the query's column references against the sides and
 // marks the columns each side must read: everything neededColumns lists,
 // every join's outer key, and every dimension's inner key.
-func joinSides(q JoinQuery) ([]*joinSide, error) {
-	sides := []*joinSide{{table: q.Fact, delta: q.FactDelta, alias: q.FactAlias, key: -1,
-		needed: make([]bool, len(q.Fact.Columns))}}
+func joinSides(q Query) ([]*joinSide, error) {
+	sides := []*joinSide{{table: q.Table, delta: q.Delta, alias: q.Alias, key: -1,
+		needed: make([]bool, len(q.Table.Columns))}}
 	for _, j := range q.Joins {
 		s := &joinSide{table: j.Table, delta: j.Delta, alias: j.Alias, key: -1,
 			needed: make([]bool, len(j.Table.Columns))}
@@ -155,8 +117,7 @@ func joinSides(q JoinQuery) ([]*joinSide, error) {
 		}
 		sides[si].needed[ci] = true
 	}
-	for _, n := range neededColumns(Query{Where: q.Where, Compute: q.Compute,
-		GroupBy: q.GroupBy, Aggs: q.Aggs, Select: q.Select, OrderBy: q.OrderBy}) {
+	for _, n := range neededColumns(q) {
 		// An unresolved name fails later, where the tail binds it.
 		if si, ci := resolveColumn(sides, n); si >= 0 {
 			sides[si].needed[ci] = true

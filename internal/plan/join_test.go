@@ -42,14 +42,14 @@ func starSchema(t testing.TB, n int) (fact, dim *storage.Table) {
 
 func TestBuildJoinAggregates(t *testing.T) {
 	fact, dim := starSchema(t, 20000)
-	q := JoinQuery{
-		Fact:    fact,
+	q := Query{
+		Table:   fact,
 		Joins:   []JoinSpec{{Table: dim, OuterKey: "fk", InnerKey: "pk"}},
 		GroupBy: []string{"region"},
 		Aggs:    []AggItem{{Func: exec.Sum, Col: "amount"}, {Func: exec.Count, Col: ""}},
 		OrderBy: []OrderItem{{Col: "region"}},
 	}
-	op, ex, err := BuildJoin(q, Options{})
+	op, ex, err := Build(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +93,14 @@ func TestJoinNullSemantics(t *testing.T) {
 	// dimension row (sentinel equality) — one of the business requirements
 	// that motivated the TDE (Sect. 2.3).
 	fact, dim := starSchema(t, 1000)
-	q := JoinQuery{
-		Fact:  fact,
+	q := Query{
+		Table: fact,
 		Joins: []JoinSpec{{Table: dim, OuterKey: "fk", InnerKey: "pk"}},
 		Where: expr.NewCmp(expr.EQ, expr.NewColRef(0, "region", types.Integer),
 			expr.NewIntConst(99)),
 		Aggs: []AggItem{{Func: exec.Count, Col: ""}},
 	}
-	op, _, err := BuildJoin(q, Options{})
+	op, _, err := Build(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +122,12 @@ func TestLeftOuterJoinKeepsUnmatched(t *testing.T) {
 		intColumn("region", types.Integer, []int64{0, 1, 0}),
 	}}
 	_ = dim
-	q := JoinQuery{
-		Fact:  fact,
+	q := Query{
+		Table: fact,
 		Joins: []JoinSpec{{Table: small, OuterKey: "fk", InnerKey: "pk", LeftOuter: true}},
 		Aggs:  []AggItem{{Func: exec.Count, Col: ""}, {Func: exec.Count, Col: "region"}},
 	}
-	op, _, err := BuildJoin(q, Options{})
+	op, _, err := Build(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +146,13 @@ func TestLeftOuterJoinKeepsUnmatched(t *testing.T) {
 
 func TestJoinWithAliases(t *testing.T) {
 	fact, dim := starSchema(t, 2000)
-	q := JoinQuery{
-		Fact: fact, FactAlias: "f",
+	q := Query{
+		Table: fact, Alias: "f",
 		Joins:   []JoinSpec{{Table: dim, Alias: "d", OuterKey: "f.fk", InnerKey: "pk"}},
 		GroupBy: []string{"d.region"},
 		Aggs:    []AggItem{{Func: exec.Count, Col: ""}},
 	}
-	op, _, err := BuildJoin(q, Options{})
+	op, _, err := Build(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,15 +182,15 @@ func TestBuildJoinReadsOnlyTouchedColumns(t *testing.T) {
 		intColumn("label", types.Integer, []int64{10, 11, 12, 13, 14, 15, 16}),
 		intColumn("junk", types.Integer, make([]int64, 7)),
 	}}
-	q := JoinQuery{
-		Fact: fact,
+	q := Query{
+		Table: fact,
 		Joins: []JoinSpec{{Table: dim, OuterKey: "fk", InnerKey: "pk"},
 			{Table: hop, OuterKey: "next", InnerKey: "id"}},
 		Where:   expr.NewCmp(expr.GT, expr.NewColRef(-1, "amount", types.Integer), expr.NewIntConst(500)),
 		GroupBy: []string{"label"},
 		Aggs:    []AggItem{{Func: exec.Sum, Col: "amount"}},
 	}
-	op, _, err := BuildJoin(q, Options{ParallelWorkers: -1})
+	op, _, err := Build(q, Options{ParallelWorkers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +223,11 @@ func TestBuildJoinReadsOnlyTouchedColumns(t *testing.T) {
 
 func TestJoinErrors(t *testing.T) {
 	fact, dim := starSchema(t, 100)
-	if _, _, err := BuildJoin(JoinQuery{Fact: fact,
+	if _, _, err := Build(Query{Table: fact,
 		Joins: []JoinSpec{{Table: dim, OuterKey: "nope", InnerKey: "pk"}}}, Options{}); err == nil {
 		t.Error("bad outer key accepted")
 	}
-	if _, _, err := BuildJoin(JoinQuery{Fact: fact,
+	if _, _, err := Build(Query{Table: fact,
 		Joins: []JoinSpec{{Table: dim, OuterKey: "fk", InnerKey: "nope"}}}, Options{}); err == nil {
 		t.Error("bad inner key accepted")
 	}

@@ -553,6 +553,34 @@ func TestConjunctSplittingPushesOnlyDictColumn(t *testing.T) {
 	}
 }
 
+// TestInvisibleJoinKeepsConjunctsTrueOnNull: a conjunct that holds where
+// the column is NULL stays out of the DictionaryTable, whose semijoin
+// would drop the NULL rows; one that NULL falsifies still goes in.
+func TestInvisibleJoinKeepsConjunctsTrueOnNull(t *testing.T) {
+	tab := &storage.Table{Name: "t", Columns: []*storage.Column{
+		strColumn("word", []string{"alpha", "beta", "alpha"}, true)}}
+	word := expr.NewColRef(0, "word", types.String)
+	beta := expr.NewCmp(expr.EQ, word, expr.NewStringConst("beta"))
+	for _, c := range []struct {
+		where  expr.Expr
+		pushed string
+	}{
+		{expr.NewIsNull(word, false), ""},
+		{expr.NewNot(expr.NewIsNull(word, true)), ""},
+		{expr.NewOr(expr.NewIsNull(word, false), beta), ""},
+		{expr.NewIsNull(word, true), "(word IS NOT NULL)"},
+		{expr.NewAnd(expr.NewIsNull(word, false), beta), `(word = "beta")`},
+	} {
+		got := ""
+		if _, pushed, _ := isolateColumn(c.where, dictionaryCompressed, tab); pushed != nil {
+			got = pushed.String()
+		}
+		if got != c.pushed {
+			t.Errorf("WHERE %s: pushed %q, want %q", c.where, got, c.pushed)
+		}
+	}
+}
+
 func TestConjunctSplittingIndexPlan(t *testing.T) {
 	tab := buildRLTable(t, 80000)
 	where := expr.NewAnd(

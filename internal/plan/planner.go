@@ -33,8 +33,10 @@ type OrderItem struct {
 	Desc bool
 }
 
-// Query is a single-table aggregation query — the shape Tableau's visual
-// queries take against an extract.
+// Query is an aggregation query over one table, optionally the fact
+// table of a star join — the shape Tableau's visual queries take against
+// an extract. The write path plans its UPDATE/DELETE row selection as a
+// Query too, selecting exec.RowIDColumn.
 type Query struct {
 	Table *storage.Table
 	// Delta is the table's write-overlay snapshot (nil or clean = none).
@@ -42,7 +44,13 @@ type Query struct {
 	// index and invisible-join rewrites reason from the base table's
 	// stored encodings and metadata, which no longer describe the visible
 	// rows.
-	Delta   *delta.View
+	Delta *delta.View
+	// Alias prefixes Table's column names ("alias.col") in a join; empty
+	// keeps bare names.
+	Alias string
+	// Joins are the star join's dimensions, joined in order; Where and
+	// the rest of the query then read the joined schema.
+	Joins   []JoinSpec
 	Where   expr.Expr // over named ColRefs; nil = no filter
 	Compute []Computed
 	GroupBy []string
@@ -174,8 +182,10 @@ func (e *Explain) add(format string, args ...any) {
 // String renders the plan outline.
 func (e *Explain) String() string { return strings.Join(e.Steps, " => ") }
 
-// Build runs the strategic optimizer over q and returns the physical plan.
-// Tactical choices (join algorithm, aggregation algorithm) stay with the
+// Build runs the strategic optimizer over q and returns the physical plan:
+// the join step for a star query, otherwise the scan plan or one of its
+// rewrites (index, invisible join), then one shared tail. Tactical
+// choices (join algorithm, aggregation algorithm) stay with the
 // operators, driven by the metadata FlowTable and the scans derive.
 func Build(q Query, opt Options) (exec.Operator, *Explain, error) {
 	ex := &Explain{}
@@ -189,11 +199,13 @@ func Build(q Query, opt Options) (exec.Operator, *Explain, error) {
 	var op exec.Operator
 	var err error
 	switch {
+	case len(q.Joins) > 0:
+		op, err = buildJoinPlan(q, opt, ex)
 	case deltaDirty(q.Delta):
 		op, err = buildScanPlan(q, opt, ex)
-	case q.Where != nil && !opt.NoIndexPlan && indexPlanColumn(q) != nil:
+	case q.Where != nil && !opt.NoIndexPlan && isolates(q, runLength):
 		op, err = buildIndexPlan(q, opt, ex)
-	case q.Where != nil && !opt.NoDictPlan && dictPlanColumn(q) != nil:
+	case q.Where != nil && !opt.NoDictPlan && isolates(q, dictionaryCompressed):
 		op, err = buildDictPlan(q, opt, ex)
 	default:
 		op, err = buildScanPlan(q, opt, ex)
@@ -291,24 +303,25 @@ func combineConjuncts(cs []expr.Expr) expr.Expr {
 // isolateColumn splits the WHERE conjuncts into those that reference only
 // the given candidate column (pushable into a pseudo-table) and the
 // residual. The strategic optimizer's "filtering move-around"
-// (Sect. 2.3.1) at work: only whole conjuncts move.
-func isolateColumn(where expr.Expr, accept func(*storage.Column) bool,
+// (Sect. 2.3.1) at work: only whole conjuncts move, and only those
+// accept takes.
+func isolateColumn(where expr.Expr, accept func(*storage.Column, expr.Expr) bool,
 	tab *storage.Table) (col *storage.Column, pushed, residual expr.Expr) {
 	conjuncts := splitConjuncts(where)
-	// Find the first acceptable column that at least one conjunct isolates.
+	// Find the first column that at least one acceptable conjunct isolates.
 	for _, cj := range conjuncts {
 		cols := Columns(cj)
 		if len(cols) != 1 {
 			continue
 		}
 		c := tab.Column(cols[0])
-		if c == nil || !accept(c) {
+		if c == nil || !accept(c, cj) {
 			continue
 		}
 		var push, rest []expr.Expr
 		for _, other := range conjuncts {
 			oc := Columns(other)
-			if len(oc) == 1 && oc[0] == cols[0] {
+			if len(oc) == 1 && oc[0] == cols[0] && accept(c, other) {
 				push = append(push, other)
 			} else {
 				rest = append(rest, other)
@@ -319,23 +332,33 @@ func isolateColumn(where expr.Expr, accept func(*storage.Column) bool,
 	return nil, nil, nil
 }
 
-// indexPlanColumn returns the RLE column some conjunct isolates, if the
-// IndexTable rewrite applies (Sect. 4.2).
-func indexPlanColumn(q Query) *storage.Column {
-	c, _, _ := isolateColumn(q.Where, func(c *storage.Column) bool {
-		return c.Data.Kind() == enc.RunLength
-	}, q.Table)
-	return c
+// runLength accepts the index rewrite's candidates (Sect. 4.2).
+func runLength(c *storage.Column, _ expr.Expr) bool { return c.Data.Kind() == enc.RunLength }
+
+// dictionaryCompressed accepts the invisible-join rewrite's candidates
+// (Sect. 4.1): a string (heap) column or a dictionary-compressed scalar,
+// under a conjunct not true where it is NULL (c IS NULL): the semijoin
+// against the DictionaryTable, which may hold no NULL, drops NULL rows.
+func dictionaryCompressed(c *storage.Column, cj expr.Expr) bool {
+	if !(c.Type == types.String && c.Heap != nil || c.Dict != nil) {
+		return false
+	}
+	e, err := Rebind(cj, []exec.ColInfo{{Name: c.Name, Type: c.Type, Heap: c.Heap}})
+	if err != nil {
+		return false
+	}
+	// Over c alone, the conjunct is a constant on a NULL row.
+	row := &vec.Block{Vecs: []vec.Vector{{Type: c.Type, Heap: c.Heap, Data: []uint64{types.NullBits(c.Type)}}}, N: 1}
+	out := vec.Vector{Data: make([]uint64, 1)}
+	e.Eval(row, &out)
+	return out.Data[0] != types.FromBool(true)
 }
 
-// dictPlanColumn returns the compressed column some conjunct isolates, if
-// the invisible-join rewrite applies (Sect. 4.1): a string (heap) column
-// or a dictionary-compressed scalar.
-func dictPlanColumn(q Query) *storage.Column {
-	c, _, _ := isolateColumn(q.Where, func(c *storage.Column) bool {
-		return c.Type == types.String && c.Heap != nil || c.Dict != nil
-	}, q.Table)
-	return c
+// isolates reports whether some WHERE conjunct isolates a column accept
+// takes, so that the rewrite it guards applies.
+func isolates(q Query, accept func(*storage.Column, expr.Expr) bool) bool {
+	c, _, _ := isolateColumn(q.Where, accept, q.Table)
+	return c != nil
 }
 
 // deltaDirty reports whether a view actually changes table contents.
@@ -353,7 +376,7 @@ func tableRows(t *storage.Table, v *delta.View) int {
 // columns, seen through the write overlay when one is visible.
 func newTableScan(t *storage.Table, v *delta.View, ex *Explain, names ...string) (scan *exec.Scan, err error) {
 	if deltaDirty(v) {
-		scan, err = exec.NewViewScan(v, false, names...)
+		scan, err = exec.NewViewScan(v, names...)
 	} else {
 		scan, err = exec.NewScan(t, names...)
 	}
@@ -408,9 +431,7 @@ func buildScanPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 // buildIndexPlan is the rank-join rewrite (Fig. 10 plans 2 and 3):
 // Index => Filter => [Sort =>] FlowTable => IndexedScan.
 func buildIndexPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
-	col, pushed, residual := isolateColumn(q.Where, func(c *storage.Column) bool {
-		return c.Data.Kind() == enc.RunLength
-	}, q.Table)
+	col, pushed, residual := isolateColumn(q.Where, runLength, q.Table)
 	bt, err := IndexTable(col)
 	if err != nil {
 		return nil, err
@@ -472,9 +493,7 @@ func buildIndexPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 // the tactical optimizer upgrades the join to a fetch join when the
 // filtered tokens form a contiguous range.
 func buildDictPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
-	col, pushed, residual := isolateColumn(q.Where, func(c *storage.Column) bool {
-		return c.Type == types.String && c.Heap != nil || c.Dict != nil
-	}, q.Table)
+	col, pushed, residual := isolateColumn(q.Where, dictionaryCompressed, q.Table)
 	bt, err := DictionaryTable(col)
 	if err != nil {
 		return nil, err
@@ -509,13 +528,7 @@ func buildDictPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 	scan.EmitRuns = !opt.NoEncodedExec // the join probe materializes if needed
 	attachZoneFilters(scan, q, opt, ex)
 	ex.add("Scan(%s)", q.Table.Name)
-	outerKey := -1
-	for i, info := range scan.Schema() {
-		if info.Name == col.Name {
-			outerKey = i
-			break
-		}
-	}
+	outerKey := colIndex(scan.Schema(), col.Name)
 	if outerKey < 0 {
 		return nil, fmt.Errorf("plan: filter column %q not scanned", col.Name)
 	}

@@ -64,13 +64,15 @@ func TestParseDelete(t *testing.T) {
 
 func TestParseDMLErrors(t *testing.T) {
 	bad := []string{
-		"INSERT orders VALUES (1)",     // missing INTO
-		"INSERT INTO t VALUES 1",       // missing parens
-		"UPDATE t a = 1",               // missing SET
-		"DELETE t",                     // missing FROM
-		"DELETE FROM t WHERE",          // dangling WHERE
-		"INSERT INTO t VALUES (1) foo", // trailing input
-		"MERGE INTO t",                 // not a DML statement
+		"INSERT orders VALUES (1)",       // missing INTO
+		"INSERT INTO t VALUES 1",         // missing parens
+		"UPDATE t a = 1",                 // missing SET
+		"DELETE t",                       // missing FROM
+		"DELETE FROM t WHERE",            // dangling WHERE
+		"INSERT INTO t VALUES (1) foo",   // trailing input
+		"MERGE INTO t",                   // not a DML statement
+		"DELETE FROM t WHERE $rowid = 1", // the row address is not SQL's
+		"UPDATE t SET $rowid = 1",
 	}
 	for _, sql := range bad {
 		if _, err := ParseDML(sql); err == nil {

@@ -13,7 +13,7 @@ import (
 	"tde/internal/types"
 )
 
-// Statement is a parsed single-table SELECT.
+// Statement is a parsed SELECT: one table, or a star join.
 type Statement struct {
 	Table      string
 	TableAlias string
@@ -657,8 +657,8 @@ func contains(ss []string, s string) bool {
 	return false
 }
 
-// Build plans the statement against the given tables, dispatching between
-// the single-table strategic planner and the star-join planner.
+// Build plans the statement against the given tables through the one
+// strategic planner, plan.Build; joins become the query's JoinSpecs.
 func (st *Statement) Build(tables []*storage.Table, opt plan.Options) (exec.Operator, *plan.Explain, error) {
 	return st.BuildViews(tables, nil, opt)
 }
@@ -685,16 +685,7 @@ func (st *Statement) BuildViews(tables []*storage.Table, views map[string]*delta
 	if err != nil {
 		return nil, nil, err
 	}
-	q.Delta = views[fact.Name]
-	if len(st.joins) == 0 {
-		return plan.Build(q, opt)
-	}
-	jq := plan.JoinQuery{
-		Fact: fact, FactDelta: q.Delta, FactAlias: st.TableAlias,
-		Where: q.Where, Compute: q.Compute, GroupBy: q.GroupBy,
-		Aggs: q.Aggs, Select: q.Select, OrderBy: q.OrderBy,
-		Having: q.Having, Limit: q.Limit,
-	}
+	q.Delta, q.Alias = views[fact.Name], st.TableAlias
 	for _, jc := range st.joins {
 		dim := lookup(jc.table)
 		if dim == nil {
@@ -717,12 +708,12 @@ func (st *Statement) BuildViews(tables []*storage.Table, views map[string]*delta
 		if i := strings.IndexByte(inner, '.'); i >= 0 {
 			inner = inner[i+1:]
 		}
-		jq.Joins = append(jq.Joins, plan.JoinSpec{
+		q.Joins = append(q.Joins, plan.JoinSpec{
 			Table: dim, Delta: views[dim.Name], Alias: jc.alias,
 			OuterKey: leftKey, InnerKey: inner, LeftOuter: jc.leftOuter,
 		})
 	}
-	return plan.BuildJoin(jq, opt)
+	return plan.Build(q, opt)
 }
 
 // belongsTo reports whether a possibly-qualified column name is qualified

@@ -52,6 +52,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT SUM(*) FROM t",
 		"SELECT a FROM t extra junk ;;",
 		"SELECT a FROM t WHERE x = 'unterminated",
+		"SELECT $rowid FROM t",
+		"SELECT t.$rowid FROM t",
 	} {
 		if _, err := Parse(sql); err == nil {
 			t.Errorf("accepted %q", sql)

@@ -48,12 +48,18 @@ func (v *Vector) Materialize(n int) {
 	v.Runs = nil
 }
 
-// IsNull reports whether row i holds the type's NULL sentinel.
+// IsNull reports whether row i holds the type's NULL sentinel. A
+// dictionary carries NULL as the token sentinel or, in a converted
+// column, as the type sentinel among its entries.
 func (v *Vector) IsNull(i int) bool {
+	x := v.Data[i]
 	if v.Dict != nil || v.Heap != nil {
-		return v.Data[i] == types.NullToken
+		if x == types.NullToken || v.Dict == nil {
+			return x == types.NullToken
+		}
+		x = v.Dict[x] // a token: resolve it
 	}
-	return types.IsNull(v.Type, v.Data[i])
+	return types.IsNull(v.Type, x)
 }
 
 // Value resolves row i through the scalar dictionary, if any.

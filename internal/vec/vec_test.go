@@ -45,6 +45,11 @@ func TestVectorNullDetection(t *testing.T) {
 	if dv.IsNull(0) || !dv.IsNull(1) {
 		t.Error("dict null detection wrong")
 	}
+	// A converted dictionary keeps the type sentinel as an entry.
+	cv := Vector{Type: types.Integer, Dict: []uint64{7, types.NullBits(types.Integer)}, Data: []uint64{0, 1}}
+	if cv.IsNull(0) || !cv.IsNull(1) {
+		t.Error("dictionary NULL entry not detected")
+	}
 }
 
 func TestVectorValueResolution(t *testing.T) {

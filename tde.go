@@ -801,14 +801,30 @@ func (db *Database) Explain(sql string) (string, error) {
 
 // ExplainWithOptions returns the strategic plan for sql under explicit
 // optimizer options, so plan shapes that depend on them (worker counts,
-// routing) can be inspected without running the query.
+// routing) can be inspected without running the query. For an UPDATE or
+// DELETE it is the plan that selects the statement's rows, which always
+// runs serially.
 func (db *Database) ExplainWithOptions(sql string, opt plan.Options) (string, error) {
-	st, err := sqlparse.Parse(sql)
+	st, err := sqlparse.ParseAny(sql)
 	if err != nil {
 		return "", err
 	}
 	tables, views := db.snapshot()
-	_, ex, err := st.BuildViews(tables, views, opt)
+	var ex *plan.Explain
+	switch st := st.(type) {
+	case *sqlparse.Statement:
+		_, ex, err = st.BuildViews(tables, views, opt)
+	case *sqlparse.DML:
+		// The table and its view come from the same cut.
+		t := tableIn(tables, st.Table)
+		if t == nil {
+			return "", fmt.Errorf("tde: unknown table %q", st.Table)
+		}
+		if st.Kind == sqlparse.DMLInsert {
+			return "", fmt.Errorf("tde: INSERT has no query plan")
+		}
+		_, ex, _, err = planMutation(st, t, views[t.Name], opt)
+	}
 	if err != nil {
 		return "", err
 	}

@@ -581,7 +581,12 @@ func retryBackoff(ctx context.Context, backoff *time.Duration) error {
 func (db *Database) findTable(name string) *storage.Table {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	for _, t := range db.tables {
+	return tableIn(db.tables, name)
+}
+
+// tableIn finds a table by case-insensitive name among tables.
+func tableIn(tables []*storage.Table, name string) *storage.Table {
+	for _, t := range tables {
 		if strings.EqualFold(t.Name, name) {
 			return t
 		}
@@ -595,6 +600,16 @@ func stringCols(t *storage.Table) []bool {
 		out[i] = c.Type == types.String
 	}
 	return out
+}
+
+// columnFold finds a statement's column in t case-insensitively.
+func columnFold(t *storage.Table, name string) (int, error) {
+	for i, c := range t.Columns {
+		if strings.EqualFold(c.Name, name) {
+			return i, nil
+		}
+	}
+	return -1, fmt.Errorf("tde: table %q has no column %q", t.Name, name)
 }
 
 // buildInsert turns an INSERT's constant value rows into insert ops.
@@ -611,15 +626,9 @@ func buildInsert(dml *sqlparse.DML, t *storage.Table) ([]delta.Op, int, error) {
 			pos[i] = -1
 		}
 		for vi, name := range dml.Columns {
-			ci := -1
-			for i, c := range cols {
-				if strings.EqualFold(c.Name, name) {
-					ci = i
-					break
-				}
-			}
-			if ci < 0 {
-				return nil, 0, fmt.Errorf("tde: table %q has no column %q", t.Name, name)
+			ci, err := columnFold(t, name)
+			if err != nil {
+				return nil, 0, err
 			}
 			if pos[ci] != -1 {
 				return nil, 0, fmt.Errorf("tde: column %q listed twice", name)
@@ -670,14 +679,81 @@ func constValue(e expr.Expr, c *storage.Column) (delta.Value, error) {
 	return delta.Value{}, fmt.Errorf("tde: value for column %q has type %s, want %s", c.Name, k.Typ, c.Type)
 }
 
-// setEval is one compiled SET clause: either a constant value or an
-// expression evaluated per block against the old rows.
-type setEval struct {
-	col  int
+// newValue is where an UPDATE takes one column's new value from: a SET
+// constant, or a column of its selection query's output (the old value,
+// or the SET expression computed over the old row).
+type newValue struct {
+	out  int // output column; -1 for a constant
 	cval delta.Value
-	e    expr.Expr // nil for constants
-	et   types.Type
-	out  *vec.Vector
+}
+
+// mutationQuery lowers an UPDATE or DELETE onto the query that selects
+// the rows it touches in view: DELETE selects $rowid alone; UPDATE selects
+// $rowid, every column, and one computed column per non-constant SET
+// expression, and vals[ci] says where column ci's new value comes from.
+func mutationQuery(dml *sqlparse.DML, t *storage.Table, view *delta.View) (q plan.Query, vals []newValue, err error) {
+	q = plan.Query{Table: t, Delta: view, Where: dml.Where, Select: []string{exec.RowIDColumn}}
+	if dml.Kind != sqlparse.DMLUpdate {
+		return q, nil, nil
+	}
+	vals = make([]newValue, len(t.Columns))
+	for ci, c := range t.Columns {
+		vals[ci].out = len(q.Select)
+		q.Select = append(q.Select, c.Name)
+	}
+	assigned := make([]bool, len(t.Columns))
+	for _, sc := range dml.Set {
+		ci, err := columnFold(t, sc.Column)
+		if err != nil {
+			return q, nil, err
+		}
+		if assigned[ci] {
+			return q, nil, fmt.Errorf("tde: column %q assigned twice", sc.Column)
+		}
+		assigned[ci] = true
+		e := expr.Simplify(sc.Value)
+		if k, ok := e.(*expr.Const); ok {
+			v, err := constValue(k, t.Columns[ci])
+			if err != nil {
+				return q, nil, err
+			}
+			vals[ci] = newValue{out: -1, cval: v}
+			continue
+		}
+		name := fmt.Sprintf("$set%d", ci)
+		q.Compute = append(q.Compute, plan.Computed{Name: name, E: e})
+		vals[ci].out = len(q.Select)
+		q.Select = append(q.Select, name)
+	}
+	return q, vals, nil
+}
+
+// planMutation plans an UPDATE or DELETE's row selection over view
+// (mutationQuery) with plan.Build and checks each SET expression's type.
+// The plan is serial whatever opt says, so that a statement's ops (and its
+// inserted rows' IDs) come in one deterministic order: the plan's output
+// order, value or join order under the index and invisible-join rewrites.
+func planMutation(dml *sqlparse.DML, t *storage.Table, view *delta.View, opt plan.Options) (exec.Operator, *plan.Explain, []newValue, error) {
+	q, vals, err := mutationQuery(dml, t, view)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	opt.ParallelWorkers = -1
+	op, ex, err := plan.Build(q, opt)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	schema := op.Schema()
+	for ci, v := range vals {
+		if v.out < 0 {
+			continue
+		}
+		colType, et := t.Columns[ci].Type, schema[v.out].Type
+		if et != colType && (colType != types.Real || et != types.Integer) {
+			return nil, nil, nil, fmt.Errorf("tde: SET %s evaluates to %s, want %s", t.Columns[ci].Name, et, colType)
+		}
+	}
+	return op, ex, vals, nil
 }
 
 // buildMutate runs an UPDATE or DELETE against the transaction's private
@@ -689,68 +765,17 @@ func (tx *Tx) buildMutate(qc *exec.QueryCtx, dml *sqlparse.DML, t *storage.Table
 	if err != nil {
 		return nil, 0, err
 	}
-	ds, err := exec.NewViewScan(view, true)
+	op, _, vals, err := planMutation(dml, t, view, plan.Options{})
 	if err != nil {
 		return nil, 0, err
 	}
-	schema := ds.Schema()
-	ncols := len(schema) - 1 // trailing $rowid
-	rowidIdx := ncols
-	var op exec.Operator = ds
-	if dml.Where != nil {
-		pred, err := plan.Rebind(expr.Simplify(dml.Where), schema)
-		if err != nil {
-			return nil, 0, err
-		}
-		op = exec.NewSelect(op, pred)
-	}
-	var sets []setEval
-	for _, sc := range dml.Set {
-		ci := -1
-		for i := 0; i < ncols; i++ {
-			if strings.EqualFold(schema[i].Name, sc.Column) {
-				ci = i
-				break
-			}
-		}
-		if ci < 0 {
-			return nil, 0, fmt.Errorf("tde: table %q has no column %q", t.Name, sc.Column)
-		}
-		for _, s := range sets {
-			if s.col == ci {
-				return nil, 0, fmt.Errorf("tde: column %q assigned twice", sc.Column)
-			}
-		}
-		colType := schema[ci].Type
-		simplified := expr.Simplify(sc.Value)
-		if k, ok := simplified.(*expr.Const); ok {
-			v, err := constValue(k, t.Columns[ci])
-			if err != nil {
-				return nil, 0, err
-			}
-			sets = append(sets, setEval{col: ci, cval: v})
-			continue
-		}
-		e, err := plan.Rebind(simplified, schema)
-		if err != nil {
-			return nil, 0, err
-		}
-		et := e.Type()
-		ok := et == colType || (colType == types.Real && et == types.Integer)
-		if !ok {
-			return nil, 0, fmt.Errorf("tde: SET %s evaluates to %s, want %s", sc.Column, et, colType)
-		}
-		sets = append(sets, setEval{col: ci, e: e, et: et,
-			out: &vec.Vector{Data: make([]uint64, vec.BlockSize)}})
-	}
-
 	if err := op.Open(qc); err != nil {
 		return nil, 0, err
 	}
 	defer op.Close()
 	var ops []delta.Op
 	affected := 0
-	b := vec.NewBlock(len(schema))
+	b := vec.NewBlock(len(op.Schema()))
 	for {
 		ok, err := op.Next(b)
 		if err != nil {
@@ -759,27 +784,18 @@ func (tx *Tx) buildMutate(qc *exec.QueryCtx, dml *sqlparse.DML, t *storage.Table
 		if !ok {
 			break
 		}
-		for si := range sets {
-			if sets[si].e != nil {
-				sets[si].e.Eval(b, sets[si].out)
-			}
-		}
 		for i := 0; i < b.N; i++ {
-			rowid := b.Vecs[rowidIdx].Data[i]
-			ops = append(ops, delta.Op{Table: t.Name, Kind: delta.OpDelete, RowID: rowid})
+			ops = append(ops, delta.Op{Table: t.Name, Kind: delta.OpDelete, RowID: b.Vecs[0].Data[i]})
 			affected++
-			if dml.Kind != sqlparse.DMLUpdate {
+			if vals == nil {
 				continue
 			}
-			row := make([]delta.Value, ncols)
-			for ci := 0; ci < ncols; ci++ {
-				row[ci] = vecValue(&b.Vecs[ci], i, schema[ci].Type, schema[ci].Type)
-			}
-			for _, s := range sets {
-				if s.e == nil {
-					row[s.col] = s.cval
+			row := make([]delta.Value, len(vals))
+			for ci, v := range vals {
+				if v.out < 0 {
+					row[ci] = v.cval
 				} else {
-					row[s.col] = vecValue(s.out, i, schema[s.col].Type, s.et)
+					row[ci] = vecValue(&b.Vecs[v.out], i, t.Columns[ci].Type)
 				}
 			}
 			ops = append(ops, delta.Op{Table: t.Name, Kind: delta.OpInsert, Row: row})
@@ -789,23 +805,18 @@ func (tx *Tx) buildMutate(qc *exec.QueryCtx, dml *sqlparse.DML, t *storage.Table
 }
 
 // vecValue extracts row i of a vector as a delta value for a column of
-// type colType; et is the vector's value type (Integer results widen into
-// Real columns).
-func vecValue(v *vec.Vector, i int, colType, et types.Type) delta.Value {
-	bits := v.Data[i]
-	if colType == types.String {
-		if bits == types.NullToken {
-			return delta.NullOf(types.String)
-		}
-		return delta.String(v.Heap.Get(bits))
+// type colType: dictionary tokens resolve to values, and Integer results
+// widen into Real columns.
+func vecValue(v *vec.Vector, i int, colType types.Type) delta.Value {
+	switch {
+	case v.IsNull(i):
+		return delta.NullOf(colType)
+	case colType == types.String:
+		return delta.String(v.Heap.Get(v.Data[i]))
+	case colType == types.Real && v.Type == types.Integer:
+		return delta.Scalar(types.FromReal(float64(int64(v.Value(i)))))
 	}
-	if colType == types.Real && et == types.Integer {
-		if types.IsNull(types.Integer, bits) {
-			return delta.NullOf(types.Real)
-		}
-		return delta.Scalar(types.FromReal(float64(int64(bits))))
-	}
-	return delta.Scalar(bits)
+	return delta.Scalar(v.Value(i))
 }
 
 // quiesce closes admission and drains in-flight writers, returning with
@@ -929,7 +940,7 @@ func (db *Database) materializeLocked(ctx context.Context, qopt QueryOptions) (m
 			merged[i] = t
 			continue
 		}
-		ds, err := exec.NewViewScan(v, false)
+		ds, err := exec.NewViewScan(v)
 		if err != nil {
 			return nil, false, err
 		}

@@ -390,7 +390,7 @@ func TestSnapshotHeldAcrossMergeAndGC(t *testing.T) {
 	}
 	db.GC()
 
-	ds, err := exec.NewViewScan(v, false, "amount")
+	ds, err := exec.NewViewScan(v, "amount")
 	if err != nil {
 		t.Fatal(err)
 	}

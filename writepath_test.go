@@ -1,6 +1,8 @@
 package tde
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -8,9 +10,17 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"tde/internal/delta"
+	"tde/internal/exec"
+	"tde/internal/flights"
+	"tde/internal/plan"
+	"tde/internal/sqlparse"
+	"tde/internal/vec"
 	"tde/internal/wal"
 )
 
@@ -37,6 +47,20 @@ func queryRows(t *testing.T, db *Database, sql string) [][]string {
 		t.Fatalf("%s: %v", sql, err)
 	}
 	return res.Rows
+}
+
+// queryCount runs a SELECT COUNT(*); no row at all counts as 0.
+func queryCount(t *testing.T, db *Database, sql string) int {
+	t.Helper()
+	rows := queryRows(t, db, sql)
+	if len(rows) == 0 {
+		return 0
+	}
+	n, err := strconv.Atoi(rows[0][0])
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	return n
 }
 
 func TestExecInsert(t *testing.T) {
@@ -420,4 +444,209 @@ func sortedDump(t *testing.T, db *Database) []string {
 		out = append(out, lines...)
 	}
 	return out
+}
+
+// TestUpdateThroughIndexRewrite: an UPDATE on a clean encodedTestDB
+// table whose WHERE isolates the run-length r takes the index rewrite and
+// moves exactly the matching rows, each keeping its dictionary-compressed
+// g (offset, so that its tokens differ from its values) and plain v.
+func TestUpdateThroughIndexRewrite(t *testing.T) {
+	db := encodedDB(t, 100, 3)
+	const sql = "UPDATE m SET r = r + 1000 WHERE r = 5"
+	if p, err := db.Explain(sql); err != nil || !strings.Contains(p, "IndexedScan") {
+		t.Fatalf("plan %q (%v), want the index rewrite", p, err)
+	}
+	before := queryRows(t, db, "SELECT g, v FROM m WHERE r = 5 ORDER BY g, v")
+	totals := queryRows(t, db, "SELECT COUNT(*), SUM(g), MIN(v), MAX(v) FROM m")
+	n, err := db.Exec(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(before) || n == 0 {
+		t.Fatalf("updated %d rows, want %d", n, len(before))
+	}
+	if after := queryRows(t, db, "SELECT g, v FROM m WHERE r = 1005 ORDER BY g, v"); !reflect.DeepEqual(after, before) {
+		t.Fatalf("moved rows changed:\n got %v\nwant %v", after, before)
+	}
+	if left := queryCount(t, db, "SELECT COUNT(*) FROM m WHERE r = 5"); left != 0 {
+		t.Fatalf("%d rows left at r = 5", left)
+	}
+	if got := queryRows(t, db, "SELECT COUNT(*), SUM(g), MIN(v), MAX(v) FROM m"); !reflect.DeepEqual(got, totals) {
+		t.Fatalf("totals %v, want %v", got, totals)
+	}
+}
+
+// TestDeleteWithoutWhere: a DELETE with no WHERE removes every visible
+// row, from a clean table and from one with a committed overlay.
+func TestDeleteWithoutWhere(t *testing.T) {
+	for _, dirty := range []bool{false, true} {
+		db := importOrders(t)
+		if dirty {
+			for _, sql := range []string{
+				"INSERT INTO orders VALUES ('open', 1, DATE '2014-05-01'), ('new', 2, DATE '2014-05-02')",
+				"DELETE FROM orders WHERE amount = 10",
+			} {
+				if _, err := db.Exec(sql); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		n, err := db.Exec("DELETE FROM orders")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int{false: 5, true: 6}[dirty]; n != want {
+			t.Fatalf("dirty=%v: deleted %d rows, want %d", dirty, n, want)
+		}
+		if left := queryCount(t, db, "SELECT COUNT(*) FROM orders"); left != 0 {
+			t.Fatalf("dirty=%v: %d rows left", dirty, left)
+		}
+	}
+}
+
+// TestDMLReadsOnlyWhatItTouches plans UPDATE/DELETE row selections the
+// way Exec does: a DELETE's scan reads its WHERE column and $rowid only,
+// and a marker predicate beyond every base value skips every base block
+// of a dirty view.
+func TestDMLReadsOnlyWhatItTouches(t *testing.T) {
+	var buf bytes.Buffer
+	if err := flights.New(5000, 1).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	db := New()
+	if err := db.ImportCSV("flights", buf.Bytes(), DefaultImportOptions()); err != nil {
+		t.Fatal(err)
+	}
+	tab := db.findTable("flights")
+	build := func(sql string, view *delta.View) (exec.Operator, *plan.Explain) {
+		t.Helper()
+		dml, err := sqlparse.ParseDML(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, ex, _, err := planMutation(dml, tab, view, plan.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op, ex
+	}
+	scanColumns := func(op exec.Operator) []string {
+		for {
+			if s, ok := op.(*exec.Scan); ok {
+				var names []string
+				for _, c := range s.Schema() {
+					names = append(names, c.Name)
+				}
+				return names
+			}
+			children := op.(exec.Instrumented).OpChildren()
+			if len(children) != 1 {
+				t.Fatalf("no single scan under %T", op)
+			}
+			op = children[0]
+		}
+	}
+	op, _ := build("DELETE FROM flights WHERE Distance > 1000", nil)
+	if got := scanColumns(op); !reflect.DeepEqual(got, []string{"Distance", exec.RowIDColumn}) {
+		t.Fatalf("DELETE scans %v", got)
+	}
+
+	if _, err := db.Exec("INSERT INTO flights (FlightNum, Carrier) VALUES (1000000, 'ZZ')"); err != nil {
+		t.Fatal(err)
+	}
+	view := db.dstore.View(tab)
+	op, ex := build("DELETE FROM flights WHERE FlightNum = 1000000", view)
+	if !strings.Contains(ex.String(), "DeltaScan") || !strings.Contains(ex.String(), "ZoneSkip[") {
+		t.Fatalf("plan %s, want a zone-skipping DeltaScan", ex)
+	}
+	qc := exec.NewQueryCtx(context.Background(), 0)
+	rows, err := exec.CollectStringsCtx(qc, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0][0] != fmt.Sprint(tab.Rows()) {
+		t.Fatalf("selected %v, want the inserted row's $rowid %d", rows, tab.Rows())
+	}
+	for _, s := range qc.OpSnapshots(ex.Tree) {
+		if s.Kind == "DeltaScan" {
+			if want := int64((tab.Rows() + vec.BlockSize - 1) / vec.BlockSize); s.BlocksSkipped != want {
+				t.Fatalf("skipped %d base blocks, want all %d", s.BlocksSkipped, want)
+			}
+			return
+		}
+	}
+	t.Fatal("no DeltaScan in the stats")
+}
+
+// TestDMLSelectsNullRowsOnCleanTable: on a clean table a WHERE that holds
+// on NULL (IS NULL, a disjunction with it, NOT ... IS NOT NULL) over a
+// heap string or a dictionary-compressed column selects the NULL rows,
+// for a SELECT, an UPDATE and a DELETE alike, whichever plan the planner
+// picks. A converted dictionary keeps NULL as an entry of its own, which
+// COUNT(g) must not count either.
+func TestDMLSelectsNullRowsOnCleanTable(t *testing.T) {
+	const rows = 3000
+	build := func() *Database {
+		db := New()
+		var sb strings.Builder
+		for i := 0; i < rows; i++ {
+			s, g := fmt.Sprintf("s%d", i%5), fmt.Sprint(i%7)
+			if i%11 == 0 {
+				s = ""
+			}
+			if i%13 == 0 {
+				g = ""
+			}
+			fmt.Fprintf(&sb, "%s,%s,%d\n", s, g, i)
+		}
+		opt := DefaultImportOptions()
+		opt.Schema = []string{"s:str", "g:int", "v:int"}
+		opt.HeaderSet, opt.HasHeader = true, false
+		if err := db.ImportCSV("t", []byte(sb.String()), opt); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CompressColumn("t", "g"); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	matching := func(keep func(i int) bool) int {
+		n := 0
+		for i := 0; i < rows; i++ {
+			if keep(i) {
+				n++
+			}
+		}
+		return n
+	}
+	nullS := matching(func(i int) bool { return i%11 == 0 })
+	nullG := matching(func(i int) bool { return i%13 == 0 })
+	if got := queryCount(t, build(), "SELECT COUNT(g) FROM t"); got != rows-nullG {
+		t.Errorf("COUNT(g) = %d, want %d", got, rows-nullG)
+	}
+	for _, c := range []struct {
+		where string
+		want  int
+	}{
+		{"s IS NULL", nullS},
+		{"s IS NULL OR s = 's1'", matching(func(i int) bool { return i%11 == 0 || i%5 == 1 })},
+		{"g IS NULL", nullG},
+		{"g IS NULL AND v >= 0", nullG},
+		{"NOT (g IS NOT NULL)", nullG},
+		{"g IS NOT NULL AND s = 's2'", matching(func(i int) bool { return i%13 != 0 && i%11 != 0 && i%5 == 2 })},
+	} {
+		db := build()
+		if got := queryCount(t, db, "SELECT COUNT(*) FROM t WHERE "+c.where); got != c.want {
+			t.Errorf("WHERE %s: SELECT counted %d rows, want %d", c.where, got, c.want)
+		}
+		for _, sql := range []string{"UPDATE t SET v = v + 1 WHERE " + c.where, "DELETE FROM t WHERE " + c.where} {
+			n, err := db.Exec(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			if n != c.want {
+				t.Errorf("%s: affected %d rows, want %d", sql, n, c.want)
+			}
+		}
+	}
 }
