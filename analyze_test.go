@@ -392,3 +392,45 @@ func TestWriteTraceShape(t *testing.T) {
 		}
 	}
 }
+
+// TestFusedChainStats: a Select and a Project that a parallel aggregate
+// runs inside its workers book their rows, blocks, time and routine to
+// their planned nodes, as they would running serially.
+func TestFusedChainStats(t *testing.T) {
+	db := encodedTestDB(t)
+	var kept int64
+	cnt, err := db.Query("SELECT COUNT(*) FROM m WHERE v >= 48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Sscan(cnt.Rows[0][0], &kept)
+	for _, c := range []struct {
+		sql, kind, routine string
+		rows               int64
+	}{
+		{"SELECT g, SUM(v) FROM m WHERE v >= 48 GROUP BY g", "Select", "kernel", kept},
+		{"SELECT r + 1 AS q, COUNT(*) FROM m GROUP BY q", "Project", "rle-project", 20000},
+	} {
+		for _, workers := range []int{-1, 2} {
+			opt := scanPlanSerial(false)
+			opt.ParallelWorkers = workers
+			res, err := db.QueryContext(context.Background(), c.sql, QueryOptions{Plan: opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var op *OperatorStats
+			for i, s := range res.Stats().Operators {
+				if s.Kind == c.kind {
+					op = &res.Stats().Operators[i]
+				}
+			}
+			if op == nil {
+				t.Fatalf("%s: no %s in %s", c.sql, c.kind, res.Plan)
+			}
+			if op.RowsOut != c.rows || op.BlocksOut == 0 || op.NextNanos == 0 || op.Routine != c.routine {
+				t.Fatalf("%s workers=%d: %s rows=%d blocks=%d next=%dns routine %q, want rows=%d routine %q",
+					c.sql, workers, c.kind, op.RowsOut, op.BlocksOut, op.NextNanos, op.Routine, c.rows, c.routine)
+			}
+		}
+	}
+}

@@ -138,14 +138,21 @@ func TestEncodedRoutinesChosen(t *testing.T) {
 		}
 	}
 
-	// Plain column: no encoded routine applies, with no knob needed.
-	res, err = db.QueryContext(ctx, "SELECT SUM(v) FROM m WHERE v > 50",
-		QueryOptions{Plan: scanPlanSerial(false)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := routineOf(t, res, "Select"); r != "" {
-		t.Fatalf("select routine %q on a plain real column, want the default row path", r)
+	// Plain column: the typed comparison kernel applies, and the escape
+	// hatch keeps the row path.
+	for _, off := range []bool{false, true} {
+		res, err = db.QueryContext(ctx, "SELECT SUM(v) FROM m WHERE v > 50",
+			QueryOptions{Plan: scanPlanSerial(off)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "kernel"
+		if off {
+			want = ""
+		}
+		if r := routineOf(t, res, "Select"); r != want {
+			t.Fatalf("select routine %q on a plain real column with NoEncodedExec=%v, want %q", r, off, want)
+		}
 	}
 }
 

@@ -161,6 +161,26 @@ func TestDifferentialEncoded(t *testing.T) {
 	if rep.EncodedHits == 0 {
 		t.Fatal("no variant query used an encoded routine; the sweep exercised nothing")
 	}
+	// The regression seed takes the run path it guards, at any worker
+	// count: a Project computing once per run under an aggregate that
+	// folds the aligned runs.
+	for _, w := range []int{1, 2} {
+		res, err := db.QueryWithOptions(encodedSeeds[0], plan.Options{ParallelWorkers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var routines []string
+		for _, op := range res.Stats().Operators {
+			routines = append(routines, op.Kind+"["+op.Routine+"]")
+		}
+		got := strings.Join(routines, " ")
+		if !strings.Contains(got, "Project[rle-project]") || !strings.Contains(got, "Aggregate[rle-") {
+			t.Fatalf("workers=%d: %s ran as %s", w, encodedSeeds[0], got)
+		}
+		if len(res.Rows) != 7 { // 1995 to 2000, and the NULL dates' group
+			t.Fatalf("workers=%d: %d groups, want 7: %v", w, len(res.Rows), res.Rows)
+		}
+	}
 	t.Logf("%d queries, %d comparisons, %d encoded-routine hits, %d mismatches",
 		rep.Queries, rep.Comparisons, rep.EncodedHits, len(rep.Mismatches))
 }

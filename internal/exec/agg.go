@@ -132,11 +132,12 @@ type aggCore struct {
 	dkeys   []directKey // the direct modes' key ordinals, shared by every worker
 	direct  []int32     // slot -> group index +1 (the direct modes)
 
-	gids []int32 // one block's group ids
+	gids    []int32    // one block's group ids
+	runRows *vec.Block // a run block's values, one row per run
 
 	// runBlocks counts input blocks folded run-at-a-time instead of
-	// row-at-a-time — the rle-sum/rle-count routines of compressed
-	// execution. Reported through the operator's routine string.
+	// row-at-a-time — the rle-* routines of compressed execution.
+	// Reported through the operator's routine string.
 	runBlocks int
 
 	// curSet: ordered mode's last group is still running (open to more rows)
@@ -256,16 +257,29 @@ func (c *aggCore) internStrings(b *vec.Block) {
 // id, then one fold loop per aggregate. The direct modes compute the ids
 // on the block's keys as they arrive, before internStrings rewrites the
 // string columns the aggregates read; the others group on the rewritten
-// tokens.
+// tokens. A block of aligned runs goes through the same passes over its
+// run values, one row per run, and folds each run weighted by its length.
 func (c *aggCore) consumeBlock(qc *QueryCtx, b *vec.Block) error {
+	rows := b.N
+	var runs []enc.Run
 	if c.runCapable(b) {
-		c.internStrings(b)
-		if err := c.consumeRuns(b); err != nil {
-			return err
+		c.runBlocks++
+		if v := &b.Vecs[0]; len(b.Vecs) == 1 && len(c.keyCols) == 0 && v.Dict == nil && v.Heap == nil {
+			// Global aggregate over plain scalar runs: the pure kernels
+			// fold (SUM multiplies by run length, COUNT adds it).
+			g, err := c.findTuple() // no keys: the single global group
+			if err != nil {
+				return err
+			}
+			c.foldRuns(g, v.Runs, v.Type, rows)
+			return c.chargeGrowth(qc, rows)
 		}
-		return c.chargeGrowth(qc, b.N)
+		runs = b.Vecs[0].Runs
+		c.runRows = runRows(b, c.runRows)
+		b = c.runRows
+	} else {
+		b.Materialize() // late-decode boundary for shapes the run path skips
 	}
-	b.Materialize() // late-decode boundary for shapes the run path skips
 	for _, col := range c.stored {
 		if b.Vecs[col].Heap != c.in[col].Heap {
 			return fmt.Errorf("exec: aggregate input %q: a block whose heap is not the column's stored heap", c.in[col].Name)
@@ -281,8 +295,14 @@ func (c *aggCore) consumeBlock(qc *QueryCtx, b *vec.Block) error {
 		c.internStrings(b)
 		c.groupIDs(b, gids)
 	}
-	c.fold(b, gids)
-	return c.chargeGrowth(qc, b.N)
+	if runs != nil {
+		for r, g := range gids {
+			c.updateW(int(g), b, r, int64(runs[r].Count))
+		}
+	} else {
+		c.fold(b, gids)
+	}
+	return c.chargeGrowth(qc, rows)
 }
 
 // groupIDs is the hash and ordered modes' group-id pass.
@@ -378,54 +398,19 @@ func (c *aggCore) chargeGrowth(qc *QueryCtx, rows int) error {
 	return nil
 }
 
-// runCapable reports whether b can be folded run-at-a-time: a
-// single-column run-encoded block whose specs all read that column (or
-// COUNT(*)) with no MEDIAN — MEDIAN retains one value per input row, so
-// run weighting buys nothing.
+// runCapable reports whether b can be folded run-at-a-time: every vector
+// carries aligned runs and no aggregate is a MEDIAN, which retains one
+// value per input row, so run weighting buys nothing.
 func (c *aggCore) runCapable(b *vec.Block) bool {
-	if len(b.Vecs) != 1 || b.Vecs[0].Runs == nil {
+	if !alignedRuns(b) {
 		return false
 	}
-	for _, kc := range c.keyCols {
-		if kc != 0 {
-			return false
-		}
-	}
 	for _, s := range c.specs {
-		if s.Func == Median || s.Col > 0 {
+		if s.Func == Median {
 			return false
 		}
 	}
 	return true
-}
-
-// consumeRuns folds a run-encoded block without expanding it: one group
-// probe and one weighted accumulator update per run instead of per row.
-func (c *aggCore) consumeRuns(b *vec.Block) error {
-	v := &b.Vecs[0]
-	runs := v.Runs
-	c.runBlocks++
-	if len(c.keyCols) == 0 && v.Dict == nil && v.Heap == nil {
-		// Global aggregate over plain scalar runs: the pure kernel folds
-		// (SUM multiplies by run length, COUNT adds it).
-		g, err := c.findGroup(b, 0) // no keys: the single global group
-		if err != nil {
-			return err
-		}
-		c.foldRuns(g, runs, v.Type, b.N)
-		return nil
-	}
-	// Keyed (or dictionary-valued): stage each run's value in row 0 and
-	// reuse the row machinery with the run length as weight.
-	for ri := range runs {
-		v.Data[0] = runs[ri].Value
-		g, err := c.findGroup(b, 0)
-		if err != nil {
-			return err
-		}
-		c.updateW(g, b, 0, int64(runs[ri].Count))
-	}
-	return nil
 }
 
 // foldRuns applies the enc run kernels to a plain scalar column's runs.
@@ -481,16 +466,7 @@ func hashTuple(keys []uint64) uint64 {
 	return h
 }
 
-// findGroup returns the index of row i's group, creating it on first
-// sight.
-func (c *aggCore) findGroup(b *vec.Block, i int) (int, error) {
-	for j, kc := range c.keyCols {
-		c.tuple[j] = b.Vecs[kc].Data[i]
-	}
-	return c.findTuple()
-}
-
-// findTuple is the mode dispatch behind findGroup and mergeFrom: the
+// findTuple is the mode dispatch behind groupIDs and mergeFrom: the
 // group holding the key tuple in c.tuple, created on first sight.
 func (c *aggCore) findTuple() (int, error) {
 	switch c.chosen {
@@ -633,7 +609,7 @@ func (c *aggCore) growSlots() {
 }
 
 // updateW folds row i into g's accumulators w times in O(1) — w is a run
-// length; consumeRuns is the caller.
+// length; consumeBlock's run path is the caller.
 func (c *aggCore) updateW(g int, b *vec.Block, i int, w int64) {
 	for j, s := range c.specs {
 		if s.Col < 0 { // COUNT(*)
@@ -1094,6 +1070,13 @@ func (a *Aggregate) Open(qc *QueryCtx) (err error) {
 		}
 		c.release(qc) // the partial's memory is garbage after the merge
 		a.cores[i+1] = nil
+	}
+	if len(a.keyCols) == 0 && merged.n == 0 && (a.sp == nil || !a.sp.spilled) {
+		// No input rows: an aggregate without keys still answers one row,
+		// COUNT 0 and every other aggregate NULL.
+		if _, err := merged.findTuple(); err != nil {
+			return err
+		}
 	}
 	merged.finish()
 	// The ordinal tables' charge goes with Open's deferred Release.

@@ -507,6 +507,38 @@ func TestAggregateEmptyInput(t *testing.T) {
 	}
 }
 
+// TestAggregateEmptyInputWithoutKeys: an aggregate without keys answers
+// one row over no rows — the COUNTs 0, every other aggregate NULL — in
+// every mode, serial and parallel, with and without a spill budget.
+func TestAggregateEmptyInputWithoutKeys(t *testing.T) {
+	tab := makeTable("empty", makeIntColumn("k", types.Integer, nil))
+	specs := []AggSpec{{Func: Count, Col: -1}, {Func: Count, Col: 0}, {Func: CountD, Col: 0},
+		{Func: Sum, Col: 0}, {Func: Avg, Col: 0}, {Func: Min, Col: 0}, {Func: Max, Col: 0}, {Func: Median, Col: 0}}
+	want := "0|0|0|NULL|NULL|NULL|NULL|NULL"
+	for _, mode := range []AggMode{AggAuto, AggHash, AggDirect, AggOrdered} {
+		for _, workers := range []int{1, 4} {
+			for _, spilling := range []bool{false, true} {
+				scan, err := NewScan(tab)
+				if err != nil {
+					t.Fatal(err)
+				}
+				qc := NewQueryCtx(nil, 0)
+				if spilling {
+					qc = NewQueryCtxSpill(nil, 64<<10, SpillConfig{Budget: 1 << 30, Dir: t.TempDir()})
+				}
+				rows, err := CollectStringsCtx(qc, parallelAggregate(scan, nil, specs, mode, workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rows) != 1 || strings.Join(rows[0], "|") != want {
+					t.Fatalf("mode=%v workers=%d spilling=%v: got %v, want one row %s", mode, workers, spilling, rows, want)
+				}
+				qc.CleanupSpill()
+			}
+		}
+	}
+}
+
 // errAfterOp yields its child's blocks until a count, then errors.
 type errAfterOp struct {
 	child Operator

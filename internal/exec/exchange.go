@@ -39,6 +39,11 @@ type Exchange struct {
 	// pending is the reorder buffer (PreserveOrder): pending[i] holds
 	// sequence number nextSeq+i once it has arrived, nil until then.
 	pending []*vec.Block
+	// credits bounds it (PreserveOrder): a worker takes one before it
+	// claims a morsel and Next returns one as each sequence number is
+	// passed on, so at most cap(credits) morsels are claimed and not yet
+	// emitted, however long one slow worker holds the next in order.
+	credits chan struct{}
 	nextSeq int
 	errMu   sync.Mutex
 	err     error
@@ -99,10 +104,17 @@ func (e *Exchange) Open(qc *QueryCtx) error {
 	e.err = nil
 	e.done = make(chan struct{})
 	e.out = make(chan seqBlock, e.workers*2)
+	e.credits = nil
+	if e.preserveOrder {
+		e.credits = make(chan struct{}, 4*e.workers)
+		for range cap(e.credits) {
+			e.credits <- struct{}{}
+		}
+	}
 	// The goroutines below capture the channels as locals: Close nils the
 	// struct fields from the consumer side, and sharing the fields with the
 	// workers would race.
-	done, out := e.done, e.out
+	done, out, credits := e.done, e.out, e.credits
 	var wg sync.WaitGroup
 	for _, src := range morsels(e.child, e.workers) {
 		wg.Add(1)
@@ -111,7 +123,7 @@ func (e *Exchange) Open(qc *QueryCtx) error {
 			defer e.all.Done()
 			defer wg.Done()
 			defer e.containPanic("worker")
-			e.work(src, done, out)
+			e.work(src, done, out, credits)
 		}()
 	}
 	e.all.Add(1)
@@ -126,7 +138,7 @@ func (e *Exchange) Open(qc *QueryCtx) error {
 // work is one worker's loop: claim a morsel, run the chain over it, and
 // send a copy of the result downstream, until the input ends, the query
 // fails or is cancelled, or the consumer closes.
-func (e *Exchange) work(src morselSource, done <-chan struct{}, out chan<- seqBlock) {
+func (e *Exchange) work(src morselSource, done <-chan struct{}, out chan<- seqBlock, credits <-chan struct{}) {
 	chain := e.newChain()
 	in := vec.NewBlock(len(e.child.Schema()))
 	scratch := vec.NewBlock(len(e.schema))
@@ -144,6 +156,16 @@ func (e *Exchange) work(src morselSource, done <-chan struct{}, out chan<- seqBl
 		case <-done:
 			return
 		default:
+		}
+		if credits != nil {
+			select {
+			case <-credits:
+			case <-done:
+				return
+			case <-e.qc.Done():
+				e.setErr(e.qc.Err())
+				return
+			}
 		}
 		seq, ok, err := src.next(in)
 		if err != nil {
@@ -214,6 +236,7 @@ func (e *Exchange) next(b *vec.Block) (bool, error) {
 			sb := e.pending[0]
 			e.pending = e.pending[1:]
 			e.nextSeq++
+			e.credits <- struct{}{} // never blocks: this morsel held one
 			if sb.N == 0 {
 				continue
 			}

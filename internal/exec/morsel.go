@@ -20,26 +20,117 @@ type morselSource interface {
 
 // morsels is the morsel dispenser behind every parallel consumer
 // (Aggregate's workers, Exchange's workers): n sources over child, which
-// the caller has opened. A clean Scan — no overlay, no run emission —
-// lets each source decode on its own goroutine through its own column
-// readers, claiming block after block from one shared cursor. Any other
-// child is pulled under a mutex, straight into the calling worker's
-// block: its blocks arrive one at a time, but the work above it still
-// runs in parallel.
+// the caller has opened. A chain of Select and Project operators on top
+// of child is peeled off and fused into the sources: each source runs a
+// clone of the chain over the blocks it claims, on its own goroutine,
+// booking rows, blocks and time to the planned operators. Below the
+// chain, a clean Scan — no overlay, no run emission — lets each source
+// decode on its own goroutine through its own column readers, claiming
+// block after block from one shared cursor. Any other input is pulled
+// under a mutex, straight into the calling worker's block: its blocks
+// arrive one at a time, but the chain and the work above it still run in
+// parallel.
 func morsels(child Operator, n int) []morselSource {
+	var chain []fusible // top down
+	for {
+		f, ok := child.(fusible)
+		if !ok {
+			break
+		}
+		chain = append(chain, f)
+		child = f.fuseInput()
+	}
 	out := make([]morselSource, n)
 	if s, ok := child.(*Scan); ok && s.claimable() {
 		d := &scanDispenser{s: s}
 		for i := range out {
 			out[i] = d.reader()
 		}
+	} else {
+		l := &lockedSource{child: child}
+		for i := range out {
+			out[i] = l
+		}
+	}
+	if len(chain) == 0 {
 		return out
 	}
-	l := &lockedSource{child: child}
+	width := len(child.Schema())
 	for i := range out {
-		out[i] = l
+		fs := &fusedSource{src: out[i], in: vec.NewBlock(width)}
+		for k := len(chain) - 1; k >= 0; k-- {
+			fs.stages = append(fs.stages, chain[k].fuseClone())
+			if k > 0 {
+				fs.mid = append(fs.mid, &vec.Block{})
+			}
+		}
+		out[i] = fs
 	}
 	return out
+}
+
+// fusible is a flow operator morsels can run inside a parallel consumer's
+// workers: it transforms each block on its own, keeping nothing between
+// blocks that another clone would need.
+type fusible interface {
+	// fuseInput is the operator's child.
+	fuseInput() Operator
+	// fuseClone returns a copy for one worker, sharing the planned
+	// operator's stats and compiled state.
+	fuseClone() fusedStage
+}
+
+// fusedStage is one worker's copy of a fused operator.
+type fusedStage interface {
+	BlockTransform
+	endNext(start int64, b *vec.Block, ok bool)
+}
+
+func (s *Select) fuseInput() Operator { return s.child }
+
+func (s *Select) fuseClone() fusedStage {
+	return &Select{OpInstr: s.OpInstr, pred: s.pred, EncodedOff: s.EncodedOff, prog: s.prog}
+}
+
+func (p *Project) fuseInput() Operator { return p.child }
+
+func (p *Project) fuseClone() fusedStage {
+	return &Project{OpInstr: p.OpInstr, exprs: p.exprs, names: p.names, schema: p.schema}
+}
+
+// fusedSource runs a fused chain, bottom stage first, over every block
+// src hands out. A stage's booked time runs from the claim to the end of
+// its own transform, so it includes the stages below it, as a planned
+// operator's Next time includes its child's. A block the chain empties
+// comes back with N == 0 and keeps its sequence number.
+type fusedSource struct {
+	src    morselSource
+	stages []fusedStage
+	in     *vec.Block   // the claimed block
+	mid    []*vec.Block // stage k's output, feeding stage k+1
+}
+
+func (f *fusedSource) next(b *vec.Block) (int, bool, error) {
+	start := nowNanos()
+	seq, ok, err := f.src.next(f.in)
+	if err != nil || !ok {
+		return seq, ok, err
+	}
+	cur := f.in
+	for k, st := range f.stages {
+		if cur.N == 0 {
+			b.N = 0
+			return seq, true, nil
+		}
+		out := b
+		if k < len(f.mid) {
+			out = f.mid[k]
+		}
+		n := st.Transform(cur, out)
+		st.endNext(start, out, n > 0)
+		cur = out
+	}
+	return seq, true, nil
 }
 
 // scanDispenser is a clean scan's shared claim cursor: the next block

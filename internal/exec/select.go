@@ -5,60 +5,47 @@ import (
 
 	"tde/internal/enc"
 	"tde/internal/expr"
-	"tde/internal/types"
 	"tde/internal/vec"
 )
-
-// dictFilterLimit caps the dictionary size the token truth table covers —
-// the same 2^15 domain bound as token-direct grouping. Past it the table
-// build costs more than it saves.
-const dictFilterLimit = 1 << 15
 
 // Select is the filtering flow operator: it evaluates a boolean predicate
 // per block and compacts the surviving rows. NULL predicate results drop
 // the row (Tableau predicate semantics).
 //
-// Two compressed-execution routines short-circuit the row-at-a-time path
-// when the planner leaves encoded execution on:
-//
-//   - rle-filter: a run-encoded input block evaluates the predicate once
-//     per run (over the run values laid out as a scratch block) and keeps
-//     the surviving runs run-encoded.
-//   - dict-filter: when the predicate reads exactly one dictionary-
-//     compressed column, the predicate is evaluated once per dictionary
-//     entry (plus the NULL token) into a truth table, and each block is
-//     filtered by token lookup with no value decode.
-//
-// Both routines evaluate the real predicate over token/run scratch blocks,
-// so their semantics — including three-valued NULL logic — are exactly the
-// decoded path's.
+// The predicate is compiled once, at the first block, into per-column
+// groups of conjuncts (conjunct.go): token truth tables for dictionary
+// and small-heap columns ("dict-filter"), typed range kernels for
+// `col op const` on plain numeric columns ("kernel"), and expr.Eval for
+// the residue. Each group narrows one selection vector, and the
+// survivors are gathered once. A run-encoded single-column block runs the
+// same groups once per run over the run values and keeps the surviving
+// runs run-encoded ("rle-filter").
 type Select struct {
 	OpInstr
 	child Operator
 	pred  expr.Expr
-	// EncodedOff disables the encoded-execution routines; set by the
-	// planner from Options.EncodedExec.
+	// EncodedOff disables the compiled routines and run filtering; set by
+	// the planner from Options.NoEncodedExec. The whole predicate then
+	// evaluates row-at-a-time: the oracle the compiled routines are
+	// checked against.
 	EncodedOff bool
 	buf        *vec.Block
-	out        vec.Vector
 
-	// dict-filter state, built lazily at the first Transform call:
-	// Exchange chain Selects are constructed with a nil child and are
-	// never Opened, so Open cannot host the analysis.
-	tokenTried bool
-	tokenCol   int
-	tokenTable []bool // truth per dictionary token
-	tokenNull  bool   // truth for the NULL token
-	tokenDict  []uint64
+	// prog is compiled at the first block: Exchange chain Selects are
+	// constructed with a nil child and never Opened, so Open cannot host
+	// the analysis. A fused clone shares its planned Select's program.
+	prog *filterProg
+
 	sel        []int32
-
-	// rle-filter scratch
+	res        vec.Vector
 	runScratch *vec.Block
+	runBuf     []enc.Run // the surviving runs, reused across blocks
+	routine    string    // the routine last booked to the stats
 }
 
 // NewSelect filters child by pred.
 func NewSelect(child Operator, pred expr.Expr) *Select {
-	return &Select{child: child, pred: pred}
+	return &Select{child: child, pred: pred, prog: &filterProg{}}
 }
 
 // Schema implements Operator.
@@ -78,7 +65,6 @@ func (s *Select) Open(qc *QueryCtx) error {
 	start := s.beginOpen(qc, "Select")
 	defer s.endOpen(start)
 	s.buf = vec.NewBlock(len(s.child.Schema()))
-	s.out.Data = make([]uint64, vec.BlockSize)
 	return s.child.Open(qc)
 }
 
@@ -107,162 +93,95 @@ func (s *Select) next(b *vec.Block) (bool, error) {
 // returning the surviving row count. Exposed so Exchange can parallelize
 // this flow stage per block (Sect. 4.3).
 func (s *Select) Transform(in, out *vec.Block) int {
-	if cap(s.out.Data) < vec.BlockSize {
-		s.out.Data = make([]uint64, vec.BlockSize)
+	if s.res.Data == nil {
+		s.res.Data = make([]uint64, vec.BlockSize)
+		s.sel = make([]int32, vec.BlockSize)
 	}
-	s.out.Data = s.out.Data[:vec.BlockSize]
-	if !s.EncodedOff {
-		if n, ok := s.transformRuns(in, out); ok {
-			return n
-		}
-		if n, ok := s.transformTokens(in, out); ok {
-			return n
-		}
+	if !s.EncodedOff && len(in.Vecs) == 1 && in.Vecs[0].Runs != nil {
+		return s.transformRuns(in, out)
 	}
 	in.Materialize()
-	s.pred.Eval(in, &s.out)
+	p := s.program(in)
+	s.book(p.routine)
+	sel := s.selectRows(p, in)
 	ensureVecs(out, len(in.Vecs))
-	k := 0
-	for i := 0; i < in.N; i++ {
-		v := s.out.Data[i]
-		if v == types.NullBoolean || v == 0 {
+	copyVecInfo(in, out)
+	for c := range in.Vecs {
+		dst, src := out.Vecs[c].Data, in.Vecs[c].Data
+		if len(sel) == in.N {
+			copy(dst[:in.N], src[:in.N])
 			continue
 		}
-		for c := range in.Vecs {
-			out.Vecs[c].Data[k] = in.Vecs[c].Data[i]
+		for k, i := range sel {
+			dst[k] = src[i]
 		}
-		k++
 	}
-	copyVecInfo(in, out)
-	out.N = k
-	return k
+	out.N = len(sel)
+	return out.N
+}
+
+// program returns the compiled predicate, compiling it against in's shape
+// the first time any Select sharing it sees a block.
+func (s *Select) program(in *vec.Block) *filterProg {
+	s.prog.once.Do(func() { s.prog.compile(s.pred, in, s.EncodedOff) })
+	return s.prog
+}
+
+// selectRows runs the program's groups over b and returns the positions
+// of the rows every group keeps.
+func (s *Select) selectRows(p *filterProg, b *vec.Block) []int32 {
+	sel := s.sel[:b.N]
+	copy(sel, identity[:b.N])
+	for i := range p.groups {
+		if len(sel) == 0 {
+			break
+		}
+		sel = p.groups[i].narrow(b, sel, &s.res)
+	}
+	return sel
+}
+
+// identity is the selection vector of a whole block.
+var identity = func() (id [vec.BlockSize]int32) {
+	for i := range id {
+		id[i] = int32(i)
+	}
+	return id
+}()
+
+// book records the routine on the stats when it changes.
+func (s *Select) book(r string) {
+	if r != s.routine {
+		s.routine = r
+		s.st.SetRoutine(r)
+	}
 }
 
 // transformRuns is the rle-filter routine: a single run-encoded input
 // vector evaluates the predicate once per run and survivors stay
-// run-encoded. Applies only to single-column blocks (the only shape the
-// scan emits runs for).
-func (s *Select) transformRuns(in, out *vec.Block) (int, bool) {
-	if len(in.Vecs) != 1 || in.Vecs[0].Runs == nil {
-		return 0, false
-	}
+// run-encoded (the only block shape the scan emits runs for).
+func (s *Select) transformRuns(in, out *vec.Block) int {
 	iv := &in.Vecs[0]
 	runs := iv.Runs
-	if s.runScratch == nil {
-		s.runScratch = vec.NewBlock(1)
-	}
-	// Lay the run values out as rows of a scratch block and evaluate the
-	// predicate once over them (a block holds at most BlockSize rows, so
-	// at most BlockSize runs).
+	s.runScratch = runRows(in, s.runScratch)
 	rb := s.runScratch
-	rv := &rb.Vecs[0]
-	rv.Type, rv.Heap, rv.Dict = iv.Type, iv.Heap, iv.Dict
-	for j, r := range runs {
-		rv.Data[j] = r.Value
-	}
-	rb.N = len(runs)
-	s.pred.Eval(rb, &s.out)
+	sel := s.selectRows(s.program(rb), rb)
 	ensureVecs(out, 1)
 	ov := &out.Vecs[0]
 	ov.Type, ov.Heap, ov.Dict = iv.Type, iv.Heap, iv.Dict
-	outRuns := ov.Runs[:0]
+	kept := s.runBuf[:0]
 	k := 0
-	for j, r := range runs {
-		v := s.out.Data[j]
-		if v == types.NullBoolean || v == 0 {
-			continue
-		}
-		outRuns = append(outRuns, r)
-		k += r.Count
+	for _, j := range sel {
+		kept = append(kept, runs[j])
+		k += runs[j].Count
 	}
+	s.runBuf = kept
 	if k > 0 {
-		ov.Runs = outRuns
+		ov.Runs = kept
 	}
 	out.N = k
-	s.st.SetRoutine("rle-filter")
-	return k, true
-}
-
-// transformTokens is the dict-filter routine: predicate truth is computed
-// once per dictionary token, then blocks filter by table lookup.
-func (s *Select) transformTokens(in, out *vec.Block) (int, bool) {
-	if !s.tokenTried {
-		s.tokenTried = true
-		s.buildTokenTable(in)
-	}
-	if s.tokenTable == nil {
-		return 0, false
-	}
-	tv := &in.Vecs[s.tokenCol]
-	if tv.Runs != nil || len(tv.Dict) != len(s.tokenDict) {
-		// A run block on the filter column (handled above) or a schema
-		// drift the lazy analysis did not see: take the general path.
-		return 0, false
-	}
-	in.Materialize()
-	s.sel = enc.FilterTokens(tv.Data, in.N, s.tokenTable, types.NullToken, s.tokenNull, s.sel[:0])
-	ensureVecs(out, len(in.Vecs))
-	for k, i := range s.sel {
-		for c := range in.Vecs {
-			out.Vecs[c].Data[k] = in.Vecs[c].Data[i]
-		}
-	}
-	copyVecInfo(in, out)
-	out.N = len(s.sel)
-	s.st.SetRoutine("dict-filter")
-	return out.N, true
-}
-
-// buildTokenTable analyzes the predicate for the dict-filter routine: it
-// applies when every column reference reads one dictionary-compressed
-// column with a domain within dictFilterLimit. The table is built by
-// evaluating the actual predicate over scratch blocks enumerating the
-// dictionary tokens (plus one NULL-token row), so the per-token truth is
-// byte-identical to row-at-a-time evaluation.
-func (s *Select) buildTokenTable(in *vec.Block) {
-	col := singlePredColumn(s.pred)
-	if col < 0 || col >= len(in.Vecs) {
-		return
-	}
-	dict := in.Vecs[col].Dict
-	if dict == nil || len(dict) > dictFilterLimit {
-		return
-	}
-	tb := vec.NewBlock(len(in.Vecs))
-	for c := range in.Vecs {
-		tb.Vecs[c].Type = in.Vecs[c].Type
-		tb.Vecs[c].Heap = in.Vecs[c].Heap
-		tb.Vecs[c].Dict = in.Vecs[c].Dict
-	}
-	n := len(dict)
-	table := make([]bool, n)
-	for base := 0; base < n+1; base += vec.BlockSize {
-		cnt := n + 1 - base
-		if cnt > vec.BlockSize {
-			cnt = vec.BlockSize
-		}
-		for j := 0; j < cnt; j++ {
-			tok := uint64(base + j)
-			if base+j == n {
-				tok = types.NullToken
-			}
-			tb.Vecs[col].Data[j] = tok
-		}
-		tb.N = cnt
-		s.pred.Eval(tb, &s.out)
-		for j := 0; j < cnt; j++ {
-			v := s.out.Data[j]
-			keep := v != types.NullBoolean && v != 0
-			if base+j == n {
-				s.tokenNull = keep
-			} else {
-				table[base+j] = keep
-			}
-		}
-	}
-	s.tokenCol = col
-	s.tokenTable = table
-	s.tokenDict = dict
+	s.book("rle-filter")
+	return k
 }
 
 // copyVecInfo propagates per-vector type/heap/dict info from in to out.
@@ -276,7 +195,7 @@ func copyVecInfo(in, out *vec.Block) {
 
 // singlePredColumn returns the only column index the predicate reads, or
 // -1 when it reads zero or several columns or contains a node the walker
-// does not know (stay conservative: unknown nodes disable dict-filter).
+// does not know (stay conservative: unknown nodes go to the residue).
 func singlePredColumn(e expr.Expr) int {
 	col := -1
 	ok := true
@@ -321,7 +240,10 @@ func singlePredColumn(e expr.Expr) int {
 func (s *Select) Close() error { return s.child.Close() }
 
 // Project is the computation flow operator: it evaluates expressions over
-// each block to produce its output columns.
+// each block to produce its output columns. A block whose vectors all
+// carry aligned runs evaluates each expression once per run and comes out
+// as aligned runs ("rle-project"); any other block evaluates row at a
+// time.
 type Project struct {
 	OpInstr
 	child  Operator
@@ -329,6 +251,10 @@ type Project struct {
 	names  []string
 	schema []ColInfo
 	buf    *vec.Block
+
+	runRows *vec.Block  // one row per input run
+	runBufs [][]enc.Run // the output vectors' runs, reused across blocks
+	routine string      // the routine last booked to the stats
 }
 
 // NewProject computes exprs (named names) over child.
@@ -383,10 +309,14 @@ func (p *Project) next(b *vec.Block) (bool, error) {
 	return true, nil
 }
 
-// Transform computes the projection for one block; exposed for Exchange.
-// Expressions evaluate row-at-a-time, so encoded inputs decode here — a
-// late-decode boundary.
+// Transform computes the projection for one block. Expressions evaluate
+// row-at-a-time over a plain block, so encoded inputs other than aligned
+// runs decode here — a late-decode boundary.
 func (p *Project) Transform(in, out *vec.Block) int {
+	if alignedRuns(in) {
+		p.transformRuns(in, out)
+		return in.N
+	}
 	in.Materialize()
 	ensureVecs(out, len(p.exprs))
 	for c, e := range p.exprs {
@@ -394,6 +324,67 @@ func (p *Project) Transform(in, out *vec.Block) int {
 	}
 	out.N = in.N
 	return in.N
+}
+
+// transformRuns is the rle-project routine: every expression evaluates
+// once per run, over the run values laid out as rows, and each output
+// vector carries the input's run boundaries.
+func (p *Project) transformRuns(in, out *vec.Block) {
+	runs := in.Vecs[0].Runs
+	p.runRows = runRows(in, p.runRows)
+	ensureVecs(out, len(p.exprs))
+	if len(p.runBufs) < len(p.exprs) {
+		p.runBufs = make([][]enc.Run, len(p.exprs))
+	}
+	for c, e := range p.exprs {
+		ov := &out.Vecs[c]
+		e.Eval(p.runRows, ov)
+		rs := p.runBufs[c][:0]
+		for j, r := range runs {
+			rs = append(rs, enc.Run{Value: ov.Data[j], Count: r.Count})
+		}
+		p.runBufs[c] = rs
+		ov.Runs = rs
+	}
+	out.N = in.N
+	if p.routine == "" {
+		p.routine = "rle-project"
+		p.st.SetRoutine(p.routine)
+	}
+}
+
+// alignedRuns reports whether every vector of b carries runs. Vectors of
+// one block that carry runs share their run boundaries (vec.Vector.Runs),
+// so equal run counts are the check.
+func alignedRuns(b *vec.Block) bool {
+	if len(b.Vecs) == 0 || b.Vecs[0].Runs == nil {
+		return false
+	}
+	for i := range b.Vecs[1:] {
+		if r := b.Vecs[i+1].Runs; r == nil || len(r) != len(b.Vecs[0].Runs) {
+			return false
+		}
+	}
+	return true
+}
+
+// runRows lays the run values of b's run-encoded vectors out as the rows
+// of scratch (allocated when nil), one row per run, so row machinery —
+// expression evaluation, grouping — runs once per run.
+func runRows(b, scratch *vec.Block) *vec.Block {
+	if scratch == nil {
+		scratch = &vec.Block{}
+	}
+	ensureVecs(scratch, len(b.Vecs))
+	for c := range b.Vecs {
+		v, rv := &b.Vecs[c], &scratch.Vecs[c]
+		rv.Type, rv.Heap, rv.Dict = v.Type, v.Heap, v.Dict
+		for j, r := range v.Runs {
+			rv.Data[j] = r.Value
+		}
+	}
+	scratch.N = len(b.Vecs[0].Runs)
+	return scratch
 }
 
 // Close implements Operator.

@@ -12,9 +12,11 @@ import (
 
 func TestParallelScanPlanMatchesSerial(t *testing.T) {
 	tab := buildRLTable(t, 80000)
-	q := fig10Query(tab, "primary", 60)
-	want := referenceFig10(tab, "primary", 60)
-
+	q := Query{
+		Table:  tab,
+		Where:  expr.NewCmp(expr.GT, expr.NewColRef(0, "primary", types.Integer), expr.NewIntConst(60)),
+		Select: []string{"primary", "other"},
+	}
 	op, ex, err := Build(q, Options{NoIndexPlan: true, NoDictPlan: true, ParallelWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -23,15 +25,71 @@ func TestParallelScanPlanMatchesSerial(t *testing.T) {
 		t.Fatalf("plan did not inject an exchange: %s", ex)
 	}
 	// Every scanned column of this table is sorted-marked (primary), so
-	// order-preserving routing must be forced.
+	// order-preserving routing must be forced: the rows come out in table
+	// order, exactly as the serial plan emits them.
 	if !strings.Contains(ex.String(), "order-preserving") {
 		t.Errorf("expected order-preserving routing: %s", ex)
 	}
-	checkFig10(t, op, want)
+	got, err := exec.Collect(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, oc := tab.Column("primary"), tab.Column("other")
+	var want [][2]uint64
+	for i := 0; i < tab.Rows(); i++ {
+		if int64(pc.Value(i)) > 60 {
+			want = append(want, [2]uint64{pc.Value(i), oc.Value(i)})
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(got), len(want))
+	}
+	for i, r := range got {
+		if r[0] != want[i][0] || r[1] != want[i][1] {
+			t.Fatalf("row %d: got (%d, %d), want (%d, %d)", i, int64(r[0]), int64(r[1]), int64(want[i][0]), int64(want[i][1]))
+		}
+	}
 }
 
-func TestParallelFreeRoutingForUnsortedScan(t *testing.T) {
-	// A table with no sorted metadata gets free routing.
+// TestParallelAggregatePlanHasNoExchange is the aggregate twin of the
+// routing tests: the aggregate's workers run the filter on the blocks
+// they claim, so no Exchange sits under the aggregate, and the answers
+// match the serial reference.
+func TestParallelAggregatePlanHasNoExchange(t *testing.T) {
+	tab := buildRLTable(t, 80000)
+	op, ex, err := Build(fig10Query(tab, "primary", 60), Options{NoIndexPlan: true, NoDictPlan: true, ParallelWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(ex.String(), "Exchange") || !strings.Contains(ex.String(), "ParallelAggregate") {
+		t.Fatalf("want a parallel aggregate with no exchange: %s", ex)
+	}
+	checkFig10(t, op, referenceFig10(tab, "primary", 60))
+
+	u := unsortedTable()
+	q := Query{
+		Table: u,
+		Where: expr.NewCmp(expr.GT, expr.NewColRef(0, "a", types.Integer), expr.NewIntConst(50)),
+		Aggs:  []AggItem{{Func: exec.Count, Col: ""}},
+	}
+	op, ex, err = Build(q, Options{NoIndexPlan: true, NoDictPlan: true, ParallelWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(ex.String(), "Exchange") {
+		t.Fatalf("exchange under an aggregate: %s", ex)
+	}
+	rows, err := exec.Collect(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := unsortedAbove(u, 50); int64(rows[0][0]) != int64(want) {
+		t.Fatalf("parallel count %d, want %d", int64(rows[0][0]), want)
+	}
+}
+
+// unsortedTable is a one-column table with no sorted metadata.
+func unsortedTable() *storage.Table {
 	vals := make([]int64, 50000)
 	for i := range vals {
 		vals[i] = int64((i * 2654435761) % 97)
@@ -42,29 +100,45 @@ func TestParallelFreeRoutingForUnsortedScan(t *testing.T) {
 	// Random data can still be marked sorted=false; ensure the metadata
 	// does not accidentally claim order.
 	tab.Columns[0].Meta.SortedKnown = false
+	return tab
+}
+
+// unsortedAbove counts the rows of unsortedTable's column above v.
+func unsortedAbove(tab *storage.Table, v int64) int {
+	c, n := tab.Column("a"), 0
+	for i := 0; i < tab.Rows(); i++ {
+		if int64(c.Value(i)) > v {
+			n++
+		}
+	}
+	return n
+}
+
+func TestParallelFreeRoutingForUnsortedScan(t *testing.T) {
+	// A table with no sorted metadata gets free routing.
+	tab := unsortedTable()
 	q := Query{
-		Table: tab,
-		Where: expr.NewCmp(expr.GT, expr.NewColRef(0, "a", types.Integer), expr.NewIntConst(50)),
-		Aggs:  []AggItem{{Func: exec.Count, Col: ""}},
+		Table:  tab,
+		Where:  expr.NewCmp(expr.GT, expr.NewColRef(0, "a", types.Integer), expr.NewIntConst(50)),
+		Select: []string{"a"},
 	}
 	op, ex, err := Build(q, Options{NoIndexPlan: true, NoDictPlan: true, ParallelWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(ex.String(), "free") {
-		t.Errorf("expected free routing: %s", ex)
+	if !strings.Contains(ex.String(), "Exchange") || !strings.Contains(ex.String(), "free") {
+		t.Errorf("expected an exchange with free routing: %s", ex)
 	}
 	rows, err := exec.Collect(op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 0
-	for _, v := range vals {
-		if v > 50 {
-			want++
+	for _, r := range rows {
+		if int64(r[0]) <= 50 {
+			t.Fatalf("row %d passed the filter a > 50", int64(r[0]))
 		}
 	}
-	if int64(rows[0][0]) != int64(want) {
-		t.Fatalf("parallel count %d, want %d", int64(rows[0][0]), want)
+	if want := unsortedAbove(tab, 50); len(rows) != want {
+		t.Fatalf("parallel filter kept %d rows, want %d", len(rows), want)
 	}
 }

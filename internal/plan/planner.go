@@ -90,8 +90,10 @@ type Options struct {
 	// >0 = always.
 	OrderedIndex int
 	// ParallelWorkers controls parallelism injection (Sect. 2.3.1): an
-	// Exchange around scan-plan filters, partial-aggregation workers
-	// under grouped queries, and partitioned join builds/probes.
+	// Exchange around scan-plan filters of queries that do not aggregate,
+	// partial-aggregation workers (running the filters and computations
+	// below them) under aggregating queries, and partitioned join
+	// builds/probes.
 	//   >0  force exactly this many workers on every eligible stage;
 	//    0  auto: the strategic optimizer picks a worker count from
 	//       GOMAXPROCS and the estimated input cardinality (staying
@@ -389,8 +391,10 @@ func newTableScan(t *storage.Table, v *delta.View, ex *Explain, names ...string)
 	return scan, nil
 }
 
-// buildScanPlan is the control: Scan => Filter (Fig. 10 plan 1), with
-// optional exchange-parallelized filtering.
+// buildScanPlan is the control: Scan => Filter (Fig. 10 plan 1). A
+// parallel plan that aggregates leaves the filter to the aggregate's
+// workers, which run it on the blocks they claim; any other parallel plan
+// filters under an Exchange.
 func buildScanPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 	cols := neededColumns(q)
 	scan, err := newTableScan(q.Table, q.Delta, ex, cols...)
@@ -409,7 +413,7 @@ func buildScanPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 			return nil, err
 		}
 		workers, auto := resolveWorkers(opt, tableRows(q.Table, q.Delta))
-		if workers > 1 {
+		if workers > 1 && len(q.Aggs) == 0 && len(q.GroupBy) == 0 {
 			preserve := preserveOrderRouting(opt, scan.Schema())
 			newChain := func() []exec.BlockTransform {
 				return []exec.BlockTransform{newSelect(nil, pred, opt)}

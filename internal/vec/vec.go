@@ -32,9 +32,11 @@ type Vector struct {
 	// block's N rows in order and Data[:N] is undefined until Materialize
 	// expands them. Run values are full-width patterns under the same
 	// contract as Data (dictionary tokens when Dict is set, resolved
-	// values otherwise). Producers that emit plain data must leave Runs
-	// nil; consumers that cannot handle runs call Materialize first — the
-	// late-decode boundary of compressed execution.
+	// values otherwise). When several vectors of one block carry runs,
+	// their runs are aligned: the same number, with the same counts.
+	// Producers that emit plain data must leave Runs nil; consumers that
+	// cannot handle runs call Materialize first — the late-decode
+	// boundary of compressed execution.
 	Runs []enc.Run
 }
 

@@ -49,12 +49,13 @@ func queryRows(t *testing.T, db *Database, sql string) [][]string {
 	return res.Rows
 }
 
-// queryCount runs a SELECT COUNT(*); no row at all counts as 0.
+// queryCount runs an ungrouped SELECT COUNT(...), which answers exactly
+// one row even over no rows.
 func queryCount(t *testing.T, db *Database, sql string) int {
 	t.Helper()
 	rows := queryRows(t, db, sql)
-	if len(rows) == 0 {
-		return 0
+	if len(rows) != 1 {
+		t.Fatalf("%s: %d rows, want exactly one", sql, len(rows))
 	}
 	n, err := strconv.Atoi(rows[0][0])
 	if err != nil {
