@@ -806,6 +806,12 @@ func (v *View) BaseDeleted(i int) bool {
 	return v.deleted[uint64(i)/64]&(1<<(uint64(i)%64)) != 0
 }
 
+// Deleted returns the deletion bitmap words over base rows [at, at+n),
+// at a multiple of 64: bit j of word k marks row at+64k+j deleted.
+func (v *View) Deleted(at, n int) []uint64 {
+	return v.deleted[at/64 : (at+n+63)/64]
+}
+
 // VisibleRows returns the snapshot's logical row count.
 func (v *View) VisibleRows() int {
 	return v.baseRows - v.DeletedRows + len(v.Ins)

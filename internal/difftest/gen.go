@@ -84,7 +84,7 @@ func aggExpr(rng *rand.Rand, cols []colDef, alias string) string {
 }
 
 func lineitemWhere(rng *rand.Rand) string {
-	switch rng.Intn(5) {
+	switch rng.Intn(6) {
 	case 0:
 		return fmt.Sprintf("l_quantity > %d", 1+rng.Intn(45))
 	case 1:
@@ -93,22 +93,35 @@ func lineitemWhere(rng *rand.Rand) string {
 		return fmt.Sprintf("l_shipdate >= DATE '%d-01-01'", 1993+rng.Intn(5))
 	case 3:
 		return fmt.Sprintf("l_shipmode = '%s'", shipmodes[rng.Intn(len(shipmodes))])
+	case 4:
+		return nullTest(rng, "l_shipmode", "l_quantity", "l_shipdate", "l_comment")
 	default:
 		return fmt.Sprintf("l_returnflag = '%s'", returnflags[rng.Intn(len(returnflags))])
 	}
 }
 
 func flightsWhere(rng *rand.Rand) string {
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0:
 		return fmt.Sprintf("Distance > %d", 200+100*rng.Intn(20))
 	case 1:
 		return fmt.Sprintf("ArrDelay > %d", rng.Intn(60))
 	case 2:
 		return fmt.Sprintf("Carrier = '%s'", flightCarriers[rng.Intn(len(flightCarriers))])
+	case 3:
+		return nullTest(rng, "Carrier", "ArrDelay", "TailNum", "Distance")
 	default:
 		return fmt.Sprintf("Origin = '%s'", flightAirports[rng.Intn(len(flightAirports))])
 	}
+}
+
+// nullTest draws an IS [NOT] NULL conjunct over one of cols.
+func nullTest(rng *rand.Rand, cols ...string) string {
+	not := ""
+	if rng.Intn(2) == 0 {
+		not = " NOT"
+	}
+	return fmt.Sprintf("%s IS%s NULL", cols[rng.Intn(len(cols))], not)
 }
 
 // joinWhere draws a lineitem-orders filter; q qualifies a column name for

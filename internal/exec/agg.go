@@ -789,8 +789,7 @@ func (c *aggCore) emit(b *vec.Block, at int, outSchema []ColInfo) int {
 		v.Heap = nil
 		v.Dict = nil
 		if (s.Func == Min || s.Func == Max) && s.Col >= 0 {
-			v.Heap = c.valHeap(s.Col)
-			v.Dict = c.in[s.Col].Dict
+			v.Heap = c.valHeap(s.Col) // extremes are values: a dictionary column's are resolved
 		}
 		for r := 0; r < n; r++ {
 			v.Data[r] = c.finishAcc((at+r)*ns+j, s)

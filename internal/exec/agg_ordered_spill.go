@@ -146,7 +146,6 @@ func (o *orderedSpool) next(b *vec.Block) (bool, error) {
 		v.Type = o.out[kc+j].Type
 		v.Heap, v.Dict = nil, nil
 		if (s.Func == Min || s.Func == Max) && s.Col >= 0 {
-			v.Dict = o.in[s.Col].Dict
 			v.Heap = o.in[s.Col].Heap
 			if o.specs[kc+j].Str {
 				v.Heap = ch.Cols[kc+j].Heap

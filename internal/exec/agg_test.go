@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -270,9 +271,28 @@ func TestAggregateRegimes(t *testing.T) {
 		}
 	}
 
-	// A dirty view's schema carries neutral metadata and its inserted rows
-	// a heap of their own: never direct.
-	view := deltaView(t, tab, []delta.Op{{Table: "aggtest", Kind: delta.OpDelete, RowID: 5}})
+	// A dirty view keeps the encodings: under deletions and insertions —
+	// strings and a dictionary value the base lacks, a NULL, scalars past
+	// the base range — every key shape stays in its clean mode and agrees
+	// with the view's serial hash aggregation. An insertion that widens
+	// kw's envelope past directLimit plans hash instead of failing.
+	ins := func(ks string, k1, k2, kd, kw int64, kci string) delta.Op {
+		str := func(s string) delta.Value {
+			if s == "" {
+				return delta.NullOf(types.String)
+			}
+			return delta.String(s)
+		}
+		return delta.Op{Table: "aggtest", Kind: delta.OpInsert, Row: []delta.Value{
+			str(ks), delta.Scalar(uint64(k1)), delta.Scalar(uint64(k2)), delta.Scalar(types.FromReal(1.5)),
+			delta.Scalar(7), str("item-new"), delta.Scalar(uint64(kd)), delta.Scalar(0),
+			delta.NullOf(types.Integer), str(kci), delta.Scalar(uint64(kw)), delta.Scalar(5)}}
+	}
+	ops := []delta.Op{ins("zeta", 3, 10, 9999, 70_000, "WEST"), ins("", 8, 5000, 1000, 3, ""), ins("alpha", 0, 0, 1050, 4, "north")}
+	for id := uint64(1000); id < 1100; id++ {
+		ops = append(ops, delta.Op{Table: "aggtest", Kind: delta.OpDelete, RowID: id})
+	}
+	view := deltaView(t, tab, append(ops, delta.Op{Table: "aggtest", Kind: delta.OpDelete, RowID: 5}))
 	viewScan := func() Operator {
 		s, err := NewViewScan(view)
 		if err != nil {
@@ -280,13 +300,26 @@ func TestAggregateRegimes(t *testing.T) {
 		}
 		return s
 	}
-	want, _ := runAgg(t, viewScan, []int{0, 2}, AggHash, 1, false, nil)
-	for _, workers := range []int{1, 2, 8} {
-		got, mode := runAgg(t, viewScan, []int{0, 2}, AggAuto, workers, false, nil)
-		if mode != AggHash {
-			t.Fatalf("dirty view workers=%d: ran in %v mode, want hash", workers, mode)
+	for _, tc := range []struct {
+		name string
+		keys []int
+		mode AggMode
+	}{
+		{"direct-multi-key", []int{0, 2}, AggDirect},
+		{"direct-three-keys", []int{1, 6, 0}, AggDirect},
+		{"direct-ci-string", []int{9}, AggDirect},
+		{"direct-key-is-minmax-input", []int{5}, AggDirect},
+		{"token-direct", []int{6}, AggTokenDirect},
+		{"hash-past-64k", []int{10}, AggHash},
+	} {
+		want, _ := runAgg(t, viewScan, tc.keys, AggHash, 1, false, nil)
+		for _, workers := range []int{1, 2, 8} {
+			got, mode := runAgg(t, viewScan, tc.keys, AggAuto, workers, false, nil)
+			if mode != tc.mode {
+				t.Fatalf("dirty view %s workers=%d: ran in %v mode, want %v", tc.name, workers, mode, tc.mode)
+			}
+			rowsEqual(t, want, got, fmt.Sprintf("dirty view %s workers=%d", tc.name, workers))
 		}
-		rowsEqual(t, want, got, fmt.Sprintf("dirty view workers=%d", workers))
 	}
 
 	// A block whose string key does not carry the column's heap cannot be
@@ -600,6 +633,53 @@ func TestAggregateFailures(t *testing.T) {
 			if used := qc.Used(); used != 0 {
 				t.Fatalf("%s workers=%d: %d bytes still charged after Close", tc.name, workers, used)
 			}
+		}
+	}
+}
+
+// TestAggregateMinMaxOverDictionary: MIN and MAX of a dictionary column
+// answer its values, not a dictionary entry indexed by them, at any
+// worker count and through a budget that spills.
+func TestAggregateMinMaxOverDictionary(t *testing.T) {
+	tab := regimeTable(t)
+	kd := tab.Column("kd")
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for i := 0; i < kd.Rows(); i++ {
+		v := int64(kd.Value(i))
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	specs := []AggSpec{{Func: Min, Col: 6}, {Func: Max, Col: 6}}
+	for _, workers := range []int{1, 2, 8} {
+		for _, budget := range []int64{0, 64 << 10} {
+			scan, err := NewScan(tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qc := NewQueryCtx(nil, 0)
+			if budget > 0 {
+				qc = NewQueryCtxSpill(nil, budget, SpillConfig{Budget: 1 << 30, Dir: t.TempDir()})
+			}
+			// Grouped by the wide k2, so the budgeted runs spill.
+			rows, err := CollectStringsCtx(qc, parallelAggregate(scan, []int{2}, specs, AggAuto, workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			glo, ghi := int64(math.MaxInt64), int64(math.MinInt64)
+			for _, r := range rows {
+				x, err1 := strconv.ParseInt(r[1], 10, 64)
+				y, err2 := strconv.ParseInt(r[2], 10, 64)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("workers=%d budget=%d: row %v", workers, budget, r)
+				}
+				glo, ghi = min(glo, x), max(ghi, y)
+			}
+			if glo != lo || ghi != hi {
+				t.Fatalf("workers=%d budget=%d: MIN/MAX(kd) = %d/%d, want %d/%d", workers, budget, glo, ghi, lo, hi)
+			}
+			if budget > 0 && qc.SpillPeak() == 0 {
+				t.Fatalf("workers=%d: a %d-byte budget did not spill", workers, budget)
+			}
+			qc.CleanupSpill()
 		}
 	}
 }

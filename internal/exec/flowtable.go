@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"tde/internal/enc"
@@ -84,9 +85,19 @@ func (f *FlowTable) SpillChild() Operator {
 	return f.child
 }
 
-// NewFlowTable materializes child with cfg.
+// NewFlowTable materializes child with cfg. A dictionary column is stored
+// as tokens only over a sorted dictionary, as a stored column's is (zone
+// filters map value ranges through it); a view's extended dictionary is
+// not, so its column is stored as values.
 func NewFlowTable(child Operator, cfg FlowTableConfig) *FlowTable {
-	return &FlowTable{child: child, cfg: cfg, schema: child.Schema()}
+	schema := child.Schema()
+	for i, info := range schema {
+		if d := info.Dict; d != nil && !slices.IsSortedFunc(d, dictOrder(signedType(info.Type))) {
+			schema = slices.Clone(schema)
+			schema[i].Dict = nil
+		}
+	}
+	return &FlowTable{child: child, cfg: cfg, schema: schema}
 }
 
 // Schema implements Operator.
@@ -289,6 +300,13 @@ func forColumns(workers, n int, fn func(c int)) error {
 // string tokens may come from a different (or per-block scratch) heap; the
 // output column owns its heap.
 func (cb *columnBuilder) appendBlock(v *vec.Vector, n int) {
+	if v.Dict != nil && cb.info.Dict == nil {
+		for j := range n {
+			cb.scratch[j] = v.Value(j)
+		}
+		cb.writer.Append(cb.scratch[:n])
+		return
+	}
 	if cb.tr == nil {
 		cb.writer.Append(v.Data[:n])
 		return

@@ -58,7 +58,7 @@ func NewIndexedScan(inner SchemaSource, passCols []int, countCol, startCol int,
 	is := &IndexedScan{inner: inner, countCol: countCol, startCol: startCol,
 		passCols: passCols, outer: outer}
 	for _, n := range outerNames {
-		c, _, err := tableColumn(outer, n)
+		c, err := tableColumn(outer, n)
 		if err != nil {
 			return nil, err
 		}

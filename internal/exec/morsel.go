@@ -13,8 +13,9 @@ import (
 type morselSource interface {
 	// next fills b with the next morsel and returns its position in input
 	// order; ok is false once the input is exhausted. A morsel the zone
-	// maps refute comes back empty (b.N == 0) but still uses up its
-	// sequence number, so order-preserving consumers never wait on a gap.
+	// maps refute, or whose rows an overlay deleted, comes back empty
+	// (b.N == 0) but still uses up its sequence number, so
+	// order-preserving consumers never wait on a gap.
 	next(b *vec.Block) (seq int, ok bool, err error)
 }
 
@@ -24,12 +25,12 @@ type morselSource interface {
 // of child is peeled off and fused into the sources: each source runs a
 // clone of the chain over the blocks it claims, on its own goroutine,
 // booking rows, blocks and time to the planned operators. Below the
-// chain, a clean Scan — no overlay, no run emission — lets each source
-// decode on its own goroutine through its own column readers, claiming
-// block after block from one shared cursor. Any other input is pulled
-// under a mutex, straight into the calling worker's block: its blocks
-// arrive one at a time, but the chain and the work above it still run in
-// parallel.
+// chain, a Scan that emits no runs — clean or over a view — lets each
+// source decode on its own goroutine through its own column readers,
+// claiming block after block, base blocks then tail blocks, from one
+// shared cursor. Any other input is pulled under a mutex, straight into
+// the calling worker's block: its blocks arrive one at a time, but the
+// chain and the work above it still run in parallel.
 func morsels(child Operator, n int) []morselSource {
 	var chain []fusible // top down
 	for {
@@ -133,8 +134,8 @@ func (f *fusedSource) next(b *vec.Block) (int, bool, error) {
 	return seq, true, nil
 }
 
-// scanDispenser is a clean scan's shared claim cursor: the next block
-// index any of its readers may decode.
+// scanDispenser is a scan's shared claim cursor: the next block index
+// any of its readers may fill.
 type scanDispenser struct {
 	s      *Scan
 	cursor atomic.Int64
@@ -155,17 +156,16 @@ func (m *scanMorsels) next(b *vec.Block) (int, bool, error) {
 	s := m.d.s
 	start := nowNanos()
 	blk := int(m.d.cursor.Add(1) - 1)
-	at := blk * vec.BlockSize
-	if at >= s.src.Rows {
+	if blk >= s.nblocks {
 		return 0, false, nil
 	}
-	if s.pruner.skip(blk) {
-		s.st.AddBlocksSkipped(1)
+	ok, err := s.block(m.cols, b, blk)
+	if err != nil {
+		return 0, false, err
+	}
+	if !ok {
 		b.N = 0
 		return blk, true, nil
-	}
-	if err := s.fillBlock(m.cols, b, at); err != nil {
-		return 0, false, err
 	}
 	s.endNext(start, b, true)
 	return blk, true, nil

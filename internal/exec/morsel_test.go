@@ -40,29 +40,49 @@ func stripedTable(t *testing.T, rows int) *storage.Table {
 // smallOnly is the zone filter that keeps stripedTable's even blocks.
 var smallOnly = []ZoneFilter{{Col: 0, Kind: ZFRange, Lo: 0, Hi: 999_999, Name: "a"}}
 
+// stripedValue is the value stripedTable (and its overlay's inserted
+// rows) carry in row id.
+func stripedValue(id int) int64 {
+	if id/vec.BlockSize%2 == 1 {
+		return int64(id) + 1_000_000
+	}
+	return int64(id)
+}
+
 // TestMorselsDeliverEveryRowOnce drains the dispenser's sources on
 // concurrent goroutines, as parallel consumers do, and requires every
-// row to arrive exactly once, with its own $rowid: through the claim
-// cursor of a clean scan with zone-refuted blocks (which come back empty
-// but numbered), and through the locked path of a scan that cannot be
-// split.
+// row to arrive exactly once, with its own $rowid, through the claim
+// cursor: of a clean scan with zone-refuted blocks (which come back empty
+// but numbered), and of a view that deletes a row and a whole block and
+// inserts two blocks' worth of rows, which zone filters never refute.
 func TestMorselsDeliverEveryRowOnce(t *testing.T) {
-	const rows = 20*vec.BlockSize + 300
+	const rows, inserted = 20*vec.BlockSize + 300, 1500
 	tab := stripedTable(t, rows)
-	view := deltaView(t, tab, []delta.Op{{Table: "striped", Kind: delta.OpDelete, RowID: 7}})
+	ops := []delta.Op{{Table: "striped", Kind: delta.OpDelete, RowID: 7}}
+	for id := 4 * vec.BlockSize; id < 5*vec.BlockSize; id++ {
+		ops = append(ops, delta.Op{Table: "striped", Kind: delta.OpDelete, RowID: uint64(id)})
+	}
+	for id := rows; id < rows+inserted; id++ {
+		ops = append(ops, delta.Op{Table: "striped", Kind: delta.OpInsert,
+			Row: []delta.Value{delta.Scalar(uint64(stripedValue(id)))}})
+	}
+	view := deltaView(t, tab, ops)
+	even := func(id int) bool { return id/vec.BlockSize%2 == 0 }
+	visible := func(id int) bool { return id != 7 && id/vec.BlockSize != 4 }
 	for _, tc := range []struct {
-		name     string
-		newScan  func() (*Scan, error)
-		prune    []ZoneFilter
-		claimed  bool
-		wantRows func(v int64) bool
+		name    string
+		newScan func() (*Scan, error)
+		prune   []ZoneFilter
+		want    func(id int) bool // whether row id arrives
 	}{
-		{"clean", func() (*Scan, error) { return NewScan(tab, "a", RowIDColumn) }, nil, true,
-			func(int64) bool { return true }},
-		{"clean+zoneskip", func() (*Scan, error) { return NewScan(tab, "a", RowIDColumn) }, smallOnly, true,
-			func(v int64) bool { return v < 1_000_000 }},
-		{"dirty", func() (*Scan, error) { return NewViewScan(view, "a", RowIDColumn) }, nil, false,
-			func(v int64) bool { return v != 7 }},
+		{"clean", func() (*Scan, error) { return NewScan(tab, "a", RowIDColumn) }, nil,
+			func(id int) bool { return id < rows }},
+		{"clean+zoneskip", func() (*Scan, error) { return NewScan(tab, "a", RowIDColumn) }, smallOnly,
+			func(id int) bool { return id < rows && even(id) }},
+		{"dirty", func() (*Scan, error) { return NewViewScan(view, "a", RowIDColumn) }, nil,
+			func(id int) bool { return id >= rows || visible(id) }},
+		{"dirty+zoneskip", func() (*Scan, error) { return NewViewScan(view, "a", RowIDColumn) }, smallOnly,
+			func(id int) bool { return id >= rows || visible(id) && even(id) }},
 	} {
 		for _, workers := range []int{1, 2, 8} {
 			scan, err := tc.newScan()
@@ -75,8 +95,8 @@ func TestMorselsDeliverEveryRowOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			srcs := morsels(scan, workers)
-			if _, claimed := srcs[0].(*scanMorsels); claimed != tc.claimed {
-				t.Fatalf("%s: claim-cursor sources = %v, want %v", tc.name, claimed, tc.claimed)
+			if _, claimed := srcs[0].(*scanMorsels); !claimed {
+				t.Fatalf("%s: sources do not claim from the scan's cursor", tc.name)
 			}
 			var (
 				mu    sync.Mutex
@@ -106,12 +126,8 @@ func TestMorselsDeliverEveryRowOnce(t *testing.T) {
 						seqs[seq] = true
 						for j, v := range b.Vecs[0].Data[:b.N] {
 							seen[int64(v)]++
-							id := int64(b.Vecs[1].Data[j])
-							if id/vec.BlockSize%2 == 1 {
-								id += 1_000_000
-							}
-							if id != int64(v) {
-								t.Errorf("%s workers=%d: row %d arrived with $rowid %d", tc.name, workers, v, b.Vecs[1].Data[j])
+							if id := int(b.Vecs[1].Data[j]); stripedValue(id) != int64(v) {
+								t.Errorf("%s workers=%d: row %d arrived with $rowid %d", tc.name, workers, v, id)
 							}
 						}
 						mu.Unlock()
@@ -124,12 +140,9 @@ func TestMorselsDeliverEveryRowOnce(t *testing.T) {
 				t.Fatalf("%s workers=%d: %v", tc.name, workers, fails[0])
 			}
 			want := 0
-			for i := 0; i < rows; i++ {
-				v := int64(i)
-				if i/vec.BlockSize%2 == 1 {
-					v += 1_000_000
-				}
-				if !tc.wantRows(v) {
+			for i := 0; i < rows+inserted; i++ {
+				v := stripedValue(i)
+				if !tc.want(i) {
 					continue
 				}
 				want++

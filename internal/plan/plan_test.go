@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"tde/internal/delta"
 	"tde/internal/enc"
 	"tde/internal/exec"
 	"tde/internal/expr"
@@ -607,6 +608,59 @@ func TestConjunctSplittingIndexPlan(t *testing.T) {
 		p, o := int64(pc.Value(i)), int64(oc.Value(i))
 		if p > 80 && o < 500000 {
 			want[p]++
+		}
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%d groups, want %d", len(rows), len(want))
+	}
+	for _, r := range rows {
+		if want[int64(r[0])] != int64(r[1]) {
+			t.Fatalf("group %d: %d want %d", int64(r[0]), int64(r[1]), want[int64(r[0])])
+		}
+	}
+}
+
+// TestRewritesRefuseOverlay: over a dirty view the index rewrite that
+// TestConjunctSplittingIndexPlan takes is refused — its pseudo-table
+// would hold only the base column — EXPLAIN says why, and the overlaid
+// scan answers without the deleted row.
+func TestRewritesRefuseOverlay(t *testing.T) {
+	tab := buildRLTable(t, 80000)
+	pc, oc := tab.Column("primary"), tab.Column("other")
+	qualifies := func(i int) bool { return int64(pc.Value(i)) > 80 && int64(oc.Value(i)) < 500000 }
+	gone := tab.Rows() - 1 // the last row the WHERE keeps
+	for !qualifies(gone) {
+		gone--
+	}
+	store := delta.NewStore([]*storage.Table{tab})
+	if _, err := store.Apply([]delta.Op{{Table: "rl", Kind: delta.OpDelete, RowID: uint64(gone)}}); err != nil {
+		t.Fatal(err)
+	}
+	view, err := store.ViewWith(tab, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	where := expr.NewAnd(
+		expr.NewCmp(expr.GT, expr.NewColRef(0, "primary", types.Integer), expr.NewIntConst(80)),
+		expr.NewCmp(expr.LT, expr.NewColRef(0, "other", types.Integer), expr.NewIntConst(500000)))
+	q := Query{Table: tab, Delta: view, Where: where,
+		GroupBy: []string{"primary"},
+		Aggs:    []AggItem{{Func: exec.Count, Col: ""}}}
+	op, ex, err := Build(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := ex.String(); !strings.Contains(p, "IndexPlan refused: overlay") || !strings.Contains(p, "DeltaScan") || strings.Contains(p, "IndexTable") {
+		t.Fatalf("plan: %s", p)
+	}
+	rows, err := exec.Collect(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64]int64{}
+	for i := 0; i < tab.Rows(); i++ {
+		if i != gone && qualifies(i) {
+			want[int64(pc.Value(i))]++
 		}
 	}
 	if len(rows) != len(want) {
