@@ -82,6 +82,18 @@ type Report struct {
 // BuildDatabase imports lineitem + orders at the given TPC-H scale factor, the
 // modes dimension and a flights table, through the full text-import pipeline.
 func BuildDatabase(sf float64, flightRows int, seed int64) (*tde.Database, error) {
+	return buildDatabase(sf, flightRows, seed, importText)
+}
+
+// importer imports one generated table's text into db.
+type importer func(db *tde.Database, table string, data []byte, opt tde.ImportOptions) error
+
+func importText(db *tde.Database, table string, data []byte, opt tde.ImportOptions) error {
+	return db.ImportCSV(table, data, opt)
+}
+
+// buildDatabase is BuildDatabase with every table's text going through imp.
+func buildDatabase(sf float64, flightRows int, seed int64, imp importer) (*tde.Database, error) {
 	g := tpch.New(sf, seed)
 	db := tde.New()
 
@@ -92,7 +104,7 @@ func BuildDatabase(sf float64, flightRows int, seed int64) (*tde.Database, error
 	opt := tde.DefaultImportOptions()
 	opt.Schema = lineitemSchema()
 	opt.HeaderSet, opt.HasHeader = true, false
-	if err := db.ImportCSV("lineitem", li.Bytes(), opt); err != nil {
+	if err := imp(db, "lineitem", li.Bytes(), opt); err != nil {
 		return nil, fmt.Errorf("difftest: import lineitem: %w", err)
 	}
 
@@ -103,14 +115,14 @@ func BuildDatabase(sf float64, flightRows int, seed int64) (*tde.Database, error
 	opt = tde.DefaultImportOptions()
 	opt.Schema = ordersSchema()
 	opt.HeaderSet, opt.HasHeader = true, false
-	if err := db.ImportCSV("orders", ord.Bytes(), opt); err != nil {
+	if err := imp(db, "orders", ord.Bytes(), opt); err != nil {
 		return nil, fmt.Errorf("difftest: import orders: %w", err)
 	}
 
 	// A dimension with duplicate and NULL keys: joins to it rest on the first-match rule.
 	opt.Schema = []string{"m_mode:str", "m_rank:int"}
 	modes := "AIR,1\nAIR,2\nRAIL,3\n,4\nMAIL,5\nSHIP,6\nMAIL,7\n,8\nTRUCK,9\n"
-	if err := db.ImportCSV("modes", []byte(modes), opt); err != nil {
+	if err := imp(db, "modes", []byte(modes), opt); err != nil {
 		return nil, fmt.Errorf("difftest: import modes: %w", err)
 	}
 
@@ -118,7 +130,7 @@ func BuildDatabase(sf float64, flightRows int, seed int64) (*tde.Database, error
 	if err := flights.New(flightRows, seed+1).Write(&fl); err != nil {
 		return nil, err
 	}
-	if err := db.ImportCSV("flights", fl.Bytes(), tde.DefaultImportOptions()); err != nil {
+	if err := imp(db, "flights", fl.Bytes(), tde.DefaultImportOptions()); err != nil {
 		return nil, fmt.Errorf("difftest: import flights: %w", err)
 	}
 	return db, nil

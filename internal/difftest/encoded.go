@@ -48,7 +48,13 @@ func usedEncodedRoutine(res *tde.Result) bool {
 // the dict-filter/token-direct routines (dictionary tokens) and the
 // rle-* routines (run-length scalars) have material to work on.
 func BuildEncodedDatabase(sf float64, flightRows int, seed int64) (*tde.Database, error) {
-	db, err := BuildDatabase(sf, flightRows, seed)
+	return buildEncodedDatabase(sf, flightRows, seed, importText)
+}
+
+// buildEncodedDatabase is BuildEncodedDatabase with every table's text
+// going through imp.
+func buildEncodedDatabase(sf float64, flightRows int, seed int64, imp importer) (*tde.Database, error) {
+	db, err := buildDatabase(sf, flightRows, seed, imp)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +87,7 @@ func BuildEncodedDatabase(sf float64, flightRows int, seed int64) (*tde.Database
 	opt := tde.DefaultImportOptions()
 	opt.Schema = []string{"e_date:date", "e_v:int"}
 	opt.HeaderSet, opt.HasHeader = true, false
-	if err := db.ImportCSV("events", []byte(ev.String()), opt); err != nil {
+	if err := imp(db, "events", []byte(ev.String()), opt); err != nil {
 		return nil, fmt.Errorf("difftest: import events: %w", err)
 	}
 	return db, nil

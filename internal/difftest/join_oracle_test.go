@@ -33,7 +33,7 @@ func TestJoinOracle(t *testing.T) {
 			dirtyJoinOracleTables(t, db)
 		}
 		tabs := map[string]*oracleTable{}
-		for _, name := range []string{"lineitem", "orders", "modes", "customer", "flags"} {
+		for _, name := range []string{"lineitem", "orders", "modes", "customer", "flags", "suppliers", "supp_plain"} {
 			tabs[name] = fetchOracleTable(t, db, name)
 		}
 		for _, c := range joinOracleCases() {
@@ -48,6 +48,22 @@ func TestJoinOracle(t *testing.T) {
 				if d := diffRows(want, canonicalRows(res.Rows)); d != "" {
 					t.Errorf("%s: %s\n  query: %s\n  plan: %s", label, d, c.sql, res.Plan)
 				}
+			}
+			if !c.spill {
+				continue
+			}
+			// A budget the inner side cannot fit in sends the join
+			// through grace partitioning.
+			res, err := db.QueryContext(context.Background(), c.sql,
+				tde.QueryOptions{MemoryBudget: 1 << 10, SpillBudget: 64 << 20})
+			if err != nil {
+				t.Fatalf("%s dirty=%v spilled: %v\n  query: %s", c.name, dirty, err, c.sql)
+			}
+			if !res.Stats().Spilled() {
+				t.Errorf("%s dirty=%v: the join did not spill\n  plan: %s", c.name, dirty, res.Plan)
+			}
+			if d := diffRows(want, canonicalRows(res.Rows)); d != "" {
+				t.Errorf("%s dirty=%v spilled: %s\n  query: %s\n  plan: %s", c.name, dirty, d, c.sql, res.Plan)
 			}
 		}
 	}
@@ -76,6 +92,9 @@ type joinCase struct {
 	joins []oracleJoin
 	out   []ref
 	where func(get func(ref) string) bool
+	// spill also runs the case under a memory budget that forces a
+	// grace join.
+	spill bool
 }
 
 // oracleTable is a stored table as a single-table SELECT returns it: rows
@@ -167,7 +186,29 @@ func joinOracleCases() []joinCase {
 	modes := oracleJoin{dim: "modes", outer: li("l_shipmode"), inner: "m_mode"}
 	leftModes := modes
 	leftModes.left = true
+	// l_suppkey and s_suppkey are dictionary-compressed: their blocks
+	// carry tokens, which the join must compare as values.
+	supp := oracleJoin{dim: "suppliers", outer: li("l_suppkey"), inner: "s_suppkey"}
+	leftPlain := oracleJoin{dim: "supp_plain", outer: li("l_suppkey"), inner: "s_suppkey", left: true}
 	return []joinCase{
+		{
+			name:  "compressed keys on both sides",
+			sql:   "SELECT l_orderkey, l_linenumber, l_suppkey, s_name FROM lineitem JOIN suppliers ON l_suppkey = s_suppkey",
+			fact:  "lineitem",
+			joins: []oracleJoin{supp},
+			out:   []ref{li("l_orderkey"), li("l_linenumber"), li("l_suppkey"), {1, "s_name"}},
+			spill: true,
+		},
+		{
+			name: "compressed fact key, plain dimension key, left join",
+			sql: "SELECT l_orderkey, l_linenumber, l_suppkey, s_name FROM lineitem " +
+				"LEFT JOIN supp_plain ON l_suppkey = s_suppkey WHERE l_quantity < 25",
+			fact:  "lineitem",
+			joins: []oracleJoin{leftPlain},
+			out:   []ref{li("l_orderkey"), li("l_linenumber"), li("l_suppkey"), {1, "s_name"}},
+			where: func(g func(ref) string) bool { return intLT(g(li("l_quantity")), 25) },
+			spill: true,
+		},
 		{
 			name:  "bare names",
 			sql:   "SELECT l_orderkey, l_linenumber, o_orderpriority FROM lineitem JOIN orders ON l_orderkey = o_orderkey",
@@ -268,8 +309,11 @@ func joinOracleCases() []joinCase {
 }
 
 // addJoinOracleTables imports the dimensions only the oracle cases join:
-// customer (the chain's second hop) and flags, which shares a column name
-// with lineitem.
+// customer (the chain's second hop), flags, which shares a column name
+// with lineitem, and two supplier tables keyed by l_suppkey, which it
+// dictionary-compresses: suppliers with a compressed key too, supp_plain
+// without. Every seventh supplier is missing and the second one is
+// listed twice.
 func addJoinOracleTables(t *testing.T, db *tde.Database, sf float64) {
 	t.Helper()
 	var cust bytes.Buffer
@@ -288,12 +332,33 @@ func addJoinOracleTables(t *testing.T, db *tde.Database, sf float64) {
 	if err := db.ImportCSV("flags", []byte(flags), opt); err != nil {
 		t.Fatal(err)
 	}
+	var sup bytes.Buffer
+	for k := 1; k <= max(10, int(sf*10000)); k++ {
+		if k%7 != 0 {
+			fmt.Fprintf(&sup, "%d,Supplier#%d\n", k, k)
+		}
+		if k == 2 {
+			sup.WriteString("2,Supplier#2b\n")
+		}
+	}
+	opt.Schema = []string{"s_suppkey:int", "s_name:str"}
+	for _, name := range []string{"suppliers", "supp_plain"} {
+		if err := db.ImportCSV(name, sup.Bytes(), opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range [][2]string{{"lineitem", "l_suppkey"}, {"suppliers", "s_suppkey"}} {
+		if err := db.CompressColumn(tc[0], tc[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // dirtyJoinOracleTables gives every joined table a write overlay: inserted
 // rows (an orders key that duplicates a base key, lineitem rows with NULL
-// keys and with ship dates inside the narrow range), updates and
-// deletions that leave fact rows unmatched.
+// keys, with ship dates inside the narrow range and with supplier keys
+// the compressed dictionary lacks), updates and deletions that leave fact
+// rows unmatched.
 func dirtyJoinOracleTables(t *testing.T, db *tde.Database) {
 	t.Helper()
 	for _, sql := range []string{
@@ -310,6 +375,11 @@ func dirtyJoinOracleTables(t *testing.T, db *tde.Database) {
 		"INSERT INTO modes (m_mode, m_rank) VALUES ('REG AIR', 10), ('AIR', 11)",
 		"INSERT INTO customer (c_custkey, c_mktsegment) VALUES (1, 'BUILDING')",
 		"DELETE FROM flags WHERE l_returnflag = 'N'",
+		// Supplier keys the compressed dictionaries lack, on both sides.
+		"INSERT INTO lineitem (l_orderkey, l_linenumber, l_quantity, l_suppkey) VALUES (4, 9, 2, 900001), (5, 9, 3, 900002)",
+		"INSERT INTO suppliers (s_suppkey, s_name) VALUES (900001, 'Supplier#new'), (3, 'Supplier#3b')",
+		"INSERT INTO supp_plain (s_suppkey, s_name) VALUES (900002, 'Supplier#new')",
+		"DELETE FROM suppliers WHERE s_suppkey = 1",
 	} {
 		if _, err := db.Exec(sql); err != nil {
 			t.Fatalf("%v\n  statement: %s", err, sql)

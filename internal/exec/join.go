@@ -62,8 +62,12 @@ type HashJoin struct {
 	// PreserveOrder keeps the parallel probe's output in outer order
 	// (order-preserving routing, Sect. 4.3); ignored when Workers <= 1.
 	PreserveOrder bool
-	algo          JoinAlgo
-	chosen        JoinAlgo
+	// TokenKey says the inner key holds the outer key column's dictionary
+	// tokens, as the invisible join's DictionaryTable does: keys compare
+	// as tokens. Otherwise a dictionary key compares by value.
+	TokenKey bool
+	algo     JoinAlgo
+	chosen   JoinAlgo
 
 	built  *Built
 	schema []ColInfo
@@ -239,6 +243,10 @@ func (j *HashJoin) indexBuilt(qc *QueryCtx) error {
 		// String keys join by content: tokens from different heaps are not
 		// comparable.
 		p.algo, p.keyStr, p.coll = JoinHash, true, collationOf(key)
+	case key.Dict != nil:
+		// Dictionary keys join by value (decode resolves them); the
+		// metadata describes the tokens.
+		p.algo = JoinHash
 	case p.algo != JoinAuto:
 	case md.IsAffine && md.AffineDelta != 0:
 		p.algo = JoinFetch
@@ -335,7 +343,8 @@ func (j *HashJoin) releasePart() {
 	}
 }
 
-// decode flattens built column c into resolved values.
+// decode flattens built column c into full-width values; the key
+// column's dictionary tokens are resolved, since joins compare values.
 func (p *joinPart) decode(qc *QueryCtx, c int) error {
 	col := &p.built.Cols[c]
 	n := col.Data.Len()
@@ -345,6 +354,12 @@ func (p *joinPart) decode(qc *QueryCtx, c int) error {
 	out := make([]uint64, n)
 	enc.NewReader(col.Data).Read(0, n, out)
 	widenInPlace(out, col.Data.Width(), &col.Info)
+	if c == p.key && col.Info.Dict != nil {
+		v := vec.Vector{Type: col.Info.Type, Data: out, Dict: col.Info.Dict}
+		for i := range out {
+			out[i] = v.Value(i)
+		}
+	}
 	p.cols[c] = out
 	return nil
 }
@@ -489,12 +504,13 @@ func (j *HashJoin) nextBlock(b *vec.Block) (bool, error) {
 
 // joinScratch is one prober's state. match[i] is outer row i's inner row
 // (or -1) going into emit, which compacts it beside sel, the outer rows
-// kept. memo remembers the rows found for string tokens of one outer
-// heap in one part: a key column repeats few tokens many times, and a
-// token seen before needs no string hash and compare (token +1, 0 =
-// empty).
+// kept. keys holds a dictionary key's values (keyAt). memo remembers
+// the rows found for string tokens of one outer heap in one part: a key
+// column repeats few tokens many times, and a token seen before needs no
+// string hash and compare (token +1, 0 = empty).
 type joinScratch struct {
 	match, sel [vec.BlockSize]int32
+	keys       [vec.BlockSize]uint64
 	memoPart   *joinPart
 	memoHeap   *heap.Heap
 	memoTok    [1 << joinMemoBits]uint64
@@ -511,7 +527,14 @@ func (j *HashJoin) joinBlock(p *joinPart, in, out *vec.Block, sc *joinScratch) i
 	if p.keyStr && (sc.memoPart != p || sc.memoHeap != kv.Heap) {
 		sc.memoPart, sc.memoHeap, sc.memoTok = p, kv.Heap, [1 << joinMemoBits]uint64{}
 	}
-	for i, key := range kv.Data[:in.N] {
+	keys := kv.Data[:in.N]
+	if kv.Dict != nil && !j.TokenKey {
+		for i := range keys {
+			sc.keys[i] = kv.Value(i)
+		}
+		keys = sc.keys[:in.N]
+	}
+	for i, key := range keys {
 		if !p.keyStr || key == types.NullToken {
 			sc.match[i] = int32(p.probe(key, kv.Heap))
 			continue
@@ -523,6 +546,15 @@ func (j *HashJoin) joinBlock(p *joinPart, in, out *vec.Block, sc *joinScratch) i
 		sc.match[i] = sc.memoRow[m]
 	}
 	return j.emit(p, in, out, sc)
+}
+
+// keyAt returns key vector v's row i as keys compare: a dictionary
+// key's value, unless TokenKey.
+func (j *HashJoin) keyAt(v *vec.Vector, i int) uint64 {
+	if j.TokenKey {
+		return v.Data[i]
+	}
+	return v.Value(i)
 }
 
 // emit is the one row-assembly loop: the outer rows with a match in

@@ -83,6 +83,12 @@ func (j *HashJoin) openGrace(qc *QueryCtx, src Operator) error {
 		}
 	}
 	g.innerSpecs = spillSpecs(g.innerInfo)
+	if !j.TokenKey {
+		// Keys are partitioned and spilled as values (keyAt): two
+		// dictionaries' tokens are not comparable.
+		g.outerSpecs[j.outerKey] = valueSpec(g.outerInfo[j.outerKey])
+		g.innerSpecs[j.innerKey] = valueSpec(g.innerInfo[j.innerKey])
+	}
 	ki := g.innerInfo[j.innerKey]
 	g.keyStr = ki.Type == types.String
 	g.coll = collationOf(ki)
@@ -172,6 +178,13 @@ func (g *graceJoin) removeFiles(p gracePart) {
 	}
 }
 
+// valueSpec is a key column's spill representation: its values, with a
+// dictionary's tokens resolved.
+func valueSpec(info ColInfo) spill.ColSpec {
+	info.Dict = nil
+	return spillSpecFor(info)
+}
+
 // bucketOf hashes one key value at the given depth.
 func (g *graceJoin) bucketOf(v uint64, h *heap.Heap, depth int) int {
 	hh := newSpillHasher(depth)
@@ -204,12 +217,13 @@ func (g *graceJoin) partitionStream(op Operator, specs []spill.ColSpec, keyCol, 
 		}
 		kv := &b.Vecs[keyCol]
 		for i := 0; i < b.N; i++ {
-			bucket := 0
-			if fan > 1 {
-				bucket = g.bucketOf(kv.Data[i], kv.Heap, 0)
-			}
 			for c := range specs {
 				p.row[c] = b.Vecs[c].Data[i]
+			}
+			p.row[keyCol] = g.j.keyAt(kv, i)
+			bucket := 0
+			if fan > 1 {
+				bucket = g.bucketOf(p.row[keyCol], kv.Heap, 0)
 			}
 			if err := p.append(bucket); err != nil {
 				return nil, err
@@ -308,7 +322,7 @@ func (s *graceOuterSrc) next(b *vec.Block) (bool, error) {
 			for i := 0; i < s.buf.N; i++ {
 				pass := true
 				for d, want := range s.route {
-					if g.bucketOf(kv.Data[i], kv.Heap, d) != want {
+					if g.bucketOf(g.j.keyAt(kv, i), kv.Heap, d) != want {
 						pass = false
 						break
 					}
@@ -359,6 +373,9 @@ func (s *graceOuterSrc) next(b *vec.Block) (bool, error) {
 			v := &b.Vecs[c]
 			v.Type = info.Type
 			v.Dict = info.Dict
+			if c == g.j.outerKey && !g.j.TokenKey {
+				v.Dict = nil // spilled as values
+			}
 			v.Heap = info.Heap
 			if g.outerSpecs[c].Str {
 				v.Heap = ch.Cols[c].Heap
@@ -518,7 +535,7 @@ func (g *graceJoin) bnlJoinBlock(in *vec.Block, out *vec.Block) (int, error) {
 					if otok == types.NullToken || !g.coll.Equal(keyVec.Heap.Get(otok), kstr) {
 						continue
 					}
-				} else if otok != ktok {
+				} else if j.keyAt(keyVec, i) != ktok {
 					continue
 				}
 				if kept < 0 {

@@ -240,3 +240,23 @@ func TestHeapSerializationRoundTrip(t *testing.T) {
 		t.Fatal("heap content lost in round trip")
 	}
 }
+
+// TestLocateAndExtend: Locate finds the first of duplicate elements and
+// leaves an absent string NULL; an extension keeps the base tokens and
+// grows without touching the base.
+func TestLocateAndExtend(t *testing.T) {
+	h := New(types.CollateBinary)
+	a, b, a2 := h.Append("a"), h.Append(""), h.Append("a")
+	want := map[string]uint64{"a": types.NullToken, "": types.NullToken, "zz": types.NullToken}
+	h.Locate(want)
+	if want["a"] != a || want[""] != b || want["zz"] != types.NullToken || a2 == a {
+		t.Fatalf("Locate = %v (a at %d, empty at %d)", want, a, b)
+	}
+	size := h.Size()
+	ext := h.Extend()
+	z := ext.Append("zz")
+	if h.Size() != size || h.Len() != 3 || ext.Len() != 4 || ext.Get(a) != "a" || ext.Get(z) != "zz" {
+		t.Fatalf("base %d bytes/%d elements, extension %d elements", h.Size(), h.Len(), ext.Len())
+	}
+	h.Locate(map[string]uint64{}) // nothing to find: no pass at all
+}
