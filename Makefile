@@ -93,8 +93,10 @@ bench-compare:
 
 # End-to-end observability smoke test: generate a small TPC-H corpus,
 # load three tables, run a two-hash-join aggregation with EXPLAIN
-# ANALYZE + -trace through the real CLI, and validate the emitted
-# Chrome trace's structure with tracecheck.
+# ANALYZE + -trace through the real CLI on 2 workers (the 60K-row
+# lineitem would plan serially in auto mode), so the trace holds join
+# probes inside the aggregate's workers, and validate the emitted Chrome
+# trace's structure with tracecheck.
 LINEITEM_SCHEMA = l_orderkey:int,l_partkey:int,l_suppkey:int,l_linenumber:int,l_quantity:int,l_extendedprice:real,l_discount:real,l_tax:real,l_returnflag:str,l_linestatus:str,l_shipdate:date,l_commitdate:date,l_receiptdate:date,l_shipinstruct:str,l_shipmode:str,l_comment:str
 ORDERS_SCHEMA = o_orderkey:int,o_custkey:int,o_orderstatus:str,o_totalprice:real,o_orderdate:date,o_orderpriority:str,o_clerk:str,o_shippriority:int,o_comment:str
 CUSTOMER_SCHEMA = c_custkey:int,c_name:str,c_address:str,c_nationkey:int,c_phone:str,c_acctbal:real,c_mktsegment:str,c_comment:str
@@ -106,7 +108,7 @@ trace-smoke:
 	$(GO) run ./cmd/tdeload -out .tracedb/tpch.tde -header no -schema '$(LINEITEM_SCHEMA)' lineitem=.tracedb/lineitem.tbl
 	$(GO) run ./cmd/tdeload -append -out .tracedb/tpch.tde -header no -schema '$(ORDERS_SCHEMA)' orders=.tracedb/orders.tbl
 	$(GO) run ./cmd/tdeload -append -out .tracedb/tpch.tde -header no -schema '$(CUSTOMER_SCHEMA)' customer=.tracedb/customer.tbl
-	$(GO) run ./cmd/tdequery -db .tracedb/tpch.tde -analyze -trace .tracedb/q.trace.json "$(TRACE_QUERY)"
+	$(GO) run ./cmd/tdequery -db .tracedb/tpch.tde -workers 2 -analyze -trace .tracedb/q.trace.json "$(TRACE_QUERY)"
 	$(GO) run ./scripts/tracecheck .tracedb/q.trace.json
 	@rm -rf .tracedb
 

@@ -240,8 +240,8 @@ func redactCounters(s string) string {
 
 // TestExplainAnalyzeGolden pins the rendered output shape — stable
 // plan-order IDs, deterministic operator ordering, routine annotations —
-// for a serial, a parallel and a spilling plan. Counters are redacted;
-// regenerate with `go test -run Golden -update-golden .`.
+// for a serial, a parallel, a parallel join and a spilling plan. Counters
+// are redacted; regenerate with `go test -run Golden -update-golden .`.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	db := spillTestDB(t)
 	cases := []struct {
@@ -257,6 +257,11 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		{
 			name: "parallel",
 			sql:  "SELECT k, v FROM t WHERE k >= 1000",
+			opt:  QueryOptions{Plan: planWorkers(4)},
+		},
+		{
+			name: "parallel-join",
+			sql:  "SELECT k, dval FROM t JOIN d ON k = dkey WHERE dval = 'dim-7'",
 			opt:  QueryOptions{Plan: planWorkers(4)},
 		},
 		{
@@ -393,11 +398,12 @@ func TestWriteTraceShape(t *testing.T) {
 	}
 }
 
-// TestFusedChainStats: a Select and a Project that a parallel aggregate
-// runs inside its workers book their rows, blocks, time and routine to
-// their planned nodes, as they would running serially.
+// TestFusedChainStats: a Select, a Project and a join probe that a
+// parallel aggregate runs inside its workers book their rows, blocks,
+// time and routine to their planned nodes, as they would running
+// serially.
 func TestFusedChainStats(t *testing.T) {
-	db := encodedTestDB(t)
+	db, joined := encodedTestDB(t), spillTestDB(t)
 	var kept int64
 	cnt, err := db.Query("SELECT COUNT(*) FROM m WHERE v >= 48")
 	if err != nil {
@@ -405,16 +411,18 @@ func TestFusedChainStats(t *testing.T) {
 	}
 	fmt.Sscan(cnt.Rows[0][0], &kept)
 	for _, c := range []struct {
+		db                 *Database
 		sql, kind, routine string
 		rows               int64
 	}{
-		{"SELECT g, SUM(v) FROM m WHERE v >= 48 GROUP BY g", "Select", "kernel", kept},
-		{"SELECT r + 1 AS q, COUNT(*) FROM m GROUP BY q", "Project", "rle-project", 20000},
+		{db, "SELECT g, SUM(v) FROM m WHERE v >= 48 GROUP BY g", "Select", "kernel", kept},
+		{db, "SELECT r + 1 AS q, COUNT(*) FROM m GROUP BY q", "Project", "rle-project", 20000},
+		{joined, "SELECT dval, COUNT(*), SUM(v) FROM t JOIN d ON k = dkey GROUP BY dval", "HashJoin", "fetch", 20000},
 	} {
 		for _, workers := range []int{-1, 2} {
 			opt := scanPlanSerial(false)
 			opt.ParallelWorkers = workers
-			res, err := db.QueryContext(context.Background(), c.sql, QueryOptions{Plan: opt})
+			res, err := c.db.QueryContext(context.Background(), c.sql, QueryOptions{Plan: opt})
 			if err != nil {
 				t.Fatal(err)
 			}

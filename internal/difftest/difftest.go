@@ -1,9 +1,9 @@
 // Package difftest is a randomized differential query-testing harness:
 // it generates SQL over small TPC-H and flights tables, runs every query
-// once with parallelism disabled (the oracle) and again under a matrix of
-// worker counts and exchange routings, and demands row-set-identical
-// results. Parallel execution must never change an answer — only how
-// fast it arrives — so any mismatch is a bug by construction.
+// once with parallelism disabled (the oracle) and again under a list of
+// worker counts, and demands row-set-identical results. Parallel
+// execution must never change an answer — only how fast it arrives — so
+// any mismatch is a bug by construction.
 package difftest
 
 import (
@@ -30,8 +30,6 @@ type Config struct {
 	// Workers lists the forced worker counts compared against the serial
 	// oracle. Zero entries test the auto heuristic.
 	Workers []int
-	// Routings lists Options.Routing overrides (>0 preserve, <0 free).
-	Routings []int
 	// MemoryBudget caps each variant query's memory (0 = unlimited); the
 	// serial oracle always runs unbudgeted, so a budget exercises the
 	// spill-to-disk degradation paths against an in-memory ground truth.
@@ -41,14 +39,13 @@ type Config struct {
 	SpillBudget int64
 }
 
-// DefaultConfig covers workers 1, 2 and 8 with both routings — the
-// matrix the morsel operators must be transparent under.
+// DefaultConfig covers workers 1, 2 and 8 — the worker counts the
+// morsel operators must be transparent under.
 func DefaultConfig(seed int64, queries int) Config {
 	return Config{
-		Seed:     seed,
-		Queries:  queries,
-		Workers:  []int{1, 2, 8},
-		Routings: []int{1, -1},
+		Seed:    seed,
+		Queries: queries,
+		Workers: []int{1, 2, 8},
 	}
 }
 
@@ -61,8 +58,8 @@ type Mismatch struct {
 }
 
 func (m Mismatch) String() string {
-	return fmt.Sprintf("workers=%d routing=%d: %s\n  query: %s",
-		m.Opt.ParallelWorkers, m.Opt.Routing, m.Detail, m.SQL)
+	return fmt.Sprintf("workers=%d: %s\n  query: %s",
+		m.Opt.ParallelWorkers, m.Detail, m.SQL)
 }
 
 // Report is the outcome of a Run.
@@ -77,6 +74,26 @@ type Report struct {
 	// the query aggregates one group whose MEDIAN/COUNTD state alone
 	// exceeds the budget. They are not mismatches.
 	Unsplittable int
+	// PreservingExchanges, FreeExchanges and AggregatesOverJoins count
+	// the variant plans with an order-preserving Exchange, a free
+	// (completion-order) one, and a parallel aggregate directly over a
+	// join: the parallel shapes the sweep must reach.
+	PreservingExchanges, FreeExchanges, AggregatesOverJoins int
+}
+
+// countShapes records which parallel shapes the plan outline shows.
+func (r *Report) countShapes(plan string) {
+	steps := strings.Split(plan, " => ")
+	for i, s := range steps {
+		switch {
+		case strings.HasPrefix(s, "Exchange[") && strings.HasSuffix(s, "order-preserving]"):
+			r.PreservingExchanges++
+		case strings.HasPrefix(s, "Exchange[") && strings.HasSuffix(s, "free]"):
+			r.FreeExchanges++
+		case strings.HasPrefix(s, "ParallelAggregate[") && i > 0 && strings.Contains(steps[i-1], "Join("):
+			r.AggregatesOverJoins++
+		}
+	}
 }
 
 // BuildDatabase imports lineitem + orders at the given TPC-H scale factor, the
@@ -153,7 +170,7 @@ func ordersSchema() []string {
 }
 
 // Run executes cfg.Queries random queries against db, comparing the
-// serial oracle to every (workers, routing) variant.
+// serial oracle to every worker-count variant.
 func Run(db *tde.Database, cfg Config) (*Report, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rep := &Report{}
@@ -166,7 +183,7 @@ func Run(db *tde.Database, cfg Config) (*Report, error) {
 }
 
 // Compare runs one query under the oracle's plan options (unbudgeted) and
-// under every (workers, routing) variant of cfg, recording into rep.
+// under every worker-count variant of cfg, recording into rep.
 func Compare(db *tde.Database, sql string, oracleOpt plan.Options, cfg Config, rep *Report) error {
 	rep.Queries++
 	oracle, err := db.QueryWithOptions(sql, oracleOpt)
@@ -175,35 +192,34 @@ func Compare(db *tde.Database, sql string, oracleOpt plan.Options, cfg Config, r
 	}
 	want := canonicalRows(oracle.Rows)
 	for _, w := range cfg.Workers {
-		for _, r := range cfg.Routings {
-			opt := plan.Options{ParallelWorkers: w, Routing: r}
-			rep.Comparisons++
-			got, err := db.QueryContext(context.Background(), sql, tde.QueryOptions{
-				Plan:         opt,
-				MemoryBudget: cfg.MemoryBudget,
-				SpillBudget:  cfg.SpillBudget,
-			})
-			if err != nil {
-				if cfg.MemoryBudget > 0 && errors.Is(err, tde.ErrBudgetExceeded) {
-					ok, uerr := unsplittable(db, sql, cfg.MemoryBudget)
-					if uerr != nil {
-						return uerr
-					}
-					if ok {
-						rep.Unsplittable++
-						continue
-					}
+		opt := plan.Options{ParallelWorkers: w}
+		rep.Comparisons++
+		got, err := db.QueryContext(context.Background(), sql, tde.QueryOptions{
+			Plan:         opt,
+			MemoryBudget: cfg.MemoryBudget,
+			SpillBudget:  cfg.SpillBudget,
+		})
+		if err != nil {
+			if cfg.MemoryBudget > 0 && errors.Is(err, tde.ErrBudgetExceeded) {
+				ok, uerr := unsplittable(db, sql, cfg.MemoryBudget)
+				if uerr != nil {
+					return uerr
 				}
-				rep.Mismatches = append(rep.Mismatches, Mismatch{
-					SQL: sql, Opt: opt, Detail: fmt.Sprintf("query error: %v", err)})
-				continue
+				if ok {
+					rep.Unsplittable++
+					continue
+				}
 			}
-			if got.Stats().Spilled() {
-				rep.Spilled++
-			}
-			if d := diffRows(want, canonicalRows(got.Rows)); d != "" {
-				rep.Mismatches = append(rep.Mismatches, Mismatch{SQL: sql, Opt: opt, Detail: d})
-			}
+			rep.Mismatches = append(rep.Mismatches, Mismatch{
+				SQL: sql, Opt: opt, Detail: fmt.Sprintf("query error: %v", err)})
+			continue
+		}
+		rep.countShapes(got.Plan)
+		if got.Stats().Spilled() {
+			rep.Spilled++
+		}
+		if d := diffRows(want, canonicalRows(got.Rows)); d != "" {
+			rep.Mismatches = append(rep.Mismatches, Mismatch{SQL: sql, Opt: opt, Detail: d})
 		}
 	}
 	return nil

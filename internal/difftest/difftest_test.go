@@ -16,14 +16,16 @@ var long = flag.Bool("long", false, "run the full differential sweep")
 
 // TestDifferentialQueries is the harness entry point: every randomized
 // query must give row-set-identical results under serial execution and
-// the whole workers x routing matrix.
+// every worker count. The long sweep must also reach each parallel plan
+// shape: an order-preserving Exchange, a free one, and a parallel
+// aggregate directly over a join.
 func TestDifferentialQueries(t *testing.T) {
-	sf, flightRows, queries := 0.003, 6000, 90
+	sf, flightRows, queries := 0.003, 6000, 170
 	if *long {
 		// Sized so the sweep finishes within go test's default 10m
 		// package timeout even on a single core; CI passes -timeout
 		// explicitly for extra headroom on slow runners.
-		sf, flightRows, queries = 0.01, 20000, 300
+		sf, flightRows, queries = 0.01, 20000, 500
 	}
 	db, err := BuildDatabase(sf, flightRows, 7)
 	if err != nil {
@@ -40,8 +42,13 @@ func TestDifferentialQueries(t *testing.T) {
 	for _, m := range rep.Mismatches {
 		t.Errorf("mismatch: %s", m)
 	}
-	t.Logf("%d queries, %d comparisons, %d mismatches",
-		rep.Queries, rep.Comparisons, len(rep.Mismatches))
+	t.Logf("%d queries, %d comparisons, %d mismatches; plans with an order-preserving exchange %d, a free exchange %d, a parallel aggregate over a join %d",
+		rep.Queries, rep.Comparisons, len(rep.Mismatches),
+		rep.PreservingExchanges, rep.FreeExchanges, rep.AggregatesOverJoins)
+	if *long && (rep.PreservingExchanges == 0 || rep.FreeExchanges == 0 || rep.AggregatesOverJoins == 0) {
+		t.Errorf("the sweep missed a parallel plan shape: order-preserving exchange %d, free exchange %d, aggregate over a join %d",
+			rep.PreservingExchanges, rep.FreeExchanges, rep.AggregatesOverJoins)
+	}
 }
 
 // TestDifferentialSpill reruns the differential sweep under memory
@@ -229,7 +236,7 @@ func TestUnsplittableNeedsOneGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Workers: []int{1}, Routings: []int{1}, MemoryBudget: 4 << 10}
+	cfg := Config{Workers: []int{1}, MemoryBudget: 4 << 10}
 	for _, c := range []struct {
 		sql          string
 		unsplittable bool

@@ -7,8 +7,8 @@ import (
 )
 
 // The generator draws from a closed grammar: single-table aggregations
-// over lineitem and flights, lineitem-orders and -modes joins, and key-ordered
-// top-n selections. Every query is deterministic given the rng, and any
+// over lineitem and flights, lineitem-orders and -modes joins, key-ordered
+// top-n selections and filtered flights selections. Every query is deterministic given the rng, and any
 // ORDER BY ... LIMIT ends in a total order (a unique key as tiebreaker)
 // so the cut is the same no matter which worker produced each row.
 
@@ -64,8 +64,11 @@ func randomQuery(rng *rand.Rand) string {
 		return groupQuery(rng, "flights", flightsGroupCols, flightsAggCols, flightsWhere)
 	case 6, 7, 8: // lineitem x orders join
 		return joinQuery(rng)
-	default: // key-ordered top-n selection
-		return topNSelect(rng)
+	default: // a selection: key-ordered top-n, or filtered flights
+		if rng.Intn(2) == 0 {
+			return topNSelect(rng)
+		}
+		return flightsSelect(rng)
 	}
 }
 
@@ -242,6 +245,14 @@ func topNSelect(rng *rand.Rand) string {
 	fmt.Fprintf(&sb, " ORDER BY l_orderkey%s, l_linenumber%s LIMIT %d",
 		desc, desc, 10+rng.Intn(200))
 	return sb.String()
+}
+
+// flightsSelect is a filtered selection over flights, compared as a
+// multiset. It reads no sorted column unless the draw picks one, so its
+// parallel plan is an Exchange that may route blocks in completion order.
+func flightsSelect(rng *rand.Rand) string {
+	cols := pickCols(rng, flightsAggCols, 1+rng.Intn(3))
+	return fmt.Sprintf("SELECT %s FROM flights WHERE %s", strings.Join(cols, ", "), flightsWhere(rng))
 }
 
 // pickCols draws n distinct column names (order preserved).

@@ -94,7 +94,7 @@ func TestGroupingOnTokens(t *testing.T) {
 				}
 			}
 			for _, budget := range []int64{0, 256 << 10} {
-				cfg := Config{Workers: []int{1, 2, 8}, Routings: []int{-1}, MemoryBudget: budget}
+				cfg := Config{Workers: []int{1, 2, 8}, MemoryBudget: budget}
 				if budget > 0 {
 					cfg.SpillBudget = 1 << 30
 				}

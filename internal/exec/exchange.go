@@ -8,38 +8,26 @@ import (
 	"tde/internal/vec"
 )
 
-// BlockTransform is a stateless-per-block flow stage (Select, Project).
-// Exchange parallelizes a chain of them across workers; flow operators
-// process one block at a time, which is exactly what makes them
-// exchange-parallelizable (Sect. 2.3.1, 4.3).
-type BlockTransform interface {
-	// Transform processes in into out, returning out's row count.
-	Transform(in, out *vec.Block) int
-}
-
 // Exchange parallelizes a flow segment (Sect. 4.3 / [8]): workers claim
-// the child's blocks through the morsel dispenser, apply a transform chain
-// per block, and the consumer merges. With PreserveOrder the blocks carry
-// their input sequence numbers and are emitted in input order
+// the child's blocks through the morsel dispenser — which runs the flow
+// operators on top of the child (Select, Project, a join's probe) inside
+// each worker — and the consumer merges. With preserveOrder the blocks
+// carry their input sequence numbers and are emitted in input order
 // ("order-preserving routing"), which the strategic optimizer forces
-// above encoding FlowTables at a measured 10-15% overhead; without it,
-// completion order wins, disturbing value order and potentially ruining
-// downstream encodings.
+// whenever a column is sorted, at a measured 10-15% overhead; without
+// it, completion order wins, disturbing value order and potentially
+// ruining downstream encodings.
 type Exchange struct {
 	OpInstr
-	child Operator
-	// NewChain builds a fresh transform chain per worker (transform state
-	// is not shared between goroutines).
-	newChain      func() []BlockTransform
+	child         Operator
 	workers       int
 	preserveOrder bool
-	schema        []ColInfo
 
 	out chan seqBlock
-	// pending is the reorder buffer (PreserveOrder): pending[i] holds
+	// pending is the reorder buffer (preserveOrder): pending[i] holds
 	// sequence number nextSeq+i once it has arrived, nil until then.
 	pending []*vec.Block
-	// credits bounds it (PreserveOrder): a worker takes one before it
+	// credits bounds it (preserveOrder): a worker takes one before it
 	// claims a morsel and Next returns one as each sequence number is
 	// passed on, so at most cap(credits) morsels are claimed and not yet
 	// emitted, however long one slow worker holds the next in order.
@@ -64,17 +52,13 @@ type seqBlock struct {
 // block came out empty (zone-refuted, or every row filtered away).
 var emptyMorsel = &vec.Block{}
 
-// NewExchange parallelizes chain over child with the given worker count.
-func NewExchange(child Operator, newChain func() []BlockTransform, workers int, preserveOrder bool, outSchema []ColInfo) *Exchange {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Exchange{child: child, newChain: newChain, workers: workers,
-		preserveOrder: preserveOrder, schema: outSchema}
+// NewExchange runs child on the given number of workers.
+func NewExchange(child Operator, workers int, preserveOrder bool) *Exchange {
+	return &Exchange{child: child, workers: max(workers, 1), preserveOrder: preserveOrder}
 }
 
 // Schema implements Operator.
-func (e *Exchange) Schema() []ColInfo { return e.schema }
+func (e *Exchange) Schema() []ColInfo { return e.child.Schema() }
 
 // OpKind implements Instrumented.
 func (e *Exchange) OpKind() string { return "Exchange" }
@@ -135,13 +119,11 @@ func (e *Exchange) Open(qc *QueryCtx) error {
 	return nil
 }
 
-// work is one worker's loop: claim a morsel, run the chain over it, and
-// send a copy of the result downstream, until the input ends, the query
-// fails or is cancelled, or the consumer closes.
+// work is one worker's loop: claim a morsel and send a copy of it
+// downstream, until the input ends, the query fails or is cancelled, or
+// the consumer closes.
 func (e *Exchange) work(src morselSource, done <-chan struct{}, out chan<- seqBlock, credits <-chan struct{}) {
-	chain := e.newChain()
 	in := vec.NewBlock(len(e.child.Schema()))
-	scratch := vec.NewBlock(len(e.schema))
 	for {
 		if e.loadErr() != nil {
 			// Another worker already failed: stop consuming the child
@@ -175,18 +157,10 @@ func (e *Exchange) work(src morselSource, done <-chan struct{}, out chan<- seqBl
 		if !ok {
 			return
 		}
-		cur, spare := in, scratch
-		if cur.N > 0 {
-			for _, t := range chain {
-				if t.Transform(cur, spare) >= 0 {
-					cur, spare = spare, cur
-				}
-			}
-		}
 		sb := seqBlock{seq: seq, b: emptyMorsel}
 		switch {
-		case cur.N > 0:
-			sb.b = copyBlock(cur)
+		case in.N > 0:
+			sb.b = copyBlock(in)
 		case !e.preserveOrder:
 			continue
 		}

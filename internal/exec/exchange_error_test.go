@@ -27,19 +27,23 @@ func (c *countingOp) Next(b *vec.Block) (bool, error) {
 	return ok, err
 }
 
-// bombTransform passes blocks through until its trigger block, then
-// panics (the only way a BlockTransform can fail; Exchange contains the
-// panic and surfaces it as the query error).
-type bombTransform struct {
+// bomb is a predicate that keeps every row until its trigger block, then
+// panics (the only way a predicate can fail; Exchange contains the panic
+// and surfaces it as the query error).
+type bomb struct {
 	seen    *atomic.Int64
 	trigger int64
 }
 
-func (t bombTransform) Transform(in, out *vec.Block) int {
-	if t.seen.Add(1) == t.trigger {
+func (p bomb) Type() types.Type { return types.Boolean }
+func (p bomb) String() string   { return "bomb" }
+func (p bomb) Eval(b *vec.Block, out *vec.Vector) {
+	if p.seen.Add(1) == p.trigger {
 		panic("bomb")
 	}
-	return -1 // pass through
+	for i := range out.Data[:b.N] {
+		out.Data[i] = types.FromBool(true)
+	}
 }
 
 // TestExchangeWorkerErrorStopsProducer is the regression test for the
@@ -56,9 +60,7 @@ func TestExchangeWorkerErrorStopsProducer(t *testing.T) {
 	}
 	counter := &countingOp{child: scan}
 	var seen atomic.Int64
-	ex := NewExchange(counter, func() []BlockTransform {
-		return []BlockTransform{bombTransform{seen: &seen, trigger: 5}}
-	}, 2, false, scan.Schema())
+	ex := NewExchange(NewSelect(counter, bomb{seen: &seen, trigger: 5}), 2, false)
 	if err := ex.Open(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +115,7 @@ func TestExchangeCloseFullChannelNoDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewExchange(scan, func() []BlockTransform {
-		return nil // identity chain
-	}, 4, true, scan.Schema())
+	ex := NewExchange(scan, 4, true)
 	if err := ex.Open(nil); err != nil {
 		t.Fatal(err)
 	}

@@ -611,11 +611,7 @@ func TestExchangeUnorderedAndOrdered(t *testing.T) {
 
 	run := func(preserve bool) []int64 {
 		scan, _ := NewScan(tab)
-		newChain := func() []BlockTransform {
-			sel := NewSelect(nil, pred) // transform-only use
-			return []BlockTransform{sel}
-		}
-		ex := NewExchange(scan, newChain, 4, preserve, scan.Schema())
+		ex := NewExchange(NewSelect(scan, pred), 4, preserve)
 		rows, err := Collect(ex)
 		if err != nil {
 			t.Fatal(err)

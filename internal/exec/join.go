@@ -47,6 +47,11 @@ const directJoinLimit = 1 << 24
 // in inner order is the match — under every algorithm, in memory and
 // spilled alike, and for the NULL string key (which matches NULL, Tableau
 // semantics) as well.
+//
+// The probe is a flow stage: under a parallel consumer (Aggregate's or
+// Exchange's workers) each worker probes the blocks it claims against
+// the shared resident inner (morsels, joinProbe). A join that went grace
+// probes partition by partition and is pulled serially.
 type HashJoin struct {
 	OpInstr
 	outer    Operator
@@ -56,12 +61,6 @@ type HashJoin struct {
 	// LeftOuter keeps unmatched outer rows with NULL inner columns;
 	// otherwise they are dropped.
 	LeftOuter bool
-	// Workers > 1 runs the probe phase as an Exchange over the outer
-	// child. Set before Open; 0/1 keeps the serial path.
-	Workers int
-	// PreserveOrder keeps the parallel probe's output in outer order
-	// (order-preserving routing, Sect. 4.3); ignored when Workers <= 1.
-	PreserveOrder bool
 	// TokenKey says the inner key holds the outer key column's dictionary
 	// tokens, as the invisible join's DictionaryTable does: keys compare
 	// as tokens. Otherwise a dictionary key compares by value.
@@ -77,7 +76,6 @@ type HashJoin struct {
 	part *joinPart
 	sc   joinScratch // the serial probe's
 	buf  *vec.Block
-	ex   *Exchange // parallel probe (Workers > 1), nil on the serial path
 	qc   *QueryCtx
 	// grace is the spill-to-disk fallback state when the in-memory build
 	// exceeded the memory budget (nil on the in-memory path).
@@ -214,7 +212,7 @@ func (j *HashJoin) openBuilt(qc *QueryCtx) error {
 	if err := j.indexBuilt(qc); err != nil {
 		return err
 	}
-	return j.openOuter(qc)
+	return j.outer.Open(qc)
 }
 
 // indexBuilt makes the Built the resident inner: the algorithm its key
@@ -450,32 +448,6 @@ func (p *joinPart) probe(key uint64, h *heap.Heap) int {
 	return row
 }
 
-// openOuter opens the probe side: serially, or wrapped in an Exchange
-// whose workers run joinBlock (read-only over the resident inner) per
-// block.
-func (j *HashJoin) openOuter(qc *QueryCtx) error {
-	if j.Workers > 1 {
-		newChain := func() []BlockTransform {
-			return []BlockTransform{&probeTransform{j: j}}
-		}
-		j.ex = NewExchange(j.outer, newChain, j.Workers, j.PreserveOrder, j.schema)
-		return j.ex.Open(qc)
-	}
-	return j.outer.Open(qc)
-}
-
-// probeTransform adapts the probe phase to the Exchange worker interface;
-// joinBlock only reads the part built in Open, so workers share one
-// HashJoin and own nothing but their scratch.
-type probeTransform struct {
-	j  *HashJoin
-	sc joinScratch
-}
-
-func (p *probeTransform) Transform(in, out *vec.Block) int {
-	return p.j.joinBlock(p.j.part, in, out, &p.sc)
-}
-
 // Next implements Operator.
 func (j *HashJoin) Next(b *vec.Block) (bool, error) {
 	start := nowNanos()
@@ -487,9 +459,6 @@ func (j *HashJoin) Next(b *vec.Block) (bool, error) {
 func (j *HashJoin) nextBlock(b *vec.Block) (bool, error) {
 	if j.grace != nil {
 		return j.grace.next(b)
-	}
-	if j.ex != nil {
-		return j.ex.Next(b)
 	}
 	for {
 		ok, err := j.outer.Next(j.buf)
@@ -613,11 +582,6 @@ func (j *HashJoin) Close() error {
 		j.grace = nil
 		g.cleanup()
 		return nil // grace closed the outer child after partitioning it
-	}
-	if j.ex != nil {
-		ex := j.ex
-		j.ex = nil
-		return ex.Close() // closes the outer child
 	}
 	return j.outer.Close()
 }

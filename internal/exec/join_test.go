@@ -217,7 +217,8 @@ type joinMode struct {
 // the inner side lives (memory; partition files under a 64 KiB budget;
 // files that outgrow the budget at every depth, joined by block-nested-
 // loop; both rungs of the disk-full ladder) × inner and left outer ×
-// serial and parallel probe — against a nested-loop reference, and
+// serial and under a 2-worker Exchange (which pulls a grace join under
+// its mutex) — against a nested-loop reference, and
 // requires memory and disk to be handed back in full.
 func TestJoinRegimes(t *testing.T) {
 	const nInner, nOuter = 4000, 1500
@@ -257,9 +258,6 @@ func TestJoinRegimes(t *testing.T) {
 							continue // only a dominant key outgrows the budget at every depth
 						}
 						for _, workers := range []int{1, 2} {
-							if workers > 1 && m.budget > 0 {
-								continue // the grace join probes serially
-							}
 							fx.check(t, want, m, leftOuter, workers)
 						}
 					}
@@ -292,11 +290,18 @@ func (fx *joinFixture) check(t *testing.T, want [][]string, m joinMode, leftOute
 	cfg.PreserveTokens = fx.rg.sameHeap
 	outer := openHook{scan, func() { disk.failing.Store(m.armOuter) }}
 	j := NewHashJoin(outer, NewFlowTable(dimScan, cfg), 0, 0, JoinAuto)
-	j.LeftOuter, j.Workers = leftOuter, workers
+	j.LeftOuter = leftOuter
+	var top Operator = j
+	if workers > 1 {
+		top = NewExchange(j, workers, false)
+	}
 	// Once the build is resident, its charge must cover what it allocated:
-	// the index slots and every flat column.
-	pinned := openHook{j, func() {
-		if p := j.part; p != nil {
+	// the index slots and every flat column. A grace join's workers load
+	// partitions as soon as the Exchange has opened, so only the in-memory
+	// part is read here.
+	pinned := openHook{top, func() {
+		if j.grace == nil && j.part != nil {
+			p := j.part
 			alloc := len(p.index) * 4
 			for _, col := range p.cols {
 				alloc += len(col) * 8

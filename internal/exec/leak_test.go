@@ -154,18 +154,23 @@ func TestOperatorsReleaseAllMemory(t *testing.T) {
 	}
 }
 
-// cancelOn passes blocks through and cancels the query on its at-th one.
+// cancelOn is a predicate that keeps every row and cancels the query on
+// its at-th block.
 type cancelOn struct {
 	seen   *atomic.Int64
 	at     int64
 	cancel context.CancelFunc
 }
 
-func (c cancelOn) Transform(in, out *vec.Block) int {
+func (c cancelOn) Type() types.Type { return types.Boolean }
+func (c cancelOn) String() string   { return "cancelOn" }
+func (c cancelOn) Eval(b *vec.Block, out *vec.Vector) {
 	if c.seen.Add(1) == c.at {
 		c.cancel()
 	}
-	return -1
+	for i := range out.Data[:b.N] {
+		out.Data[i] = types.FromBool(true)
+	}
 }
 
 // TestMorselCancelLeaksNothing cancels the parallel consumers of a clean
@@ -183,9 +188,7 @@ func TestMorselCancelLeaksNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		var seen atomic.Int64
-		ex := NewExchange(scan, func() []BlockTransform {
-			return []BlockTransform{cancelOn{seen: &seen, at: 3, cancel: cancel}}
-		}, workers, false, scan.Schema())
+		ex := NewExchange(NewSelect(scan, cancelOn{seen: &seen, at: 3, cancel: cancel}), workers, false)
 		if err := runLeakChecked(t, "exchange", NewQueryCtx(ctx, 0), ex); !errors.Is(err, context.Canceled) {
 			t.Fatalf("exchange workers=%d: err = %v, want context.Canceled", workers, err)
 		}

@@ -180,9 +180,7 @@ func TestExchangeNoLeakOnEarlyClose(t *testing.T) {
 			t.Fatal(err)
 		}
 		pred := expr.NewCmp(expr.GE, expr.NewColRef(1, "v", types.Integer), expr.NewIntConst(0))
-		ex := NewExchange(scan, func() []BlockTransform {
-			return []BlockTransform{NewSelect(nil, pred)}
-		}, 4, round%2 == 0, scan.Schema())
+		ex := NewExchange(NewSelect(scan, pred), 4, round%2 == 0)
 		if err := ex.Open(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -209,9 +207,7 @@ func TestExchangeCancelUnblocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := expr.NewCmp(expr.GE, expr.NewColRef(1, "v", types.Integer), expr.NewIntConst(0))
-	ex := NewExchange(scan, func() []BlockTransform {
-		return []BlockTransform{NewSelect(nil, pred)}
-	}, 4, true, scan.Schema())
+	ex := NewExchange(NewSelect(scan, pred), 4, true)
 	ctx, cancel := context.WithCancel(context.Background())
 	qc := NewQueryCtx(ctx, 0)
 	if err := ex.Open(qc); err != nil {

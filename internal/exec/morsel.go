@@ -21,28 +21,21 @@ type morselSource interface {
 
 // morsels is the morsel dispenser behind every parallel consumer
 // (Aggregate's workers, Exchange's workers): n sources over child, which
-// the caller has opened. A chain of Select and Project operators on top
-// of child is peeled off and fused into the sources: each source runs a
-// clone of the chain over the blocks it claims, on its own goroutine,
-// booking rows, blocks and time to the planned operators. Below the
-// chain, a Scan that emits no runs — clean or over a view — lets each
-// source decode on its own goroutine through its own column readers,
-// claiming block after block, base blocks then tail blocks, from one
-// shared cursor. Any other input is pulled under a mutex, straight into
+// the caller has opened. A chain of flow operators on top of child —
+// Select, Project, and an in-memory HashJoin's probe — is peeled off and
+// fused into the sources: each source runs a clone of the chain over the
+// blocks it claims, on its own goroutine, booking rows, blocks and time
+// to the planned operators. Below the chain, a Scan — clean or over a
+// view, emitting runs or not — lets each source decode on its own
+// goroutine through its own column readers, claiming block after block,
+// base blocks then tail blocks, from one shared cursor. Any other input
+// (an IndexedScan, a grace join) is pulled under a mutex, straight into
 // the calling worker's block: its blocks arrive one at a time, but the
 // chain and the work above it still run in parallel.
 func morsels(child Operator, n int) []morselSource {
-	var chain []fusible // top down
-	for {
-		f, ok := child.(fusible)
-		if !ok {
-			break
-		}
-		chain = append(chain, f)
-		child = f.fuseInput()
-	}
+	chain, child := peel(child)
 	out := make([]morselSource, n)
-	if s, ok := child.(*Scan); ok && s.claimable() {
+	if s, ok := child.(*Scan); ok {
 		d := &scanDispenser{s: s}
 		for i := range out {
 			out[i] = d.reader()
@@ -70,11 +63,38 @@ func morsels(child Operator, n int) []morselSource {
 	return out
 }
 
+// peel splits op into the chain of flow operators morsels fuses, top
+// down, and the input below them.
+func peel(op Operator) (chain []fusible, input Operator) {
+	for {
+		f, ok := op.(fusible)
+		if !ok || f.fuseInput() == nil {
+			return chain, op
+		}
+		chain = append(chain, f)
+		op = f.fuseInput()
+	}
+}
+
+// Fuses reports whether parallel workers over op would run a fused chain
+// on blocks they claim from a Scan, and whether that chain probes a join.
+// Over anything else an Exchange's workers would only copy blocks.
+func Fuses(op Operator) (ok, join bool) {
+	chain, input := peel(op)
+	for _, f := range chain {
+		_, probe := f.(*HashJoin)
+		join = join || probe
+	}
+	_, scan := input.(*Scan)
+	return scan && len(chain) > 0, join
+}
+
 // fusible is a flow operator morsels can run inside a parallel consumer's
 // workers: it transforms each block on its own, keeping nothing between
 // blocks that another clone would need.
 type fusible interface {
-	// fuseInput is the operator's child.
+	// fuseInput is the operator's child, or nil when the opened operator
+	// cannot run per block (a join that went grace).
 	fuseInput() Operator
 	// fuseClone returns a copy for one worker, sharing the planned
 	// operator's stats and compiled state.
@@ -83,7 +103,8 @@ type fusible interface {
 
 // fusedStage is one worker's copy of a fused operator.
 type fusedStage interface {
-	BlockTransform
+	// Transform processes in into out, returning out's row count.
+	Transform(in, out *vec.Block) int
 	endNext(start int64, b *vec.Block, ok bool)
 }
 
@@ -97,6 +118,26 @@ func (p *Project) fuseInput() Operator { return p.child }
 
 func (p *Project) fuseClone() fusedStage {
 	return &Project{OpInstr: p.OpInstr, exprs: p.exprs, names: p.names, schema: p.schema}
+}
+
+func (j *HashJoin) fuseInput() Operator {
+	if j.grace != nil {
+		return nil // probes partition by partition
+	}
+	return j.outer
+}
+
+func (j *HashJoin) fuseClone() fusedStage { return &joinProbe{HashJoin: j} }
+
+// joinProbe is one worker's probe stage: its own scratch over the join's
+// resident inner, which joinBlock only reads.
+type joinProbe struct {
+	*HashJoin
+	sc joinScratch
+}
+
+func (p *joinProbe) Transform(in, out *vec.Block) int {
+	return p.joinBlock(p.part, in, out, &p.sc)
 }
 
 // fusedSource runs a fused chain, bottom stage first, over every block

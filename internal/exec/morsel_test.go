@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"maps"
 	"sync"
 	"testing"
 
@@ -49,12 +51,60 @@ func stripedValue(id int) int64 {
 	return int64(id)
 }
 
+// drainMorsels drains srcs on concurrent goroutines, as parallel
+// consumers do, handing each claimed block to each under a lock, and
+// requires the sequence numbers to be 0..n-1, each handed out once.
+func drainMorsels(t *testing.T, label string, srcs []morselSource, width int, each func(b *vec.Block)) {
+	t.Helper()
+	var (
+		mu    sync.Mutex
+		seqs  = map[int]bool{}
+		wg    sync.WaitGroup
+		fails []error
+	)
+	for _, src := range srcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := vec.NewBlock(width)
+			for {
+				seq, ok, err := src.next(b)
+				mu.Lock()
+				if err != nil {
+					fails = append(fails, err)
+				}
+				if err != nil || !ok {
+					mu.Unlock()
+					return
+				}
+				if seqs[seq] {
+					t.Errorf("%s: sequence number %d handed out twice", label, seq)
+				}
+				seqs[seq] = true
+				each(b)
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if len(fails) > 0 {
+		t.Fatalf("%s: %v", label, fails[0])
+	}
+	for seq := range seqs {
+		if seq < 0 || seq >= len(seqs) {
+			t.Fatalf("%s: sequence numbers are not 0..%d: saw %d", label, len(seqs)-1, seq)
+		}
+	}
+}
+
 // TestMorselsDeliverEveryRowOnce drains the dispenser's sources on
 // concurrent goroutines, as parallel consumers do, and requires every
 // row to arrive exactly once, with its own $rowid, through the claim
 // cursor: of a clean scan with zone-refuted blocks (which come back empty
 // but numbered), and of a view that deletes a row and a whole block and
-// inserts two blocks' worth of rows, which zone filters never refute.
+// inserts two blocks' worth of rows, which zone filters never refute. A
+// run-emitting scan claims through the cursor too, each reader walking
+// its own runs forward, clean and over a view whose deletions split runs.
 func TestMorselsDeliverEveryRowOnce(t *testing.T) {
 	const rows, inserted = 20*vec.BlockSize + 300, 1500
 	tab := stripedTable(t, rows)
@@ -85,60 +135,29 @@ func TestMorselsDeliverEveryRowOnce(t *testing.T) {
 			func(id int) bool { return id >= rows || visible(id) && even(id) }},
 	} {
 		for _, workers := range []int{1, 2, 8} {
+			label := fmt.Sprintf("%s workers=%d", tc.name, workers)
 			scan, err := tc.newScan()
 			if err != nil {
 				t.Fatal(err)
 			}
 			scan.Prune = tc.prune
-			qc := NewQueryCtx(nil, 0)
-			if err := scan.Open(qc); err != nil {
+			if err := scan.Open(NewQueryCtx(nil, 0)); err != nil {
 				t.Fatal(err)
 			}
 			srcs := morsels(scan, workers)
 			if _, claimed := srcs[0].(*scanMorsels); !claimed {
 				t.Fatalf("%s: sources do not claim from the scan's cursor", tc.name)
 			}
-			var (
-				mu    sync.Mutex
-				seen  = map[int64]int{}
-				seqs  = map[int]bool{}
-				wg    sync.WaitGroup
-				fails []error
-			)
-			for _, src := range srcs {
-				wg.Add(1)
-				go func(src morselSource) {
-					defer wg.Done()
-					b := vec.NewBlock(2)
-					for {
-						seq, ok, err := src.next(b)
-						mu.Lock()
-						if err != nil {
-							fails = append(fails, err)
-						}
-						if err != nil || !ok {
-							mu.Unlock()
-							return
-						}
-						if seqs[seq] {
-							t.Errorf("%s workers=%d: sequence number %d handed out twice", tc.name, workers, seq)
-						}
-						seqs[seq] = true
-						for j, v := range b.Vecs[0].Data[:b.N] {
-							seen[int64(v)]++
-							if id := int(b.Vecs[1].Data[j]); stripedValue(id) != int64(v) {
-								t.Errorf("%s workers=%d: row %d arrived with $rowid %d", tc.name, workers, v, id)
-							}
-						}
-						mu.Unlock()
+			seen := map[int64]int{}
+			drainMorsels(t, label, srcs, 2, func(b *vec.Block) {
+				for j, v := range b.Vecs[0].Data[:b.N] {
+					seen[int64(v)]++
+					if id := int(b.Vecs[1].Data[j]); stripedValue(id) != int64(v) {
+						t.Errorf("%s: row %d arrived with $rowid %d", label, v, id)
 					}
-				}(src)
-			}
-			wg.Wait()
+				}
+			})
 			scan.Close()
-			if len(fails) > 0 {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, fails[0])
-			}
 			want := 0
 			for i := 0; i < rows+inserted; i++ {
 				v := stripedValue(i)
@@ -147,19 +166,81 @@ func TestMorselsDeliverEveryRowOnce(t *testing.T) {
 				}
 				want++
 				if seen[v] != 1 {
-					t.Fatalf("%s workers=%d: row %d arrived %d times", tc.name, workers, i, seen[v])
+					t.Fatalf("%s: row %d arrived %d times", label, i, seen[v])
 				}
 			}
 			if len(seen) != want {
-				t.Fatalf("%s workers=%d: %d distinct rows arrived, want %d", tc.name, workers, len(seen), want)
-			}
-			for seq := range seqs {
-				if seq < 0 || seq >= len(seqs) {
-					t.Fatalf("%s workers=%d: sequence numbers are not 0..%d: saw %d", tc.name, workers, len(seqs)-1, seq)
-				}
+				t.Fatalf("%s: %d distinct rows arrived, want %d", label, len(seen), want)
 			}
 			if skipped := scan.opStats().blocksSkipped; tc.prune != nil && skipped != 10 {
-				t.Fatalf("%s workers=%d: %d blocks skipped, want the 10 odd ones", tc.name, workers, skipped)
+				t.Fatalf("%s: %d blocks skipped, want the 10 odd ones", label, skipped)
+			}
+		}
+	}
+
+	// Value v fills rows [50v, 50v+50), so some runs cross a block
+	// boundary. The view deletes rows inside runs — one of them in the
+	// run across the first boundary — and one whole run.
+	runVals := make([]int64, rows)
+	for i := range runVals {
+		runVals[i] = int64(i / 50)
+	}
+	col := makeIntColumn("r", types.Integer, runVals)
+	if col.Data.Kind() != enc.RunLength {
+		t.Fatalf("r encoded as %v, want run-length", col.Data.Kind())
+	}
+	runTab := makeTable("runs", col)
+	dead := map[int]bool{25: true, 1030: true, 5000: true}
+	for id := 2000; id < 2050; id++ {
+		dead[id] = true
+	}
+	var runOps []delta.Op
+	for id := range dead {
+		runOps = append(runOps, delta.Op{Table: "runs", Kind: delta.OpDelete, RowID: uint64(id)})
+	}
+	runView := deltaView(t, runTab, runOps)
+	for _, tc := range []struct {
+		name    string
+		newScan func() (*Scan, error)
+		dead    map[int]bool
+	}{
+		{"runs", func() (*Scan, error) { return NewScan(runTab) }, nil},
+		{"runs+deletions", func() (*Scan, error) { return NewViewScan(runView) }, dead},
+	} {
+		want := map[int64]int{}
+		for i, v := range runVals {
+			if !tc.dead[i] {
+				want[v]++
+			}
+		}
+		for _, workers := range []int{1, 2, 8} {
+			label := fmt.Sprintf("%s workers=%d", tc.name, workers)
+			scan, err := tc.newScan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan.EmitRuns = true
+			if err := scan.Open(NewQueryCtx(nil, 0)); err != nil {
+				t.Fatal(err)
+			}
+			srcs := morsels(scan, workers)
+			if _, claimed := srcs[0].(*scanMorsels); !claimed {
+				t.Fatalf("%s: sources do not claim from the scan's cursor", label)
+			}
+			got := map[int64]int{}
+			drainMorsels(t, label, srcs, 1, func(b *vec.Block) {
+				v := &b.Vecs[0]
+				if v.Runs == nil || enc.RunsLen(v.Runs) != b.N {
+					t.Errorf("%s: a block of %d rows without runs covering it", label, b.N)
+					return
+				}
+				for _, r := range v.Runs {
+					got[int64(r.Value)] += r.Count
+				}
+			})
+			scan.Close()
+			if !maps.Equal(got, want) {
+				t.Fatalf("%s: %d values arrived, want %d, or with other counts", label, len(got), len(want))
 			}
 		}
 	}
@@ -179,7 +260,7 @@ func TestExchangePreserveOrderOverZoneSkips(t *testing.T) {
 			t.Fatal(err)
 		}
 		scan.Prune = smallOnly
-		ex := NewExchange(scan, func() []BlockTransform { return nil }, workers, true, scan.Schema())
+		ex := NewExchange(scan, workers, true)
 		got, err := Collect(ex)
 		if err != nil {
 			t.Fatal(err)

@@ -11,17 +11,17 @@ import (
 // gets a stable integer ID at plan time (AssignOpIDs, called by the
 // strategic planner once the tree is built) and an OpStats record in the
 // query's registry, updated from thin wrappers around Open and Next. The
-// counters are atomics — parallel stages (Exchange producers, morsel
-// workers) touch them concurrently — and the fast path per Next is two
-// monotonic clock reads plus a handful of atomic adds, cheap against a
-// 1024-row block.
+// counters are atomics — morsel workers and the fused operators they run
+// touch them concurrently — and the fast path per Next is two monotonic
+// clock reads plus a handful of atomic adds, cheap against a 1024-row
+// block.
 //
 // Wall times are inclusive: an operator's Next time contains its
 // children's Next time, exactly like a sampled profile collapsed onto
 // the plan tree. Sub-operators an operator creates privately at runtime
-// (HashJoin's internal Exchange, FlowTable's internal scan of its Built) carry
-// ID 0 and record into detached, unregistered stats; their work is
-// visible as part of the owning planned operator.
+// (FlowTable's internal scan of its Built) carry ID 0 and record into
+// detached, unregistered stats; their work is visible as part of the
+// owning planned operator.
 
 // profEpoch anchors the engine's monotonic clock; all StartNanos /
 // EndNanos values are nanoseconds since this process-wide instant.

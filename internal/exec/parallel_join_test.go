@@ -54,9 +54,7 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 				ft := NewFlowTable(dimScan, DefaultFlowTableConfig())
 				j := NewHashJoin(outer, ft, 0, 0, JoinHash)
 				j.LeftOuter = leftOuter
-				j.Workers = workers
-				j.PreserveOrder = preserve
-				got, err := CollectStrings(j)
+				got, err := CollectStrings(NewExchange(j, workers, preserve))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,9 +82,7 @@ func TestParallelJoinPreserveOrderKeepsSequence(t *testing.T) {
 	dimScan, _ := NewScan(dim)
 	ft := NewFlowTable(dimScan, DefaultFlowTableConfig())
 	j := NewHashJoin(outer, ft, 0, 0, JoinHash)
-	j.Workers = 4
-	j.PreserveOrder = true
-	rows, err := Collect(j)
+	rows, err := Collect(NewExchange(j, 4, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +123,7 @@ func TestParallelStringJoin(t *testing.T) {
 	dimScan2, _ := NewScan(dim)
 	ft2 := NewFlowTable(dimScan2, DefaultFlowTableConfig())
 	j := NewHashJoin(outer2, ft2, 0, 0, JoinAuto)
-	j.Workers = 4
-	got, err := CollectStrings(j)
+	got, err := CollectStrings(NewExchange(j, 4, false))
 	if err != nil {
 		t.Fatal(err)
 	}

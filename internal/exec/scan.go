@@ -73,6 +73,7 @@ type Scan struct {
 	tailHeap []*heap.Heap
 	tailNote string
 	schema   []ColInfo
+	alias    string // the join alias As qualified the schema with
 
 	// EmitRuns, set by the planner when encoded execution is on, lets the
 	// scan emit a run-length column as run-encoded blocks
@@ -328,15 +329,32 @@ func (s *Scan) OpKind() string {
 	return "BuiltScan"
 }
 
-// OpLabel implements Instrumented.
+// OpLabel implements Instrumented: the source, and the join alias As
+// put on the column names ("lineitem as l").
 func (s *Scan) OpLabel() string {
-	switch {
-	case s.view != nil:
-		return fmt.Sprintf("%s +%d -%d", s.table.Name, len(s.view.Ins), s.view.DeletedRows)
-	case s.table != nil:
-		return s.table.Name
+	label := ""
+	if s.table != nil {
+		label = s.table.Name
 	}
-	return ""
+	if s.view != nil {
+		label += fmt.Sprintf(" +%d -%d", len(s.view.Ins), s.view.DeletedRows)
+	}
+	if s.alias != "" {
+		label += " as " + s.alias
+	}
+	return label
+}
+
+// As qualifies the scan's column names with a join alias ("l.col"), so
+// joined schemas stay unambiguous; an empty alias keeps bare names.
+func (s *Scan) As(alias string) {
+	if alias == "" {
+		return
+	}
+	s.alias = alias
+	for i := range s.schema {
+		s.schema[i].Name = alias + "." + s.schema[i].Name
+	}
 }
 
 // Open implements Operator.
@@ -379,11 +397,6 @@ func (s *Scan) newReaders() []colReader {
 	}
 	return cols
 }
-
-// claimable reports whether parallel consumers may fill the opened
-// scan's blocks themselves, each through its own column readers: any
-// scan that does not emit runs, whose run reads share one cursor.
-func (s *Scan) claimable() bool { return !s.runs }
 
 // EmitsRuns reports whether the scan will hand its column downstream as
 // runs: EmitRuns is set and the source is one scalar run-length column.

@@ -31,9 +31,8 @@ type Select struct {
 	EncodedOff bool
 	buf        *vec.Block
 
-	// prog is compiled at the first block: Exchange chain Selects are
-	// constructed with a nil child and never Opened, so Open cannot host
-	// the analysis. A fused clone shares its planned Select's program.
+	// prog is compiled at the first block, whose vectors it reads, and
+	// shared with every fused clone (morsels), which is never Opened.
 	prog *filterProg
 
 	sel        []int32
@@ -90,8 +89,8 @@ func (s *Select) next(b *vec.Block) (bool, error) {
 }
 
 // Transform applies the filter to one block, writing survivors to out and
-// returning the surviving row count. Exposed so Exchange can parallelize
-// this flow stage per block (Sect. 4.3).
+// returning the surviving row count; a parallel consumer's workers run it
+// on the blocks they claim (morsels, Sect. 4.3).
 func (s *Select) Transform(in, out *vec.Block) int {
 	if s.res.Data == nil {
 		s.res.Data = make([]uint64, vec.BlockSize)

@@ -43,10 +43,7 @@ func ExchangeOrdering(rows, workers int) ([]ExchangeResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		newChain := func() []exec.BlockTransform {
-			return []exec.BlockTransform{exec.NewSelect(nil, pred)}
-		}
-		ex := exec.NewExchange(scan, newChain, workers, preserve, scan.Schema())
+		ex := exec.NewExchange(exec.NewSelect(scan, pred), workers, preserve)
 		ft := exec.NewFlowTable(ex, exec.DefaultFlowTableConfig())
 		var bt *exec.Built
 		sec, err := timeIt(func() error {

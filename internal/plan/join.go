@@ -58,13 +58,7 @@ func buildJoinPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 		if j.LeftOuter {
 			kind = "LeftJoin"
 		}
-		step := fmt.Sprintf("%s(%s.%s = %s.%s)", kind, q.Table.Name, j.OuterKey, j.Table.Name, j.InnerKey)
-		if workers, auto := resolveWorkers(opt, tableRows(q.Table, q.Delta)); workers > 1 {
-			join.Workers = workers
-			join.PreserveOrder = preserveOrderRouting(opt, op.Schema())
-			step += "[" + workersLabel(workers, auto) + "]"
-		}
-		ex.add("%s", step)
+		ex.add("%s(%s.%s = %s.%s)", kind, q.Table.Name, j.OuterKey, j.Table.Name, j.InnerKey)
 		op = join
 	}
 	if q.Where != nil {
@@ -153,7 +147,8 @@ func (s *joinSide) scan(ex *Explain) (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return aliasOp{Operator: scan, prefix: s.alias}, nil
+	scan.As(s.alias)
+	return scan, nil
 }
 
 func qualify(alias, name string) string {
@@ -161,69 +156,4 @@ func qualify(alias, name string) string {
 		return name
 	}
 	return alias + "." + name
-}
-
-// aliasOp renames an operator's output columns with a prefix so joined
-// schemas stay unambiguous.
-type aliasOp struct {
-	exec.Operator
-	prefix string
-}
-
-func (a aliasOp) Schema() []exec.ColInfo {
-	in := a.Operator.Schema()
-	if a.prefix == "" {
-		return in
-	}
-	out := make([]exec.ColInfo, len(in))
-	copy(out, in)
-	for i := range out {
-		out[i].Name = a.prefix + "." + out[i].Name
-	}
-	return out
-}
-
-// The Instrumented delegation below makes the alias transparent to
-// AssignOpIDs: the wrapped operator keeps its own identity and stats, and
-// only the rendered label carries the alias.
-
-func (a aliasOp) OpID() int {
-	if inst, ok := a.Operator.(exec.Instrumented); ok {
-		return inst.OpID()
-	}
-	return 0
-}
-
-func (a aliasOp) SetOpID(id int) {
-	if inst, ok := a.Operator.(exec.Instrumented); ok {
-		inst.SetOpID(id)
-	}
-}
-
-func (a aliasOp) OpKind() string {
-	if inst, ok := a.Operator.(exec.Instrumented); ok {
-		return inst.OpKind()
-	}
-	return "Alias"
-}
-
-func (a aliasOp) OpLabel() string {
-	label := ""
-	if inst, ok := a.Operator.(exec.Instrumented); ok {
-		label = inst.OpLabel()
-	}
-	if a.prefix == "" {
-		return label
-	}
-	if label == "" {
-		return "as " + a.prefix
-	}
-	return label + " as " + a.prefix
-}
-
-func (a aliasOp) OpChildren() []exec.Operator {
-	if inst, ok := a.Operator.(exec.Instrumented); ok {
-		return inst.OpChildren()
-	}
-	return nil
 }

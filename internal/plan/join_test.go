@@ -197,9 +197,6 @@ func TestBuildJoinReadsOnlyTouchedColumns(t *testing.T) {
 	widths := map[string]int{}
 	var walk func(exec.Operator)
 	walk = func(o exec.Operator) {
-		if a, ok := o.(aliasOp); ok {
-			o = a.Operator
-		}
 		if s, ok := o.(*exec.Scan); ok {
 			widths[s.OpLabel()] = len(s.Schema())
 		}

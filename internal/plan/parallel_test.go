@@ -51,6 +51,28 @@ func TestParallelScanPlanMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestIndexPlanHasNoExchange: an Exchange over an index plan would find no
+// scan to claim blocks from and no chain to run, so its workers would
+// only copy blocks; the plan stays serial, as does its residual filter.
+func TestIndexPlanHasNoExchange(t *testing.T) {
+	tab := buildRLTable(t, 80000)
+	for _, where := range []expr.Expr{
+		expr.NewCmp(expr.GT, expr.NewColRef(0, "primary", types.Integer), expr.NewIntConst(60)),
+		expr.NewAnd(
+			expr.NewCmp(expr.GT, expr.NewColRef(0, "primary", types.Integer), expr.NewIntConst(60)),
+			expr.NewCmp(expr.GT, expr.NewColRef(1, "other", types.Integer), expr.NewIntConst(3))),
+	} {
+		q := Query{Table: tab, Where: where, Select: []string{"primary", "other"}}
+		_, ex, err := Build(q, Options{ParallelWorkers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(ex.String(), "IndexedScan") || strings.Contains(ex.String(), "Exchange") {
+			t.Fatalf("want a serial index plan: %s", ex)
+		}
+	}
+}
+
 // TestParallelAggregatePlanHasNoExchange is the aggregate twin of the
 // routing tests: the aggregate's workers run the filter on the blocks
 // they claim, so no Exchange sits under the aggregate, and the answers

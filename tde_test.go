@@ -3,8 +3,11 @@ package tde
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"tde/internal/plan"
 )
 
 const ordersCSV = `status,amount,when
@@ -306,5 +309,89 @@ func TestJoinThroughPublicAPI(t *testing.T) {
 	}
 	if res.Rows[1][0] != "done" || res.Rows[1][1] != "65" {
 		t.Fatalf("join rows %v", res.Rows)
+	}
+}
+
+// TestSerialAggregateKeepsOrder: in auto mode a single sorted group key
+// keeps the aggregate serial, and the ordered aggregate trusts the key's
+// sortedness. The workers go to an Exchange below it only over a join,
+// and that Exchange must preserve input order; a filtered scan or an
+// index plan keeps its serial plan. Every plan must form the serial
+// plan's groups.
+func TestSerialAggregateKeepsOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	db := New()
+	var fact, dim strings.Builder
+	for i := 0; i < 400_000; i++ {
+		fmt.Fprintf(&fact, "%d,%d,%d\n", i/1000, i%5000, i%7)
+	}
+	for i := 0; i < 5000; i++ {
+		fmt.Fprintf(&dim, "%d,%d\n", i, i%37)
+	}
+	opt := DefaultImportOptions()
+	opt.HeaderSet, opt.HasHeader = true, false
+	opt.Schema = []string{"g:int", "fk:int", "c:int"}
+	if err := db.ImportCSV("f", []byte(fact.String()), opt); err != nil {
+		t.Fatal(err)
+	}
+	opt.Schema = []string{"dk:int", "dv:int"}
+	if err := db.ImportCSV("d", []byte(dim.String()), opt); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CompressColumn("f", "c"); err != nil {
+		t.Fatal(err)
+	}
+	const join = "SELECT g, COUNT(*), SUM(dv) FROM f JOIN d ON fk = dk GROUP BY g"
+	const ordered = ", order-preserving] => Aggregate["
+	for _, tc := range []struct {
+		name, sql string
+		writes    []string // applied before the query, making f dirty
+		want      []string // plan substrings
+		exchange  bool
+		groups    int
+	}{
+		{name: "join", sql: join, want: []string{"Join(", ordered}, exchange: true, groups: 400},
+		{name: "invisible-join", sql: "SELECT g, COUNT(*) FROM f WHERE c = 3 GROUP BY g",
+			want: []string{"InvisibleJoin(c)", ordered}, exchange: true, groups: 400},
+		{name: "filter", sql: "SELECT g, COUNT(*) FROM f WHERE fk > 3 GROUP BY g",
+			want: []string{"Filter[", "] => Aggregate["}, groups: 400},
+		{name: "index", sql: "SELECT g, COUNT(*), SUM(fk) FROM f WHERE g >= 100 AND g < 300 GROUP BY g",
+			want: []string{"IndexTable(g"}, groups: 200},
+		{name: "dirty-join", sql: join, writes: []string{
+			"DELETE FROM f WHERE fk = 7",
+			"DELETE FROM f WHERE g = 17",
+			"INSERT INTO f VALUES (400, 1, 0), (400, 2, 0), (401, 3, 0)",
+		}, want: []string{"DeltaScan(f", ordered}, exchange: true, groups: 401},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, w := range tc.writes {
+				if _, err := db.Exec(w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			serial, err := db.QueryWithOptions(tc.sql, plan.Options{ParallelWorkers: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			auto, err := db.Query(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(auto.Plan, w) {
+					t.Errorf("plan lacks %q: %s", w, auto.Plan)
+				}
+			}
+			if got := strings.Contains(auto.Plan, "Exchange["); got != tc.exchange {
+				t.Errorf("Exchange in plan: %v, want %v: %s", got, tc.exchange, auto.Plan)
+			}
+			if len(serial.Rows) != tc.groups {
+				t.Fatalf("serial plan formed %d groups, want %d", len(serial.Rows), tc.groups)
+			}
+			want, got := sortedRows(serial.Rows), sortedRows(auto.Rows)
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("auto plan formed %d groups, serial %d: %s", len(got), len(want), auto.Plan)
+			}
+		})
 	}
 }
