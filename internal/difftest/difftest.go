@@ -79,11 +79,21 @@ type Report struct {
 	// (completion-order) one, and a parallel aggregate directly over a
 	// join: the parallel shapes the sweep must reach.
 	PreservingExchanges, FreeExchanges, AggregatesOverJoins int
+	// OrderedAggregates counts the variant plans that ran a serial
+	// ordered aggregate (routine "ordered" or "…+ordered").
+	OrderedAggregates int
 }
 
-// countShapes records which parallel shapes the plan outline shows.
-func (r *Report) countShapes(plan string) {
-	steps := strings.Split(plan, " => ")
+// countShapes records which shapes the executed plan shows: parallel ones
+// from the plan outline, ordered aggregation from the operators' routines.
+func (r *Report) countShapes(res *tde.Result) {
+	for _, op := range res.Stats().Operators {
+		if op.Kind == "Aggregate" && strings.HasSuffix(op.Routine, "ordered") {
+			r.OrderedAggregates++
+			break
+		}
+	}
+	steps := strings.Split(res.Plan, " => ")
 	for i, s := range steps {
 		switch {
 		case strings.HasPrefix(s, "Exchange[") && strings.HasSuffix(s, "order-preserving]"):
@@ -214,7 +224,7 @@ func Compare(db *tde.Database, sql string, oracleOpt plan.Options, cfg Config, r
 				SQL: sql, Opt: opt, Detail: fmt.Sprintf("query error: %v", err)})
 			continue
 		}
-		rep.countShapes(got.Plan)
+		rep.countShapes(got)
 		if got.Stats().Spilled() {
 			rep.Spilled++
 		}

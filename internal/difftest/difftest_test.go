@@ -17,8 +17,8 @@ var long = flag.Bool("long", false, "run the full differential sweep")
 // TestDifferentialQueries is the harness entry point: every randomized
 // query must give row-set-identical results under serial execution and
 // every worker count. The long sweep must also reach each parallel plan
-// shape: an order-preserving Exchange, a free one, and a parallel
-// aggregate directly over a join.
+// shape — an order-preserving Exchange, a free one, and a parallel
+// aggregate directly over a join — and a serial ordered aggregate.
 func TestDifferentialQueries(t *testing.T) {
 	sf, flightRows, queries := 0.003, 6000, 170
 	if *long {
@@ -42,12 +42,12 @@ func TestDifferentialQueries(t *testing.T) {
 	for _, m := range rep.Mismatches {
 		t.Errorf("mismatch: %s", m)
 	}
-	t.Logf("%d queries, %d comparisons, %d mismatches; plans with an order-preserving exchange %d, a free exchange %d, a parallel aggregate over a join %d",
+	t.Logf("%d queries, %d comparisons, %d mismatches; plans with an order-preserving exchange %d, a free exchange %d, a parallel aggregate over a join %d, an ordered aggregate %d",
 		rep.Queries, rep.Comparisons, len(rep.Mismatches),
-		rep.PreservingExchanges, rep.FreeExchanges, rep.AggregatesOverJoins)
-	if *long && (rep.PreservingExchanges == 0 || rep.FreeExchanges == 0 || rep.AggregatesOverJoins == 0) {
-		t.Errorf("the sweep missed a parallel plan shape: order-preserving exchange %d, free exchange %d, aggregate over a join %d",
-			rep.PreservingExchanges, rep.FreeExchanges, rep.AggregatesOverJoins)
+		rep.PreservingExchanges, rep.FreeExchanges, rep.AggregatesOverJoins, rep.OrderedAggregates)
+	if *long && (rep.PreservingExchanges == 0 || rep.FreeExchanges == 0 || rep.AggregatesOverJoins == 0 || rep.OrderedAggregates == 0) {
+		t.Errorf("the sweep missed a plan shape: order-preserving exchange %d, free exchange %d, aggregate over a join %d, ordered aggregate %d",
+			rep.PreservingExchanges, rep.FreeExchanges, rep.AggregatesOverJoins, rep.OrderedAggregates)
 	}
 }
 
@@ -58,7 +58,8 @@ func TestDifferentialQueries(t *testing.T) {
 // spilled (otherwise the budget was too loose to test anything). The one
 // error a variant may return instead is ErrBudgetExceeded on a query the
 // oracle proves unsplittable — one group whose MEDIAN/COUNTD state alone
-// exceeds the budget — and the sweep prints how many it excused.
+// exceeds the budget — and the sweep prints how many it excused. The long
+// sweep must also run a serial ordered aggregate under each budget.
 func TestDifferentialSpill(t *testing.T) {
 	queries := 25
 	if *long {
@@ -82,8 +83,11 @@ func TestDifferentialSpill(t *testing.T) {
 		if rep.Spilled == 0 {
 			t.Errorf("budget %d: no query spilled; the budget is too loose to exercise degradation", budget)
 		}
-		t.Logf("budget %d: %d queries, %d comparisons, %d spilled, %d mismatches, %d unsplittable (one group's MEDIAN/COUNTD state exceeds the budget)",
-			budget, rep.Queries, rep.Comparisons, rep.Spilled, len(rep.Mismatches), rep.Unsplittable)
+		if *long && rep.OrderedAggregates == 0 {
+			t.Errorf("budget %d: no query ran an ordered aggregate", budget)
+		}
+		t.Logf("budget %d: %d queries, %d comparisons, %d spilled, %d mismatches, %d unsplittable (one group's MEDIAN/COUNTD state exceeds the budget), %d ordered aggregates",
+			budget, rep.Queries, rep.Comparisons, rep.Spilled, len(rep.Mismatches), rep.Unsplittable, rep.OrderedAggregates)
 	}
 }
 
@@ -258,5 +262,31 @@ func TestUnsplittableNeedsOneGroup(t *testing.T) {
 				t.Errorf("%s: want a budget error, got %s", c.sql, m.Detail)
 			}
 		}
+	}
+}
+
+// TestSpillHeavyCountDGroups pins a spilling aggregation whose groups
+// are each heavy: grouped by l_linenumber (seven values), a COUNTD over
+// l_comment holds thousands of distinct strings per group. At 256 KiB the
+// groups do not fit together, and the spilled partitions must fold — in
+// memory or, where several groups share a partition at every depth,
+// through the merge's one running group — within the budget, answering
+// like the unbudgeted oracle at every worker count.
+func TestSpillHeavyCountDGroups(t *testing.T) {
+	db, err := BuildDatabase(0.003, 6000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workers: []int{1, 2, 8}, MemoryBudget: 256 << 10, SpillBudget: 1 << 30}
+	rep := &Report{}
+	sql := "SELECT l_linenumber, SUM(l_tax) AS a0, COUNTD(l_comment) AS a1 FROM lineitem GROUP BY l_linenumber"
+	if err := Compare(db, sql, plan.Options{ParallelWorkers: -1}, cfg, rep); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range rep.Mismatches {
+		t.Errorf("mismatch: %s", m)
+	}
+	if rep.Spilled != len(cfg.Workers) {
+		t.Errorf("%d of %d runs spilled", rep.Spilled, len(cfg.Workers))
 	}
 }

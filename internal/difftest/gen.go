@@ -20,6 +20,7 @@ type colDef struct {
 var lineitemGroupCols = []colDef{
 	{"l_returnflag", 's'}, {"l_linestatus", 's'}, {"l_shipmode", 's'},
 	{"l_linenumber", 'i'}, {"l_shipinstruct", 's'},
+	{"l_orderkey", 'i'}, // sorted: grouped on its own, it runs ordered aggregation
 }
 
 var lineitemAggCols = []colDef{

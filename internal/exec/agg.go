@@ -58,31 +58,26 @@ const (
 	// AggDirect indexes groups directly in an array over the product of
 	// the keys' dense domains — the perfect/direct hashing of Sect. 2.3.4,
 	// available when every key maps to a small ordinal domain (directKey)
-	// and the product fits directLimit.
+	// and the product fits directLimit. Over one dictionary-compressed key
+	// the slot is the token, plus one NULL slot — GROUP BY the compressed
+	// code with no hashing and no token decode, the routine "token-direct"
+	// (compressed execution, DESIGN.md §12).
 	AggDirect
 	// AggOrdered exploits grouped (sorted) input: one running group at a
-	// time, flushed on key change — the ordered ("sandwiched")
-	// aggregation of Sect. 4.2.2.
+	// time, final once the key changes — the ordered ("sandwiched")
+	// aggregation of Sect. 4.2.2. It is a flow: the groups leave as the
+	// input arrives (aggEmitter.nextGroups).
 	AggOrdered
-	// AggTokenDirect is AggDirect over one dictionary-compressed key: the
-	// slot is the token, plus one NULL slot — GROUP BY the compressed code
-	// with no hashing and no token decode, available when the dictionary
-	// holds ≤ tokenDirectLimit entries (compressed execution, DESIGN.md
-	// §12).
-	AggTokenDirect
 )
 
 func (m AggMode) String() string {
-	return [...]string{"auto", "hash", "direct", "ordered", "token-direct"}[m]
+	return [...]string{"auto", "hash", "direct", "ordered"}[m]
 }
 
 // directLimit caps the slot count of AggDirect's table — the product of
 // the keys' domains, NULL slots included: the 64K-element direct lookup
 // table of Sect. 2.3.4.
 const directLimit = 1 << 16
-
-// tokenDirectLimit caps the dictionary size for AggTokenDirect.
-const tokenDirectLimit = 1 << 15
 
 // acc is one aggregate's running state for one group. It holds no
 // pointers, so a slab of them grows without clearing and is invisible to
@@ -252,15 +247,15 @@ func (c *aggCore) internStrings(b *vec.Block) {
 	}
 }
 
-// consumeBlock groups one block and charges the growth against the
-// budget. A plain block takes two passes: one computing every row's group
-// id, then one fold loop per aggregate. The direct modes compute the ids
-// on the block's keys as they arrive, before internStrings rewrites the
-// string columns the aggregates read; the others group on the rewritten
-// tokens. A block of aligned runs goes through the same passes over its
-// run values, one row per run, and folds each run weighted by its length.
-func (c *aggCore) consumeBlock(qc *QueryCtx, b *vec.Block) error {
-	rows := b.N
+// foldBlock groups one block; the caller charges the growth
+// (chargeGrowth). A plain block takes two passes: one computing every
+// row's group id, then one fold loop per aggregate. The direct modes
+// compute the ids on the block's keys as they arrive, before
+// internStrings rewrites the string columns the aggregates read; the
+// others group on the rewritten tokens. A block of aligned runs goes
+// through the same passes over its run values, one row per run, and
+// folds each run weighted by its length.
+func (c *aggCore) foldBlock(b *vec.Block) error {
 	var runs []enc.Run
 	if c.runCapable(b) {
 		c.runBlocks++
@@ -271,8 +266,8 @@ func (c *aggCore) consumeBlock(qc *QueryCtx, b *vec.Block) error {
 			if err != nil {
 				return err
 			}
-			c.foldRuns(g, v.Runs, v.Type, rows)
-			return c.chargeGrowth(qc, rows)
+			c.foldRuns(g, v.Runs, v.Type, b.N)
+			return nil
 		}
 		runs = b.Vecs[0].Runs
 		c.runRows = runRows(b, c.runRows)
@@ -302,7 +297,7 @@ func (c *aggCore) consumeBlock(qc *QueryCtx, b *vec.Block) error {
 	} else {
 		c.fold(b, gids)
 	}
-	return c.chargeGrowth(qc, rows)
+	return nil
 }
 
 // groupIDs is the hash and ordered modes' group-id pass.
@@ -456,6 +451,15 @@ func (c *aggCore) foldRuns(g int, runs []enc.Run, t types.Type, rows int) {
 // finish closes the ordered mode's running group.
 func (c *aggCore) finish() { c.curSet = false }
 
+// finished is how many groups are final: all but ordered mode's running
+// one.
+func (c *aggCore) finished() int {
+	if c.curSet {
+		return c.n - 1
+	}
+	return c.n
+}
+
 // hashTuple hashes a key tuple; the slot index takes its top bits, which
 // every bit of every key reaches.
 func hashTuple(keys []uint64) uint64 {
@@ -470,7 +474,7 @@ func hashTuple(keys []uint64) uint64 {
 // group holding the key tuple in c.tuple, created on first sight.
 func (c *aggCore) findTuple() (int, error) {
 	switch c.chosen {
-	case AggDirect, AggTokenDirect:
+	case AggDirect:
 		slot := 0
 		for i := range c.dkeys {
 			dk := &c.dkeys[i]
@@ -609,7 +613,7 @@ func (c *aggCore) growSlots() {
 }
 
 // updateW folds row i into g's accumulators w times in O(1) — w is a run
-// length; consumeBlock's run path is the caller.
+// length; foldBlock's run path is the caller.
 func (c *aggCore) updateW(g int, b *vec.Block, i int, w int64) {
 	for j, s := range c.specs {
 		if s.Col < 0 { // COUNT(*)
@@ -762,13 +766,14 @@ func (c *aggCore) mergeAcc(di, si int, o *aggCore, s AggSpec) {
 	}
 }
 
-// emit writes up to BlockSize groups starting at 'at' into b, returning
-// how many it wrote. outSchema is the aggregate operator's output schema.
+// emit writes up to BlockSize finished groups starting at 'at' into b,
+// returning how many it wrote. outSchema is the aggregate operator's
+// output schema.
 func (c *aggCore) emit(b *vec.Block, at int, outSchema []ColInfo) int {
-	if at >= c.n {
+	n := c.finished() - at
+	if n <= 0 {
 		return 0
 	}
-	n := c.n - at
 	nk, ns := len(c.keyCols), len(c.specs)
 	if n > vec.BlockSize {
 		n = vec.BlockSize
@@ -805,7 +810,7 @@ func (c *aggCore) emit(b *vec.Block, at int, outSchema []ColInfo) int {
 // position. (A direct key that is also a MIN/MAX/COUNTD input has a heap
 // of its own for the aggregate, not for the key.)
 func (c *aggCore) keyHeap(col int) *heap.Heap {
-	if c.chosen == AggDirect || c.chosen == AggTokenDirect {
+	if c.chosen == AggDirect {
 		return c.in[col].Heap
 	}
 	return c.valHeap(col)
@@ -831,7 +836,9 @@ func (c *aggCore) release(qc *QueryCtx) {
 	c.charged = 0
 }
 
-// Aggregate is the stop-and-go grouping operator. With Workers > 1 it is
+// Aggregate is the grouping operator: stop-and-go in the hash and direct
+// modes, a flow in ordered mode, whose Next drives the child and lets each
+// group leave once its key changes. With Workers > 1 it is
 // morsel-parallel: that many goroutines claim the child's blocks through
 // the morsel dispenser (morsels), each folding its morsels into a private
 // aggCore, and Open merges the partials into one result — Exchange →
@@ -852,7 +859,7 @@ type Aggregate struct {
 	// optimizer injects it (Sect. 2.3.1). Values below 2 mean serial.
 	Workers int
 	// EncodedOff, set by the planner when encoded execution is disabled,
-	// keeps the mode choice off the token-direct routine.
+	// keeps dictionary keys off direct mode (the token-direct routine).
 	EncodedOff bool
 
 	cores     []*aggCore  // one per worker, while Open consumes and merges
@@ -860,11 +867,10 @@ type Aggregate struct {
 	runBlocks int         // blocks folded run-at-a-time (for the routine string)
 
 	// The result: em emits the merged core and then whatever the workers
-	// evicted to sp; ordered mode's spooled rows come out first.
-	qc    *QueryCtx
-	sp    *aggSpill
-	spool *orderedSpool
-	em    *aggEmitter
+	// evicted to sp — or, in ordered mode, streams the child's groups.
+	qc *QueryCtx
+	sp *aggSpill
+	em *aggEmitter
 }
 
 // NewAggregate groups child by keyCols computing specs. mode AggAuto lets
@@ -921,11 +927,15 @@ func (a *Aggregate) Schema() []ColInfo { return a.schema }
 func (a *Aggregate) Mode() AggMode { return a.chosen }
 
 // routine renders the chosen algorithm for OpStats — "hash", or
-// "hash(workers=4)" when parallel — upgraded to the rle-* encoded-routine
-// names when any input block was folded run-at-a-time (e.g. "rle-sum", or
+// "hash(workers=4)" when parallel, "token-direct" for direct mode over one
+// dictionary key — upgraded to the rle-* encoded-routine names when any
+// input block was folded run-at-a-time (e.g. "rle-sum", or
 // "rle-agg+token-direct" when grouped).
 func (a *Aggregate) routine() string {
 	name := a.chosen.String()
+	if a.chosen == AggDirect && len(a.keyCols) == 1 && a.child.Schema()[a.keyCols[0]].Dict != nil {
+		name = "token-direct"
+	}
 	if a.Workers > 1 {
 		name = fmt.Sprintf("%s(workers=%d)", name, a.Workers)
 	}
@@ -970,9 +980,9 @@ func (a *Aggregate) chooseMode(in []ColInfo) (AggMode, []directKey) {
 		if a.Workers > 1 {
 			return AggHash, nil
 		}
-	case AggDirect, AggTokenDirect:
-		dks := directKeys(in, a.keyCols, mode == AggTokenDirect || !a.EncodedOff)
-		if dks == nil || mode == AggTokenDirect && (len(dks) != 1 || dks[0].kind != keyToken) {
+	case AggDirect:
+		dks := directKeys(in, a.keyCols, !a.EncodedOff)
+		if dks == nil {
 			return AggHash, nil
 		}
 		return mode, dks
@@ -989,9 +999,6 @@ func (a *Aggregate) autoMode(in []ColInfo) AggMode {
 		if k.Meta.SortedKnown && k.Meta.SortedAsc {
 			return AggOrdered
 		}
-		if !a.EncodedOff && k.Dict != nil && len(k.Dict) <= tokenDirectLimit {
-			return AggTokenDirect
-		}
 	}
 	if directKeys(in, a.keyCols, !a.EncodedOff) != nil {
 		return AggDirect
@@ -999,15 +1006,18 @@ func (a *Aggregate) autoMode(in []ColInfo) AggMode {
 	return AggHash
 }
 
-// Open implements Operator: stop-and-go, so all grouping happens here —
-// consume (inline or per worker), merge the partials, then hand the
-// result to the in-memory or spilled emit path.
+// Open implements Operator. The hash and direct modes are stop-and-go, so
+// all their grouping happens here — consume (inline or per worker), merge
+// the partials, then hand the result to the in-memory or spilled emit
+// path. Ordered mode only sets up its core: Next drives the child, which
+// stays open until its input ends or Close.
 func (a *Aggregate) Open(qc *QueryCtx) (err error) {
 	start := a.beginOpen(qc, a.OpKind())
 	defer func() {
 		a.st.SetRoutine(a.routine())
 		a.endOpen(start)
 	}()
+	a.cleanup() // a re-Open starts over
 	a.qc = qc
 	a.runBlocks = 0
 	defer func() {
@@ -1018,9 +1028,18 @@ func (a *Aggregate) Open(qc *QueryCtx) (err error) {
 	if err := a.child.Open(qc); err != nil {
 		return err
 	}
-	defer a.child.Close()
 	in := a.child.Schema()
 	a.chosen, a.dkeys = a.chooseMode(in)
+	if a.chosen == AggOrdered {
+		core, err := newAggCore(in, a.keyCols, a.specs, AggOrdered, nil, a.st, qc)
+		if err != nil {
+			a.child.Close()
+			return err
+		}
+		a.em = &aggEmitter{qc: qc, out: a.schema, core: core, in: &childInput{a: a, b: vec.NewBlock(len(in))}}
+		return nil
+	}
+	defer a.child.Close()
 	if a.dkeys != nil {
 		// The heap keys' ordinal tables live while the input is consumed
 		// and merged: the groups keep their tokens, not their ordinals.
@@ -1039,11 +1058,7 @@ func (a *Aggregate) Open(qc *QueryCtx) (err error) {
 		return err
 	}
 	if qc.SpillEnabled() {
-		if a.chosen == AggOrdered {
-			a.spool = newOrderedSpool(qc, a.st, in, a.keyCols, a.specs, a.schema)
-		} else {
-			a.sp = newAggSpill(qc, a.st, in, a.keyCols, a.specs)
-		}
+		a.sp = newAggSpill(qc, a.st, in, a.keyCols, a.specs)
 	}
 	if len(a.cores) == 1 {
 		err = a.consume(a.cores[0], a.child.Next)
@@ -1089,9 +1104,6 @@ func (a *Aggregate) Open(qc *QueryCtx) (err error) {
 			return err
 		}
 	}
-	if a.spool != nil {
-		return a.spool.finish()
-	}
 	return nil
 }
 
@@ -1121,9 +1133,8 @@ func (a *Aggregate) newCores(qc *QueryCtx, in []ColInfo) error {
 
 // consume folds the blocks pull yields into core until the input ends.
 // When a charge is denied and a spill budget is set, the worker degrades
-// instead of failing — hash and direct modes evict core's partial groups
-// to partition files, ordered mode spools its finished output rows — and
-// keeps pulling.
+// instead of failing — it evicts core's partial groups to partition files
+// — and keeps pulling.
 func (a *Aggregate) consume(core *aggCore, pull func(*vec.Block) (bool, error)) error {
 	b := vec.NewBlock(len(a.child.Schema()))
 	for {
@@ -1134,16 +1145,15 @@ func (a *Aggregate) consume(core *aggCore, pull func(*vec.Block) (bool, error)) 
 		if b.N == 0 {
 			continue // a morsel the zone maps refuted
 		}
-		if err := core.consumeBlock(a.qc, b); err != nil {
+		err = core.foldBlock(b)
+		if err == nil {
+			err = core.chargeGrowth(a.qc, b.N)
+		}
+		if err != nil {
 			if !spillableErr(a.qc, err) {
 				return err
 			}
-			if a.spool != nil {
-				err = a.spool.spool(core)
-			} else {
-				err = a.sp.evict(core)
-			}
-			if err != nil {
+			if err := a.sp.evict(core); err != nil {
 				return err
 			}
 		}
@@ -1202,19 +1212,9 @@ func (a *Aggregate) consumeParallel() error {
 // Next implements Operator: emits one block of groups.
 func (a *Aggregate) Next(b *vec.Block) (bool, error) {
 	start := nowNanos()
-	ok, err := a.next(b)
+	ok, err := a.em.next(b)
 	a.endNext(start, b, ok && err == nil)
 	return ok, err
-}
-
-func (a *Aggregate) next(b *vec.Block) (bool, error) {
-	if a.spool != nil {
-		if ok, err := a.spool.next(b); ok || err != nil {
-			return ok, err
-		}
-		// spool drained; the still-running group is the in-memory tail
-	}
-	return a.em.next(b)
 }
 
 // finishAcc renders accumulator i, of spec s, as the aggregate's output
@@ -1308,8 +1308,9 @@ func (a *Aggregate) Close() error {
 	return nil
 }
 
-// cleanup releases the group state's charges and removes any spill
-// files this operator still owns.
+// cleanup releases the group state's charges, closes an ordered mode's
+// child still streaming, and removes any spill files this operator still
+// owns.
 func (a *Aggregate) cleanup() {
 	a.releaseCores()
 	if a.em != nil {
@@ -1319,10 +1320,6 @@ func (a *Aggregate) cleanup() {
 	if a.sp != nil {
 		a.sp.cleanup()
 		a.sp = nil
-	}
-	if a.spool != nil {
-		a.spool.close()
-		a.spool = nil
 	}
 }
 

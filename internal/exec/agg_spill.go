@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"sort"
 	"sync"
 
@@ -19,7 +20,8 @@ import (
 // not fit is recursively re-partitioned with a deeper hash salt, and at
 // spillMaxDepth — where re-hashing can no longer separate a dominant key
 // — a merge-based fallback sorts the partial rows by key content and
-// folds one group at a time.
+// streams them through ordered aggregation's fold, which holds one
+// running group.
 //
 // Partial-row layout: the group's key columns followed by fixed-size
 // accumulator fields per aggregate spec. Groups carrying per-input-row
@@ -51,7 +53,8 @@ func aggFieldCount(s AggSpec) int {
 	}
 }
 
-// aggFieldSpecs returns the spill column specs for spec s's fields.
+// aggFieldSpecs returns the spill column specs for spec s's fields. A
+// string input that keeps its stored tokens spills them as they are.
 func aggFieldSpecs(in []ColInfo, s AggSpec) []spill.ColSpec {
 	count := spill.ColSpec{Sentinel: types.NullToken}
 	if s.Col < 0 {
@@ -67,13 +70,13 @@ func aggFieldSpecs(in []ColInfo, s AggSpec) []spill.ColSpec {
 			{Sentinel: types.NullToken}}
 	case Min, Max:
 		val := spill.ColSpec{Signed: signedType(t), Sentinel: types.NullBits(t)}
-		if t == types.String {
+		if t == types.String && !in[s.Col].StoredHeap {
 			val = spill.ColSpec{Str: true, Sentinel: types.NullToken, Collation: collationOf(in[s.Col])}
 		}
 		return []spill.ColSpec{count, val} // count slot doubles as the seen flag
 	case CountD:
 		val := spill.ColSpec{Sentinel: types.NullToken}
-		if t == types.String {
+		if t == types.String && !in[s.Col].StoredHeap {
 			val = spill.ColSpec{Str: true, Sentinel: types.NullToken, Collation: collationOf(in[s.Col])}
 		}
 		return []spill.ColSpec{count, val}
@@ -114,16 +117,16 @@ type aggSpill struct {
 func newAggSpill(qc *QueryCtx, st *OpStats, in []ColInfo, keyCols []int, specs []AggSpec) *aggSpill {
 	sp := &aggSpill{qc: qc, st: st, in: append([]ColInfo(nil), in...), keyCols: keyCols, aspecs: specs,
 		mgr: qc.SpillManager(), stats: &st.Spill}
-	for i := range sp.in {
-		sp.in[i].StoredHeap = false // spilled rows carry their chunks' heaps
-	}
+	// Keys spill as strings in their chunks' heaps; an aggregate input
+	// that keeps its stored tokens (aggCore.stored) spills and folds them.
 	for _, kc := range keyCols {
+		sp.in[kc].StoredHeap = false
 		sp.rowSpecs = append(sp.rowSpecs, spillSpecFor(in[kc]))
 	}
 	at := len(keyCols)
 	for _, s := range specs {
 		sp.fieldAt = append(sp.fieldAt, at)
-		fs := aggFieldSpecs(in, s)
+		fs := aggFieldSpecs(sp.in, s)
 		sp.rowSpecs = append(sp.rowSpecs, fs...)
 		at += len(fs)
 	}
@@ -294,17 +297,19 @@ func (sp *aggSpill) appendGroup(w *spill.Writer, core *aggCore, g int, row []uin
 }
 
 // foldRow folds one spilled partial row into core. val and strHeap
-// resolve the row's columns (chunk-local tokens for strings); keys is
-// scratch for the re-interned key tuple.
-func (sp *aggSpill) foldRow(core *aggCore, val func(c int) uint64, strHeap func(c int) *heap.Heap, keys []uint64) {
+// resolve the row's columns (chunk-local tokens for strings). The core's
+// mode finds the group: hash for a partition's fold, the last group for
+// the merge's sorted rows.
+func (sp *aggSpill) foldRow(core *aggCore, val func(c int) uint64, strHeap func(c int) *heap.Heap) {
 	for j, kcol := range sp.keyCols {
 		v := val(j)
 		if sp.rowSpecs[j].Str && v != types.NullToken {
 			v = core.strTr[kcol].One(strHeap(j), v)
 		}
-		keys[j] = v
+		core.tuple[j] = v
 	}
-	first := core.findGroupKeys(keys) * len(sp.aspecs)
+	g, _ := core.findTuple() // only the direct modes fail
+	first := g * len(sp.aspecs)
 	for j, s := range sp.aspecs {
 		ac := &core.accs[first+j]
 		at := sp.fieldAt[j]
@@ -346,14 +351,12 @@ func (sp *aggSpill) foldRow(core *aggCore, val func(c int) uint64, strHeap func(
 }
 
 // foldChunk folds one spilled chunk into core and charges the growth,
-// mirroring consumeBlock's cost model.
+// the cost model of a folded input block.
 func (sp *aggSpill) foldChunk(core *aggCore, ch *spill.Chunk) error {
-	keys := make([]uint64, len(sp.keyCols))
 	for r := 0; r < ch.Rows; r++ {
 		sp.foldRow(core,
 			func(c int) uint64 { return ch.Cols[c].Values[r] },
-			func(c int) *heap.Heap { return ch.Cols[c].Heap },
-			keys)
+			func(c int) *heap.Heap { return ch.Cols[c].Heap })
 	}
 	return core.chargeGrowth(sp.qc, ch.Rows)
 }
@@ -439,9 +442,10 @@ func (c *aggCore) resetAfterEvict(qc *QueryCtx) {
 
 // aggEmitter is the aggregation's emit path: it emits the groups of the
 // core it is handed (the merged in-memory result — empty once everything
-// was evicted), then folds one spilled partition at a time into a fresh
-// core and emits that, recursing into splits and the merge fallback as
-// the budget dictates. With no spill there is no work and no sp.
+// was evicted — or an ordered core that in feeds), then folds one spilled
+// partition at a time into a fresh core and emits that, recursing into
+// splits and the merge fallback as the budget dictates. With no spill
+// there is no work and no sp.
 type aggEmitter struct {
 	qc     *QueryCtx
 	sp     *aggSpill
@@ -449,26 +453,15 @@ type aggEmitter struct {
 	work   []aggPartition
 	core   *aggCore
 	emitAt int
-	merge  *aggMergeEmit
+	in     orderedInput // feeds core until its input ends; nil once core holds every group
 }
 
 func (e *aggEmitter) next(b *vec.Block) (bool, error) {
 	for {
-		if e.merge != nil {
-			ok, err := e.merge.next(b)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				return true, nil
-			}
-			e.merge.close()
-			e.merge = nil
-		}
 		if e.core != nil {
-			if n := e.core.emit(b, e.emitAt, e.out); n > 0 {
-				e.emitAt += n
-				return true, nil
+			ok, err := e.nextGroups(b)
+			if ok || err != nil {
+				return ok, err
 			}
 			e.core.release(e.qc)
 			e.core = nil
@@ -523,14 +516,56 @@ func (e *aggEmitter) foldPartition(p aggPartition) error {
 	return nil
 }
 
+// nextGroups emits the next block of the core's finished groups. Fed by
+// an ordered input, it is ordered aggregation's streaming fold: it folds
+// input until it holds a block of finished groups, emits them, and then
+// compacts the core to the running group. A denied charge is not an error
+// while finished groups are held — they leave, and the compaction after
+// them re-charges only what stays. A denial with nothing but the running
+// group held fails the query: no grouping strategy splits one group.
+func (e *aggEmitter) nextGroups(b *vec.Block) (bool, error) {
+	c := e.core
+	for e.in != nil {
+		done := c.finished()
+		if done-e.emitAt >= vec.BlockSize || e.emitAt > 0 && done > e.emitAt {
+			break // a block of finished groups, or the rest of them, leaves first
+		}
+		if e.emitAt > 0 {
+			if err := c.compact(e.qc); err != nil {
+				return false, err
+			}
+			e.emitAt = 0
+		}
+		rows, err := e.in.fold(c)
+		if err != nil {
+			return false, err
+		}
+		if rows == 0 {
+			e.in.close()
+			e.in = nil
+			c.finish()
+			break
+		}
+		if err := c.chargeGrowth(e.qc, rows); err != nil {
+			if !errors.Is(err, ErrBudgetExceeded) || c.finished() == 0 {
+				return false, err
+			}
+			break
+		}
+	}
+	n := c.emit(b, e.emitAt, e.out)
+	e.emitAt += n
+	return n > 0, nil
+}
+
 func (e *aggEmitter) close() {
 	if e.core != nil {
 		e.core.release(e.qc)
 		e.core = nil
 	}
-	if e.merge != nil {
-		e.merge.close()
-		e.merge = nil
+	if e.in != nil {
+		e.in.close()
+		e.in = nil
 	}
 	for _, p := range e.work {
 		for _, path := range p.paths {
@@ -541,29 +576,23 @@ func (e *aggEmitter) close() {
 }
 
 // aggMergeEmit is the depth-cap fallback: the partition's partial rows
-// are externally sorted by key content and folded one group at a time —
-// a group is the only state held, so a dominant key that re-hashing
+// are externally sorted by key content and merged into an ordered core
+// through the streaming fold, which holds the running group and at most a
+// block or two of finished ones — so a dominant key that re-hashing
 // cannot split still aggregates in bounded memory (unless that single
 // group's own COUNTD/MEDIAN state exceeds the budget, which no grouping
 // strategy can fix).
 type aggMergeEmit struct {
 	sp      *aggSpill
-	out     []ColInfo
 	cursors []*mergeCursor
-	prevV   []uint64
-	prevS   []string
-	prevNul []bool
-	have    bool
 }
 
-// startMerge sorts p's rows into runs and opens the merge.
+// startMerge sorts p's rows into runs and opens the merge as the input of
+// a fresh ordered core.
 func (e *aggEmitter) startMerge(p aggPartition) error {
 	sp := e.sp
 	sp.stats.AddSpill()
-	m := &aggMergeEmit{sp: sp, out: e.out,
-		prevV:   make([]uint64, len(sp.keyCols)),
-		prevS:   make([]string, len(sp.keyCols)),
-		prevNul: make([]bool, len(sp.keyCols))}
+	m := &aggMergeEmit{sp: sp}
 
 	nc := len(sp.rowSpecs)
 	var runs []string
@@ -651,7 +680,12 @@ func (e *aggEmitter) startMerge(p aggPartition) error {
 	if m.cursors, err = openMerge(sp.qc, sp.st.kind, sp.mgr, sp.rowSpecs, runs, &sp.stats.IO, m.keyLess); err != nil {
 		return err
 	}
-	e.merge = m
+	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggOrdered, nil, sp.st, sp.qc)
+	if err != nil {
+		m.close()
+		return err
+	}
+	e.core, e.emitAt, e.in = core, 0, m
 	return nil
 }
 
@@ -707,104 +741,24 @@ func (m *aggMergeEmit) keyLess(a, b *mergeCursor) bool {
 	return false
 }
 
-// sameKey reports whether cur's row has the captured previous key.
-func (m *aggMergeEmit) sameKey(cur *mergeCursor) bool {
-	sp := m.sp
-	for j := range sp.keyCols {
-		v := cur.val(j)
-		if sp.rowSpecs[j].Str {
-			nul := v == types.NullToken
-			if nul != m.prevNul[j] {
-				return false
-			}
-			if nul {
-				continue
-			}
-			if !sp.rowSpecs[j].Collation.Equal(cur.strHeap(j).Get(v), m.prevS[j]) {
-				return false
-			}
-			continue
-		}
-		if v != m.prevV[j] {
-			return false
-		}
-	}
-	return true
-}
-
-func (m *aggMergeEmit) captureKey(cur *mergeCursor) {
-	sp := m.sp
-	for j := range sp.keyCols {
-		v := cur.val(j)
-		m.prevV[j] = v
-		if sp.rowSpecs[j].Str {
-			m.prevNul[j] = v == types.NullToken
-			if !m.prevNul[j] {
-				m.prevS[j] = cur.strHeap(j).Get(v)
-			} else {
-				m.prevS[j] = ""
-			}
-		}
-	}
-}
-
-// mergeGroupCap bounds how many groups one merge emission accumulates
-// before the block is cut — small, so the transient core stays cheap.
-const mergeGroupCap = 256
-
-// next folds the sorted partial rows into at most mergeGroupCap complete
-// groups and emits them as one block.
-func (m *aggMergeEmit) next(b *vec.Block) (bool, error) {
-	sp := m.sp
-	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggHash, nil, sp.st, sp.qc)
-	if err != nil {
-		return false, err
-	}
-	keys := make([]uint64, len(sp.keyCols))
-	count, folded := 0, 0
-	m.have = false
-	for {
+// fold folds up to a block of the merge's partial rows, in key order.
+func (m *aggMergeEmit) fold(c *aggCore) (int, error) {
+	rows := 0
+	for ; rows < vec.BlockSize; rows++ {
 		i := pickMin(m.cursors, m.keyLess)
 		if i < 0 {
 			break
 		}
 		cur := m.cursors[i]
-		if m.have && !m.sameKey(cur) {
-			count++
-			if count >= mergeGroupCap {
-				break // leave the new key's rows for the next block
-			}
-			m.captureKey(cur)
-		} else if !m.have {
-			m.captureKey(cur)
-			m.have = true
-		}
-		sp.foldRow(core,
-			func(c int) uint64 { return cur.val(c) },
-			func(c int) *heap.Heap { return cur.strHeap(c) },
-			keys)
-		folded++
+		m.sp.foldRow(c, cur.val, cur.strHeap)
 		if err := cur.advance(); err != nil {
-			core.release(sp.qc)
-			return false, err
+			return rows, err
 		}
 		if cur.done {
 			cur.close(true)
 		}
 	}
-	if folded == 0 {
-		core.release(sp.qc)
-		return false, nil
-	}
-	cost := core.slabCap*core.groupCost + folded*core.perRow + heapSizes(core.strHeaps)
-	if err := sp.qc.Charge(sp.st.kind, cost); err != nil {
-		core.release(sp.qc)
-		return false, err
-	}
-	core.charged += cost
-	n := core.emit(b, 0, m.out)
-	core.release(sp.qc)
-	return n > 0, nil
+	return rows, nil
 }
 
 func (m *aggMergeEmit) close() {

@@ -168,8 +168,9 @@ var regimeSpecs = []AggSpec{
 }
 
 // runAgg aggregates what mk returns by keys over regimeSpecs and returns
-// the sorted rows and the mode the operator ran in.
-func runAgg(t *testing.T, mk func() Operator, keys []int, mode AggMode, workers int, encodedOff bool, qc *QueryCtx) ([][]string, AggMode) {
+// the sorted rows and the operator, for the mode it ran in and its
+// routine.
+func runAgg(t *testing.T, mk func() Operator, keys []int, mode AggMode, workers int, encodedOff bool, qc *QueryCtx) ([][]string, *Aggregate) {
 	t.Helper()
 	agg := parallelAggregate(mk(), keys, regimeSpecs, mode, workers)
 	agg.EncodedOff = encodedOff
@@ -178,7 +179,7 @@ func runAgg(t *testing.T, mk func() Operator, keys []int, mode AggMode, workers 
 		t.Fatalf("keys=%v workers=%d: %v", keys, workers, err)
 	}
 	sortRows(rows)
-	return rows, agg.Mode()
+	return rows, agg
 }
 
 // TestAggregateRegimes runs every aggregate function through the one
@@ -186,12 +187,13 @@ func runAgg(t *testing.T, mk func() Operator, keys []int, mode AggMode, workers 
 // choice lands on for each key shape (hash for a key whose domain is
 // unknown or too wide, direct for keys whose domains multiply to at most
 // 64K slots — narrow integers, dictionary tokens, strings over a
-// deduplicated heap, NULL slots included — token-direct for a single
-// dictionary key, ordered for a sorted key, which more than one worker
-// demotes to hash) × unbudgeted and 256 KiB with spilling — and requires
-// each to agree with the serial unbudgeted hash aggregation, in the mode
-// expected, with EncodedOff keeping dictionary keys off the direct modes
-// at any worker count.
+// deduplicated heap, NULL slots included, a single dictionary key
+// labelled token-direct — ordered for a sorted key, which more than one
+// worker demotes to hash) × unbudgeted and 256 KiB with spilling — and
+// requires each to agree with the serial unbudgeted hash aggregation, in
+// the mode expected, with EncodedOff keeping dictionary keys off direct
+// mode at any worker count. Ordered mode streams its groups, so the
+// budget never makes it spill; every other mode spills under it.
 func TestAggregateRegimes(t *testing.T) {
 	tab := regimeTable(t)
 	scan := func() Operator {
@@ -227,7 +229,7 @@ func TestAggregateRegimes(t *testing.T) {
 		// 65 536 slots fill the budget on their own.
 		{"direct-64k", []int{10}, AggDirect, AggDirect, 2},
 		{"hash-64k+1", []int{11}, AggHash, AggHash, 0},
-		{"token-direct", []int{6}, AggTokenDirect, AggTokenDirect, 0},
+		{"token-direct", []int{6}, AggDirect, AggDirect, 0},
 		{"ordered-demoted", []int{7}, AggOrdered, AggHash, 0},
 	} {
 		want, _ := runAgg(t, scan, tc.keys, AggHash, 1, false, nil)
@@ -248,13 +250,16 @@ func TestAggregateRegimes(t *testing.T) {
 				if budgeted {
 					qc = NewQueryCtxSpill(nil, 256<<10, SpillConfig{Budget: 1 << 30, Dir: t.TempDir()})
 				}
-				got, mode := runAgg(t, scan, tc.keys, AggAuto, workers, false, qc)
-				if mode != wantMode {
+				got, agg := runAgg(t, scan, tc.keys, AggAuto, workers, false, qc)
+				if mode := agg.Mode(); mode != wantMode {
 					t.Fatalf("%s: ran in %v mode, want %v", label, mode, wantMode)
 				}
+				if r := agg.opStats().Routine(); strings.Contains(r, "token-direct") != (tc.name == "token-direct") {
+					t.Fatalf("%s: routine %q", label, r)
+				}
 				rowsEqual(t, want, got, label)
-				if budgeted && qc.SpillPeak() == 0 {
-					t.Fatalf("%s: a 256 KiB budget did not spill", label)
+				if budgeted && (qc.SpillPeak() == 0) != (wantMode == AggOrdered) {
+					t.Fatalf("%s: a 256 KiB budget spilled %d bytes in %v mode", label, qc.SpillPeak(), wantMode)
 				}
 				if used := qc.Used(); used != 0 {
 					t.Fatalf("%s: %d bytes still charged after Close", label, used)
@@ -262,8 +267,8 @@ func TestAggregateRegimes(t *testing.T) {
 				qc.CleanupSpill()
 			}
 			if slices.Contains(tc.keys, 6) {
-				got, mode := runAgg(t, scan, tc.keys, AggAuto, workers, true, nil)
-				if mode != AggHash {
+				got, agg := runAgg(t, scan, tc.keys, AggAuto, workers, true, nil)
+				if mode := agg.Mode(); mode != AggHash {
 					t.Fatalf("%s workers=%d: EncodedOff ran in %v mode, want hash", tc.name, workers, mode)
 				}
 				rowsEqual(t, want, got, tc.name+" encoded-off")
@@ -309,13 +314,13 @@ func TestAggregateRegimes(t *testing.T) {
 		{"direct-three-keys", []int{1, 6, 0}, AggDirect},
 		{"direct-ci-string", []int{9}, AggDirect},
 		{"direct-key-is-minmax-input", []int{5}, AggDirect},
-		{"token-direct", []int{6}, AggTokenDirect},
+		{"token-direct", []int{6}, AggDirect},
 		{"hash-past-64k", []int{10}, AggHash},
 	} {
 		want, _ := runAgg(t, viewScan, tc.keys, AggHash, 1, false, nil)
 		for _, workers := range []int{1, 2, 8} {
-			got, mode := runAgg(t, viewScan, tc.keys, AggAuto, workers, false, nil)
-			if mode != tc.mode {
+			got, agg := runAgg(t, viewScan, tc.keys, AggAuto, workers, false, nil)
+			if mode := agg.Mode(); mode != tc.mode {
 				t.Fatalf("dirty view %s workers=%d: ran in %v mode, want %v", tc.name, workers, mode, tc.mode)
 			}
 			rowsEqual(t, want, got, fmt.Sprintf("dirty view %s workers=%d", tc.name, workers))
@@ -682,4 +687,137 @@ func TestAggregateMinMaxOverDictionary(t *testing.T) {
 			qc.CleanupSpill()
 		}
 	}
+}
+
+// TestAggregateMergeStreamsGroups forces the hash spill's depth-cap
+// merge: four keys that share one partition at every depth, each with a
+// COUNTD over 1 500 distinct strings. One group's state fits the budget
+// and four do not, so no partition folds in memory and re-hashing never
+// parts them; the merge must stream them one running group at a time and
+// answer like the unbudgeted aggregation at every worker count.
+func TestAggregateMergeStreamsGroups(t *testing.T) {
+	part := func(depth int, k int64) int {
+		h := newSpillHasher(depth)
+		h.fold(uint64(k))
+		return h.part()
+	}
+	keys := []int64{0}
+	for k := int64(1); len(keys) < 4; k++ {
+		same := true
+		for d := 0; d <= spillMaxDepth; d++ {
+			same = same && part(d, k) == part(d, 0)
+		}
+		if same {
+			keys = append(keys, k)
+		}
+	}
+	var kv []int64
+	var sv []string
+	for i := 0; i < 1500; i++ {
+		for _, k := range keys {
+			kv = append(kv, k)
+			sv = append(sv, fmt.Sprintf("s-%d-%d", k, i))
+		}
+	}
+	tab := makeTable("heavy", makeIntColumn("k", types.Integer, kv), makeStringColumn("s", sv))
+	specs := []AggSpec{{Func: CountD, Col: 1}, {Func: Count, Col: -1}}
+	scan := func() Operator {
+		s, err := NewScan(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want, err := CollectStrings(NewAggregate(scan(), []int{0}, specs, AggHash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortRows(want)
+	for _, workers := range []int{1, 2, 8} {
+		label := fmt.Sprintf("workers=%d", workers)
+		qc := NewQueryCtxSpill(nil, 64<<10, SpillConfig{Budget: 1 << 30, Dir: t.TempDir()})
+		agg := parallelAggregate(scan(), []int{0}, specs, AggHash, workers)
+		got, err := CollectStringsCtx(qc, agg)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		sortRows(got)
+		rowsEqual(t, want, got, label)
+		if d := agg.opStats().Spill.MaxDepth; d != spillMaxDepth {
+			t.Errorf("%s: spilled to depth %d, want the merge at %d", label, d, spillMaxDepth)
+		}
+		if used := qc.Used(); used != 0 {
+			t.Errorf("%s: %d bytes still charged after Close", label, used)
+		}
+		qc.CleanupSpill()
+	}
+}
+
+// TestOrderedAggregateStreams checks that ordered aggregation is a flow:
+// a LIMIT over it pulls only the child blocks its first groups need and
+// closes the child mid-stream with nothing left charged, a re-Open after
+// a partial read answers in full, and so does a run under a budget far
+// below the groups' total, with no spilling: the groups leave as the
+// budget denies their growth.
+func TestOrderedAggregateStreams(t *testing.T) {
+	n := 45_000
+	tab := makeTable("sorted", makeIntColumn("k", types.Integer, seqInts(n)),
+		makeIntColumn("v", types.Integer, seqInts(n)))
+	scan, err := NewScan(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := &countingOp{child: scan}
+	agg := NewAggregate(child, []int{0}, []AggSpec{{Func: Count, Col: -1}, {Func: Sum, Col: 1}}, AggAuto)
+	closed := func(label string, qc *QueryCtx) {
+		t.Helper()
+		if child.open.Load() != 0 || qc.Used() != 0 {
+			t.Errorf("%s: child open %d, %d bytes charged after Close", label, child.open.Load(), qc.Used())
+		}
+	}
+	full := func(label string, rows [][]string) {
+		t.Helper()
+		if len(rows) != n {
+			t.Fatalf("%s: %d groups, want %d", label, len(rows), n)
+		}
+		for i, r := range rows {
+			if r[0] != strconv.Itoa(i) || r[1] != "1" || r[2] != strconv.Itoa(i) {
+				t.Fatalf("%s: group %d: %v", label, i, r)
+			}
+		}
+	}
+
+	qc := NewQueryCtx(nil, 0)
+	rows, err := CollectStringsCtx(qc, NewLimit(agg, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Mode() != AggOrdered || len(rows) != 5 {
+		t.Fatalf("ran in %v mode and answered %d rows, want ordered and 5", agg.Mode(), len(rows))
+	}
+	if got := child.blocks.Load(); got > 2 {
+		t.Errorf("LIMIT 5 pulled %d child blocks, want at most 2", got)
+	}
+	closed("limit", qc)
+
+	if err := agg.Open(qc); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := agg.Next(vec.NewBlock(len(agg.Schema()))); !ok || err != nil {
+		t.Fatalf("partial read: %v %v", ok, err)
+	}
+	rows, err = CollectStringsCtx(qc, agg) // re-Opens
+	if err != nil {
+		t.Fatal(err)
+	}
+	full("re-Open", rows)
+	closed("re-Open", qc)
+
+	qc = NewQueryCtx(nil, 64<<10)
+	rows, err = CollectStringsCtx(qc, agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full("64 KiB", rows)
+	closed("64 KiB", qc)
 }

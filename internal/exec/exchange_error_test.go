@@ -10,15 +10,26 @@ import (
 	"tde/internal/vec"
 )
 
-// countingOp counts the blocks the exchange producer pulls from it.
+// countingOp counts the blocks pulled from it and its Opens not yet
+// Closed.
 type countingOp struct {
 	child  Operator
 	blocks atomic.Int64
+	open   atomic.Int64
 }
 
-func (c *countingOp) Schema() []ColInfo       { return c.child.Schema() }
-func (c *countingOp) Open(qc *QueryCtx) error { return c.child.Open(qc) }
-func (c *countingOp) Close() error            { return c.child.Close() }
+func (c *countingOp) Schema() []ColInfo { return c.child.Schema() }
+func (c *countingOp) Open(qc *QueryCtx) error {
+	err := c.child.Open(qc)
+	if err == nil {
+		c.open.Add(1)
+	}
+	return err
+}
+func (c *countingOp) Close() error {
+	c.open.Add(-1)
+	return c.child.Close()
+}
 func (c *countingOp) Next(b *vec.Block) (bool, error) {
 	ok, err := c.child.Next(b)
 	if ok {

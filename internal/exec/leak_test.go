@@ -72,10 +72,12 @@ func leakTables() (fact, dim *storage.Table) {
 	return fact, dim
 }
 
-// TestOperatorsReleaseAllMemory drives every stop-and-go operator through
-// success, fail-fast budget denial, spilling completion, and disk-budget
-// exhaustion, requiring the accountant to read zero after Close in every
-// case — including mid-query failures.
+// TestOperatorsReleaseAllMemory drives every stop-and-go operator, and
+// the ordered aggregate's flow, through success, fail-fast budget denial,
+// spilling completion, and disk-budget exhaustion, requiring the
+// accountant to read zero after Close in every case — including
+// mid-query failures and a limit that closes the flow mid-stream — and
+// the child to be closed.
 func TestOperatorsReleaseAllMemory(t *testing.T) {
 	fact, dim := leakTables()
 	mustScan := func(tab *storage.Table) Operator {
@@ -87,6 +89,7 @@ func TestOperatorsReleaseAllMemory(t *testing.T) {
 	}
 	specs := []AggSpec{{Func: Count, Col: -1, Name: "n"}, {Func: Sum, Col: 1, Name: "sv"},
 		{Func: Min, Col: 2, Name: "ms"}}
+	var children []*countingOp // inputs that must be closed with their operator
 	ops := map[string]func() Operator{
 		"agg-hash": func() Operator {
 			return NewAggregate(mustScan(fact), []int{0}, specs, AggHash)
@@ -96,6 +99,13 @@ func TestOperatorsReleaseAllMemory(t *testing.T) {
 			// needs *a* grouping; use col 0 of the dim (unique, sorted)
 			return NewAggregate(mustScan(dim), []int{0}, []AggSpec{
 				{Func: Count, Col: -1, Name: "n"}, {Func: Min, Col: 1, Name: "mv"}}, AggOrdered)
+		},
+		// Closed mid-stream: the limit stops after the first groups.
+		"agg-ordered-limit": func() Operator {
+			child := &countingOp{child: mustScan(dim)}
+			children = append(children, child)
+			return NewLimit(NewAggregate(child, []int{0}, []AggSpec{
+				{Func: Count, Col: -1, Name: "n"}, {Func: Min, Col: 1, Name: "mv"}}, AggOrdered), 5)
 		},
 		"agg-parallel": func() Operator {
 			return parallelAggregate(mustScan(fact), []int{0}, specs, AggHash, 4)
@@ -150,6 +160,12 @@ func TestOperatorsReleaseAllMemory(t *testing.T) {
 				!errors.Is(err, ErrBudgetExceeded) {
 				t.Fatalf("disk-full run returned a non-budget error: %v", err)
 			}
+			for _, c := range children {
+				if n := c.open.Load(); n != 0 {
+					t.Errorf("%s: the child is left open (%d)", name, n)
+				}
+			}
+			children = nil
 		})
 	}
 }
