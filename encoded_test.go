@@ -42,10 +42,10 @@ func encodedDB(t testing.TB, base, step int) *Database {
 	return db
 }
 
-// scanPlanSerial disables the rewrite plans so the scan-path encoded
+// scanPlanSerial disables the index rewrite so the scan-path encoded
 // routines (rle-*, dict-filter) are what executes.
 func scanPlanSerial(noEncoded bool) plan.Options {
-	return plan.Options{ParallelWorkers: -1, NoDictPlan: true, NoIndexPlan: true, NoEncodedExec: noEncoded}
+	return plan.Options{ParallelWorkers: -1, NoIndexPlan: true, NoEncodedExec: noEncoded}
 }
 
 func routineOf(t *testing.T, res *Result, kind string) string {

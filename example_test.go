@@ -8,8 +8,7 @@ import (
 )
 
 // Example demonstrates the import-query round trip: the engine infers the
-// schema, encodes every column, and the string filter runs as an
-// invisible join against the region dictionary.
+// schema, encodes every column, and groups the rows by region.
 func Example() {
 	csv := []byte(`region,amount
 west,10

@@ -49,8 +49,8 @@ func main() {
 		fmt.Printf("  %2s: %.8s\n", row[0], row[1])
 	}
 
-	// A selective route query: equality filters on small-domain strings
-	// become invisible joins.
+	// A selective route query: an equality filter on a small-domain string
+	// is evaluated once per heap entry, and each row costs one token lookup.
 	res, err = db.Query(`SELECT COUNT(*), AVG(ArrDelay) FROM flights
 	                     WHERE Origin = 'SEA'`)
 	if err != nil {

@@ -39,8 +39,9 @@ func main() {
 	logical, physical, _ := db.Sizes("sales")
 	fmt.Printf("table: logical %dK, physical %dK\n\n", logical/1024, physical/1024)
 
-	// Aggregate. The string filter becomes an invisible join against the
-	// region dictionary; check the plan.
+	// Aggregate. The string filter is evaluated once per entry of the
+	// region heap into a token truth table (the dict-filter routine);
+	// check the plan.
 	res, err := db.Query(`SELECT product, SUM(units), AVG(price)
 	                      FROM sales WHERE region = 'west'
 	                      GROUP BY product ORDER BY product`)

@@ -18,7 +18,7 @@ import (
 // transaction over its own pending ops:
 //
 //   - SELECT COUNT(*) ... WHERE p counts as many rows as the same query
-//     planned with the index and invisible-join rewrites off;
+//     planned with the index rewrite off;
 //   - a DELETE affects as many rows as SELECT COUNT(*) ... WHERE p counted
 //     before it; afterwards no row matches p and the total dropped by
 //     that many;
@@ -29,7 +29,9 @@ import (
 //     the same pending ops are committed, and committing both leaves the
 //     same rows.
 //
-// The scan, zone-skip, invisible-join and index plans must each be taken.
+// The scan, zone-skip and index plans must each be taken, and some filter
+// must run through a dictionary's or heap's token truth table
+// (dict-filter, Sect. 4.1, inside a scan or zone-skip plan).
 func TestDMLOracle(t *testing.T) {
 	rounds := 18
 	if *long {
@@ -83,6 +85,9 @@ func TestDMLOracle(t *testing.T) {
 			}
 		}
 		plans[planClass(t, db, c.sql)]++
+		if dictFiltered(t, db, c.selectWhere("COUNT(*)")) {
+			plans["dict-filter"]++
+		}
 		c.check(t, db, label)
 		if state != "pending" {
 			execAll(t, twin, []string{c.sql})
@@ -91,7 +96,7 @@ func TestDMLOracle(t *testing.T) {
 			t.Fatalf("%s: the transaction's rows and the committed rows differ: %s", label, d)
 		}
 	}
-	for _, p := range []string{"scan", "zone-skip", "invisible-join", "index"} {
+	for _, p := range []string{"scan", "zone-skip", "dict-filter", "index"} {
 		if plans[p] == 0 {
 			t.Errorf("no statement took the %s plan (%v)", p, plans)
 		}
@@ -157,8 +162,8 @@ func (c dmlCase) check(t *testing.T, db *tde.Database, label string) {
 	t.Helper()
 	matches := count(t, db, c.selectWhere("COUNT(*)"))
 	if scanned := countWith(t, db, c.selectWhere("COUNT(*)"),
-		plan.Options{NoIndexPlan: true, NoDictPlan: true}); matches != scanned {
-		t.Errorf("%s: a SELECT counted %d rows, %d with the rewrites off", label, matches, scanned)
+		plan.Options{NoIndexPlan: true}); matches != scanned {
+		t.Errorf("%s: a SELECT counted %d rows, %d with the index rewrite off", label, matches, scanned)
 	}
 	nonNull := count(t, db, c.selectWhere(fmt.Sprintf("COUNT(%s)", c.n)))
 	total := count(t, db, "SELECT COUNT(*) FROM "+c.table)
@@ -216,7 +221,7 @@ func dmlOracleDB(t *testing.T) *tde.Database {
 
 // compressColumns dictionary-compresses l_linenumber and l_suppkey on a
 // clean lineitem, so that an UPDATE there reads dictionary tokens and a
-// filter on l_suppkey may take the invisible-join rewrite.
+// filter on l_suppkey runs through the dictionary's truth table.
 func compressColumns(t *testing.T, db *tde.Database) {
 	t.Helper()
 	for _, col := range []string{"l_linenumber", "l_suppkey"} {
@@ -269,12 +274,26 @@ func planClass(t *testing.T, db *tde.Database, sql string) string {
 	switch {
 	case strings.Contains(p, "IndexedScan"):
 		return "index"
-	case strings.Contains(p, "InvisibleJoin"):
-		return "invisible-join"
 	case strings.Contains(p, "ZoneSkip["):
 		return "zone-skip"
 	}
 	return "scan"
+}
+
+// dictFiltered reports whether the filter of sql's plan used a token
+// truth table (the Select's dict-filter routine).
+func dictFiltered(t *testing.T, db *tde.Database, sql string) bool {
+	t.Helper()
+	res, err := db.Query(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	for _, op := range res.Stats().Operators {
+		if op.Kind == "Select" && strings.Contains(op.Routine, "dict-filter") {
+			return true
+		}
+	}
+	return false
 }
 
 // tableRows renders every row of a table, without column except, as a

@@ -14,8 +14,9 @@ import (
 // This file is the encoded-vs-decoded differential sweep: every random
 // query runs once with encoded execution forced off (the decoded oracle)
 // and once per variant with it forced on, over the worker matrix and
-// with the plan rewrites disabled (so the scan-path routines —
-// dict-filter, rle-filter, rle-sum, token-direct — actually engage).
+// with the index rewrite on and off (off, a filter on the run-length
+// column stays in the scan plan, so rle-filter engages beside
+// dict-filter, rle-sum and token-direct).
 // Compressed execution must never change an answer, only skip decode
 // work, so any mismatch is a bug by construction.
 
@@ -105,7 +106,7 @@ var encodedSeeds = []string{
 // RunEncoded executes cfg.Queries random queries against db, comparing a
 // decoded serial oracle (NoEncodedExec) to encoded
 // variants across cfg.Workers, each in two plan shapes: the default
-// strategic plan and the plain scan plan (rewrites disabled).
+// strategic plan and the plain scan plan (index rewrite disabled).
 func RunEncoded(db *tde.Database, cfg Config) (*EncodedReport, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rep := &EncodedReport{}
@@ -128,7 +129,6 @@ func RunEncoded(db *tde.Database, cfg Config) (*EncodedReport, error) {
 			for _, scanOnly := range []bool{false, true} {
 				opt := plan.Options{
 					ParallelWorkers: w,
-					NoDictPlan:      scanOnly,
 					NoIndexPlan:     scanOnly,
 				}
 				rep.Comparisons++

@@ -479,7 +479,9 @@ func (e *aggEmitter) next(b *vec.Block) (bool, error) {
 
 // foldPartition folds p into a fresh hash core, or — when even one
 // partition's groups exceed the budget — splits it (depth permitting)
-// or degrades to the merge fallback.
+// or degrades to the merge fallback. A fold that failed holding a single
+// group goes straight to the merge: re-hashing cannot part one key, so a
+// split would only rewrite and re-read the partition.
 func (e *aggEmitter) foldPartition(p aggPartition) error {
 	sp := e.sp
 	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggHash, nil, sp.st, sp.qc)
@@ -490,11 +492,12 @@ func (e *aggEmitter) foldPartition(p aggPartition) error {
 		return sp.foldChunk(core, ch)
 	})
 	if err != nil {
+		single := core.n <= 1
 		core.release(sp.qc)
 		if !spillableErr(sp.qc, err) {
 			return err
 		}
-		if p.depth < spillMaxDepth && !sp.diskFull {
+		if p.depth < spillMaxDepth && !sp.diskFull && !single {
 			subs, serr := sp.split(p)
 			if serr == nil {
 				e.work = append(subs, e.work...)
@@ -521,8 +524,9 @@ func (e *aggEmitter) foldPartition(p aggPartition) error {
 // input until it holds a block of finished groups, emits them, and then
 // compacts the core to the running group. A denied charge is not an error
 // while finished groups are held — they leave, and the compaction after
-// them re-charges only what stays. A denial with nothing but the running
-// group held fails the query: no grouping strategy splits one group.
+// them re-charges only what stays. With nothing but the running group
+// held, a denial compacts it in place; only a denial of what that group
+// retains fails the query: no grouping strategy splits one group.
 func (e *aggEmitter) nextGroups(b *vec.Block) (bool, error) {
 	c := e.core
 	for e.in != nil {
@@ -547,10 +551,18 @@ func (e *aggEmitter) nextGroups(b *vec.Block) (bool, error) {
 			break
 		}
 		if err := c.chargeGrowth(e.qc, rows); err != nil {
-			if !errors.Is(err, ErrBudgetExceeded) || c.finished() == 0 {
+			if !errors.Is(err, ErrBudgetExceeded) {
 				return false, err
 			}
-			break
+			if c.finished() > 0 {
+				break
+			}
+			// Only the running group is held. Its per-row charge counts
+			// rows that added no state (a COUNTD value seen before), and
+			// compacting charges what it retains.
+			if err := c.compact(e.qc); err != nil {
+				return false, err
+			}
 		}
 	}
 	n := c.emit(b, e.emitAt, e.out)

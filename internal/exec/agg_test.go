@@ -753,6 +753,58 @@ func TestAggregateMergeStreamsGroups(t *testing.T) {
 	}
 }
 
+// TestAggregateSingleKeySkipsSplit: one key with a COUNTD over 1 500
+// distinct strings, each seen ten times, under a tight budget. Every
+// eviction spills the group's distinct values again, so its one partition
+// holds several times the rows its state needs and fails the hash fold.
+// Hash re-partitioning cannot part one key: the partition goes straight
+// to the merge (depth 0), whose running group is charged what it retains.
+// More workers spill more runs, and the merge holds a chunk of each, so
+// they get the larger budget.
+func TestAggregateSingleKeySkipsSplit(t *testing.T) {
+	var kv []int64
+	var sv []string
+	for r := 0; r < 10; r++ {
+		for i := 0; i < 1500; i++ {
+			kv = append(kv, 7)
+			sv = append(sv, fmt.Sprintf("s-%d", i))
+		}
+	}
+	tab := makeTable("single", makeIntColumn("k", types.Integer, kv), makeStringColumn("s", sv))
+	specs := []AggSpec{{Func: CountD, Col: 1}, {Func: Count, Col: -1}}
+	scan := func() Operator {
+		s, err := NewScan(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want := [][]string{{"7", "1500", "15000"}}
+	for _, c := range []struct {
+		workers int
+		budget  int64
+	}{{1, 64 << 10}, {2, 64 << 10}, {2, 96 << 10}, {8, 96 << 10}} {
+		label := fmt.Sprintf("workers=%d budget=%d", c.workers, c.budget)
+		qc := NewQueryCtxSpill(nil, c.budget, SpillConfig{Budget: 1 << 30, Dir: t.TempDir()})
+		agg := parallelAggregate(scan(), []int{0}, specs, AggHash, c.workers)
+		got, err := CollectStringsCtx(qc, agg)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		rowsEqual(t, want, got, label)
+		if qc.SpillPeak() == 0 {
+			t.Errorf("%s: did not spill", label)
+		}
+		if d := agg.opStats().Spill.MaxDepth; d != 0 {
+			t.Errorf("%s: re-partitioned to depth %d, want the merge at depth 0", label, d)
+		}
+		if used := qc.Used(); used != 0 {
+			t.Errorf("%s: %d bytes still charged after Close", label, used)
+		}
+		qc.CleanupSpill()
+	}
+}
+
 // TestOrderedAggregateStreams checks that ordered aggregation is a flow:
 // a LIMIT over it pulls only the child blocks its first groups need and
 // closes the child mid-stream with nothing left charged, a re-Open after

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tde/internal/enc"
@@ -177,6 +179,53 @@ func TestConjunctKernelsMatchEval(t *testing.T) {
 	rng2 := expr.NewAnd(expr.NewCmp(expr.GE, refs[cjDate], expr.NewIntConst(0)), expr.NewCmp(expr.LT, refs[cjDate], expr.NewIntConst(7)))
 	if p := checkSelect(t, rng2, b); len(p.groups) != 1 || len(p.groups[0].kernels) != 1 || p.routine != "kernel" {
 		t.Fatalf("%s compiled to %+v", rng2, p.groups)
+	}
+}
+
+// TestConjunctLargeHeapEvaluates: a string column whose heap has more
+// than tokenFilterLimit elements, or more than heapFilterBytes of bytes,
+// gets no truth table; its conjuncts compile to one eval group that
+// answers as the row-at-a-time reference does.
+func TestConjunctLargeHeapEvaluates(t *testing.T) {
+	many := heap.New(types.CollateBinary)
+	for i := 0; i <= tokenFilterLimit; i++ {
+		many.Append(fmt.Sprintf("w%06d", i))
+	}
+	wide := heap.New(types.CollateBinary)
+	pad := strings.Repeat("x", 4096)
+	for i := 0; wide.Size() <= heapFilterBytes; i++ {
+		wide.Append(fmt.Sprintf("w%06d", i) + pad)
+	}
+	for _, h := range []*heap.Heap{many, wide} {
+		toks := h.Tokens()
+		b := vec.NewBlock(1)
+		v := &b.Vecs[0]
+		v.Type, v.Heap = types.String, h
+		rng := rand.New(rand.NewSource(int64(len(toks))))
+		for i := 0; i < vec.BlockSize; i++ {
+			v.Data[i] = toks[rng.Intn(len(toks))]
+			if i%9 == 4 {
+				v.Data[i] = types.NullToken
+			}
+		}
+		b.N = vec.BlockSize
+		ref := expr.NewColRef(0, "s", types.String)
+		mid := expr.NewStringConst(h.Get(toks[len(toks)/2]))
+		preds := []expr.Expr{
+			expr.NewCmp(expr.EQ, ref, mid),
+			expr.NewCmp(expr.EQ, ref, expr.NewStringConst("absent")),
+			expr.NewCmp(expr.LT, ref, mid),
+			expr.NewCmp(expr.GE, ref, mid),
+			expr.NewIsNull(ref, false),
+			expr.NewAnd(expr.NewCmp(expr.GE, ref, expr.NewStringConst("w000100")), expr.NewCmp(expr.LT, ref, mid)),
+		}
+		for _, pred := range preds {
+			p := checkSelect(t, pred, b)
+			if len(p.groups) != 1 || p.groups[0].kind != groupEval || p.routine != "" {
+				t.Fatalf("heap of %d elements and %d bytes: %s compiled to %+v, routine %q, want one eval group",
+					h.Len(), h.Size(), pred, p.groups, p.routine)
+			}
+		}
 	}
 }
 

@@ -40,11 +40,6 @@ type FlowTableConfig struct {
 	// KindMask restricts the dynamic encoder's choices (see
 	// enc.WriterConfig.KindMask); zero allows everything.
 	KindMask uint16
-	// PreserveTokens keeps string columns as raw token streams over their
-	// original heap instead of re-interning. The inner side of an
-	// invisible join must preserve tokens so the join keys still match the
-	// outer table's token data (Sect. 4.1).
-	PreserveTokens bool
 }
 
 // DefaultFlowTableConfig is the everything-on production configuration.
@@ -172,14 +167,11 @@ func (f *FlowTable) BuildTable(qc *QueryCtx) (*Built, error) {
 			KindMask:        f.cfg.KindMask,
 			ConvertOptimal:  f.cfg.Encode,
 		}
-		if info.Type == types.String && !f.cfg.PreserveTokens {
+		if info.Type == types.String {
 			// Heap tokens dictionary-encode when the domain is small,
 			// enabling heap sorting and comparable tokens (Sect. 6.3).
 			wcfg.PreferDict = true
 			wcfg.DisallowRLE = true
-		}
-		cb.writer = enc.NewWriter(wcfg)
-		if info.Type == types.String && !f.cfg.PreserveTokens {
 			coll := info.Collation
 			if info.Heap != nil {
 				coll = info.Heap.Collation()
@@ -190,6 +182,7 @@ func (f *FlowTable) BuildTable(qc *QueryCtx) (*Built, error) {
 			}
 			cb.tr = heap.NewTranslator(cb.outHeap, cb.acc, qc, "FlowTable")
 		}
+		cb.writer = enc.NewWriter(wcfg)
 		builders[i] = cb
 	}
 	defer func() { // the memos are dead once the input is drained, or the build failed

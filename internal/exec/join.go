@@ -61,12 +61,8 @@ type HashJoin struct {
 	// LeftOuter keeps unmatched outer rows with NULL inner columns;
 	// otherwise they are dropped.
 	LeftOuter bool
-	// TokenKey says the inner key holds the outer key column's dictionary
-	// tokens, as the invisible join's DictionaryTable does: keys compare
-	// as tokens. Otherwise a dictionary key compares by value.
-	TokenKey bool
-	algo     JoinAlgo
-	chosen   JoinAlgo
+	algo      JoinAlgo
+	chosen    JoinAlgo
 
 	built  *Built
 	schema []ColInfo
@@ -392,9 +388,7 @@ func (p *joinPart) buildHashIndex(qc *QueryCtx) error {
 }
 
 // find walks key's probe sequence to its first row, or to the empty slot
-// ending the sequence (row -1). h resolves a string key's token; when it
-// is the part's own key heap, equal tokens settle a hit without a string
-// compare (the invisible-join case, Sect. 4.1).
+// ending the sequence (row -1). h resolves a string key's token.
 func (p *joinPart) find(key uint64, h *heap.Heap) (slot uint64, row int) {
 	keys := p.cols[p.key]
 	kh := p.info[p.key].Heap
@@ -411,7 +405,7 @@ func (p *joinPart) find(key uint64, h *heap.Heap) (slot uint64, row int) {
 			return i, -1
 		}
 		eq := keys[r] == key
-		if p.keyStr && !(eq && h == kh) {
+		if p.keyStr {
 			eq = p.coll.Equal(kh.Get(keys[r]), s)
 		}
 		if eq {
@@ -473,7 +467,7 @@ func (j *HashJoin) nextBlock(b *vec.Block) (bool, error) {
 
 // joinScratch is one prober's state. match[i] is outer row i's inner row
 // (or -1) going into emit, which compacts it beside sel, the outer rows
-// kept. keys holds a dictionary key's values (keyAt). memo remembers
+// kept. keys holds a dictionary key's values. memo remembers
 // the rows found for string tokens of one outer heap in one part: a key
 // column repeats few tokens many times, and a token seen before needs no
 // string hash and compare (token +1, 0 = empty).
@@ -497,7 +491,7 @@ func (j *HashJoin) joinBlock(p *joinPart, in, out *vec.Block, sc *joinScratch) i
 		sc.memoPart, sc.memoHeap, sc.memoTok = p, kv.Heap, [1 << joinMemoBits]uint64{}
 	}
 	keys := kv.Data[:in.N]
-	if kv.Dict != nil && !j.TokenKey {
+	if kv.Dict != nil {
 		for i := range keys {
 			sc.keys[i] = kv.Value(i)
 		}
@@ -515,15 +509,6 @@ func (j *HashJoin) joinBlock(p *joinPart, in, out *vec.Block, sc *joinScratch) i
 		sc.match[i] = sc.memoRow[m]
 	}
 	return j.emit(p, in, out, sc)
-}
-
-// keyAt returns key vector v's row i as keys compare: a dictionary
-// key's value, unless TokenKey.
-func (j *HashJoin) keyAt(v *vec.Vector, i int) uint64 {
-	if j.TokenKey {
-		return v.Data[i]
-	}
-	return v.Value(i)
 }
 
 // emit is the one row-assembly loop: the outer rows with a match in

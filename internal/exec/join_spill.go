@@ -83,12 +83,10 @@ func (j *HashJoin) openGrace(qc *QueryCtx, src Operator) error {
 		}
 	}
 	g.innerSpecs = spillSpecs(g.innerInfo)
-	if !j.TokenKey {
-		// Keys are partitioned and spilled as values (keyAt): two
-		// dictionaries' tokens are not comparable.
-		g.outerSpecs[j.outerKey] = valueSpec(g.outerInfo[j.outerKey])
-		g.innerSpecs[j.innerKey] = valueSpec(g.innerInfo[j.innerKey])
-	}
+	// Keys are partitioned and spilled as values: two dictionaries'
+	// tokens are not comparable.
+	g.outerSpecs[j.outerKey] = valueSpec(g.outerInfo[j.outerKey])
+	g.innerSpecs[j.innerKey] = valueSpec(g.innerInfo[j.innerKey])
 	ki := g.innerInfo[j.innerKey]
 	g.keyStr = ki.Type == types.String
 	g.coll = collationOf(ki)
@@ -220,7 +218,7 @@ func (g *graceJoin) partitionStream(op Operator, specs []spill.ColSpec, keyCol, 
 			for c := range specs {
 				p.row[c] = b.Vecs[c].Data[i]
 			}
-			p.row[keyCol] = g.j.keyAt(kv, i)
+			p.row[keyCol] = kv.Value(i)
 			bucket := 0
 			if fan > 1 {
 				bucket = g.bucketOf(p.row[keyCol], kv.Heap, 0)
@@ -322,7 +320,7 @@ func (s *graceOuterSrc) next(b *vec.Block) (bool, error) {
 			for i := 0; i < s.buf.N; i++ {
 				pass := true
 				for d, want := range s.route {
-					if g.bucketOf(g.j.keyAt(kv, i), kv.Heap, d) != want {
+					if g.bucketOf(kv.Value(i), kv.Heap, d) != want {
 						pass = false
 						break
 					}
@@ -373,7 +371,7 @@ func (s *graceOuterSrc) next(b *vec.Block) (bool, error) {
 			v := &b.Vecs[c]
 			v.Type = info.Type
 			v.Dict = info.Dict
-			if c == g.j.outerKey && !g.j.TokenKey {
+			if c == g.j.outerKey {
 				v.Dict = nil // spilled as values
 			}
 			v.Heap = info.Heap
@@ -535,7 +533,7 @@ func (g *graceJoin) bnlJoinBlock(in *vec.Block, out *vec.Block) (int, error) {
 					if otok == types.NullToken || !g.coll.Equal(keyVec.Heap.Get(otok), kstr) {
 						continue
 					}
-				} else if j.keyAt(keyVec, i) != ktok {
+				} else if keyVec.Value(i) != ktok {
 					continue
 				}
 				if kept < 0 {

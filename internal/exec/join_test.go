@@ -34,7 +34,7 @@ type joinRegime struct {
 	noNulls  bool // ... no NULL inner key
 	str      bool
 	fold     bool // case-insensitive collation, outer keys upper-cased
-	sameHeap bool // both sides' key columns share one heap
+	sameHeap bool // both sides' stored key columns share one heap
 }
 
 // joinDataset is what a fixture adds to the regime's plain unique,
@@ -286,10 +286,8 @@ func (fx *joinFixture) check(t *testing.T, want [][]string, m joinMode, leftOute
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultFlowTableConfig()
-	cfg.PreserveTokens = fx.rg.sameHeap
 	outer := openHook{scan, func() { disk.failing.Store(m.armOuter) }}
-	j := NewHashJoin(outer, NewFlowTable(dimScan, cfg), 0, 0, JoinAuto)
+	j := NewHashJoin(outer, NewFlowTable(dimScan, DefaultFlowTableConfig()), 0, 0, JoinAuto)
 	j.LeftOuter = leftOuter
 	var top Operator = j
 	if workers > 1 {
@@ -322,9 +320,6 @@ func (fx *joinFixture) check(t *testing.T, want [][]string, m joinMode, leftOute
 		if j.Algo() != fx.rg.want || st.Routine() != fx.rg.want.String() {
 			t.Errorf("%s: ran as %v [%s], want %v", label, j.Algo(), st.Routine(), fx.rg.want)
 		}
-		if fx.rg.sameHeap && j.built.Cols[0].Info.Heap != fx.fact.Columns[0].Heap {
-			t.Errorf("%s: the fixture's two key columns no longer share a heap", label)
-		}
 	} else {
 		if st.Routine() != "grace" || qc.SpillPeak() == 0 {
 			t.Errorf("%s: a %d-byte budget ran [%s] with %d spill bytes, want grace", label, m.budget, st.Routine(), qc.SpillPeak())
@@ -348,7 +343,7 @@ func (fx *joinFixture) check(t *testing.T, want [][]string, m joinMode, leftOute
 }
 
 // TestGraceJoinMaterializesRunBlocks: an outer scan that hands its column
-// downstream as runs (the planner allows it under an invisible join) must
+// downstream as runs (EmitRuns; any operator may be a join's outer) must
 // be expanded before the grace join partitions it, as the in-memory probe
 // expands it.
 func TestGraceJoinMaterializesRunBlocks(t *testing.T) {

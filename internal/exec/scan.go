@@ -24,9 +24,9 @@ const RowIDColumn = "$rowid"
 // Scan is the scan flow operator: it reads a column source — the selected
 // columns of a stored table, or a Built table's — one decompression block
 // at a time (one decode call per iteration block, Sect. 3.1). Dictionary-
-// compressed columns and string columns emit tokens, preserving the
-// invisible-join opportunity; plain scalars emit resolved full-width
-// values.
+// compressed columns and string columns emit tokens, so a filter can
+// test them through a per-token truth table (Sect. 4.1); plain scalars
+// emit resolved full-width values.
 //
 // A block passes through optional stages, each selected by what the
 // source is rather than by an option:

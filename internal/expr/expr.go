@@ -493,7 +493,7 @@ func (k DatePartKind) String() string {
 // DatePart extracts or truncates a component of a Date expression. These
 // are the "expensive calculations" on date domains that dictionary
 // compression amortizes (Sect. 3.4.3): computed once per domain value
-// instead of once per row when pushed into a DictionaryTable.
+// instead of once per row when a filter's token truth table is built.
 type DatePart struct {
 	Kind DatePartKind
 	E    Expr

@@ -71,7 +71,7 @@ func Fig10Query(tab *storage.Table, index string, selectivity int) plan.Query {
 func Fig10PlanOptions(planNo int) plan.Options {
 	switch planNo {
 	case 1:
-		return plan.Options{NoIndexPlan: true, NoDictPlan: true, ParallelWorkers: -1}
+		return plan.Options{NoIndexPlan: true, ParallelWorkers: -1}
 	case 2:
 		return plan.Options{OrderedIndex: 0, ParallelWorkers: -1}
 	default:

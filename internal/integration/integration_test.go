@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"tde"
@@ -200,10 +199,10 @@ func TestPlanEquivalenceFig10(t *testing.T) {
 	tab := rlegen.Build(150000, 99)
 	rng := rand.New(rand.NewSource(17))
 	opts := []plan.Options{
-		{NoIndexPlan: true, NoDictPlan: true},
+		{NoIndexPlan: true},
 		{OrderedIndex: 0},
 		{OrderedIndex: 1},
-		{NoIndexPlan: true, NoDictPlan: true, ParallelWorkers: 3},
+		{NoIndexPlan: true, ParallelWorkers: 3},
 	}
 	for trial := 0; trial < 10; trial++ {
 		index := "primary"
@@ -260,7 +259,7 @@ func TestSQLPlanEquivalence(t *testing.T) {
 		"SELECT COUNT(*), AVG(ArrDelay) FROM flights WHERE Origin = 'SEA'",
 	}
 	for _, q := range queries {
-		control, err := db.QueryWithOptions(q, plan.Options{NoDictPlan: true, NoIndexPlan: true})
+		control, err := db.QueryWithOptions(q, plan.Options{NoEncodedExec: true, NoIndexPlan: true})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -268,8 +267,12 @@ func TestSQLPlanEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		if !strings.Contains(optimized.Plan, "DictionaryTable") {
-			t.Errorf("%s: expected invisible join, got %s", q, optimized.Plan)
+		dictFilter := false
+		for _, op := range optimized.Stats().Operators {
+			dictFilter = dictFilter || op.Kind == "Select" && op.Routine == "dict-filter"
+		}
+		if !dictFilter {
+			t.Errorf("%s: expected the dict-filter routine, got %s", q, optimized.Plan)
 		}
 		if len(control.Rows) != len(optimized.Rows) {
 			t.Fatalf("%s: %d vs %d rows", q, len(control.Rows), len(optimized.Rows))

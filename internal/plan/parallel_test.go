@@ -17,7 +17,7 @@ func TestParallelScanPlanMatchesSerial(t *testing.T) {
 		Where:  expr.NewCmp(expr.GT, expr.NewColRef(0, "primary", types.Integer), expr.NewIntConst(60)),
 		Select: []string{"primary", "other"},
 	}
-	op, ex, err := Build(q, Options{NoIndexPlan: true, NoDictPlan: true, ParallelWorkers: 4})
+	op, ex, err := Build(q, Options{NoIndexPlan: true, ParallelWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestIndexPlanHasNoExchange(t *testing.T) {
 // match the serial reference.
 func TestParallelAggregatePlanHasNoExchange(t *testing.T) {
 	tab := buildRLTable(t, 80000)
-	op, ex, err := Build(fig10Query(tab, "primary", 60), Options{NoIndexPlan: true, NoDictPlan: true, ParallelWorkers: 4})
+	op, ex, err := Build(fig10Query(tab, "primary", 60), Options{NoIndexPlan: true, ParallelWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestParallelAggregatePlanHasNoExchange(t *testing.T) {
 		Where: expr.NewCmp(expr.GT, expr.NewColRef(0, "a", types.Integer), expr.NewIntConst(50)),
 		Aggs:  []AggItem{{Func: exec.Count, Col: ""}},
 	}
-	op, ex, err = Build(q, Options{NoIndexPlan: true, NoDictPlan: true, ParallelWorkers: 4})
+	op, ex, err = Build(q, Options{NoIndexPlan: true, ParallelWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestParallelFreeRoutingForUnsortedScan(t *testing.T) {
 		Where:  expr.NewCmp(expr.GT, expr.NewColRef(0, "a", types.Integer), expr.NewIntConst(50)),
 		Select: []string{"a"},
 	}
-	op, ex, err := Build(q, Options{NoIndexPlan: true, NoDictPlan: true, ParallelWorkers: 4})
+	op, ex, err := Build(q, Options{NoIndexPlan: true, ParallelWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

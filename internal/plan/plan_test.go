@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -52,17 +53,25 @@ func dictDateColumn(name string, days []int64) *storage.Column {
 	return &storage.Column{Name: name, Type: types.Date, Data: w.Finish(), Dict: dict}
 }
 
+// nullWord stands for a NULL string in strColumn's values.
+const nullWord = "\x00NULL"
+
 func strColumn(name string, vals []string, sortHeap bool) *storage.Column {
 	h := heap.New(types.CollateBinary)
 	acc := heap.NewAccelerator(h, 0)
 	toks := make([]uint64, len(vals))
 	for i, v := range vals {
-		toks[i] = acc.Intern(v)
+		toks[i] = types.NullToken
+		if v != nullWord {
+			toks[i] = acc.Intern(v)
+		}
 	}
 	if sortHeap {
 		sorted, remap := h.SortedRemap()
 		for i := range toks {
-			toks[i] = remap[toks[i]]
+			if toks[i] != types.NullToken {
+				toks[i] = remap[toks[i]]
+			}
 		}
 		h = sorted
 	}
@@ -74,50 +83,6 @@ func strColumn(name string, vals []string, sortHeap bool) *storage.Column {
 	return &storage.Column{Name: name, Type: types.String,
 		Collation: types.CollateBinary, Data: w.Finish(), Heap: h,
 		Meta: enc.MetadataFromStats(w.Stats(), false)}
-}
-
-func TestDictionaryTableString(t *testing.T) {
-	col := strColumn("word", []string{"b", "a", "b", "c", "a"}, true)
-	bt, err := DictionaryTable(col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bt.Rows != 3 {
-		t.Fatalf("dictionary table has %d rows", bt.Rows)
-	}
-	rows, err := exec.CollectStrings(exec.NewBuiltScan(bt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := []string{rows[0][0], rows[1][0], rows[2][0]}
-	if got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("dictionary contents %v", got)
-	}
-}
-
-func TestDictionaryTableScalar(t *testing.T) {
-	col := dictDateColumn("d", []int64{100, 200, 100, 300})
-	bt, err := DictionaryTable(col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bt.Rows != 3 || len(bt.Cols) != 2 {
-		t.Fatalf("scalar dictionary table shape %d/%d", bt.Rows, len(bt.Cols))
-	}
-	// Token column 0..n-1, value column the dictionary.
-	if bt.Value(0, 0) != 0 || bt.Value(0, 2) != 2 {
-		t.Error("token column wrong")
-	}
-	if int64(bt.Value(1, 1)) != 200 {
-		t.Error("value column wrong")
-	}
-}
-
-func TestDictionaryTableRejectsPlain(t *testing.T) {
-	col := intColumn("x", types.Integer, []int64{1, 2, 3})
-	if _, err := DictionaryTable(col); err == nil {
-		t.Fatal("plain column accepted")
-	}
 }
 
 func TestIndexTable(t *testing.T) {
@@ -276,7 +241,7 @@ func TestFig10PlansAgree(t *testing.T) {
 		q := fig10Query(tab, filterCol, 50)
 
 		// Plan 1: control (Scan => Filter => Aggregate).
-		p1, ex1, err := Build(q, Options{NoIndexPlan: true, NoDictPlan: true})
+		p1, ex1, err := Build(q, Options{NoIndexPlan: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +292,36 @@ func TestFig10Plan3UsesOrderedAggregation(t *testing.T) {
 	}
 }
 
-func TestInvisibleJoinStringFilter(t *testing.T) {
+// runScanPlan builds q, requires the scan plan (a Filter over the scan,
+// no rewrite), and runs it, returning the rows and the Select's routine.
+func runScanPlan(t *testing.T, q Query) ([][]string, string) {
+	t.Helper()
+	op, ex, err := Build(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := ex.String(); !strings.HasPrefix(plan, "Scan(") || !strings.Contains(plan, "Filter[") ||
+		strings.Contains(plan, "Index") {
+		t.Fatalf("plan %s, want Scan => Filter", plan)
+	}
+	qc := exec.NewQueryCtx(nil, 0)
+	rows, err := exec.CollectStringsCtx(qc, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range qc.OpSnapshots(ex.Tree) {
+		if s.Kind == "Select" {
+			return rows, s.Routine
+		}
+	}
+	t.Fatalf("no Select in the stats of %s", ex)
+	return nil, ""
+}
+
+// TestDictFilterStringResidual: a string equality runs through the heap's
+// token truth table (Sect. 4.1) and a conjunct over two columns stays a
+// residual evaluated on the survivors.
+func TestDictFilterStringResidual(t *testing.T) {
 	n := 30000
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	rng := rand.New(rand.NewSource(7))
@@ -341,40 +335,40 @@ func TestInvisibleJoinStringFilter(t *testing.T) {
 		strColumn("word", svals, true),
 		intColumn("v", types.Integer, ovals),
 	}}
-	want := int64(0)
-	cnt := 0
-	for i := range svals {
-		if svals[i] == "beta" {
-			want += ovals[i]
-			cnt++
+	word, v := expr.NewColRef(0, "word", types.String), expr.NewColRef(0, "v", types.Integer)
+	beta := expr.NewCmp(expr.EQ, word, expr.NewStringConst("beta"))
+	residual := expr.NewOr(expr.NewCmp(expr.LT, v, expr.NewIntConst(300)),
+		expr.NewCmp(expr.EQ, word, expr.NewStringConst("gamma")))
+	for _, c := range []struct {
+		where expr.Expr
+		keep  func(i int) bool
+	}{
+		{beta, func(i int) bool { return svals[i] == "beta" }},
+		{expr.NewAnd(beta, residual), func(i int) bool { return svals[i] == "beta" && ovals[i] < 300 }},
+	} {
+		var sum, cnt int64
+		for i := range svals {
+			if c.keep(i) {
+				sum += ovals[i]
+				cnt++
+			}
 		}
-	}
-	q := Query{
-		Table: tab,
-		Where: expr.NewCmp(expr.EQ, expr.NewColRef(0, "word", types.String),
-			expr.NewStringConst("beta")),
-		Aggs: []AggItem{{Func: exec.Sum, Col: "v"}, {Func: exec.Count, Col: ""}},
-	}
-	op, ex, err := Build(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(ex.String(), "DictionaryTable") {
-		t.Fatalf("expected invisible join, got %s", ex)
-	}
-	rows, err := exec.Collect(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || int64(rows[0][0]) != want || int64(rows[0][1]) != int64(cnt) {
-		t.Fatalf("invisible join result %v, want sum %d count %d", rows, want, cnt)
+		q := Query{Table: tab, Where: c.where,
+			Aggs: []AggItem{{Func: exec.Sum, Col: "v"}, {Func: exec.Count, Col: ""}}}
+		rows, routine := runScanPlan(t, q)
+		if routine != "dict-filter" {
+			t.Errorf("WHERE %s: select routine %q, want dict-filter", c.where, routine)
+		}
+		if len(rows) != 1 || rows[0][0] != fmt.Sprint(sum) || rows[0][1] != fmt.Sprint(cnt) {
+			t.Fatalf("WHERE %s: result %v, want sum %d count %d", c.where, rows, sum, cnt)
+		}
 	}
 }
 
-func TestInvisibleJoinDateRangeUsesFetchJoin(t *testing.T) {
-	// The canonical Sect. 4.1.2 case: a dictionary-compressed date column
-	// with a sorted dictionary; a range predicate leaves a dense token
-	// range, so the tactical optimizer picks a fetch join.
+// TestDictFilterCompressedDateRange is the canonical Sect. 4.1.2 case: a
+// dictionary-compressed date column with a sorted dictionary under a
+// range predicate, filtered through the dictionary's truth table.
+func TestDictFilterCompressedDateRange(t *testing.T) {
 	n := 50000
 	rng := rand.New(rand.NewSource(8))
 	base := types.DaysFromCivil(2013, 1, 1)
@@ -390,49 +384,28 @@ func TestInvisibleJoinDateRangeUsesFetchJoin(t *testing.T) {
 	}}
 	lo := base + 100
 	hi := base + 200
-	var want int64
+	var want, cnt int64
 	for i := range days {
 		if days[i] >= lo && days[i] < hi {
 			want += vals[i]
+			cnt++
 		}
 	}
 	where := expr.NewAnd(
 		expr.NewCmp(expr.GE, expr.NewColRef(0, "d", types.Date), expr.NewDateConst(lo)),
 		expr.NewCmp(expr.LT, expr.NewColRef(0, "d", types.Date), expr.NewDateConst(hi)))
 
-	// Aggregating plan: verify the answer.
-	q := Query{Table: tab, Where: where, Aggs: []AggItem{{Func: exec.Sum, Col: "v"}}}
-	op, ex, err := Build(q, Options{})
-	if err != nil {
-		t.Fatal(err)
+	rows, routine := runScanPlan(t, Query{Table: tab, Where: where, Aggs: []AggItem{{Func: exec.Sum, Col: "v"}}})
+	if routine != "dict-filter" {
+		t.Errorf("select routine %q, want dict-filter", routine)
 	}
-	if !strings.Contains(ex.String(), "DictionaryTable") {
-		t.Fatalf("expected invisible join, got %s", ex)
+	if len(rows) != 1 || rows[0][0] != fmt.Sprint(want) {
+		t.Fatalf("sum %v, want %d", rows, want)
 	}
-	rows, err := exec.Collect(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || int64(rows[0][0]) != want {
-		t.Fatalf("sum %d, want %d", int64(rows[0][0]), want)
-	}
-
-	// Bare plan (no aggregation): the top operator is the join itself, so
-	// the tactical upgrade is observable.
-	qb := Query{Table: tab, Where: where}
-	opb, _, err := Build(qb, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	join, ok := opb.(*exec.HashJoin)
-	if !ok {
-		t.Fatalf("top operator is %T, want HashJoin", opb)
-	}
-	if _, err := exec.Run(join); err != nil {
-		t.Fatal(err)
-	}
-	if join.Algo() != exec.JoinFetch {
-		t.Errorf("join algorithm %v, want fetch (dense token range)", join.Algo())
+	// The bare plan keeps exactly the rows in the range.
+	rows, routine = runScanPlan(t, Query{Table: tab, Where: where, Select: []string{"v"}})
+	if routine != "dict-filter" || int64(len(rows)) != cnt {
+		t.Fatalf("bare plan kept %d rows [%s], want %d [dict-filter]", len(rows), routine, cnt)
 	}
 }
 
@@ -510,8 +483,8 @@ func TestBuildComputedGroupBy(t *testing.T) {
 }
 
 func TestConjunctSplittingPushesOnlyDictColumn(t *testing.T) {
-	// WHERE word = 'beta' AND v > 500: the string conjunct is pushed into
-	// the DictionaryTable; the numeric one stays as a residual filter.
+	// WHERE word = 'beta' AND v > 500: only the string conjunct goes to
+	// the heap's token truth table; the numeric one runs as a range kernel.
 	n := 20000
 	words := []string{"alpha", "beta", "gamma"}
 	rng := rand.New(rand.NewSource(31))
@@ -529,55 +502,55 @@ func TestConjunctSplittingPushesOnlyDictColumn(t *testing.T) {
 		expr.NewCmp(expr.EQ, expr.NewColRef(0, "word", types.String), expr.NewStringConst("beta")),
 		expr.NewCmp(expr.GT, expr.NewColRef(0, "v", types.Integer), expr.NewIntConst(500)))
 	q := Query{Table: tab, Where: where, Aggs: []AggItem{{Func: exec.Count, Col: ""}}}
-	op, ex, err := Build(q, Options{})
-	if err != nil {
-		t.Fatal(err)
+	rows, routine := runScanPlan(t, q)
+	if routine != "dict-filter+kernel" {
+		t.Fatalf("select routine %q, want dict-filter+kernel", routine)
 	}
-	if !strings.Contains(ex.String(), "DictionaryTable") {
-		t.Fatalf("multi-conjunct predicate missed the invisible join: %s", ex)
-	}
-	if !strings.Contains(ex.String(), "ResidualFilter") {
-		t.Fatalf("residual conjunct lost: %s", ex)
-	}
-	rows, err := exec.Collect(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(0)
+	want := 0
 	for i := range svals {
 		if svals[i] == "beta" && ovals[i] > 500 {
 			want++
 		}
 	}
-	if int64(rows[0][0]) != want {
-		t.Fatalf("count %d, want %d", int64(rows[0][0]), want)
+	if rows[0][0] != fmt.Sprint(want) {
+		t.Fatalf("count %s, want %d", rows[0][0], want)
 	}
 }
 
-// TestInvisibleJoinKeepsConjunctsTrueOnNull: a conjunct that holds where
-// the column is NULL stays out of the DictionaryTable, whose semijoin
-// would drop the NULL rows; one that NULL falsifies still goes in.
-func TestInvisibleJoinKeepsConjunctsTrueOnNull(t *testing.T) {
-	tab := &storage.Table{Name: "t", Columns: []*storage.Column{
-		strColumn("word", []string{"alpha", "beta", "alpha"}, true)}}
+// TestDictFilterKeepsNullTrueConjuncts: the truth table holds an entry
+// for the NULL token, so a conjunct true where the column is NULL keeps
+// the NULL rows, and one NULL falsifies drops them.
+func TestDictFilterKeepsNullTrueConjuncts(t *testing.T) {
+	vals := []string{"alpha", nullWord, "beta", "alpha", nullWord, "gamma", "beta"}
+	var svals []string
+	for i := 0; i < 3000; i++ {
+		svals = append(svals, vals[i%len(vals)])
+	}
+	tab := &storage.Table{Name: "t", Columns: []*storage.Column{strColumn("word", svals, true)}}
 	word := expr.NewColRef(0, "word", types.String)
 	beta := expr.NewCmp(expr.EQ, word, expr.NewStringConst("beta"))
 	for _, c := range []struct {
-		where  expr.Expr
-		pushed string
+		where expr.Expr
+		keep  func(s string) bool
 	}{
-		{expr.NewIsNull(word, false), ""},
-		{expr.NewNot(expr.NewIsNull(word, true)), ""},
-		{expr.NewOr(expr.NewIsNull(word, false), beta), ""},
-		{expr.NewIsNull(word, true), "(word IS NOT NULL)"},
-		{expr.NewAnd(expr.NewIsNull(word, false), beta), `(word = "beta")`},
+		{expr.NewIsNull(word, false), func(s string) bool { return s == nullWord }},
+		{expr.NewNot(expr.NewIsNull(word, true)), func(s string) bool { return s == nullWord }},
+		{expr.NewOr(expr.NewIsNull(word, false), beta), func(s string) bool { return s == nullWord || s == "beta" }},
+		{expr.NewIsNull(word, true), func(s string) bool { return s != nullWord }},
+		{expr.NewAnd(expr.NewIsNull(word, false), beta), func(string) bool { return false }},
 	} {
-		got := ""
-		if _, pushed, _ := isolateColumn(c.where, dictionaryCompressed, tab); pushed != nil {
-			got = pushed.String()
+		want := 0
+		for _, s := range svals {
+			if c.keep(s) {
+				want++
+			}
 		}
-		if got != c.pushed {
-			t.Errorf("WHERE %s: pushed %q, want %q", c.where, got, c.pushed)
+		rows, routine := runScanPlan(t, Query{Table: tab, Where: c.where, Aggs: []AggItem{{Func: exec.Count}}})
+		if routine != "dict-filter" {
+			t.Errorf("WHERE %s: select routine %q, want dict-filter", c.where, routine)
+		}
+		if rows[0][0] != fmt.Sprint(want) {
+			t.Errorf("WHERE %s: count %s, want %d", c.where, rows[0][0], want)
 		}
 	}
 }

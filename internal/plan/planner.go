@@ -10,7 +10,6 @@ import (
 	"tde/internal/exec"
 	"tde/internal/expr"
 	"tde/internal/storage"
-	"tde/internal/types"
 	"tde/internal/vec"
 )
 
@@ -41,9 +40,9 @@ type Query struct {
 	Table *storage.Table
 	// Delta is the table's write-overlay snapshot (nil or clean = none).
 	// The scan plan reads a dirty delta through the overlaid scan; the
-	// index and invisible-join rewrites refuse it, because their
-	// pseudo-tables are built from the base column's stored encoding,
-	// which does not hold the overlay's rows.
+	// index rewrite refuses it, because its IndexTable is built from the
+	// base column's stored encoding, which does not hold the overlay's
+	// rows.
 	Delta *delta.View
 	// Alias prefixes Table's column names ("alias.col") in a join; empty
 	// keeps bare names.
@@ -72,8 +71,6 @@ type Options struct {
 	// Fig. 10 is the control that fulfills the query "using the existing
 	// system").
 	NoIndexPlan bool
-	// NoDictPlan disables the invisible-join rewrite.
-	NoDictPlan bool
 	// NoEncodedExec disables compressed execution (DESIGN.md §12): scans
 	// decode every block instead of emitting runs, and Select/Aggregate
 	// use the row routines only (no dict-filter, rle-filter, rle-sum or
@@ -177,8 +174,10 @@ func (e *Explain) add(format string, args ...any) {
 func (e *Explain) String() string { return strings.Join(e.Steps, " => ") }
 
 // Build runs the strategic optimizer over q and returns the physical plan:
-// the join step for a star query, otherwise the scan plan or one of its
-// rewrites (index, invisible join), then one shared tail. Tactical
+// the join step for a star query, otherwise the scan plan or its index
+// rewrite, then one shared tail. A filter on a dictionary-compressed or
+// string column stays in the scan plan, where Select's token truth table
+// evaluates it once per dictionary entry (Sect. 4.1). Tactical
 // choices (join algorithm, aggregation algorithm) stay with the
 // operators, driven by the metadata FlowTable and the scans derive.
 func Build(q Query, opt Options) (exec.Operator, *Explain, error) {
@@ -195,10 +194,8 @@ func Build(q Query, opt Options) (exec.Operator, *Explain, error) {
 	switch {
 	case len(q.Joins) > 0:
 		op, err = buildJoinPlan(q, opt, ex)
-	case !opt.NoIndexPlan && rewrites(q, "IndexPlan", runLength, ex):
+	case !opt.NoIndexPlan && rewrites(q, ex):
 		op, err = buildIndexPlan(q, opt, ex)
-	case !opt.NoDictPlan && rewrites(q, "DictPlan", dictionaryCompressed, ex):
-		op, err = buildDictPlan(q, opt, ex)
 	default:
 		op, err = buildScanPlan(q, opt, ex)
 	}
@@ -293,27 +290,24 @@ func combineConjuncts(cs []expr.Expr) expr.Expr {
 }
 
 // isolateColumn splits the WHERE conjuncts into those that reference only
-// the given candidate column (pushable into a pseudo-table) and the
-// residual. The strategic optimizer's "filtering move-around"
-// (Sect. 2.3.1) at work: only whole conjuncts move, and only those
-// accept takes.
-func isolateColumn(where expr.Expr, accept func(*storage.Column, expr.Expr) bool,
-	tab *storage.Table) (col *storage.Column, pushed, residual expr.Expr) {
+// the first run-length encoded column some conjunct isolates (pushable
+// into its IndexTable, Sect. 4.2) and the residual. The strategic
+// optimizer's "filtering move-around" (Sect. 2.3.1) at work: only whole
+// conjuncts move.
+func isolateColumn(where expr.Expr, tab *storage.Table) (col *storage.Column, pushed, residual expr.Expr) {
 	conjuncts := splitConjuncts(where)
-	// Find the first column that at least one acceptable conjunct isolates.
 	for _, cj := range conjuncts {
 		cols := Columns(cj)
 		if len(cols) != 1 {
 			continue
 		}
 		c := tab.Column(cols[0])
-		if c == nil || !accept(c, cj) {
+		if c == nil || c.Data.Kind() != enc.RunLength {
 			continue
 		}
 		var push, rest []expr.Expr
 		for _, other := range conjuncts {
-			oc := Columns(other)
-			if len(oc) == 1 && oc[0] == cols[0] && accept(c, other) {
+			if oc := Columns(other); len(oc) == 1 && oc[0] == cols[0] {
 				push = append(push, other)
 			} else {
 				rest = append(rest, other)
@@ -324,41 +318,19 @@ func isolateColumn(where expr.Expr, accept func(*storage.Column, expr.Expr) bool
 	return nil, nil, nil
 }
 
-// runLength accepts the index rewrite's candidates (Sect. 4.2).
-func runLength(c *storage.Column, _ expr.Expr) bool { return c.Data.Kind() == enc.RunLength }
-
-// dictionaryCompressed accepts the invisible-join rewrite's candidates
-// (Sect. 4.1): a string (heap) column or a dictionary-compressed scalar,
-// under a conjunct not true where it is NULL (c IS NULL): the semijoin
-// against the DictionaryTable, which may hold no NULL, drops NULL rows.
-func dictionaryCompressed(c *storage.Column, cj expr.Expr) bool {
-	if !(c.Type == types.String && c.Heap != nil || c.Dict != nil) {
-		return false
-	}
-	e, err := Rebind(cj, []exec.ColInfo{{Name: c.Name, Type: c.Type, Heap: c.Heap}})
-	if err != nil {
-		return false
-	}
-	// Over c alone, the conjunct is a constant on a NULL row.
-	row := &vec.Block{Vecs: []vec.Vector{{Type: c.Type, Heap: c.Heap, Data: []uint64{types.NullBits(c.Type)}}}, N: 1}
-	out := vec.Vector{Data: make([]uint64, 1)}
-	e.Eval(row, &out)
-	return out.Data[0] != types.FromBool(true)
-}
-
-// rewrites reports whether the named rewrite applies: some WHERE
-// conjunct isolates a column accept takes, and the table has no dirty
-// overlay — the rewrite's pseudo-table would be built from the base
-// column alone. A refusal is recorded with its reason.
-func rewrites(q Query, name string, accept func(*storage.Column, expr.Expr) bool, ex *Explain) bool {
+// rewrites reports whether the index rewrite applies: some WHERE
+// conjunct isolates a run-length column, and the table has no dirty
+// overlay — the IndexTable would be built from the base column alone.
+// A refusal is recorded with its reason.
+func rewrites(q Query, ex *Explain) bool {
 	if q.Where == nil {
 		return false
 	}
-	if c, _, _ := isolateColumn(q.Where, accept, q.Table); c == nil {
+	if c, _, _ := isolateColumn(q.Where, q.Table); c == nil {
 		return false
 	}
 	if deltaDirty(q.Delta) {
-		ex.add("%s refused: overlay", name)
+		ex.add("IndexPlan refused: overlay")
 		return false
 	}
 	return true
@@ -411,7 +383,7 @@ func buildScanPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 // buildIndexPlan is the rank-join rewrite (Fig. 10 plans 2 and 3):
 // Index => Filter => [Sort =>] FlowTable => IndexedScan.
 func buildIndexPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
-	col, pushed, residual := isolateColumn(q.Where, runLength, q.Table)
+	col, pushed, residual := isolateColumn(q.Where, q.Table)
 	bt, err := IndexTable(col)
 	if err != nil {
 		return nil, err
@@ -457,66 +429,6 @@ func buildIndexPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 	var op exec.Operator = is
 	if residual != nil {
 		// Conjuncts on other columns stay above the indexed scan.
-		rpred, err := Rebind(residual, op.Schema())
-		if err != nil {
-			return nil, err
-		}
-		op = newSelect(op, rpred, opt)
-		ex.add("ResidualFilter[%s]", rpred)
-	}
-	return op, nil
-}
-
-// buildDictPlan is the invisible-join rewrite (Sect. 4.1): the filter is
-// pushed to a DictionaryTable, materialized by a FlowTable (with RLE
-// disallowed, Sect. 4.3), and joined back against the main table's tokens;
-// the tactical optimizer upgrades the join to a fetch join when the
-// filtered tokens form a contiguous range.
-func buildDictPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
-	col, pushed, residual := isolateColumn(q.Where, dictionaryCompressed, q.Table)
-	bt, err := DictionaryTable(col)
-	if err != nil {
-		return nil, err
-	}
-	ex.add("DictionaryTable(%s:%d)", col.Name, bt.Rows)
-	var inner exec.Operator = exec.NewBuiltScan(bt)
-	pred, err := Rebind(pushed, inner.Schema())
-	if err != nil {
-		return nil, err
-	}
-	inner = newSelect(inner, pred, opt)
-	ex.add("Filter[%s] pushed to inner", pred)
-	// Keep only the token column on the inner side: the join is a
-	// semijoin that restricts the outer tokens.
-	const innerKeyIdx = 0
-	if col.Type != types.String {
-		s := inner.Schema()
-		inner = exec.NewProject(inner,
-			[]expr.Expr{expr.NewColRef(0, s[0].Name, s[0].Type)},
-			[]string{s[0].Name})
-	}
-	cfg := exec.DefaultFlowTableConfig()
-	cfg.DisallowRLE = true    // hash-join inner restriction (Sect. 4.3)
-	cfg.PreserveTokens = true // join keys must stay the outer table's tokens
-	ft := exec.NewFlowTable(inner, cfg)
-	ex.add("FlowTable(inner, no-RLE)")
-
-	scan, err := exec.NewScan(q.Table, neededColumns(q)...)
-	if err != nil {
-		return nil, err
-	}
-	scan.EmitRuns = !opt.NoEncodedExec // the join probe materializes if needed
-	attachZoneFilters(scan, q, opt, ex)
-	ex.add("Scan(%s)", q.Table.Name)
-	outerKey := colIndex(scan.Schema(), col.Name)
-	if outerKey < 0 {
-		return nil, fmt.Errorf("plan: filter column %q not scanned", col.Name)
-	}
-	join := exec.NewHashJoin(scan, ft, outerKey, innerKeyIdx, exec.JoinAuto)
-	join.TokenKey = true
-	ex.add("InvisibleJoin(%s)", col.Name)
-	var op exec.Operator = join
-	if residual != nil {
 		rpred, err := Rebind(residual, op.Schema())
 		if err != nil {
 			return nil, err

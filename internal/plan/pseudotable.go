@@ -1,11 +1,12 @@
 // Package plan implements the TDE query planning layer: the pseudo-table
-// operators that expose compression to the strategic optimizer
-// (DictionaryTable for dictionary-compressed columns, Sect. 4.1;
-// IndexTable for run-length encoded columns, Sect. 4.2), the rule-based
-// strategic rewrites (predicate push-down into the pseudo-tables,
-// expression simplification, order-preserving exchange placement), and
-// plan construction for queries, leaving tactical algorithm choices to
-// the operators' runtime metadata.
+// that exposes run-length compression to the strategic optimizer
+// (IndexTable, Sect. 4.2), the rule-based strategic rewrites (predicate
+// push-down into the IndexTable, expression simplification,
+// order-preserving exchange placement), and plan construction for
+// queries, leaving tactical algorithm choices to the operators' runtime
+// metadata. Dictionary compression (Sect. 4.1) needs no rewrite: the
+// scan plan's Select evaluates a filter on a dictionary-compressed or
+// string column once per dictionary entry into a token truth table.
 package plan
 
 import (
@@ -16,62 +17,6 @@ import (
 	"tde/internal/storage"
 	"tde/internal/types"
 )
-
-// DictionaryTable builds the pseudo-table of Sect. 4.1.1 for a compressed
-// column. For a string column the table has one column carrying the set of
-// unique tokens in heap order, sharing the original heap — predicates on
-// the string values and the join key are the same column. For a
-// dictionary-compressed fixed-width column the table has the token column
-// and a value column copied from the scalar dictionary.
-//
-// Expanding the column is then a foreign-key join of the main table's
-// token data against the token column — the invisible join — and the
-// strategic optimizer can push filters and computations down to the inner
-// side.
-func DictionaryTable(col *storage.Column) (*exec.Built, error) {
-	switch {
-	case col.Type == types.String:
-		if col.Heap == nil {
-			return nil, fmt.Errorf("plan: string column %q has no heap", col.Name)
-		}
-		toks := col.Heap.Tokens()
-		w := enc.NewWriter(enc.WriterConfig{ConvertOptimal: true})
-		w.Append(toks)
-		md := enc.MetadataFromStats(w.Stats(), false)
-		md.Unique = true // heap tokens are distinct by construction here
-		if col.Heap.Sorted() {
-			md.EntriesSorted = true
-			md.SortedKnown, md.SortedAsc = true, true
-		}
-		return &exec.Built{
-			Rows: len(toks),
-			Cols: []exec.BuiltColumn{{
-				Info: exec.ColInfo{Name: col.Name, Type: types.String,
-					Heap: col.Heap, Meta: md},
-				Data: w.Finish(),
-			}},
-		}, nil
-	case col.Dict != nil:
-		n := len(col.Dict)
-		tw := enc.NewWriter(enc.WriterConfig{ConvertOptimal: true})
-		vw := enc.NewWriter(enc.WriterConfig{Signed: col.Type != types.String, ConvertOptimal: true})
-		for i := 0; i < n; i++ {
-			tw.AppendOne(uint64(i))
-			vw.AppendOne(col.Dict[i])
-		}
-		tmd := enc.MetadataFromStats(tw.Stats(), false)
-		vmd := enc.MetadataFromStats(vw.Stats(), true)
-		return &exec.Built{
-			Rows: n,
-			Cols: []exec.BuiltColumn{
-				{Info: exec.ColInfo{Name: col.Name + "$token", Type: types.Integer, Meta: tmd}, Data: tw.Finish()},
-				{Info: exec.ColInfo{Name: col.Name, Type: col.Type, Meta: vmd}, Data: vw.Finish()},
-			},
-		}, nil
-	default:
-		return nil, fmt.Errorf("plan: column %q is not dictionary compressed", col.Name)
-	}
-}
 
 // IndexTable builds the pseudo-table of Sect. 4.2.1 from a run-length
 // encoded column: the value and count columns come directly from the runs,

@@ -9,8 +9,8 @@ import (
 
 // Rebind clones e with every column reference resolved by name against
 // schema. The strategic optimizer uses it when it moves predicates and
-// computations between plan positions (push-down into DictionaryTable and
-// IndexTable inner sides changes the input schema under the expression).
+// computations between plan positions (push-down into the IndexTable's
+// inner side changes the input schema under the expression).
 func Rebind(e expr.Expr, schema []exec.ColInfo) (expr.Expr, error) {
 	switch n := e.(type) {
 	case *expr.ColRef:

@@ -11,8 +11,9 @@ import (
 // ConvertToDictCompression is the AlterColumn-style conversion of
 // Sect. 3.4.3: it turns an encoded scalar column into a dictionary-
 // compressed one (column-level sorted scalar dictionary + token data) so
-// the optimizer can apply invisible joins — pushing expensive per-value
-// calculations (like date part extraction) down to the small domain.
+// a filter evaluates expensive per-value calculations (like date part
+// extraction) once per entry of the small domain, into a token truth
+// table, instead of once per row.
 //
 // The cheap paths avoid touching the row data entirely:
 //

@@ -8,8 +8,10 @@
 // encoding, heap acceleration, type narrowing and metadata extraction),
 // persist single-file databases, inspect per-column encodings and derived
 // metadata, dictionary-compress dimension columns, and run analytic SQL
-// whose plans use invisible joins, rank joins (IndexedScan) and the
-// tactical fetch-join/ordered-aggregation upgrades.
+// whose plans filter dictionary-compressed and string columns once per
+// dictionary entry (the token truth table that realises Sect. 4.1's
+// invisible join), use rank joins (IndexedScan) and the tactical
+// fetch-join/ordered-aggregation upgrades.
 //
 // Start with New or Open, then ImportCSV and Query:
 //
@@ -597,8 +599,9 @@ func (db *Database) AddTable(t *storage.Table) {
 }
 
 // CompressColumn converts an encoded scalar column into a dictionary-
-// compressed one (Sect. 3.4.3), enabling invisible joins: filters and
-// calculations on the column are pushed down to its (small) domain. Most
+// compressed one (Sect. 3.4.3), so that a filter on the column, date-part
+// calculations included, is evaluated once per entry of its (small)
+// domain into a token truth table rather than once per row. Most
 // valuable for dimension columns like dates.
 func (db *Database) CompressColumn(table, column string) error {
 	if db.salvaged != nil {

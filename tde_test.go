@@ -47,7 +47,9 @@ func TestImportAndQuery(t *testing.T) {
 	}
 }
 
-func TestStringFilterUsesInvisibleJoin(t *testing.T) {
+// TestStringFilterUsesDictFilter: a string filter evaluates once per heap
+// entry into a token truth table (Sect. 4.1), in the scan plan.
+func TestStringFilterUsesDictFilter(t *testing.T) {
 	db := importOrders(t)
 	res, err := db.Query("SELECT COUNT(*) FROM orders WHERE status = 'open'")
 	if err != nil {
@@ -56,8 +58,8 @@ func TestStringFilterUsesInvisibleJoin(t *testing.T) {
 	if res.Rows[0][0] != "3" {
 		t.Fatalf("count %v", res.Rows)
 	}
-	if !strings.Contains(res.Plan, "DictionaryTable") {
-		t.Errorf("plan did not use the invisible join: %s", res.Plan)
+	if r := routineOf(t, res, "Select"); r != "dict-filter" {
+		t.Errorf("select routine %q, want dict-filter: %s", r, res.Plan)
 	}
 }
 
@@ -135,10 +137,9 @@ func TestCompressColumnEnablesDictPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Plan, "DictionaryTable") {
-		t.Errorf("compressed date filter should use the invisible join: %s", res.Plan)
+	if r := routineOf(t, res, "Select"); r != "dict-filter" {
+		t.Errorf("compressed date filter ran routine %q, want dict-filter: %s", r, res.Plan)
 	}
-	// Cross-check against the control plan.
 	want := 0
 	for i := 0; i < 5000; i++ {
 		if i%12+1 == 6 {
@@ -347,14 +348,17 @@ func TestSerialAggregateKeepsOrder(t *testing.T) {
 		name, sql string
 		writes    []string // applied before the query, making f dirty
 		want      []string // plan substrings
+		routine   string   // the Select's routine, if set
 		exchange  bool
 		groups    int
 	}{
 		{name: "join", sql: join, want: []string{"Join(", ordered}, exchange: true, groups: 400},
+		// The compressed-column filter that once planned an invisible join
+		// now runs in the scan as a token truth table.
 		{name: "invisible-join", sql: "SELECT g, COUNT(*) FROM f WHERE c = 3 GROUP BY g",
-			want: []string{"InvisibleJoin(c)", ordered}, exchange: true, groups: 400},
-		{name: "filter", sql: "SELECT g, COUNT(*) FROM f WHERE fk > 3 GROUP BY g",
-			want: []string{"Filter[", "] => Aggregate["}, groups: 400},
+			want: []string{"Filter[", "] => Aggregate["}, routine: "dict-filter", groups: 400},
+		{name: "filter", sql: "SELECT g, COUNT(*) FROM f WHERE fk > 3 AND c = 3 GROUP BY g",
+			want: []string{"Filter[", "] => Aggregate["}, routine: "dict-filter+kernel", groups: 400},
 		{name: "index", sql: "SELECT g, COUNT(*), SUM(fk) FROM f WHERE g >= 100 AND g < 300 GROUP BY g",
 			want: []string{"IndexTable(g"}, groups: 200},
 		{name: "dirty-join", sql: join, writes: []string{
@@ -384,6 +388,11 @@ func TestSerialAggregateKeepsOrder(t *testing.T) {
 			}
 			if got := strings.Contains(auto.Plan, "Exchange["); got != tc.exchange {
 				t.Errorf("Exchange in plan: %v, want %v: %s", got, tc.exchange, auto.Plan)
+			}
+			if tc.routine != "" {
+				if r := routineOf(t, auto, "Select"); r != tc.routine {
+					t.Errorf("select routine %q, want %q", r, tc.routine)
+				}
 			}
 			if len(serial.Rows) != tc.groups {
 				t.Fatalf("serial plan formed %d groups, want %d", len(serial.Rows), tc.groups)

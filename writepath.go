@@ -732,7 +732,7 @@ func mutationQuery(dml *sqlparse.DML, t *storage.Table, view *delta.View) (q pla
 // (mutationQuery) with plan.Build and checks each SET expression's type.
 // The plan is serial whatever opt says, so that a statement's ops (and its
 // inserted rows' IDs) come in one deterministic order: the plan's output
-// order, value or join order under the index and invisible-join rewrites.
+// order, value or join order under the index rewrite and star joins.
 func planMutation(dml *sqlparse.DML, t *storage.Table, view *delta.View, opt plan.Options) (exec.Operator, *plan.Explain, []newValue, error) {
 	q, vals, err := mutationQuery(dml, t, view)
 	if err != nil {
