@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz check check-db crash crash-wal crash-concurrent clean bench-harness bench-compare trace-smoke serve-torture serve-smoke
+.PHONY: all build vet test race fuzz check check-db crash crash-wal crash-concurrent clean bench-harness bench-compare fig10 trace-smoke serve-torture serve-smoke
 
 all: check
 
@@ -91,6 +91,13 @@ PAIRS ?= 10
 bench-compare:
 	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<ref> [PAIRS=10]"; exit 2; }
 	$(GO) run ./scripts/benchcompare -base $(BASE) -pairs $(PAIRS)
+
+# Figure 10 (EXPERIMENTS.md E7): the three filter/aggregate plans over
+# the 1 M and 32 M row run-length tables, best of three per point. It
+# builds both tables in memory (about 130 MB resident at peak) and takes
+# under two minutes on two cores.
+fig10:
+	$(GO) run ./cmd/tdebench -fig 10 -small 1000000 -large 32000000 -repeats 3
 
 # End-to-end observability smoke test: generate a small TPC-H corpus,
 # load three tables, run a two-hash-join aggregation with EXPLAIN

@@ -13,7 +13,6 @@ import (
 
 	"tde/internal/enc"
 	"tde/internal/exec"
-	"tde/internal/expr"
 	"tde/internal/harness"
 	"tde/internal/plan"
 	"tde/internal/rlegen"
@@ -392,74 +391,6 @@ func benchAgg(b *testing.B, mode exec.AggMode) {
 func BenchmarkAggMode_Ordered(b *testing.B) { benchAgg(b, exec.AggOrdered) }
 func BenchmarkAggMode_Direct(b *testing.B)  { benchAgg(b, exec.AggDirect) }
 func BenchmarkAggMode_Hash(b *testing.B)    { benchAgg(b, exec.AggHash) }
-
-// --- Sect. 8 future-work implementations ---
-
-// Index roll-up: converting a daily index to a monthly one on the index
-// alone, versus recomputing the truncation per row.
-func BenchmarkRollUpIndex(b *testing.B) {
-	tab := rollupTable(b)
-	idx, err := plan.IndexTable(tab.Columns[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	roll := expr.NewDatePart(expr.TruncMonth, expr.NewColRef(0, "d", types.Date))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := plan.RollUpIndex(idx, roll); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPartitionedOrderedAggregate_1Worker(b *testing.B) {
-	benchPartitioned(b, 1)
-}
-
-func BenchmarkPartitionedOrderedAggregate_4Workers(b *testing.B) {
-	benchPartitioned(b, 4)
-}
-
-func benchPartitioned(b *testing.B, workers int) {
-	tab := rollupTable(b)
-	idx, err := plan.IndexTable(tab.Columns[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := plan.PartitionedOrderedAggregate(idx, tab, "v", exec.Sum, workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-var (
-	ruOnce sync.Once
-	ruTab  *storage.Table
-)
-
-func rollupTable(b *testing.B) *storage.Table {
-	b.Helper()
-	ruOnce.Do(func() {
-		const perDay = 2000
-		base := types.DaysFromCivil(2013, 1, 1)
-		dw := enc.NewWriter(enc.WriterConfig{Signed: true, ConvertOptimal: true})
-		vw := enc.NewWriter(enc.WriterConfig{Signed: true, ConvertOptimal: true})
-		for d := 0; d < 365; d++ {
-			for k := 0; k < perDay; k++ {
-				dw.AppendOne(uint64(base + int64(d)))
-				vw.AppendOne(uint64((d*perDay + k) % 977))
-			}
-		}
-		dcol := &storage.Column{Name: "d", Type: types.Date, Data: dw.Finish()}
-		dcol.Meta = enc.MetadataFromStats(dw.Stats(), true)
-		vcol := &storage.Column{Name: "v", Type: types.Integer, Data: vw.Finish()}
-		vcol.Meta = enc.MetadataFromStats(vw.Stats(), true)
-		ruTab = &storage.Table{Name: "facts", Columns: []*storage.Column{dcol, vcol}}
-	})
-	return ruTab
-}
 
 // --- Sect. 2.3.3: the single-file copy ---
 //

@@ -1,66 +1,67 @@
-// Rollup: the Sect. 8 future-work techniques, implemented. A run-length
-// encoded date column's IndexTable is rolled up from days to months with
-// MIN(start)/SUM(count) — converting the index without touching the main
-// table's rows — and then the monthly aggregation is executed as a
-// partitioned ordered aggregation across cores.
+// Rollup: a monthly roll-up of a run-length encoded date column, in SQL.
+// Sect. 8 sketches rolling the date column's IndexTable up from days to
+// months and aggregating its value ranges on separate cores; the
+// ordinary plan does the roll-up here, computing YEAR and MONTH on the
+// way to a parallel aggregate. A date range on the same column takes the
+// index rewrite: the filtered IndexTable hands the scan the row ranges
+// of the days it keeps, and the aggregate's workers claim them.
 package main
 
 import (
 	"fmt"
 	"log"
 	"math/rand"
+	"strings"
 
-	"tde/internal/enc"
-	"tde/internal/exec"
-	"tde/internal/expr"
-	"tde/internal/plan"
-	"tde/internal/storage"
-	"tde/internal/types"
+	"tde"
 )
 
 func main() {
-	// A year of chronologically-loaded fact rows: the date column
+	// A year of chronologically loaded fact rows: the date column
 	// run-length encodes with one run per day.
 	const perDay = 3000
-	base := types.DaysFromCivil(2013, 1, 1)
 	rng := rand.New(rand.NewSource(3))
-	dw := enc.NewWriter(enc.WriterConfig{Signed: true, ConvertOptimal: true})
-	vw := enc.NewWriter(enc.WriterConfig{Signed: true, ConvertOptimal: true})
-	for d := 0; d < 365; d++ {
-		for k := 0; k < perDay; k++ {
-			dw.AppendOne(uint64(base + int64(d)))
-			vw.AppendOne(uint64(rng.Intn(500)))
+	var csv strings.Builder
+	csv.WriteString("d,sales\n")
+	for m := 1; m <= 12; m++ {
+		for day := 1; day <= 28; day++ {
+			for k := 0; k < perDay; k++ {
+				fmt.Fprintf(&csv, "2013-%02d-%02d,%d\n", m, day, rng.Intn(500))
+			}
 		}
 	}
-	dcol := &storage.Column{Name: "d", Type: types.Date, Data: dw.Finish()}
-	dcol.Meta = enc.MetadataFromStats(dw.Stats(), true)
-	vcol := &storage.Column{Name: "sales", Type: types.Integer, Data: vw.Finish()}
-	vcol.Meta = enc.MetadataFromStats(vw.Stats(), true)
-	tab := &storage.Table{Name: "facts", Columns: []*storage.Column{dcol, vcol}}
-	fmt.Printf("date column: %v encoded, %d runs for %d rows\n",
-		dcol.Data.Kind(), dcol.Data.NumRuns(), tab.Rows())
+	db := tde.New()
+	if err := db.ImportCSV("facts", []byte(csv.String()), tde.DefaultImportOptions()); err != nil {
+		log.Fatal(err)
+	}
+	cols, err := db.Columns("facts")
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, c := range cols {
+		if c.Name == "d" {
+			fmt.Printf("date column: %s encoded\n", c.Encoding)
+		}
+	}
 
-	// Daily index -> monthly index, entirely on the index.
-	daily, err := plan.IndexTable(dcol)
+	res, err := db.Query(`SELECT YEAR(d) AS y, MONTH(d) AS m, SUM(sales) AS total
+	                      FROM facts GROUP BY y, m ORDER BY y, m`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	monthly, err := plan.RollUpIndex(daily,
-		expr.NewDatePart(expr.TruncMonth, expr.NewColRef(0, "d", types.Date)))
-	if err != nil {
-		log.Fatal(err)
+	fmt.Println("\nmonthly roll-up plan:", res.Plan)
+	for _, row := range res.Rows {
+		fmt.Printf("  %s-%02s: %s\n", row[0], row[1], row[2])
 	}
-	fmt.Printf("rolled %d daily runs into %d monthly runs\n", daily.Rows, monthly.Rows)
 
-	// Partitioned ordered aggregation over the monthly index: each
-	// partition scans its contiguous row ranges and aggregates ordered.
-	rows, err := plan.PartitionedOrderedAggregate(monthly, tab, "sales", exec.Sum, 4)
+	res, err = db.Query(`SELECT MONTH(d) AS m, SUM(sales) AS total FROM facts
+	                     WHERE d >= DATE '2013-06-01' AND d < DATE '2013-09-01'
+	                     GROUP BY m ORDER BY m`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nmonthly sales (partitioned ordered aggregation):")
-	for _, kv := range rows {
-		y, m, _ := types.CivilFromDays(kv[0])
-		fmt.Printf("  %04d-%02d: %d\n", y, m, kv[1])
+	fmt.Println("\nsummer plan:", res.Plan)
+	for _, row := range res.Rows {
+		fmt.Printf("  month %2s: %s\n", row[0], row[1])
 	}
 }

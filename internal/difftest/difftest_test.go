@@ -203,8 +203,8 @@ func TestDifferentialEncoded(t *testing.T) {
 // encoded execution on and off, as a reference database does that
 // imported the overlaid rows as clean tables; after Compact the same
 // query must answer so again. The sweep demands that dirty plans still
-// grouped directly and emitted runs; without them it would prove nothing
-// about the encoded paths.
+// grouped directly, emitted runs and took the index rewrite; without them
+// it would prove nothing about those paths.
 func TestDirtyEqualsCompacted(t *testing.T) {
 	sf, flightRows, queries := 0.003, 6000, 40
 	if *long {
@@ -223,12 +223,12 @@ func TestDirtyEqualsCompacted(t *testing.T) {
 	for _, m := range rep.Mismatches {
 		t.Errorf("mismatch: %s", m)
 	}
-	if rep.DirectHits == 0 || rep.RunHits == 0 {
-		t.Fatalf("dirty plans grouped directly %d times and emitted runs %d times; the sweep needs both",
-			rep.DirectHits, rep.RunHits)
+	if rep.DirectHits == 0 || rep.RunHits == 0 || rep.IndexHits == 0 {
+		t.Fatalf("dirty plans grouped directly %d times, emitted runs %d times and scanned index ranges %d times; the sweep needs all three",
+			rep.DirectHits, rep.RunHits, rep.IndexHits)
 	}
-	t.Logf("%d queries, %d comparisons, %d direct hits, %d run hits, %d mismatches",
-		rep.Queries, rep.Comparisons, rep.DirectHits, rep.RunHits, len(rep.Mismatches))
+	t.Logf("%d queries, %d comparisons, %d direct hits, %d run hits, %d index hits, %d mismatches",
+		rep.Queries, rep.Comparisons, rep.DirectHits, rep.RunHits, rep.IndexHits, len(rep.Mismatches))
 }
 
 // TestUnsplittableNeedsOneGroup pins what Compare excuses: a budget

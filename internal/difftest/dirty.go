@@ -26,9 +26,11 @@ import (
 type DirtyReport struct {
 	Report
 	// DirectHits counts dirty variant queries whose aggregate grouped
-	// directly; RunHits those whose scan emitted runs. Zero means the
-	// overlays knocked the encoded paths out and the sweep proved little.
-	DirectHits, RunHits int
+	// directly; RunHits those whose scan emitted runs; IndexHits those
+	// whose plan took the index rewrite, a scan of the IndexTable's
+	// ranges. Zero means the overlays knocked that path out and the sweep
+	// proved little about it.
+	DirectHits, RunHits, IndexHits int
 }
 
 // BuildDirtyDatabase builds the encoded sweep's corpus and dirties it
@@ -286,6 +288,9 @@ func RunDirty(db, ref *tde.Database, cfg Config) (*DirtyReport, error) {
 					}
 					if strings.Contains(op.Routine, "(runs)") {
 						rep.RunHits++
+					}
+					if strings.Contains(op.Routine, "+ranges(") {
+						rep.IndexHits++
 					}
 				}
 				if d := diffRows(want[i], canonicalRows(res.Rows)); d != "" {

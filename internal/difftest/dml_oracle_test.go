@@ -29,7 +29,8 @@ import (
 //     the same pending ops are committed, and committing both leaves the
 //     same rows.
 //
-// The scan, zone-skip and index plans must each be taken, and some filter
+// The scan, zone-skip and index plans must each be taken, the index plan
+// over clean tables and over committed overlays alike, and some filter
 // must run through a dictionary's or heap's token truth table
 // (dict-filter, Sect. 4.1, inside a scan or zone-skip plan).
 func TestDMLOracle(t *testing.T) {
@@ -84,7 +85,11 @@ func TestDMLOracle(t *testing.T) {
 				t.Errorf("%s: affected %d with pending ops, %d once they commit", label, pending, want)
 			}
 		}
-		plans[planClass(t, db, c.sql)]++
+		class := planClass(t, db, c.sql)
+		plans[class]++
+		if class == "index" {
+			plans["index/"+state]++
+		}
 		if dictFiltered(t, db, c.selectWhere("COUNT(*)")) {
 			plans["dict-filter"]++
 		}
@@ -96,7 +101,7 @@ func TestDMLOracle(t *testing.T) {
 			t.Fatalf("%s: the transaction's rows and the committed rows differ: %s", label, d)
 		}
 	}
-	for _, p := range []string{"scan", "zone-skip", "dict-filter", "index"} {
+	for _, p := range []string{"scan", "zone-skip", "dict-filter", "index/clean", "index/committed"} {
 		if plans[p] == 0 {
 			t.Errorf("no statement took the %s plan (%v)", p, plans)
 		}
@@ -272,7 +277,7 @@ func planClass(t *testing.T, db *tde.Database, sql string) string {
 		t.Fatalf("%s: %v", sql, err)
 	}
 	switch {
-	case strings.Contains(p, "IndexedScan"):
+	case strings.Contains(p, " ranges)"):
 		return "index"
 	case strings.Contains(p, "ZoneSkip["):
 		return "zone-skip"

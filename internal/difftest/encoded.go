@@ -101,6 +101,10 @@ var encodedSeeds = []string{
 	// Project that computes once per run, and the aggregate folds the
 	// aligned runs with one probe per run.
 	"SELECT YEAR(e_date) AS y, COUNT(*) AS n, COUNT(e_date) AS c, MIN(e_date) AS lo, MAX(e_date) AS hi FROM events GROUP BY y",
+	// A range on the same column: the index rewrite hands the scan the
+	// row ranges of the runs it keeps, which a dirty table's deletions
+	// thin and its inserted rows follow.
+	"SELECT e_v, COUNT(*) AS n, MIN(e_date) AS lo, MAX(e_date) AS hi FROM events WHERE e_date >= DATE '1996-03-01' AND e_date < DATE '1997-06-01' GROUP BY e_v",
 }
 
 // RunEncoded executes cfg.Queries random queries against db, comparing a

@@ -550,60 +550,6 @@ func TestFetchJoinWithStride(t *testing.T) {
 	}
 }
 
-func TestIndexedScanBasic(t *testing.T) {
-	// Outer table with an RLE-friendly sorted column and a payload.
-	n := 10000
-	idxVals := make([]int64, n)
-	payload := make([]int64, n)
-	for i := range idxVals {
-		idxVals[i] = int64(i / 1000) // 10 runs of 1000
-		payload[i] = int64(i)
-	}
-	tab := makeTable("t",
-		makeIntColumn("idx", types.Integer, idxVals),
-		makeIntColumn("pay", types.Integer, payload))
-	if tab.Columns[0].Data.Kind() != enc.RunLength {
-		t.Skipf("index column encoded as %v", tab.Columns[0].Data.Kind())
-	}
-	// Build the index table by decomposing the RLE column.
-	values, counts, err := enc.DecomposeRLE(tab.Columns[0].Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var start uint64
-	vw := enc.NewWriter(enc.WriterConfig{Signed: true})
-	cw := enc.NewWriter(enc.WriterConfig{Signed: true})
-	sw := enc.NewWriter(enc.WriterConfig{Signed: true})
-	for r := 0; r < values.Len(); r++ {
-		vw.AppendOne(values.Get(r))
-		c := counts.Get(r)
-		cw.AppendOne(c)
-		sw.AppendOne(start)
-		start += c
-	}
-	inner := &Built{Rows: values.Len(), Cols: []BuiltColumn{
-		{Info: ColInfo{Name: "idx", Type: types.Integer}, Data: vw.Finish()},
-		{Info: ColInfo{Name: "$count", Type: types.Integer}, Data: cw.Finish()},
-		{Info: ColInfo{Name: "$start", Type: types.Integer}, Data: sw.Finish()},
-	}}
-	is, err := NewIndexedScan(inner, []int{0}, 1, 2, tab, "pay")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Collect(is)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != n {
-		t.Fatalf("indexed scan emitted %d rows", len(rows))
-	}
-	for i := 0; i < n; i += 371 {
-		if int64(rows[i][0]) != idxVals[i] || int64(rows[i][1]) != payload[i] {
-			t.Fatalf("row %d = %v", i, rows[i])
-		}
-	}
-}
-
 func TestExchangeUnorderedAndOrdered(t *testing.T) {
 	n := 50000
 	tab := makeTable("t", makeIntColumn("a", types.Integer, seqInts(n)))

@@ -128,11 +128,9 @@ func (j *HashJoin) Schema() []ColInfo {
 			}
 		}
 	default:
-		if ss, ok := j.inner.(SchemaSource); ok {
-			for i, info := range ss.Schema() {
-				if i != j.innerKey {
-					appendInner(info)
-				}
+		for i, info := range j.inner.Schema() {
+			if i != j.innerKey {
+				appendInner(info)
 			}
 		}
 	}

@@ -99,7 +99,7 @@ func TestBudgetExceeded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return NewHashJoin(newScan(), &opSource{inner}, 0, 0, JoinHash)
+			return NewHashJoin(newScan(), NewFlowTable(inner, FlowTableConfig{Encode: true}), 0, 0, JoinHash)
 		}},
 		{"FlowTable", func() Operator {
 			return NewFlowTable(newScan(), DefaultFlowTableConfig())
@@ -145,14 +145,6 @@ func TestBudgetSufficient(t *testing.T) {
 	if qc.Peak() == 0 {
 		t.Fatal("accountant saw no usage from Sort")
 	}
-}
-
-// opSource adapts an operator into a TableSource for join tests.
-type opSource struct{ op Operator }
-
-func (s *opSource) BuildTable(qc *QueryCtx) (*Built, error) {
-	ft := NewFlowTable(s.op, FlowTableConfig{Encode: true})
-	return ft.BuildTable(qc)
 }
 
 // countGoroutines samples with retries so scheduler stragglers from

@@ -26,12 +26,13 @@ type morselSource interface {
 // fused into the sources: each source runs a clone of the chain over the
 // blocks it claims, on its own goroutine, booking rows, blocks and time
 // to the planned operators. Below the chain, a Scan — clean or over a
-// view, emitting runs or not — lets each source decode on its own
-// goroutine through its own column readers, claiming block after block,
-// base blocks then tail blocks, from one shared cursor. Any other input
-// (an IndexedScan, a grace join) is pulled under a mutex, straight into
-// the calling worker's block: its blocks arrive one at a time, but the
-// chain and the work above it still run in parallel.
+// view, of blocks or of an index's ranges, emitting runs or not — lets
+// each source decode on its own goroutine through its own column
+// readers, claiming morsel after morsel, base morsels then tail blocks,
+// from one shared cursor. The one other input, a join that went grace,
+// is pulled under a mutex, straight into the calling worker's block: its
+// blocks arrive one at a time, but the chain and the work above it still
+// run in parallel.
 func morsels(child Operator, n int) []morselSource {
 	chain, child := peel(child)
 	out := make([]morselSource, n)
@@ -175,8 +176,8 @@ func (f *fusedSource) next(b *vec.Block) (int, bool, error) {
 	return seq, true, nil
 }
 
-// scanDispenser is a scan's shared claim cursor: the next block index
-// any of its readers may fill.
+// scanDispenser is a scan's shared claim cursor: the next morsel (a
+// block, or a pack of ranges) any of its readers may fill.
 type scanDispenser struct {
 	s      *Scan
 	cursor atomic.Int64
@@ -212,8 +213,8 @@ func (m *scanMorsels) next(b *vec.Block) (int, bool, error) {
 	return blk, true, nil
 }
 
-// lockedSource serializes Next on a child that cannot be split, counting
-// the blocks it hands out as their sequence numbers.
+// lockedSource serializes Next on a child that cannot be split (a grace
+// join), counting the blocks it hands out as their sequence numbers.
 type lockedSource struct {
 	mu    sync.Mutex
 	child Operator

@@ -26,8 +26,8 @@ type ColInfo struct {
 	// computed string columns whose heap is created per block.
 	Heap *heap.Heap
 	// StoredHeap says every block of this column carries Heap itself, so
-	// a token is the position of an element in that one heap. A clean
-	// Scan, an IndexedScan and a FlowTable's output set it; an operator
+	// a token is the position of an element in that one heap. A table
+	// Scan and a FlowTable's output set it; an operator
 	// that may emit the column's tokens against heaps of its own (a
 	// spilled join's partitions, a spilled sort's runs, an aggregation's
 	// or a top-n's heaps) clears it. Direct grouping takes a string
@@ -58,12 +58,14 @@ type Operator interface {
 }
 
 // TableSource is implemented by stop-and-go operators that materialize a
-// table (FlowTable and the pseudo-table operators of Sect. 4); the Join
-// operator "takes a stop-and-go operator as the inner relation".
+// table (FlowTable, and a Built itself); the Join operator "takes a
+// stop-and-go operator as the inner relation".
 type TableSource interface {
 	// BuildTable runs the subtree to completion and returns the result,
 	// charging the materialized size against qc (nil = unaccounted).
 	BuildTable(qc *QueryCtx) (*Built, error)
+	// Schema describes the table's columns before it is built.
+	Schema() []ColInfo
 }
 
 // Built is a materialized table plus the metadata FlowTable extracted
@@ -89,7 +91,7 @@ type BuiltColumn struct {
 }
 
 // BuildTable implements TableSource: a materialized table is its own
-// source, so a prebuilt index or slice can be a join or indexed-scan inner.
+// source, so a prebuilt table can be a join inner.
 func (bt *Built) BuildTable(*QueryCtx) (*Built, error) { return bt, nil }
 
 // Schema returns the built table's column descriptions.

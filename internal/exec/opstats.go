@@ -134,7 +134,7 @@ type OpStats struct {
 	nsOpen     int64
 	nsNext     int64
 	// bytesScanned counts encoded bytes decoded from storage (Scan over
-	// any source, IndexedScan); 0 elsewhere.
+	// any source, of blocks or of ranges); 0 elsewhere.
 	bytesScanned int64
 	// cacheHits / cacheMisses count shared decode-cache lookups by a Scan
 	// served from (or inserted into) the process-wide DecodeCache; both 0

@@ -58,6 +58,11 @@ const RowIDColumn = "$rowid"
 // the base's restated for the visible rows (viewMeta). Zone maps
 // describe only base rows: pruning applies to base blocks, and the tail
 // is emitted after them regardless.
+//
+// A range scan (ReadRanges) reads only the row ranges an index yields,
+// in the index's order, instead of the whole table: Sect. 4.2's rank
+// join as range skipping. Its morsels pack ranges instead of blocks, and
+// a view's deleted rows and tail apply to them as to blocks.
 type Scan struct {
 	OpInstr
 	src *Built // the column source: what every stage reads
@@ -86,14 +91,26 @@ type Scan struct {
 	// blocks they prove empty are skipped without decoding.
 	Prune []ZoneFilter
 
+	// index yields a range scan's ranges (ReadRanges). Open drains it
+	// into ranges, split so that none crosses a morsel; morsel m is
+	// ranges[morsel[m]:morsel[m+1]], and charged is what they hold.
+	index   Operator
+	ranges  []rowRange
+	morsel  []int
+	charged int
+
 	qc      *QueryCtx
 	cols    []colReader
 	cache   *DecodeCache // the query's decode cache over a stored table
 	pruner  zonePruner
-	at      int // next block
-	nblocks int // base blocks, then tail blocks
+	at      int // next morsel
+	base    int // base morsels: table blocks, or packed ranges
+	nblocks int // base morsels, then tail blocks
 	runs    bool
 }
+
+// rowRange is count base rows from start.
+type rowRange struct{ start, count int }
 
 // NewScan scans the named columns of t (all columns when names is nil);
 // RowIDColumn names the row-position column.
@@ -262,8 +279,7 @@ func viewMeta(md enc.Metadata, info *ColInfo, v *delta.View, tail []uint64, grow
 	md.RowCount = v.VisibleRows()
 	tokens := info.Dict != nil || info.Type == types.String
 	if v.DeletedRows > 0 {
-		md.RangeExact, md.Dense, md.IsAffine = false, false, false
-		md.CardinalityExact = md.CardinalityExact && tokens
+		md = subsetMeta(md, info)
 	}
 	if len(tail) == 0 {
 		return md
@@ -308,6 +324,40 @@ func viewMeta(md enc.Metadata, info *ColInfo, v *delta.View, tail []uint64, grow
 	return md
 }
 
+// subsetMeta restates md for a subset of the column's rows, in their
+// order: order, uniqueness, bounds and a token domain hold, but the rows
+// may no longer reach the extremes or be consecutive.
+func subsetMeta(md enc.Metadata, info *ColInfo) enc.Metadata {
+	md.RangeExact, md.Dense, md.IsAffine = false, false, false
+	md.CardinalityExact = md.CardinalityExact && (info.Dict != nil || info.Type == types.String)
+	return md
+}
+
+// ReadRanges makes s a range scan: it reads only the base rows of the
+// ranges index yields, in index order. index runs over an IndexTable
+// (plan.IndexTable: value, $count, $start), filtered and possibly sorted
+// on the value; Open drains it. The schema keeps what a subset of the
+// rows keeps: a column stays sorted when the ranges come in row order
+// ($start ascending), and the value column comes out sorted when the
+// index is sorted on it and no tail follows (Sect. 4.2.2's ordered
+// retrieval).
+func (s *Scan) ReadRanges(index Operator) {
+	s.index = index
+	is := index.Schema()
+	rowOrder := is[2].Meta.SortedKnown && is[2].Meta.SortedAsc
+	valueOrder := is[0].Meta.SortedKnown && is[0].Meta.SortedAsc && (s.view == nil || len(s.view.Ins) == 0)
+	for i := range s.schema {
+		md := subsetMeta(s.schema[i].Meta, &s.schema[i])
+		switch {
+		case valueOrder && s.schema[i].Name == is[0].Name:
+			md.SortedKnown, md.SortedAsc = true, true
+		case !rowOrder:
+			md.SortedKnown, md.SortedAsc = false, false
+		}
+		s.schema[i].Meta = md
+	}
+}
+
 // NewBuiltScan scans bt (the output of FlowTable and the pseudo-table
 // operators).
 func NewBuiltScan(bt *Built) *Scan {
@@ -329,8 +379,8 @@ func (s *Scan) OpKind() string {
 	return "BuiltScan"
 }
 
-// OpLabel implements Instrumented: the source, and the join alias As
-// put on the column names ("lineitem as l").
+// OpLabel implements Instrumented: the source, "ranges" on a range
+// scan, and the join alias As put on the column names ("lineitem as l").
 func (s *Scan) OpLabel() string {
 	label := ""
 	if s.table != nil {
@@ -339,10 +389,21 @@ func (s *Scan) OpLabel() string {
 	if s.view != nil {
 		label += fmt.Sprintf(" +%d -%d", len(s.view.Ins), s.view.DeletedRows)
 	}
+	if s.index != nil {
+		label += " ranges"
+	}
 	if s.alias != "" {
 		label += " as " + s.alias
 	}
 	return label
+}
+
+// OpChildren implements Instrumented: a range scan's index.
+func (s *Scan) OpChildren() []Operator {
+	if s.index == nil {
+		return nil
+	}
+	return []Operator{s.index}
 }
 
 // As qualifies the scan's column names with a join alias ("l.col"), so
@@ -363,17 +424,30 @@ func (s *Scan) Open(qc *QueryCtx) error {
 	defer s.endOpen(start)
 	s.qc = qc
 	s.at = 0
-	s.nblocks = blocksOf(s.src.Rows)
+	s.base = blocksOf(s.src.Rows)
 	s.cache = nil
 	if s.table != nil {
-		s.cache = qc.Cache()
 		s.pruner = newZonePruner(s.table, s.Prune)
+		// Ranges read a few rows of many blocks: whole-block cache
+		// entries would be filled for them.
+		if s.index == nil {
+			s.cache = qc.Cache()
+		}
 	}
 	s.cols = s.newReaders()
 	routine := encRoutine(s.src.Cols)
 	if s.view != nil {
-		s.nblocks += blocksOf(len(s.view.Ins))
 		routine = fmt.Sprintf("base+delta(ins=%d dels=%d epoch=%d%s)", len(s.view.Ins), s.view.DeletedRows, s.view.Epoch, s.tailNote)
+	}
+	if s.index != nil {
+		if err := s.openRanges(qc); err != nil {
+			return err
+		}
+		routine += fmt.Sprintf("+ranges(%d)", len(s.ranges))
+	}
+	s.nblocks = s.base
+	if s.view != nil {
+		s.nblocks += blocksOf(len(s.view.Ins))
 	}
 	if s.pruner.active() {
 		routine += "+zoneskip"
@@ -387,6 +461,50 @@ func (s *Scan) Open(qc *QueryCtx) error {
 
 func blocksOf(rows int) int { return (rows + vec.BlockSize - 1) / vec.BlockSize }
 
+// openRanges drains the index into s.ranges, in its order, splitting a
+// range where a morsel fills up: every morsel but the last holds exactly
+// vec.BlockSize rows. The ranges are charged to the query until Close.
+func (s *Scan) openRanges(qc *QueryCtx) error {
+	if err := s.index.Open(qc); err != nil {
+		s.index.Close()
+		return err
+	}
+	defer s.index.Close()
+	s.ranges, s.morsel = s.ranges[:0], append(s.morsel[:0], 0)
+	b, fill := vec.NewBlock(len(s.index.Schema())), 0
+	for {
+		ok, err := s.index.Next(b)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		b.Materialize()
+		for i := 0; i < b.N; i++ {
+			start, count := int(int64(b.Vecs[2].Data[i])), int(int64(b.Vecs[1].Data[i]))
+			for count > 0 {
+				take := min(count, vec.BlockSize-fill)
+				s.ranges = append(s.ranges, rowRange{start, take})
+				start, count, fill = start+take, count-take, fill+take
+				if fill == vec.BlockSize {
+					s.morsel, fill = append(s.morsel, len(s.ranges)), 0
+				}
+			}
+		}
+	}
+	if fill > 0 {
+		s.morsel = append(s.morsel, len(s.ranges))
+	}
+	s.base = len(s.morsel) - 1
+	cost := cap(s.ranges)*16 + cap(s.morsel)*8
+	if err := qc.Charge("Scan", cost-s.charged); err != nil {
+		return err
+	}
+	s.charged = max(s.charged, cost)
+	return nil
+}
+
 // newReaders returns a fresh column reader per selected column: the
 // scan's own, or a parallel consumer's (morsels).
 func (s *Scan) newReaders() []colReader {
@@ -399,10 +517,10 @@ func (s *Scan) newReaders() []colReader {
 }
 
 // EmitsRuns reports whether the scan will hand its column downstream as
-// runs: EmitRuns is set and the source is one scalar run-length column.
-// A view's tail blocks stay plain.
+// runs: EmitRuns is set and the source is one scalar run-length column,
+// read whole. A view's tail blocks stay plain.
 func (s *Scan) EmitsRuns() bool {
-	if !s.EmitRuns || len(s.src.Cols) != 1 {
+	if !s.EmitRuns || s.index != nil || len(s.src.Cols) != 1 {
 		return false
 	}
 	c := &s.src.Cols[0]
@@ -430,17 +548,20 @@ func (s *Scan) next(b *vec.Block) (bool, error) {
 	return false, nil
 }
 
-// block fills b with block blk through cols — a base block, or past the
-// base a tail block — and reports false, having decoded nothing, when the
-// zone filters refute it or the view deleted all its rows. The cursor is
-// always vec.BlockSize-aligned, so a skipped block costs no reader call
-// and no decode-cache charge.
+// block fills b with morsel blk through cols — a base block or a range
+// morsel, or past the base a tail block — and reports false, having
+// decoded nothing, when the zone filters refute it or the view deleted
+// all its rows. A base block's cursor is always vec.BlockSize-aligned,
+// so a skipped block costs no reader call and no decode-cache charge.
 func (s *Scan) block(cols []colReader, b *vec.Block, blk int) (bool, error) {
-	at := blk * vec.BlockSize
-	if at >= s.src.Rows {
-		s.fillTail(b, (blk-blocksOf(s.src.Rows))*vec.BlockSize)
+	if blk >= s.base {
+		s.fillTail(b, (blk-s.base)*vec.BlockSize)
 		return true, nil
 	}
+	if s.index != nil {
+		return s.fillRanges(cols, b, blk)
+	}
+	at := blk * vec.BlockSize
 	if s.pruner.skip(blk) {
 		s.st.AddBlocksSkipped(1)
 		return false, nil
@@ -479,9 +600,41 @@ func (s *Scan) block(cols []colReader, b *vec.Block, blk int) (bool, error) {
 		}
 	}
 	if dead > 0 {
-		compactRows(b, dels)
+		b.N = compactRows(b.Vecs, 0, n, dels, 0)
 	}
 	return true, nil
+}
+
+// fillRanges fills b with range morsel m through cols, dropping the rows
+// the view deleted, and reports false when none is left. A range wholly
+// deleted is not read.
+func (s *Scan) fillRanges(cols []colReader, b *vec.Block, m int) (bool, error) {
+	ensureVecs(b, len(s.schema))
+	n := 0
+	for _, r := range s.ranges[s.morsel[m]:s.morsel[m+1]] {
+		var dels []uint64
+		dead, lo := 0, r.start%64
+		if s.view != nil {
+			dels = s.view.Deleted(r.start, r.count)
+			dead = deadIn(dels, lo, lo+r.count)
+			s.st.AddDeletedRows(int64(dead))
+			if dead == r.count {
+				continue
+			}
+		}
+		for i := range cols {
+			if err := cols[i].fill(s.st, &b.Vecs[i], n, r.start, r.count); err != nil {
+				return false, err
+			}
+		}
+		if dead > 0 {
+			n += compactRows(b.Vecs, n, r.count, dels, lo)
+		} else {
+			n += r.count
+		}
+	}
+	b.N = n
+	return n > 0, nil
 }
 
 // fillRuns hands the column's runs downstream instead of expanding them
@@ -516,28 +669,35 @@ func deadIn(words []uint64, lo, hi int) int {
 	return n
 }
 
-// compactRows drops the rows dels marks from b's plain vectors, a bitmap
-// word — 64 rows — at a time: a word without deletions moves as one copy.
-func compactRows(b *vec.Block, dels []uint64) {
-	out := 0
-	for w, word := range dels {
-		lo, hi := w*64, min(w*64+64, b.N)
-		for i := range b.Vecs {
-			d, o := b.Vecs[i].Data, out
-			if word == 0 {
-				copy(d[o:], d[lo:hi])
+// compactRows drops from rows [off, off+n) of plain vectors vecs those
+// that deletion bitmap words dels mark from bit lo on, a bitmap word at a
+// time (a stretch without deletions moves as one copy), and returns how
+// many rows it kept, from off on.
+func compactRows(vecs []vec.Vector, off, n int, dels []uint64, lo int) int {
+	out := off
+	for j := 0; j < n; {
+		p := lo + j
+		w, k := dels[p/64]>>(p%64), min(64-p%64, n-j)
+		if k < 64 {
+			w &= 1<<k - 1
+		}
+		for i := range vecs {
+			d, o := vecs[i].Data, out
+			if w == 0 {
+				copy(d[o:], d[off+j:off+j+k])
 				continue
 			}
-			for j := lo; j < hi; j++ {
-				if word>>(j-lo)&1 == 0 {
-					d[o] = d[j]
+			for t := 0; t < k; t++ {
+				if w>>t&1 == 0 {
+					d[o] = d[off+j+t]
 					o++
 				}
 			}
 		}
-		out += hi - lo - deadIn(dels, lo, hi)
+		out += k - bits.OnesCount64(w)
+		j += k
 	}
-	b.N = out
+	return out - off
 }
 
 // dropRunRows shrinks each run by the rows dels marks, in place, dropping
@@ -569,13 +729,15 @@ func (s *Scan) fillTail(b *vec.Block, from int) {
 // Close implements Operator.
 func (s *Scan) Close() error {
 	s.cols, s.cache = nil, nil
+	s.qc.Release(s.charged)
+	s.charged = 0
 	return nil
 }
 
-// colReader fills block vectors from one column of a scan source. Scan
-// and IndexedScan both read through it, so every source gets the same
-// short-read check, widening, vector info and bytes_scanned accounting.
-// A reader without a stream is $rowid's: it stamps row positions.
+// colReader fills block vectors from one column of a scan source, a
+// block or a range at a time, so every source gets the same short-read
+// check, widening, vector info and bytes_scanned accounting. A reader
+// without a stream is $rowid's: it stamps row positions.
 type colReader struct {
 	info  ColInfo
 	data  *enc.Stream

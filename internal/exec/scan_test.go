@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -173,18 +174,30 @@ func TestScanContract(t *testing.T) {
 	// maps can act on it.
 	prune := []ZoneFilter{{Col: 0, Kind: ZFRange, Lo: 2 * vec.BlockSize, Hi: contractRows, Name: "a"}}
 	names := []string{"a", "d", "s", RowIDColumn}
+	// The ranges come out of row order, cross block boundaries, reach
+	// into the wholly deleted block and fill more than one morsel.
+	ranges := [][2]int{{2500, 400}, {10, 1500}, {1500, 3}, {0, 1}}
+	ranged := func(s *Scan, err error) (*Scan, error) {
+		if err == nil {
+			s.ReadRanges(rangeIndex("a", nil, ranges...))
+		}
+		return s, err
+	}
 	sources := []struct {
 		name    string
 		dirty   bool
-		prunes  bool // a table scan: it also selects $rowid
+		table   bool // it also selects $rowid
+		ranges  bool // it reads ranges, which zone filters do not prune
 		cache   bool
 		newScan func() (*Scan, error)
 	}{
-		{name: "clean", prunes: true, newScan: func() (*Scan, error) { return NewScan(tab, names...) }},
-		{name: "clean+cache", prunes: true, cache: true, newScan: func() (*Scan, error) { return NewScan(tab, names...) }},
-		{name: "dirty", dirty: true, prunes: true, newScan: func() (*Scan, error) { return NewViewScan(view, names...) }},
-		{name: "dirty+cache", dirty: true, prunes: true, cache: true, newScan: func() (*Scan, error) { return NewViewScan(view, names...) }},
+		{name: "clean", table: true, newScan: func() (*Scan, error) { return NewScan(tab, names...) }},
+		{name: "clean+cache", table: true, cache: true, newScan: func() (*Scan, error) { return NewScan(tab, names...) }},
+		{name: "dirty", dirty: true, table: true, newScan: func() (*Scan, error) { return NewViewScan(view, names...) }},
+		{name: "dirty+cache", dirty: true, table: true, cache: true, newScan: func() (*Scan, error) { return NewViewScan(view, names...) }},
 		{name: "built", newScan: func() (*Scan, error) { return NewBuiltScan(built), nil }},
+		{name: "ranges", table: true, ranges: true, newScan: func() (*Scan, error) { return ranged(NewScan(tab, names...)) }},
+		{name: "dirty+ranges", dirty: true, table: true, ranges: true, newScan: func() (*Scan, error) { return ranged(NewViewScan(view, names...)) }},
 	}
 	for _, src := range sources {
 		for _, pruned := range []bool{false, true} {
@@ -194,20 +207,29 @@ func TestScanContract(t *testing.T) {
 					t.Fatal(err)
 				}
 				scan.EmitRuns = true // three columns: never legal
+				var order []int
 				first := 0
 				if pruned {
 					scan.Prune = prune
-					if src.prunes {
+					if src.table && !src.ranges {
 						first = 2 * vec.BlockSize
 					}
 				}
+				for i := first; i < contractRows && !src.ranges; i++ {
+					order = append(order, i)
+				}
+				for _, r := range ranges {
+					for i := r[0]; i < r[0]+r[1] && src.ranges; i++ {
+						order = append(order, i)
+					}
+				}
 				var want []string
-				for i := first; i < contractRows; i++ {
+				for _, i := range order {
 					if src.dirty && deleted[i] {
 						continue
 					}
 					row := contractRow(i)
-					if src.prunes {
+					if src.table {
 						row += fmt.Sprintf("|%d", i) // $rowid
 					}
 					want = append(want, row)
@@ -245,6 +267,134 @@ func TestScanContract(t *testing.T) {
 			})
 		}
 	}
+}
+
+// rangeIndex is a range scan's index over the given (start, count)
+// ranges, in order, shaped as a plan's IndexTable => Filter pipeline
+// hands it over: value column name (vals, or zeros), $count, $start.
+func rangeIndex(name string, vals []int64, ranges ...[2]int) Operator {
+	if vals == nil {
+		vals = make([]int64, len(ranges))
+	}
+	var counts, starts []int64
+	for _, r := range ranges {
+		starts, counts = append(starts, int64(r[0])), append(counts, int64(r[1]))
+	}
+	var cols []BuiltColumn
+	for i, c := range []*storage.Column{
+		makeIntColumn(name, types.Integer, vals),
+		makeIntColumn("$count", types.Integer, counts),
+		makeIntColumn("$start", types.Integer, starts),
+	} {
+		cols = append(cols, BuiltColumn{Info: ColInfo{Name: c.Name, Type: c.Type, Meta: c.Meta}, Data: c.Data})
+		if i == 0 {
+			cols[0].Info.Meta.SortedKnown = false // an IndexTable over unsorted runs
+		}
+	}
+	return NewBuiltScan(&Built{Rows: len(ranges), Cols: cols})
+}
+
+// TestScanRanges: a range scan reads its ranges in index order, packed
+// into full morsels, and parallel consumers claim them: an
+// order-preserving Exchange gives the serial rows back in order, a free
+// one the same multiset. A value column stays sorted only in row order,
+// and comes out sorted when the index is sorted on it.
+func TestScanRanges(t *testing.T) {
+	const n = 20000
+	idx, pay := make([]int64, n), make([]int64, n)
+	for i := range idx {
+		idx[i], pay[i] = int64(i/3000), int64(i) // 7 runs, 6 of 3000 rows
+	}
+	tab := makeTable("t", makeIntColumn("idx", types.Integer, idx), makeIntColumn("pay", types.Integer, pay))
+	// The runs of values 1, 3 and 5, as a filter on the run list keeps
+	// them: in row order.
+	vals, ranges := []int64{1, 3, 5}, [][2]int{{3000, 3000}, {9000, 3000}, {15000, 3000}}
+	rowOrder := rangeIndex("idx", vals, ranges...)
+	scan := func(index Operator) *Scan {
+		s, err := NewScan(tab, "idx", "pay", RowIDColumn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.ReadRanges(index)
+		return s
+	}
+	serial, err := Collect(scan(rowOrder))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial) != 9000 {
+		t.Fatalf("%d rows, want 9000", len(serial))
+	}
+	at := 0
+	for _, r := range ranges {
+		for i := r[0]; i < r[0]+r[1]; i++ {
+			if row := serial[at]; int64(row[0]) != idx[i] || int64(row[1]) != pay[i] || row[2] != uint64(i) {
+				t.Fatalf("row %d = %v, want base row %d", at, row, i)
+			}
+			at++
+		}
+	}
+	// Morsels are full but for the last.
+	s := scan(rangeIndex("idx", vals, ranges...))
+	if err := s.Open(nil); err != nil {
+		t.Fatal(err)
+	}
+	b := vec.NewBlock(3)
+	for blocks := 0; ; blocks++ {
+		ok, err := s.Next(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if want := min(vec.BlockSize, 9000-blocks*vec.BlockSize); b.N != want {
+			t.Fatalf("morsel %d holds %d rows, want %d", blocks, b.N, want)
+		}
+	}
+	s.Close()
+
+	for _, preserve := range []bool{true, false} {
+		got, err := Collect(NewExchange(scan(rangeIndex("idx", vals, ranges...)), 4, preserve))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := serial
+		if !preserve {
+			got, want = sortedRows(got), sortedRows(serial)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("preserve=%v: %d rows differ from the serial %d", preserve, len(got), len(want))
+		}
+	}
+
+	md := scan(rowOrder).Schema()
+	if !md[0].Meta.SortedAsc || !md[1].Meta.SortedAsc || md[1].Meta.RangeExact || md[1].Meta.Dense {
+		t.Fatalf("row-order range scan metadata %+v / %+v", md[0].Meta, md[1].Meta)
+	}
+	// Listed 5, 1, 3 and sorted on the value, the index hands the runs
+	// over in value order: idx comes out sorted, pay and $rowid are no
+	// longer known to be.
+	valueOrder := func() Operator {
+		return NewSort(rangeIndex("idx", []int64{5, 1, 3}, [2]int{15000, 3000}, [2]int{3000, 3000}, [2]int{9000, 3000}), SortKey{Col: 0})
+	}
+	if md := scan(valueOrder()).Schema(); !md[0].Meta.SortedAsc || md[1].Meta.SortedKnown {
+		t.Fatalf("value-order range scan metadata %+v / %+v", md[0].Meta, md[1].Meta)
+	}
+	got, err := Collect(scan(valueOrder()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, serial) {
+		t.Fatalf("value-order range scan: %d rows differ from the row-order %d", len(got), len(serial))
+	}
+}
+
+// sortedRows orders rows lexicographically.
+func sortedRows(rows [][]uint64) [][]uint64 {
+	out := slices.Clone(rows)
+	slices.SortFunc(out, slices.Compare)
+	return out
 }
 
 // TestScanEmitsRunsOnlyWhereLegal: a single scalar run-length column comes
@@ -333,11 +483,6 @@ func TestScanShortColumnFailsFromEverySource(t *testing.T) {
 		{Info: ColInfo{Name: "a", Type: types.Integer}, Data: long.Data},
 		{Info: ColInfo{Name: "b", Type: types.Integer}, Data: short.Data},
 	}}
-	index := &Built{Rows: 1, Cols: []BuiltColumn{
-		{Info: ColInfo{Name: "v", Type: types.Integer}, Data: makeIntColumn("v", types.Integer, []int64{7}).Data},
-		{Info: ColInfo{Name: "$count", Type: types.Integer}, Data: makeIntColumn("c", types.Integer, []int64{contractRows}).Data},
-		{Info: ColInfo{Name: "$start", Type: types.Integer}, Data: makeIntColumn("s", types.Integer, []int64{0}).Data},
-	}}
 	for _, tc := range []struct {
 		name  string
 		cache bool
@@ -348,7 +493,11 @@ func TestScanShortColumnFailsFromEverySource(t *testing.T) {
 		{"dirty", false, func() (Operator, error) { return NewViewScan(view) }},
 		{"built", false, func() (Operator, error) { return NewBuiltScan(built), nil }},
 		{"indexed", false, func() (Operator, error) {
-			return NewIndexedScan(index, []int{0}, 1, 2, tab, "b")
+			s, err := NewScan(tab, "b")
+			if err == nil {
+				s.ReadRanges(rangeIndex("a", nil, [2]int{0, contractRows}))
+			}
+			return s, err
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

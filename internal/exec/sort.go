@@ -65,9 +65,11 @@ func (s *Sort) Schema() []ColInfo {
 			out[i].Heap = s.heaps[i]
 		}
 		out[i].StoredHeap = false // a spilled merge emits its runs' heaps
+		out[i].Meta.SortedKnown, out[i].Meta.SortedAsc = false, false
 	}
 	// The primary key column is sorted on output (the external merge
-	// produces the same order as the in-memory sort).
+	// produces the same order as the in-memory sort); the others lose
+	// their input order.
 	if len(s.keys) > 0 && !s.keys[0].Desc {
 		out[s.keys[0].Col].Meta.SortedKnown = true
 		out[s.keys[0].Col].Meta.SortedAsc = true

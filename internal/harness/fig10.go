@@ -17,7 +17,7 @@ import (
 type Fig10Point struct {
 	Table       string // "1M" | "large"
 	Index       string // "primary" | "secondary"
-	Plan        int    // 1 = scan, 2 = indexed, 3 = indexed+sorted
+	Plan        int    // 1 = scan, 2 = index ranges, 3 = index ranges sorted
 	Selectivity int    // 0..100
 	Seconds     float64
 	Groups      int
@@ -136,8 +136,8 @@ func Fig10(cfg Fig10Config) ([]Fig10Point, error) {
 func RenderFig10(w io.Writer, points []Fig10Point) {
 	fmt.Fprintln(w, "Figure 10: Filter/aggregate plans over run-length data")
 	fmt.Fprintln(w, "  plan 1 = Scan=>Filter=>Aggregate (control)")
-	fmt.Fprintln(w, "  plan 2 = Index=>Filter=>IndexedScan=>Aggregate")
-	fmt.Fprintln(w, "  plan 3 = Index=>Filter=>Sort=>IndexedScan=>OrdAggr")
+	fmt.Fprintln(w, "  plan 2 = Index=>Filter=>Scan(ranges)=>Aggregate")
+	fmt.Fprintln(w, "  plan 3 = Index=>Filter=>Sort=>Scan(ranges)=>OrdAggr")
 	panels := map[string][]Fig10Point{}
 	var order []string
 	for _, p := range points {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -51,25 +52,61 @@ func TestParallelScanPlanMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestIndexPlanHasNoExchange: an Exchange over an index plan would find no
-// scan to claim blocks from and no chain to run, so its workers would
-// only copy blocks; the plan stays serial, as does its residual filter.
-func TestIndexPlanHasNoExchange(t *testing.T) {
+// TestIndexPlanClaimsRanges: with workers, a filtered index plan hands
+// its range scan's morsels to an Exchange's workers, which run the
+// residual filter on the ranges they claim (order-preserving, since the
+// index column comes out sorted in plan 2 and plan 3 alike), or to a
+// parallel aggregate's. Either way the answers are the serial plan's,
+// in the same order. An index plan with no filter left above its scan
+// gets no Exchange: its workers would only copy blocks.
+func TestIndexPlanClaimsRanges(t *testing.T) {
 	tab := buildRLTable(t, 80000)
-	for _, where := range []expr.Expr{
-		expr.NewCmp(expr.GT, expr.NewColRef(0, "primary", types.Integer), expr.NewIntConst(60)),
-		expr.NewAnd(
-			expr.NewCmp(expr.GT, expr.NewColRef(0, "primary", types.Integer), expr.NewIntConst(60)),
-			expr.NewCmp(expr.GT, expr.NewColRef(1, "other", types.Integer), expr.NewIntConst(3))),
-	} {
-		q := Query{Table: tab, Where: where, Select: []string{"primary", "other"}}
-		_, ex, err := Build(q, Options{ParallelWorkers: 4})
+	above60 := expr.NewCmp(expr.GT, expr.NewColRef(0, "primary", types.Integer), expr.NewIntConst(60))
+	filtered := Query{Table: tab, Select: []string{"primary", "other"}, Where: expr.NewAnd(above60,
+		expr.NewCmp(expr.GT, expr.NewColRef(1, "other", types.Integer), expr.NewIntConst(3)))}
+	for _, ordered := range []int{0, 1} {
+		serial, sx, err := Build(filtered, Options{OrderedIndex: ordered, ParallelWorkers: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(ex.String(), "IndexedScan") || strings.Contains(ex.String(), "Exchange") {
-			t.Fatalf("want a serial index plan: %s", ex)
+		want, err := exec.Collect(serial)
+		if err != nil {
+			t.Fatal(err)
 		}
+		op, ex, err := Build(filtered, Options{OrderedIndex: ordered, ParallelWorkers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := ex.String(); !strings.Contains(p, "Scan(rl ranges)") || !strings.Contains(p, "Exchange[4 workers, order-preserving]") {
+			t.Fatalf("plan %d: want an order-preserving Exchange over the range scan: %s", 2+ordered, p)
+		}
+		if strings.Contains(sx.String(), "Sort[primary]") != (ordered == 1) {
+			t.Fatalf("plan %d: %s", 2+ordered, sx)
+		}
+		got, err := exec.Collect(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("plan %d: %d rows with 4 workers differ from the %d serial ones", 2+ordered, len(got), len(want))
+		}
+
+		op, ex, err = Build(fig10Query(tab, "primary", 60), Options{OrderedIndex: ordered, ParallelWorkers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := ex.String(); !strings.Contains(p, "Scan(rl ranges)") || !strings.Contains(p, "ParallelAggregate[4 workers") {
+			t.Fatalf("plan %d: want a parallel aggregate over the range scan: %s", 2+ordered, p)
+		}
+		checkFig10(t, op, referenceFig10(tab, "primary", 60))
+	}
+	q := Query{Table: tab, Where: above60, Select: []string{"primary", "other"}}
+	_, ex, err := Build(q, Options{ParallelWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := ex.String(); !strings.Contains(p, "Scan(rl ranges)") || strings.Contains(p, "Exchange") {
+		t.Fatalf("want a bare range scan: %s", p)
 	}
 }
 

@@ -250,17 +250,17 @@ func TestFig10PlansAgree(t *testing.T) {
 		}
 		checkFig10(t, p1, want)
 
-		// Plan 2: Index => Filter => IndexedScan => Aggregate.
+		// Plan 2: Index => Filter => Scan(ranges) => Aggregate.
 		p2, ex2, err := Build(q, Options{OrderedIndex: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(ex2.String(), "IndexTable") || !strings.Contains(ex2.String(), "IndexedScan") {
+		if !strings.Contains(ex2.String(), "IndexTable") || !strings.Contains(ex2.String(), "Scan(rl ranges)") {
 			t.Errorf("plan 2 is %s", ex2)
 		}
 		checkFig10(t, p2, want)
 
-		// Plan 3: Index => Filter => Sort => IndexedScan => OrdAggr.
+		// Plan 3: Index => Filter => Sort => Scan(ranges) => OrdAggr.
 		p3, ex3, err := Build(q, Options{OrderedIndex: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -279,7 +279,7 @@ func TestFig10Plan3UsesOrderedAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Walk: finishPlan wraps the IndexedScan in an Aggregate.
+	// Walk: finishPlan wraps the range scan in an Aggregate.
 	agg, ok := op.(*exec.Aggregate)
 	if !ok {
 		t.Fatalf("top operator is %T", op)
@@ -593,11 +593,12 @@ func TestConjunctSplittingIndexPlan(t *testing.T) {
 	}
 }
 
-// TestRewritesRefuseOverlay: over a dirty view the index rewrite that
-// TestConjunctSplittingIndexPlan takes is refused — its pseudo-table
-// would hold only the base column — EXPLAIN says why, and the overlaid
-// scan answers without the deleted row.
-func TestRewritesRefuseOverlay(t *testing.T) {
+// TestIndexPlanOverOverlay: over a dirty view the index rewrite that
+// TestConjunctSplittingIndexPlan takes still applies. Its ranges drop a
+// deleted row, an inserted row that qualifies follows them, and the whole
+// WHERE stays above the scan, so an inserted row that fails the pushed
+// conjunct is filtered out.
+func TestIndexPlanOverOverlay(t *testing.T) {
 	tab := buildRLTable(t, 80000)
 	pc, oc := tab.Column("primary"), tab.Column("other")
 	qualifies := func(i int) bool { return int64(pc.Value(i)) > 80 && int64(oc.Value(i)) < 500000 }
@@ -606,7 +607,14 @@ func TestRewritesRefuseOverlay(t *testing.T) {
 		gone--
 	}
 	store := delta.NewStore([]*storage.Table{tab})
-	if _, err := store.Apply([]delta.Op{{Table: "rl", Kind: delta.OpDelete, RowID: uint64(gone)}}); err != nil {
+	row := func(p, o int64) []delta.Value {
+		return []delta.Value{delta.Scalar(uint64(p)), delta.Scalar(7), delta.Scalar(uint64(o))}
+	}
+	if _, err := store.Apply([]delta.Op{
+		{Table: "rl", Kind: delta.OpDelete, RowID: uint64(gone)},
+		{Table: "rl", Kind: delta.OpInsert, Row: row(90, 1)},
+		{Table: "rl", Kind: delta.OpInsert, Row: row(3, 1)},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	view, err := store.ViewWith(tab, nil)
@@ -619,29 +627,32 @@ func TestRewritesRefuseOverlay(t *testing.T) {
 	q := Query{Table: tab, Delta: view, Where: where,
 		GroupBy: []string{"primary"},
 		Aggs:    []AggItem{{Func: exec.Count, Col: ""}}}
-	op, ex, err := Build(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := ex.String(); !strings.Contains(p, "IndexPlan refused: overlay") || !strings.Contains(p, "DeltaScan") || strings.Contains(p, "IndexTable") {
-		t.Fatalf("plan: %s", p)
-	}
-	rows, err := exec.Collect(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int64]int64{}
-	for i := 0; i < tab.Rows(); i++ {
-		if i != gone && qualifies(i) {
-			want[int64(pc.Value(i))]++
+	for _, workers := range []int{-1, 4} {
+		op, ex, err := Build(q, Options{ParallelWorkers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(rows) != len(want) {
-		t.Fatalf("%d groups, want %d", len(rows), len(want))
-	}
-	for _, r := range rows {
-		if want[int64(r[0])] != int64(r[1]) {
-			t.Fatalf("group %d: %d want %d", int64(r[0]), int64(r[1]), want[int64(r[0])])
+		if p := ex.String(); !strings.Contains(p, "IndexTable") || !strings.Contains(p, "DeltaScan(rl +2 -1 ranges)") ||
+			!strings.Contains(p, "ResidualFilter[((primary > 80) AND (other < 500000))]") {
+			t.Fatalf("plan: %s", p)
+		}
+		rows, err := exec.Collect(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[int64]int64{90: 1}
+		for i := 0; i < tab.Rows(); i++ {
+			if i != gone && qualifies(i) {
+				want[int64(pc.Value(i))]++
+			}
+		}
+		if len(rows) != len(want) {
+			t.Fatalf("workers=%d: %d groups, want %d", workers, len(rows), len(want))
+		}
+		for _, r := range rows {
+			if want[int64(r[0])] != int64(r[1]) {
+				t.Fatalf("workers=%d: group %d: %d want %d", workers, int64(r[0]), int64(r[1]), want[int64(r[0])])
+			}
 		}
 	}
 }

@@ -39,10 +39,9 @@ type OrderItem struct {
 type Query struct {
 	Table *storage.Table
 	// Delta is the table's write-overlay snapshot (nil or clean = none).
-	// The scan plan reads a dirty delta through the overlaid scan; the
-	// index rewrite refuses it, because its IndexTable is built from the
-	// base column's stored encoding, which does not hold the overlay's
-	// rows.
+	// Every plan reads a dirty delta through the overlaid scan; the index
+	// rewrite's IndexTable, built from the base column's runs, names base
+	// rows only, so the inserted rows meet the whole WHERE above the scan.
 	Delta *delta.View
 	// Alias prefixes Table's column names ("alias.col") in a join; empty
 	// keeps bare names.
@@ -67,7 +66,7 @@ type Query struct {
 
 // Options control the strategic optimizer.
 type Options struct {
-	// NoIndexPlan disables the IndexTable/IndexedScan rewrite (plan 1 of
+	// NoIndexPlan disables the IndexTable range-scan rewrite (plan 1 of
 	// Fig. 10 is the control that fulfills the query "using the existing
 	// system").
 	NoIndexPlan bool
@@ -194,7 +193,7 @@ func Build(q Query, opt Options) (exec.Operator, *Explain, error) {
 	switch {
 	case len(q.Joins) > 0:
 		op, err = buildJoinPlan(q, opt, ex)
-	case !opt.NoIndexPlan && rewrites(q, ex):
+	case !opt.NoIndexPlan && rewrites(q):
 		op, err = buildIndexPlan(q, opt, ex)
 	default:
 		op, err = buildScanPlan(q, opt, ex)
@@ -319,21 +318,13 @@ func isolateColumn(where expr.Expr, tab *storage.Table) (col *storage.Column, pu
 }
 
 // rewrites reports whether the index rewrite applies: some WHERE
-// conjunct isolates a run-length column, and the table has no dirty
-// overlay — the IndexTable would be built from the base column alone.
-// A refusal is recorded with its reason.
-func rewrites(q Query, ex *Explain) bool {
+// conjunct isolates a run-length column.
+func rewrites(q Query) bool {
 	if q.Where == nil {
 		return false
 	}
-	if c, _, _ := isolateColumn(q.Where, q.Table); c == nil {
-		return false
-	}
-	if deltaDirty(q.Delta) {
-		ex.add("IndexPlan refused: overlay")
-		return false
-	}
-	return true
+	c, _, _ := isolateColumn(q.Where, q.Table)
+	return c != nil
 }
 
 // deltaDirty reports whether a view actually changes table contents.
@@ -381,7 +372,13 @@ func buildScanPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 }
 
 // buildIndexPlan is the rank-join rewrite (Fig. 10 plans 2 and 3):
-// Index => Filter => [Sort =>] FlowTable => IndexedScan.
+// Index => Filter => [Sort =>] Scan(ranges). The filtered, optionally
+// value-sorted IndexTable hands the scan the row ranges of its surviving
+// runs, which the scan reads in that order. Over a dirty view the ranges
+// drop the deleted rows and the inserted ones follow without having met
+// the index, so the whole WHERE stays above the scan; on a clean table
+// only the residual does, and the scan reads the index column only where
+// the query needs it beyond the pushed conjuncts.
 func buildIndexPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 	col, pushed, residual := isolateColumn(q.Where, q.Table)
 	bt, err := IndexTable(col)
@@ -389,12 +386,12 @@ func buildIndexPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 		return nil, err
 	}
 	ex.add("IndexTable(%s:%d runs)", col.Name, bt.Rows)
-	var inner exec.Operator = exec.NewBuiltScan(bt)
-	pred, err := Rebind(pushed, inner.Schema())
+	var index exec.Operator = exec.NewBuiltScan(bt)
+	pred, err := Rebind(pushed, index.Schema())
 	if err != nil {
 		return nil, err
 	}
-	inner = newSelect(inner, pred, opt)
+	index = newSelect(index, pred, opt)
 	ex.add("Filter[%s]", pred)
 
 	// Strategic choice of ordered retrieval (Sect. 4.2.2): worth it only
@@ -408,27 +405,27 @@ func buildIndexPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 		ordered = avgRun >= vec.BlockSize
 	}
 	if ordered {
-		inner = exec.NewSort(inner, exec.SortKey{Col: 0})
+		index = exec.NewSort(index, exec.SortKey{Col: 0})
 		ex.add("Sort[%s]", col.Name)
 	}
-	ft := exec.NewFlowTable(inner, exec.DefaultFlowTableConfig())
-	ex.add("FlowTable")
 
-	// Fetch the remaining needed columns from the outer table.
-	var outerCols []string
-	for _, n := range neededColumns(q) {
-		if n != col.Name {
-			outerCols = append(outerCols, n)
-		}
+	if deltaDirty(q.Delta) {
+		residual = q.Where
 	}
-	is, err := exec.NewIndexedScan(ft, []int{0}, 1, 2, q.Table, outerCols...)
+	rq := q
+	rq.Where = residual
+	cols := neededColumns(rq)
+	if len(cols) == 0 {
+		cols = []string{col.Name}
+	}
+	scan, err := newTableScan(q.Table, q.Delta, nil, cols...)
 	if err != nil {
 		return nil, err
 	}
-	ex.add("IndexedScan(%s)", strings.Join(outerCols, ","))
-	var op exec.Operator = is
+	scan.ReadRanges(index)
+	ex.add("%s(%s)", scan.OpKind(), scan.OpLabel())
+	var op exec.Operator = scan
 	if residual != nil {
-		// Conjuncts on other columns stay above the indexed scan.
 		rpred, err := Rebind(residual, op.Schema())
 		if err != nil {
 			return nil, err
@@ -467,8 +464,9 @@ func finishPlan(op exec.Operator, q Query, opt Options, ex *Explain) (exec.Opera
 	// emits groups as runs close, which partial aggregation would forfeit
 	// by splitting runs across workers. Otherwise the workers go to an
 	// Exchange over the plan below when they would run something there:
-	// a filtered or joined scan, or, under a serial aggregate, a join.
-	// Over an index plan or a bare scan they would only copy blocks.
+	// a filtered or joined scan (of blocks or of an index's ranges), or,
+	// under a serial aggregate, a join. Over a bare scan they would only
+	// copy blocks.
 	rows := q.Table.Rows()
 	if deltaDirty(q.Delta) {
 		rows = q.Delta.VisibleRows()

@@ -1,10 +1,10 @@
 // Package plan implements the TDE query planning layer: the pseudo-table
 // that exposes run-length compression to the strategic optimizer
 // (IndexTable, Sect. 4.2), the rule-based strategic rewrites (predicate
-// push-down into the IndexTable, expression simplification,
-// order-preserving exchange placement), and plan construction for
-// queries, leaving tactical algorithm choices to the operators' runtime
-// metadata. Dictionary compression (Sect. 4.1) needs no rewrite: the
+// push-down into the IndexTable, whose filtered runs become the row
+// ranges a Scan reads; expression simplification; order-preserving
+// exchange placement), and plan construction for queries, leaving
+// tactical algorithm choices to the operators' runtime metadata. Dictionary compression (Sect. 4.1) needs no rewrite: the
 // scan plan's Select evaluates a filter on a dictionary-compressed or
 // string column once per dictionary entry into a token truth table.
 package plan
@@ -21,17 +21,21 @@ import (
 // IndexTable builds the pseudo-table of Sect. 4.2.1 from a run-length
 // encoded column: the value and count columns come directly from the runs,
 // and start is the running total of counts. Joining it back to the main
-// table is a rank join (start <= rank < start+count) implemented by
-// exec.IndexedScan.
+// table is a rank join (start <= rank < start+count): a filter and an
+// optional sort on the value run over the pseudo-table, and a range scan
+// (exec.Scan.ReadRanges) reads the main table's rows of the surviving
+// runs' (start, count) ranges in that order.
 func IndexTable(col *storage.Column) (*exec.Built, error) {
 	if col.Data.Kind() != enc.RunLength {
 		return nil, fmt.Errorf("plan: column %q is not run-length encoded (%v)",
 			col.Name, col.Data.Kind())
 	}
+	// The table lives for one query and is read once, so its streams stay
+	// raw: encoding them would cost more than the reads it saves.
 	nr := col.Data.NumRuns()
-	vw := enc.NewWriter(enc.WriterConfig{Signed: col.Signed(), ConvertOptimal: true})
-	cw := enc.NewWriter(enc.WriterConfig{Signed: true, ConvertOptimal: true})
-	sw := enc.NewWriter(enc.WriterConfig{Signed: true, ConvertOptimal: true})
+	vw := enc.NewWriter(enc.WriterConfig{Signed: col.Signed(), DisableEncoding: true})
+	cw := enc.NewWriter(enc.WriterConfig{Signed: true, DisableEncoding: true})
+	sw := enc.NewWriter(enc.WriterConfig{Signed: true, DisableEncoding: true})
 	var start uint64
 	width := col.Data.Width()
 	for r := 0; r < nr; r++ {

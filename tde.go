@@ -9,9 +9,9 @@
 // persist single-file databases, inspect per-column encodings and derived
 // metadata, dictionary-compress dimension columns, and run analytic SQL
 // whose plans filter dictionary-compressed and string columns once per
-// dictionary entry (the token truth table that realises Sect. 4.1's
-// invisible join), use rank joins (IndexedScan) and the tactical
-// fetch-join/ordered-aggregation upgrades.
+// dictionary entry (a token truth table, Sect. 4.1), read only the row
+// ranges a filtered run-length index keeps (Sect. 4.2's rank join) and
+// take the tactical fetch-join/ordered-aggregation upgrades.
 //
 // Start with New or Open, then ImportCSV and Query:
 //

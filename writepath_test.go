@@ -447,33 +447,47 @@ func sortedDump(t *testing.T, db *Database) []string {
 	return out
 }
 
-// TestUpdateThroughIndexRewrite: an UPDATE on a clean encodedTestDB
-// table whose WHERE isolates the run-length r takes the index rewrite and
-// moves exactly the matching rows, each keeping its dictionary-compressed
-// g (offset, so that its tokens differ from its values) and plain v.
+// TestUpdateThroughIndexRewrite: an UPDATE on an encodedTestDB table
+// whose WHERE isolates the run-length r takes the index rewrite and moves
+// exactly the matching rows, each keeping its dictionary-compressed g
+// (offset, so that its tokens differ from its values) and plain v. Over a
+// committed overlay the ranges skip the deleted rows and the inserted
+// ones that match follow them.
 func TestUpdateThroughIndexRewrite(t *testing.T) {
-	db := encodedDB(t, 100, 3)
-	const sql = "UPDATE m SET r = r + 1000 WHERE r = 5"
-	if p, err := db.Explain(sql); err != nil || !strings.Contains(p, "IndexedScan") {
-		t.Fatalf("plan %q (%v), want the index rewrite", p, err)
-	}
-	before := queryRows(t, db, "SELECT g, v FROM m WHERE r = 5 ORDER BY g, v")
-	totals := queryRows(t, db, "SELECT COUNT(*), SUM(g), MIN(v), MAX(v) FROM m")
-	n, err := db.Exec(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(before) || n == 0 {
-		t.Fatalf("updated %d rows, want %d", n, len(before))
-	}
-	if after := queryRows(t, db, "SELECT g, v FROM m WHERE r = 1005 ORDER BY g, v"); !reflect.DeepEqual(after, before) {
-		t.Fatalf("moved rows changed:\n got %v\nwant %v", after, before)
-	}
-	if left := queryCount(t, db, "SELECT COUNT(*) FROM m WHERE r = 5"); left != 0 {
-		t.Fatalf("%d rows left at r = 5", left)
-	}
-	if got := queryRows(t, db, "SELECT COUNT(*), SUM(g), MIN(v), MAX(v) FROM m"); !reflect.DeepEqual(got, totals) {
-		t.Fatalf("totals %v, want %v", got, totals)
+	for _, dirty := range []bool{false, true} {
+		db := encodedDB(t, 100, 3)
+		if dirty {
+			for _, sql := range []string{
+				"DELETE FROM m WHERE r = 5 AND v < 20",
+				"INSERT INTO m VALUES (5, 103, 0.5), (6, 100, 1.5), (5, 777, 2.5)",
+			} {
+				if _, err := db.Exec(sql); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		const sql = "UPDATE m SET r = r + 1000 WHERE r = 5"
+		if p, err := db.Explain(sql); err != nil || !strings.Contains(p, "IndexTable") || !strings.Contains(p, " ranges)") {
+			t.Fatalf("dirty=%v: plan %q (%v), want the index rewrite", dirty, p, err)
+		}
+		before := queryRows(t, db, "SELECT g, v FROM m WHERE r = 5 ORDER BY g, v")
+		totals := queryRows(t, db, "SELECT COUNT(*), SUM(g), MIN(v), MAX(v) FROM m")
+		n, err := db.Exec(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(before) || n == 0 {
+			t.Fatalf("dirty=%v: updated %d rows, want %d", dirty, n, len(before))
+		}
+		if after := queryRows(t, db, "SELECT g, v FROM m WHERE r = 1005 ORDER BY g, v"); !reflect.DeepEqual(after, before) {
+			t.Fatalf("dirty=%v: moved rows changed:\n got %v\nwant %v", dirty, after, before)
+		}
+		if left := queryCount(t, db, "SELECT COUNT(*) FROM m WHERE r = 5"); left != 0 {
+			t.Fatalf("dirty=%v: %d rows left at r = 5", dirty, left)
+		}
+		if got := queryRows(t, db, "SELECT COUNT(*), SUM(g), MIN(v), MAX(v) FROM m"); !reflect.DeepEqual(got, totals) {
+			t.Fatalf("dirty=%v: totals %v, want %v", dirty, got, totals)
+		}
 	}
 }
 
