@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz check check-db crash crash-wal crash-concurrent clean bench-harness bench-compare fig10 trace-smoke serve-torture serve-smoke
+.PHONY: all build vet test race fuzz check check-db crash crash-wal crash-concurrent clean bench-harness bench-compare fig4 fig10 trace-smoke serve-torture serve-smoke
 
 all: check
 
@@ -21,6 +21,7 @@ race:
 # committed corpus under testdata/fuzz fail `make test` already.
 fuzz:
 	$(GO) test -fuzz=FuzzEncFromBytes -fuzztime=$(FUZZTIME) ./internal/enc/
+	$(GO) test -run=^$$ -fuzz=FuzzWriterRoundTrip -fuzztime=$(FUZZTIME) ./internal/enc/
 	$(GO) test -fuzz=FuzzStorageRead -fuzztime=$(FUZZTIME) ./internal/storage/
 	$(GO) test -fuzz=FuzzSalvageOpen -fuzztime=$(FUZZTIME) ./internal/storage/
 	$(GO) test -fuzz=FuzzSQLParse -fuzztime=$(FUZZTIME) ./internal/sqlparse/
@@ -91,6 +92,13 @@ PAIRS ?= 10
 bench-compare:
 	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<ref> [PAIRS=10]"; exit 2; }
 	$(GO) run ./scripts/benchcompare -base $(BASE) -pairs $(PAIRS)
+
+# Figure 4 (EXPERIMENTS.md E1): import bandwidth, tokenize, split and
+# the import arms (scalars only, all columns; encoding and acceleration
+# on and off) over SF 0.05 lineitem and 200 000 flights rows, each arm
+# timed once. About half a minute on two cores.
+fig4:
+	$(GO) run ./cmd/tdebench -fig 4 -sf 0.05 -flight-rows 200000
 
 # Figure 10 (EXPERIMENTS.md E7): the three filter/aggregate plans over
 # the 1 M and 32 M row run-length tables, best of three per point. It

@@ -20,6 +20,8 @@
 // NULL sentinels, heap tokens) is the column layer's concern.
 package enc
 
+import "encoding/binary"
+
 // bitsFor returns the number of bits needed to represent x as an unsigned
 // value; bitsFor(0) is 0, which is what lets affine streams pack to nothing.
 func bitsFor(x uint64) int {
@@ -71,124 +73,68 @@ func widthFor(bits int) int {
 // packBits packs n := len(vals) values of the given bit width into dst,
 // LSB first. dst must have room for packedBytes(n, bits) bytes. Values must
 // already fit in bits bits; higher bits are masked off defensively.
+//
+// Values collect in one 64-bit word that is stored whole each time it
+// fills; only the final partial word is stored a byte at a time, so the
+// store never reaches past packedBytes(n, bits).
 func packBits(dst []byte, vals []uint64, bits int) {
-	if bits == 0 {
+	switch bits {
+	case 0:
 		return
-	}
-	if bits == 64 {
+	case 64:
 		for i, v := range vals {
-			putUint64(dst[i*8:], v)
+			binary.LittleEndian.PutUint64(dst[i*8:], v)
 		}
 		return
 	}
-	mask := (uint64(1) << bits) - 1
-	if bits > 56 {
-		// Wide fields can overflow the 64-bit accumulator (up to 7 carry
-		// bits + 64 value bits); fall back to a byte-chunked path.
-		packBitsWide(dst, vals, bits, mask)
-		return
-	}
+	mask := uint64(1)<<bits - 1
 	var acc uint64
-	accBits := 0
-	di := 0
-	for _, v := range vals {
-		acc |= (v & mask) << accBits
-		accBits += bits
-		for accBits >= 8 {
-			dst[di] = byte(acc)
-			di++
-			acc >>= 8
-			accBits -= 8
-		}
-	}
-	if accBits > 0 {
-		dst[di] = byte(acc)
-	}
-}
-
-func packBitsWide(dst []byte, vals []uint64, bits int, mask uint64) {
-	di := 0
-	var cur byte
-	curBits := 0
+	accBits, di := 0, 0
 	for _, v := range vals {
 		v &= mask
-		left := bits
-		for left > 0 {
-			cur |= byte(v << curBits)
-			take := 8 - curBits
-			if take > left {
-				take = left
-			}
-			curBits += take
-			v >>= uint(take)
-			left -= take
-			if curBits == 8 {
-				dst[di] = cur
-				di++
-				cur, curBits = 0, 0
-			}
+		acc |= v << (accBits & 63)
+		accBits += bits
+		if accBits >= 64 {
+			binary.LittleEndian.PutUint64(dst[di:], acc)
+			di += 8
+			accBits -= 64
+			acc = v >> ((bits - accBits) & 63) // the bits that did not fit; 0 when all did
 		}
 	}
-	if curBits > 0 {
-		dst[di] = cur
+	for ; accBits > 0; accBits -= 8 {
+		dst[di] = byte(acc)
+		di++
+		acc >>= 8
 	}
 }
 
 // unpackBits unpacks n values of the given bit width from src into out.
+// Each value is one unaligned 64-bit load, shifted and masked; values
+// whose load would pass the end of src, and fields wider than 56 bits
+// (which can straddle nine bytes), go through unpackOne.
 func unpackBits(src []byte, n, bits int, out []uint64) {
+	out = out[:n]
 	if bits == 0 {
-		for i := 0; i < n; i++ {
-			out[i] = 0
-		}
+		clear(out)
 		return
 	}
 	if bits == 64 {
-		for i := 0; i < n; i++ {
-			out[i] = getUint64(src[i*8:])
+		for i := range out {
+			out[i] = binary.LittleEndian.Uint64(src[i*8:])
 		}
 		return
 	}
-	mask := (uint64(1) << bits) - 1
-	if bits > 56 {
-		unpackBitsWide(src, n, bits, mask, out)
-		return
-	}
-	var acc uint64
-	accBits := 0
-	si := 0
-	for i := 0; i < n; i++ {
-		for accBits < bits {
-			acc |= uint64(src[si]) << accBits
-			si++
-			accBits += 8
+	i := 0
+	if bits <= 56 && len(src) >= 8 {
+		mask := uint64(1)<<bits - 1
+		// Value i loads src[i*bits/8:][:8], inside src for every i < fast.
+		fast := min(n, ((len(src)-7)*8-1)/bits+1)
+		for pos := 0; i < fast; i, pos = i+1, pos+bits {
+			out[i] = binary.LittleEndian.Uint64(src[pos>>3:]) >> (pos & 7) & mask
 		}
-		out[i] = acc & mask
-		acc >>= bits
-		accBits -= bits
 	}
-}
-
-func unpackBitsWide(src []byte, n, bits int, mask uint64, out []uint64) {
-	si := 0
-	bitOff := 0
-	for i := 0; i < n; i++ {
-		var v uint64
-		got := 0
-		for got < bits {
-			take := 8 - bitOff
-			if take > bits-got {
-				take = bits - got
-			}
-			chunk := (uint64(src[si]) >> uint(bitOff)) & ((1 << uint(take)) - 1)
-			v |= chunk << uint(got)
-			got += take
-			bitOff += take
-			if bitOff == 8 {
-				si++
-				bitOff = 0
-			}
-		}
-		out[i] = v & mask
+	for ; i < n; i++ {
+		out[i] = unpackOne(src, i, bits)
 	}
 }
 
@@ -201,24 +147,21 @@ func unpackOne(src []byte, i, bits int) uint64 {
 	bitPos := i * bits
 	byteIdx := bitPos >> 3
 	shift := uint(bitPos & 7)
-	// Gather up to 9 bytes to cover any 64-bit field at any shift.
 	var acc uint64
-	avail := len(src) - byteIdx
-	if avail > 8 {
-		avail = 8
-	}
-	for j := 0; j < avail; j++ {
-		acc |= uint64(src[byteIdx+j]) << (8 * uint(j))
+	if byteIdx+8 <= len(src) {
+		acc = binary.LittleEndian.Uint64(src[byteIdx:])
+	} else {
+		// The last partial word: gather what is left of src.
+		for j, b := range src[byteIdx:] {
+			acc |= uint64(b) << (8 * uint(j))
+		}
 	}
 	v := acc >> shift
-	got := uint(avail*8) - shift
-	if got < uint(bits) && byteIdx+8 < len(src) {
-		v |= uint64(src[byteIdx+8]) << got
+	// A field wider than 56 bits can reach into a ninth byte.
+	if shift+uint(bits) > 64 && byteIdx+8 < len(src) {
+		v |= uint64(src[byteIdx+8]) << (64 - shift)
 	}
-	if bits < 64 {
-		v &= (uint64(1) << bits) - 1
-	}
-	return v
+	return v & (^uint64(0) >> (64 - bits))
 }
 
 // packedBytes returns the number of bytes occupied by n values packed at

@@ -22,6 +22,52 @@ type appender interface {
 	finish(logical int) []byte
 }
 
+// repacker is an appender whose committed blocks can move into a fresh
+// appender of its own kind, built with other parameters, by rewriting the
+// stored codes instead of decoding and re-appending the values. repackInto
+// reports false, leaving the receiver intact, when a committed value does
+// not fit next's representation; next is then unusable.
+type repacker interface {
+	repackInto(next appender, logical int) bool
+}
+
+// repackBlocks rewrites the first logical codes of src, packed in blocks
+// of bs codes at bits, each block led by hdr header bytes, into blocks at
+// toBits: every code c becomes (c + add) & mask, and the final block's
+// padding codes stay zero, as appendBlock leaves them. fixFirst, when
+// non-nil, may adjust the first block's header and codes before the shift.
+// It returns the new bytes, or false when a rewritten code exceeds toBits.
+func repackBlocks(src []byte, hdr, bs, bits, toBits, logical int, add, mask uint64,
+	codes []uint64, fixFirst func(header []byte, codes []uint64)) ([]byte, bool) {
+	var limit uint64
+	if toBits > 0 {
+		limit = ^uint64(0) >> (64 - toBits)
+	}
+	from, to := hdr+packedBytes(bs, bits), hdr+packedBytes(bs, toBits)
+	nb := (logical + bs - 1) / bs
+	out := make([]byte, nb*to)
+	for k := 0; k < nb; k++ {
+		blk, dst := src[k*from:(k+1)*from], out[k*to:(k+1)*to]
+		copy(dst[:hdr], blk[:hdr])
+		unpackBits(blk[hdr:], bs, bits, codes)
+		if k == 0 && fixFirst != nil {
+			fixFirst(dst[:hdr], codes)
+		}
+		n := min(bs, logical-k*bs)
+		var hi uint64
+		for i, c := range codes[:n] {
+			c = (c + add) & mask
+			codes[i], hi = c, max(hi, c)
+		}
+		if hi > limit {
+			return nil, false
+		}
+		clear(codes[n:bs])
+		packBits(dst[hdr:], codes[:bs], toBits)
+	}
+	return out, true
+}
+
 // --- raw (None) ---
 
 type rawAppender struct {
@@ -98,6 +144,16 @@ func (a *forAppender) appendBlock(vals []uint64) error {
 	return nil
 }
 
+// repackInto moves the codes to next's frame and width: a code is the
+// value's offset from the frame, so it shifts by the frames' difference.
+func (a *forAppender) repackInto(next appender, logical int) bool {
+	b := next.(*forAppender)
+	data, ok := repackBlocks(a.data, 0, a.blockSize, a.bits, b.bits, logical,
+		a.frame-b.frame, widthMask(a.width), b.scratch, nil)
+	b.data = data
+	return ok
+}
+
 func (a *forAppender) finish(logical int) []byte {
 	buf := newHeader(FrameOfReference, a.width, a.bits, a.blockSize, 8)
 	putUint64(buf[offLogicalSize:], uint64(logical))
@@ -161,6 +217,24 @@ func (a *deltaAppender) appendBlock(vals []uint64) error {
 	a.prev = prev & mask
 	a.started = true
 	return nil
+}
+
+// repackInto moves the codes to next's minimum delta and width: a code is
+// its delta less the minimum, so it shifts by the minima's difference.
+// Block headers hold the value before the block and stay, except the
+// first block's, which is synthesized from the minimum so that the
+// stream's first code is zero; it moves with the minimum.
+func (a *deltaAppender) repackInto(next appender, logical int) bool {
+	b := next.(*deltaAppender)
+	mask := widthMask(a.width)
+	add := uint64(a.minDelta-b.minDelta) & mask
+	data, ok := repackBlocks(a.data, 8, a.blockSize, a.bits, b.bits, logical, add, mask, b.scratch,
+		func(header []byte, codes []uint64) {
+			putUint64(header, (getUint64(header)+add)&mask)
+			codes[0] = -add & mask // shifts to zero
+		})
+	b.data, b.prev, b.started = data, a.prev, a.started
+	return ok
 }
 
 func (a *deltaAppender) finish(logical int) []byte {
@@ -230,6 +304,24 @@ func (a *dictAppender) appendBlock(vals []uint64) error {
 	a.data = append(a.data, make([]byte, packedBytes(a.blockSize, a.bits))...)
 	packBits(a.data[off:], a.scratch[:a.blockSize], a.bits)
 	return nil
+}
+
+// repackInto moves the codes to next's width. Codes index the entries,
+// which keep their first-occurrence order, so only the packing changes.
+func (a *dictAppender) repackInto(next appender, logical int) bool {
+	b := next.(*dictAppender)
+	if len(a.entries) > 1<<b.bits {
+		return false
+	}
+	data, ok := repackBlocks(a.data, 0, a.blockSize, a.bits, b.bits, logical, 0, ^uint64(0), b.scratch, nil)
+	if !ok {
+		return false
+	}
+	b.data, b.entries = data, a.entries
+	for j, e := range a.entries {
+		b.lookup.insert(e, j)
+	}
+	return true
 }
 
 func (a *dictAppender) finish(logical int) []byte {
@@ -325,6 +417,41 @@ func (a *rleAppender) appendBlock(vals []uint64) error {
 		a.curValue, a.curCount, a.started = v, 1, true
 	}
 	return nil
+}
+
+// repackInto re-emits the runs at next's count and value widths. Runs
+// that a narrower count field had split merge again, as appending the
+// values afresh would merge them.
+func (a *rleAppender) repackInto(next appender, _ int) bool {
+	b := next.(*rleAppender)
+	rec := a.countWidth + a.valueWidth
+	for off := 0; off < len(a.data); off += rec {
+		if !b.addRun(getWidth(a.data[off+a.countWidth:], a.valueWidth), getWidth(a.data[off:], a.countWidth)) {
+			return false
+		}
+	}
+	return !a.started || b.addRun(a.curValue, a.curCount)
+}
+
+// addRun appends count copies of v, extending the open run up to the
+// count field's limit exactly as appendBlock does value by value.
+func (a *rleAppender) addRun(v, count uint64) bool {
+	if v > widthMask(a.valueWidth) {
+		return false
+	}
+	climit := widthMask(a.countWidth)
+	for count > 0 {
+		if !a.started || v != a.curValue || a.curCount == climit {
+			if a.started {
+				a.emit()
+			}
+			a.curValue, a.curCount, a.started = v, 0, true
+		}
+		take := min(count, climit-a.curCount)
+		a.curCount += take
+		count -= take
+	}
+	return true
 }
 
 func (a *rleAppender) emit() {

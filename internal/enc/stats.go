@@ -1,5 +1,7 @@
 package enc
 
+import "math"
+
 // Stats are the per-column statistics the dynamic encoder maintains as
 // values are inserted (Sect. 3.2: "These statistics are simple to gather,
 // consisting mostly of the value range and delta range"). They serve three
@@ -66,82 +68,109 @@ func NewStats(signed bool, sentinel uint64, hasSentinel bool) *Stats {
 // Update folds a block of values into the statistics. The paper's dynamic
 // encoder updates statistics before attempting the block insert, so a
 // failed insert can immediately consult them for the re-encoding choice.
-func (st *Stats) Update(vals []uint64) {
-	for _, v := range vals {
-		if st.N == 0 {
-			st.first, st.prev = v, v
-			st.MinS, st.MaxS = int64(v), int64(v)
-			st.MinU, st.MaxU = v, v
-			st.MinDelta, st.MaxDelta = 0, 0
-			st.Runs, st.curRun, st.MaxRun = 1, 1, 1
+func (st *Stats) Update(vals []uint64) { st.fold(vals) }
+
+// blockSummary is what one fold learns about its block alone; the zone
+// tracker builds the block's entry from it.
+type blockSummary struct {
+	nulls      int
+	hasData    bool
+	minS, maxS int64 // non-NULL range, raw patterns read as int64
+}
+
+// fold is Update in one pass over the block. The loop keeps the block's
+// data range, NULL count, delta range, runs and sortedness in locals; the
+// value ranges are the data range plus the sentinel when the block holds
+// a NULL, and the distinct set is only probed when the value changes.
+func (st *Stats) fold(vals []uint64) blockSummary {
+	if len(vals) == 0 {
+		return blockSummary{}
+	}
+	sent, hasSent := st.sentinel, st.hasSentinel
+	nulls := 0
+	dMinS, dMaxS := int64(math.MaxInt64), int64(math.MinInt64)
+	dMinU, dMaxU := uint64(math.MaxUint64), uint64(0)
+	minD, maxD := int64(math.MaxInt64), int64(math.MinInt64)
+	prev, cur, maxRun, runs := st.prev, st.curRun, st.MaxRun, st.Runs
+	unsorted, unsortedU := false, false
+	rest := vals
+	if st.N == 0 {
+		v := vals[0]
+		st.first, prev = v, v
+		cur, maxRun, runs = 1, 1, 1
+		st.addDistinct(v)
+		if hasSent && v == sent {
+			nulls++
 		} else {
-			if int64(v) < st.MinS {
-				st.MinS = int64(v)
-			}
-			if int64(v) > st.MaxS {
-				st.MaxS = int64(v)
-			}
-			if v < st.MinU {
-				st.MinU = v
-			}
-			if v > st.MaxU {
-				st.MaxU = v
-			}
-			d := int64(v - st.prev)
-			if st.N == 1 {
-				st.MinDelta, st.MaxDelta = d, d
-			} else {
-				if d < st.MinDelta {
-					st.MinDelta = d
-				}
-				if d > st.MaxDelta {
-					st.MaxDelta = d
-				}
-			}
-			if int64(v) < int64(st.prev) {
-				st.SortedAsc = false
-			}
-			if v < st.prev {
-				st.SortedAscU = false
-			}
-			if v == st.prev {
-				st.curRun++
-				if st.curRun > st.MaxRun {
-					st.MaxRun = st.curRun
-				}
-			} else {
-				st.Runs++
-				st.curRun = 1
-			}
-			st.prev = v
+			dMinS, dMaxS, dMinU, dMaxU = int64(v), int64(v), v, v
 		}
-		if st.hasSentinel && v == st.sentinel {
-			st.NullCount++
+		rest = vals[1:]
+	}
+	for _, v := range rest {
+		d := int64(v - prev)
+		minD, maxD = min(minD, d), max(maxD, d)
+		unsorted = unsorted || int64(v) < int64(prev)
+		unsortedU = unsortedU || v < prev
+		if v == prev {
+			cur++
 		} else {
-			if !st.hasData {
-				st.DataMinS, st.DataMaxS = int64(v), int64(v)
-				st.DataMinU, st.DataMaxU = v, v
-				st.hasData = true
-			} else {
-				if int64(v) < st.DataMinS {
-					st.DataMinS = int64(v)
-				}
-				if int64(v) > st.DataMaxS {
-					st.DataMaxS = int64(v)
-				}
-				if v < st.DataMinU {
-					st.DataMinU = v
-				}
-				if v > st.DataMaxU {
-					st.DataMaxU = v
-				}
+			maxRun, cur = max(maxRun, cur), 1
+			runs++
+			if !st.Overflowed {
+				st.addDistinct(v)
 			}
 		}
-		if !st.Overflowed && st.distinct.add(v) && st.distinct.n > st.DistinctCap {
-			st.Overflowed = true
-			st.distinct = valueSet{}
+		if hasSent && v == sent {
+			nulls++
+		} else {
+			dMinS, dMaxS = min(dMinS, int64(v)), max(dMaxS, int64(v))
+			dMinU, dMaxU = min(dMinU, v), max(dMaxU, v)
 		}
-		st.N++
+		prev = v
+	}
+	st.prev, st.curRun, st.MaxRun, st.Runs = prev, cur, max(maxRun, cur), runs
+	st.SortedAsc = st.SortedAsc && !unsorted
+	st.SortedAscU = st.SortedAscU && !unsortedU
+	if len(rest) > 0 {
+		if st.N >= 2 {
+			st.MinDelta, st.MaxDelta = min(st.MinDelta, minD), max(st.MaxDelta, maxD)
+		} else {
+			st.MinDelta, st.MaxDelta = minD, maxD
+		}
+	}
+
+	hasData := nulls < len(vals)
+	fMinS, fMaxS, fMinU, fMaxU := dMinS, dMaxS, dMinU, dMaxU
+	if nulls > 0 {
+		fMinS, fMaxS = min(fMinS, int64(sent)), max(fMaxS, int64(sent))
+		fMinU, fMaxU = min(fMinU, sent), max(fMaxU, sent)
+	}
+	if st.N == 0 {
+		st.MinS, st.MaxS, st.MinU, st.MaxU = fMinS, fMaxS, fMinU, fMaxU
+	} else {
+		st.MinS, st.MaxS = min(st.MinS, fMinS), max(st.MaxS, fMaxS)
+		st.MinU, st.MaxU = min(st.MinU, fMinU), max(st.MaxU, fMaxU)
+	}
+	if hasData {
+		if st.hasData {
+			st.DataMinS, st.DataMaxS = min(st.DataMinS, dMinS), max(st.DataMaxS, dMaxS)
+			st.DataMinU, st.DataMaxU = min(st.DataMinU, dMinU), max(st.DataMaxU, dMaxU)
+		} else {
+			st.DataMinS, st.DataMaxS, st.DataMinU, st.DataMaxU = dMinS, dMaxS, dMinU, dMaxU
+			st.hasData = true
+		}
+	}
+	st.NullCount += nulls
+	st.N += len(vals)
+	return blockSummary{nulls: nulls, hasData: hasData, minS: dMinS, maxS: dMaxS}
+}
+
+// addDistinct adds v to the distinct set, giving tracking up for good
+// once the set passes DistinctCap.
+func (st *Stats) addDistinct(v uint64) {
+	if st.distinct.add(v) && st.distinct.n > st.DistinctCap {
+		st.Overflowed = true
+		st.distinct = valueSet{}
 	}
 }
 

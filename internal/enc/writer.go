@@ -146,8 +146,7 @@ func (w *Writer) flushBlock(vals []uint64) {
 	// "...using the block values for a column to update the column's
 	// statistics before inserting the data block into the column's
 	// encoding stream."
-	w.stats.Update(vals)
-	w.zones.update(vals)
+	w.zones.add(w.stats.fold(vals), vals)
 	if w.app == nil {
 		w.app = w.newAppender(w.chooseKind())
 	}
@@ -167,50 +166,59 @@ func (w *Writer) flushBlock(vals []uint64) {
 	w.reencode(kind, vals)
 }
 
-// reencode drains the committed values, rebuilds the appender for kind and
-// replays everything plus the failing block. The statistics cover all of
-// it, so the replay should not fail; raw is the backstop if the choice
-// logic and an appender ever disagree.
+// reencode moves the column to a fresh appender for kind, sized from the
+// statistics, which cover the committed values and tail (the block that
+// failed to insert, or nothing at Finish), so the move should not fail;
+// raw is the backstop if the choice logic and an appender ever disagree.
 func (w *Writer) reencode(kind Kind, tail []uint64) {
-	old := w.drain()
-	all := make([]uint64, 0, len(old)+len(tail))
-	all = append(all, old...)
-	all = append(all, tail...)
-	if !w.tryBuild(kind, all) {
-		w.gaveUp = true
-		if !w.tryBuild(None, all) {
-			panic("enc: raw re-encode failed")
-		}
+	if w.moveTo(kind, tail) {
+		return
+	}
+	w.gaveUp = true
+	if !w.moveTo(None, tail) {
+		panic("enc: raw re-encode failed")
 	}
 }
 
-// tryBuild replaces the appender with a fresh one for kind and replays all
-// values, reporting whether every block was representable.
-func (w *Writer) tryBuild(kind Kind, all []uint64) bool {
-	w.app = w.newAppender(kind)
-	w.appended = 0
-	bs := w.cfg.BlockSize
-	for start := 0; start < len(all); start += bs {
-		end := start + bs
-		if end > len(all) {
-			end = len(all)
-		}
-		if err := w.app.appendBlock(all[start:end]); err != nil {
+// moveTo builds the appender for kind, carries the committed values over
+// and appends tail, installing the new appender only if everything was
+// representable. Within one kind the stored codes are repacked block by
+// block; a change of kind decodes the committed values and appends them
+// again.
+func (w *Writer) moveTo(kind Kind, tail []uint64) bool {
+	next := w.newAppender(kind)
+	if w.appended > 0 {
+		if r, ok := w.app.(repacker); ok && kind == w.app.kind() {
+			if !r.repackInto(next, w.appended) {
+				return false
+			}
+		} else if !replay(next, w.decodeCommitted(), w.cfg.BlockSize) {
 			return false
 		}
-		w.appended += end - start
+	}
+	if len(tail) > 0 && next.appendBlock(tail) != nil {
+		return false
+	}
+	w.app, w.appended = next, w.appended+len(tail)
+	return true
+}
+
+// replay appends vals to a one block at a time, reporting whether every
+// block was representable.
+func replay(a appender, vals []uint64, bs int) bool {
+	for start := 0; start < len(vals); start += bs {
+		if a.appendBlock(vals[start:min(start+bs, len(vals))]) != nil {
+			return false
+		}
 	}
 	return true
 }
 
-// drain decodes the values committed to the current appender.
-func (w *Writer) drain() []uint64 {
-	if w.app == nil || w.appended == 0 {
-		return nil
-	}
+// decodeCommitted decodes the values committed to the current appender.
+func (w *Writer) decodeCommitted() []uint64 {
 	s, err := FromBytes(w.app.finish(w.appended))
 	if err != nil {
-		panic("enc: drain: " + err.Error())
+		panic("enc: re-encode: " + err.Error())
 	}
 	return s.DecodeAll()
 }
@@ -228,7 +236,10 @@ func (w *Writer) Finish() *Stream {
 	}
 	if w.cfg.ConvertOptimal || w.gaveUp {
 		if optimal := w.chooseKind(); optimal != w.app.kind() || w.hasHeadroom() {
-			w.reencodeFinal(optimal)
+			// Rebuild with exact (headroom-free) parameters from the
+			// final statistics.
+			w.finalExact = true
+			w.reencode(optimal, nil)
 		}
 	}
 	s, err := FromBytes(w.app.finish(w.appended))
@@ -257,18 +268,6 @@ func (w *Writer) hasHeadroom() bool {
 		return a.bits > exact
 	default:
 		return false
-	}
-}
-
-// reencodeFinal rebuilds the stream into kind with exact (headroom-free)
-// parameters from the final statistics.
-func (w *Writer) reencodeFinal(kind Kind) {
-	w.finalExact = true
-	old := w.drain()
-	if !w.tryBuild(kind, old) {
-		if !w.tryBuild(None, old) {
-			panic("enc: raw final re-encode failed")
-		}
 	}
 }
 

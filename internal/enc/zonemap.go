@@ -178,30 +178,30 @@ type zoneTracker struct {
 	entries     []ZoneEntry
 }
 
-func (zt *zoneTracker) update(vals []uint64) {
-	e := ZoneEntry{Rows: len(vals)}
+// add appends the entry of a block the writer's statistics just folded.
+// The fold's data range is the entry's range whenever its int64 reading
+// is the zone domain's: full-width values, or unsigned ones (which fit
+// their width, so read as int64 they are what masking gives). A narrow
+// signed column is the one case that orders differently once sign-
+// extended, and it walks its block for the range.
+func (zt *zoneTracker) add(blk blockSummary, vals []uint64) {
+	e := ZoneEntry{Rows: len(vals), Nulls: blk.nulls, HasRange: blk.hasData}
+	if !blk.hasData {
+		zt.entries = append(zt.entries, e)
+		return
+	}
+	if !zt.signed || zt.width >= 8 {
+		e.Min, e.Max = blk.minS, blk.maxS
+		zt.entries = append(zt.entries, e)
+		return
+	}
+	e.Min, e.Max = math.MaxInt64, math.MinInt64
 	for _, v := range vals {
 		if zt.hasSentinel && v == zt.sentinel {
-			e.Nulls++
 			continue
 		}
-		var x int64
-		if zt.signed {
-			x = SignExtend(v, zt.width)
-		} else {
-			x = int64(v & widthMask(zt.width))
-		}
-		if !e.HasRange {
-			e.HasRange = true
-			e.Min, e.Max = x, x
-		} else {
-			if x < e.Min {
-				e.Min = x
-			}
-			if x > e.Max {
-				e.Max = x
-			}
-		}
+		x := SignExtend(v, zt.width)
+		e.Min, e.Max = min(e.Min, x), max(e.Max, x)
 	}
 	zt.entries = append(zt.entries, e)
 }

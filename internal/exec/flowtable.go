@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"tde/internal/enc"
 	"tde/internal/heap"
@@ -29,8 +31,9 @@ type FlowTableConfig struct {
 	// side of hash joins, whose random access pattern run-length encoding
 	// serves poorly (Sect. 4.3).
 	DisallowRLE bool
-	// Parallel distributes per-column encoding across cores (Sect. 3.3:
-	// "encoding of each column is independent").
+	// Parallel gives every column a builder of its own, fed in order from
+	// a small ring of blocks (Sect. 3.3: "encoding of each column is
+	// independent"); off, the columns are built inline, one after another.
 	Parallel bool
 	// SortHeaps sorts small string heaps when the token column dictionary-
 	// encodes, giving comparable tokens (Sect. 3.4.3 / Fig. 6).
@@ -114,6 +117,9 @@ type columnBuilder struct {
 	outHeap *heap.Heap
 	tr      *heap.Translator
 	scratch []uint64
+	// heapBytes is outHeap's size after the last block, read and written
+	// only by whoever appends this column's blocks.
+	heapBytes int
 }
 
 // BuildTable implements TableSource: it drains the child and returns the
@@ -194,40 +200,13 @@ func (f *FlowTable) BuildTable(qc *QueryCtx) (*Built, error) {
 		}
 	}()
 
-	b := vec.NewBlock(len(f.schema))
+	build := f.buildInline
 	workers := 1
-	if f.cfg.Parallel {
-		workers = runtime.GOMAXPROCS(0)
+	if f.cfg.Parallel && len(builders) > 1 {
+		build, workers = f.buildPipelined, runtime.GOMAXPROCS(0)
 	}
-	heapBytes := 0
-	for {
-		ok, err := f.child.Next(b)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		b.Materialize() // late-decode boundary: builders re-encode plain data
-		if err := forColumns(workers, len(builders), func(c int) {
-			builders[c].appendBlock(&b.Vecs[c], b.N)
-		}); err != nil {
-			return nil, err
-		}
-		// Charge the materialized block plus output-heap growth against
-		// the query's memory budget.
-		grown := 0
-		for _, cb := range builders {
-			if cb.outHeap != nil {
-				grown += cb.outHeap.Size()
-			}
-		}
-		n := rowFootprint(b.N, len(builders)) + (grown - heapBytes)
-		if err := qc.Charge("FlowTable", n); err != nil {
-			return nil, err
-		}
-		f.charged += n
-		heapBytes = grown
+	if err := build(qc, builders); err != nil {
+		return nil, err
 	}
 
 	bt := &Built{Cols: make([]BuiltColumn, len(builders))}
@@ -246,10 +225,198 @@ func (f *FlowTable) BuildTable(qc *QueryCtx) (*Built, error) {
 	return bt, nil
 }
 
+// buildInline drains the child, appending every block to the columns
+// one after another on the calling goroutine.
+func (f *FlowTable) buildInline(qc *QueryCtx, builders []*columnBuilder) error {
+	b := vec.NewBlock(len(builders))
+	for {
+		ok, err := f.child.Next(b)
+		if err != nil || !ok {
+			return err
+		}
+		b.Materialize() // late-decode boundary: builders re-encode plain data
+		grown := 0
+		for c, cb := range builders {
+			grown += cb.appendBlock(&b.Vecs[c], b.N)
+		}
+		if err := f.chargeBlock(qc, b.N, len(builders), grown); err != nil {
+			return err
+		}
+	}
+}
+
+// chargeBlock charges one built block, its materialized rows plus the
+// output-heap growth its strings caused, against the query's budget.
+func (f *FlowTable) chargeBlock(qc *QueryCtx, rows, cols, grown int) error {
+	n := rowFootprint(rows, cols) + grown
+	if err := qc.Charge("FlowTable", n); err != nil {
+		return err
+	}
+	f.charged += n
+	return nil
+}
+
+// buildRing is the number of blocks the pipelined build keeps in flight:
+// the child fills one while the column builders work through the others,
+// so the costliest column can lag that many blocks behind the rest.
+const buildRing = 4
+
+// ringBlock is one block of the pipelined build.
+type ringBlock struct {
+	b   *vec.Block
+	own [][]uint64 // the block's own column buffers
+	// rows is the row count dispatched to the builders; pending counts
+	// the builders still appending it, and grown sums the output-heap
+	// growth their appends caused.
+	rows    int
+	pending atomic.Int32
+	grown   atomic.Int64
+}
+
+// buildPipelined drains the child through long-lived column builders,
+// one goroutine per column. The caller fills a free block of the ring
+// and hands it to every builder; each appends its column of the ring's
+// blocks in order, and the last to finish a block returns it to the
+// ring. The caller charges a block's rows and heap growth when it takes
+// the block back (or, for the last blocks, once the builders are done),
+// so the budget sees every block while only a builder touches its heap.
+// A builder that panics fails the build with an error: it records the
+// panic and then only passes blocks on, so the caller never waits on it.
+// Every exit closes the builders' feeds and waits for them.
+func (f *FlowTable) buildPipelined(qc *QueryCtx, builders []*columnBuilder) error {
+	// The ring and every feed hold up to buildRing blocks, as many as
+	// exist, so no send on them ever blocks.
+	ring := make(chan *ringBlock, buildRing)
+	for range buildRing {
+		rb := &ringBlock{b: vec.NewBlock(len(builders))}
+		for c := range rb.b.Vecs {
+			rb.own = append(rb.own, rb.b.Vecs[c].Data)
+		}
+		ring <- rb
+	}
+	var (
+		mu       sync.Mutex // guards panicErr
+		panicErr error
+		failed   atomic.Bool
+		wg       sync.WaitGroup
+	)
+	builderErr := func() error {
+		mu.Lock()
+		defer mu.Unlock()
+		return panicErr
+	}
+	feeds := make([]chan *ringBlock, len(builders))
+	for c, cb := range builders {
+		feed := make(chan *ringBlock, buildRing)
+		feeds[c] = feed
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rb := range feed {
+				if !failed.Load() {
+					if err := cb.appendRing(rb, c); err != nil {
+						mu.Lock()
+						panicErr = cmp.Or(panicErr, err)
+						mu.Unlock()
+						failed.Store(true)
+					}
+				}
+				if rb.pending.Add(-1) == 0 {
+					ring <- rb
+				}
+			}
+		}()
+	}
+	// finish closes the feeds and waits for the builders; with abort they
+	// only pass the blocks still queued on. The deferred call covers a
+	// panic in the child.
+	closed := false
+	finish := func(abort bool) {
+		if closed {
+			return
+		}
+		closed = true
+		if abort {
+			failed.Store(true)
+		}
+		for _, feed := range feeds {
+			close(feed)
+		}
+		wg.Wait()
+	}
+	charge := func(rb *ringBlock) error {
+		rows := rb.rows
+		rb.rows = 0
+		if rows == 0 {
+			return nil
+		}
+		return f.chargeBlock(qc, rows, len(builders), int(rb.grown.Swap(0)))
+	}
+
+	defer finish(true)
+	for {
+		rb := <-ring
+		err := cmp.Or(charge(rb), builderErr())
+		ok := false
+		if err == nil {
+			ok, err = f.child.Next(rb.b)
+		}
+		if err != nil || !ok {
+			finish(err != nil)
+			// Every block handed out is back in the ring; charge the ones
+			// the loop did not take back.
+			for range buildRing - 1 {
+				if rb := <-ring; err == nil {
+					err = charge(rb)
+				}
+			}
+			return cmp.Or(err, builderErr())
+		}
+		rb.detach()
+		rb.rows = rb.b.N
+		rb.pending.Store(int32(len(builders)))
+		for _, feed := range feeds {
+			feed <- rb
+		}
+	}
+}
+
+// appendRing appends column c of a ring block, turning a panic into an
+// error so that one failing column fails the build, not the process.
+func (cb *columnBuilder) appendRing(rb *ringBlock, c int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("exec: FlowTable column builder panicked: %v", r)
+		}
+	}()
+	rb.grown.Add(int64(cb.appendBlock(&rb.b.Vecs[c], rb.rows)))
+	return nil
+}
+
+// detach makes the block hold its rows in its own buffers before the
+// builders read it. A child may hand out a vector over a buffer of its
+// own, valid only until its next Next, and the child fills the following
+// blocks while the builders still read this one. Heaps and dictionaries
+// stay shared: an engine operator never rewrites one it handed out.
+func (rb *ringBlock) detach() {
+	b := rb.b
+	for c := range b.Vecs {
+		v, own := &b.Vecs[c], rb.own[c]
+		if len(v.Data) == 0 || &v.Data[0] != &own[0] {
+			if v.Runs == nil {
+				copy(own, v.Data[:b.N])
+			}
+			v.Data = own
+		}
+	}
+	b.Materialize() // late-decode boundary: builders re-encode plain data
+}
+
 // forColumns runs fn once per column, on up to workers goroutines
-// ("encoding of each column is independent", Sect. 3.3). A panicking
-// column fails the build with an error, not the process: deadlocking the
-// wait or crashing a worker would escape the engine's panic boundary.
+// ("encoding of each column is independent", Sect. 3.3); the finishing
+// step uses it. A panicking column fails the build with an error, not
+// the process: deadlocking the wait or crashing a worker would escape the
+// engine's panic boundary.
 func forColumns(workers, n int, fn func(c int)) error {
 	if workers <= 1 || n <= 1 {
 		for c := 0; c < n; c++ {
@@ -289,23 +456,30 @@ func forColumns(workers, n int, fn func(c int)) error {
 	return panicErr
 }
 
-// appendBlock folds one block of one column into the builder. Input
-// string tokens may come from a different (or per-block scratch) heap; the
-// output column owns its heap.
-func (cb *columnBuilder) appendBlock(v *vec.Vector, n int) {
-	if v.Dict != nil && cb.info.Dict == nil {
+// appendBlock folds one block of one column into the builder and returns
+// how many bytes its output heap grew. Input string tokens may come from
+// a different (or per-block scratch) heap; the output column owns its
+// heap.
+func (cb *columnBuilder) appendBlock(v *vec.Vector, n int) int {
+	switch {
+	case v.Dict != nil && cb.info.Dict == nil:
 		for j := range n {
 			cb.scratch[j] = v.Value(j)
 		}
 		cb.writer.Append(cb.scratch[:n])
-		return
-	}
-	if cb.tr == nil {
+	case cb.tr == nil:
 		cb.writer.Append(v.Data[:n])
-		return
+	default:
+		cb.tr.Translate(v.Heap, v.Data[:n], cb.scratch[:n])
+		cb.writer.Append(cb.scratch[:n])
 	}
-	cb.tr.Translate(v.Heap, v.Data[:n], cb.scratch[:n])
-	cb.writer.Append(cb.scratch[:n])
+	if cb.outHeap == nil {
+		return 0
+	}
+	size := cb.outHeap.Size()
+	grown := size - cb.heapBytes
+	cb.heapBytes = size
+	return grown
 }
 
 // finish runs the Sect. 3.4 post-processing for one column: heap sorting,

@@ -36,15 +36,30 @@ func IndexTable(col *storage.Column) (*exec.Built, error) {
 	vw := enc.NewWriter(enc.WriterConfig{Signed: col.Signed(), DisableEncoding: true})
 	cw := enc.NewWriter(enc.WriterConfig{Signed: true, DisableEncoding: true})
 	sw := enc.NewWriter(enc.WriterConfig{Signed: true, DisableEncoding: true})
+	// The columns are appended a block at a time, so each block's
+	// statistics fold in one pass.
+	vals := make([]uint64, 0, enc.DefaultBlockSize)
+	counts := make([]uint64, 0, enc.DefaultBlockSize)
+	starts := make([]uint64, 0, enc.DefaultBlockSize)
+	flush := func() {
+		vw.Append(vals)
+		cw.Append(counts)
+		sw.Append(starts)
+		vals, counts, starts = vals[:0], counts[:0], starts[:0]
+	}
 	var start uint64
-	width := col.Data.Width()
+	mask := enc.WidthMask(col.Data.Width())
 	for r := 0; r < nr; r++ {
 		count, value := col.Data.Run(r)
-		vw.AppendOne(col.ResolveRaw(value & enc.WidthMask(width)))
-		cw.AppendOne(count)
-		sw.AppendOne(start)
+		vals = append(vals, col.ResolveRaw(value&mask))
+		counts = append(counts, count)
+		starts = append(starts, start)
 		start += count
+		if len(vals) == cap(vals) {
+			flush()
+		}
 	}
+	flush()
 	vmd := enc.MetadataFromStats(vw.Stats(), col.Signed())
 	vmd.Unique = false // runs can repeat values
 	return &exec.Built{
