@@ -157,7 +157,7 @@ func TestEncodedRoutinesChosen(t *testing.T) {
 }
 
 // TestOrderByDictionaryColumn: a dictionary-compressed column comes out
-// of ORDER BY — bounded (TopN) or not (Sort), from a scan or the index
+// of ORDER BY — a bounded Sort or not, from a scan or the index
 // rewrite — as values, not tokens.
 func TestOrderByDictionaryColumn(t *testing.T) {
 	db := encodedDB(t, 100, 3)

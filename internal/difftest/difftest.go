@@ -82,15 +82,21 @@ type Report struct {
 	// OrderedAggregates counts the variant plans that ran a serial
 	// ordered aggregate (routine "ordered" or "…+ordered").
 	OrderedAggregates int
+	// BoundedSortSpills counts the variant plans whose bounded Sort
+	// (ORDER BY … LIMIT) spilled runs.
+	BoundedSortSpills int
 }
 
 // countShapes records which shapes the executed plan shows: parallel ones
-// from the plan outline, ordered aggregation from the operators' routines.
+// from the plan outline, ordered aggregation from the operators' routines
+// and a spilled bounded sort from its spill stats.
 func (r *Report) countShapes(res *tde.Result) {
 	for _, op := range res.Stats().Operators {
-		if op.Kind == "Aggregate" && strings.HasSuffix(op.Routine, "ordered") {
+		switch {
+		case op.Kind == "Aggregate" && strings.HasSuffix(op.Routine, "ordered"):
 			r.OrderedAggregates++
-			break
+		case op.Kind == "Sort" && strings.HasPrefix(op.Label, "top ") && op.Spill != nil && op.Spill.Spills > 0:
+			r.BoundedSortSpills++
 		}
 	}
 	steps := strings.Split(res.Plan, " => ")

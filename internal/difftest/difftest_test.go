@@ -86,8 +86,11 @@ func TestDifferentialSpill(t *testing.T) {
 		if *long && rep.OrderedAggregates == 0 {
 			t.Errorf("budget %d: no query ran an ordered aggregate", budget)
 		}
-		t.Logf("budget %d: %d queries, %d comparisons, %d spilled, %d mismatches, %d unsplittable (one group's MEDIAN/COUNTD state exceeds the budget), %d ordered aggregates",
-			budget, rep.Queries, rep.Comparisons, rep.Spilled, len(rep.Mismatches), rep.Unsplittable, rep.OrderedAggregates)
+		if *long && rep.BoundedSortSpills == 0 {
+			t.Errorf("budget %d: no bounded sort (ORDER BY … LIMIT) spilled", budget)
+		}
+		t.Logf("budget %d: %d queries, %d comparisons, %d spilled, %d mismatches, %d unsplittable (one group's MEDIAN/COUNTD state exceeds the budget), %d ordered aggregates, %d spilled bounded sorts",
+			budget, rep.Queries, rep.Comparisons, rep.Spilled, len(rep.Mismatches), rep.Unsplittable, rep.OrderedAggregates, rep.BoundedSortSpills)
 	}
 }
 

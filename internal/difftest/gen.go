@@ -8,7 +8,8 @@ import (
 
 // The generator draws from a closed grammar: single-table aggregations
 // over lineitem and flights, lineitem-orders and -modes joins, key-ordered
-// top-n selections and filtered flights selections. Every query is deterministic given the rng, and any
+// top-n selections (some of wide rows that keep thousands) and filtered
+// flights selections. Every query is deterministic given the rng, and any
 // ORDER BY ... LIMIT ends in a total order (a unique key as tiebreaker)
 // so the cut is the same no matter which worker produced each row.
 
@@ -58,18 +59,20 @@ var flightAirports = []string{"ATL", "LAX", "ORD", "DFW", "DEN", "JFK"}
 
 // randomQuery draws one SQL statement.
 func randomQuery(rng *rand.Rand) string {
-	switch rng.Intn(10) {
+	switch rng.Intn(11) {
 	case 0, 1, 2, 3: // lineitem aggregation
 		return groupQuery(rng, "lineitem", lineitemGroupCols, lineitemAggCols, lineitemWhere)
 	case 4, 5: // flights aggregation
 		return groupQuery(rng, "flights", flightsGroupCols, flightsAggCols, flightsWhere)
 	case 6, 7, 8: // lineitem x orders join
 		return joinQuery(rng)
-	default: // a selection: key-ordered top-n, or filtered flights
+	case 9: // a selection: key-ordered top-n, or filtered flights
 		if rng.Intn(2) == 0 {
 			return topNSelect(rng)
 		}
 		return flightsSelect(rng)
+	default: // a key-ordered top-n of wide rows
+		return wideTopSelect(rng)
 	}
 }
 
@@ -245,6 +248,23 @@ func topNSelect(rng *rand.Rand) string {
 	}
 	fmt.Fprintf(&sb, " ORDER BY l_orderkey%s, l_linenumber%s LIMIT %d",
 		desc, desc, 10+rng.Intn(200))
+	return sb.String()
+}
+
+// wideTopSelect is topNSelect over a wide row that keeps thousands of rows:
+// the bounded Sort that the spill sweep's budgets make spill.
+func wideTopSelect(rng *rand.Rand) string {
+	var sb strings.Builder
+	sb.WriteString("SELECT l_orderkey, l_linenumber, l_partkey, l_quantity, l_extendedprice, l_discount, " +
+		"l_shipdate, l_shipmode, l_shipinstruct, l_comment FROM lineitem")
+	if rng.Intn(2) == 0 {
+		fmt.Fprintf(&sb, " WHERE %s", lineitemWhere(rng))
+	}
+	desc := ""
+	if rng.Intn(2) == 0 {
+		desc = " DESC"
+	}
+	fmt.Fprintf(&sb, " ORDER BY l_orderkey%s, l_linenumber%s LIMIT %d", desc, desc, 2000+rng.Intn(3000))
 	return sb.String()
 }
 

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"errors"
-	"sort"
 	"sync"
 
 	"tde/internal/heap"
@@ -588,110 +587,45 @@ func (e *aggEmitter) close() {
 }
 
 // aggMergeEmit is the depth-cap fallback: the partition's partial rows
-// are externally sorted by key content and merged into an ordered core
-// through the streaming fold, which holds the running group and at most a
-// block or two of finished ones — so a dominant key that re-hashing
-// cannot split still aggregates in bounded memory (unless that single
-// group's own COUNTD/MEDIAN state exceeds the budget, which no grouping
-// strategy can fix).
+// are externally sorted by key (the engine's one row sort) and merged
+// into an ordered core through the streaming fold, which holds the
+// running group and at most a block or two of finished ones — so a
+// dominant key that re-hashing cannot split still aggregates in bounded
+// memory (unless that single group's own COUNTD/MEDIAN state exceeds the
+// budget, which no grouping strategy can fix).
 type aggMergeEmit struct {
-	sp      *aggSpill
-	cursors []*mergeCursor
+	sp *aggSpill
+	rs *rowSort
 }
 
-// startMerge sorts p's rows into runs and opens the merge as the input of
-// a fresh ordered core.
+// startMerge sorts p's rows into runs and opens their merge as the input
+// of a fresh ordered core. Every row goes to a run, the last buffer too,
+// so the fold keeps the share of the budget the merge leaves it.
 func (e *aggEmitter) startMerge(p aggPartition) error {
 	sp := e.sp
-	sp.stats.AddSpill()
-	m := &aggMergeEmit{sp: sp}
-
 	nc := len(sp.rowSpecs)
-	var runs []string
-	var rows [][]uint64
-	hs := make([]*heap.Heap, nc)
-	trs := make([]*heap.Translator, nc)
-	resetHeaps := func() {
-		releaseTranslators(trs)
-		for c, s := range sp.rowSpecs {
-			if s.Str {
-				hs[c] = heap.New(s.Collation)
-				trs[c] = heap.NewTranslator(hs[c], heap.NewAccelerator(hs[c], 0), sp.qc, sp.st.kind)
-			}
-		}
-	}
-	resetHeaps()
-	defer releaseTranslators(trs)
-	charged, heapBytes := 0, 0
-	release := func() {
-		sp.qc.Release(charged)
-		charged = 0
-	}
-	flush := func() error {
-		if len(rows) == 0 {
-			return nil
-		}
-		sort.SliceStable(rows, func(a, b int) bool {
-			return sp.keyRowLess(rows[a], rows[b], hs)
-		})
-		w, err := sp.mgr.NewWriter(sp.rowSpecs, &sp.stats.IO)
-		if err != nil {
-			return err
-		}
-		for _, row := range rows {
-			if err := w.Append(row, hs); err != nil {
-				w.Close()
-				return err
-			}
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		runs = append(runs, w.Path())
-		sp.stats.AddPartitions(1)
-		release()
-		heapBytes = 0
-		rows = rows[:0]
-		resetHeaps()
-		return nil
-	}
+	rs := newRowSort(sp.qc, sp.st.kind, sp.stats, sp.keyOrder(), sp.rowSpecs, 0)
+	cols, heaps := make([][]uint64, nc), make([]*heap.Heap, nc)
 	err := readChunks(sp.mgr, p.paths, &sp.stats.IO, func(ch *spill.Chunk) error {
-		for i := 0; i < ch.Rows; i++ {
-			row := make([]uint64, nc)
-			for c := 0; c < nc; c++ {
-				v := ch.Cols[c].Values[i]
-				if trs[c] != nil {
-					v = trs[c].One(ch.Cols[c].Heap, v)
-				}
-				row[c] = v
-			}
-			rows = append(rows, row)
+		for c := range cols {
+			cols[c], heaps[c] = ch.Cols[c].Values, ch.Cols[c].Heap
 		}
-		grown := heapSizes(hs)
-		cost := ch.Rows*nc*8 + (grown - heapBytes)
-		heapBytes = grown
-		if err := sp.qc.Charge(sp.st.kind, cost); err != nil {
-			if !spillableErr(sp.qc, err) {
-				return err
-			}
-			return flush()
-		}
-		charged += cost
-		return nil
+		return rs.add(cols, heaps, ch.Rows)
 	})
 	if err == nil {
-		err = flush()
+		err = rs.spillRun()
+	}
+	if err == nil {
+		err = rs.finish()
 	}
 	if err != nil {
-		release()
+		rs.close()
 		return err
 	}
 	for _, path := range p.paths {
 		_ = sp.mgr.Remove(path)
 	}
-	if m.cursors, err = openMerge(sp.qc, sp.st.kind, sp.mgr, sp.rowSpecs, runs, &sp.stats.IO, m.keyLess); err != nil {
-		return err
-	}
+	m := &aggMergeEmit{sp: sp, rs: rs}
 	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggOrdered, nil, sp.st, sp.qc)
 	if err != nil {
 		m.close()
@@ -701,83 +635,30 @@ func (e *aggEmitter) startMerge(p aggPartition) error {
 	return nil
 }
 
-// keyRowLess orders two buffered partial rows by key content.
-func (sp *aggSpill) keyRowLess(a, b []uint64, hs []*heap.Heap) bool {
-	for j := range sp.keyCols {
-		va, vb := a[j], b[j]
-		if sp.rowSpecs[j].Str {
-			an, bn := va == types.NullToken, vb == types.NullToken
-			if an != bn {
-				return an // NULL first
-			}
-			if an {
-				continue
-			}
-			c := sp.rowSpecs[j].Collation.Compare(hs[j].Get(va), hs[j].Get(vb))
-			if c != 0 {
-				return c < 0
-			}
-			continue
-		}
-		if va != vb {
-			return va < vb
-		}
+// keyOrder orders partial rows by their leading key columns, ties broken
+// on raw bits: the rows the aggregation folds into one group sort
+// together.
+func (sp *aggSpill) keyOrder() rowOrder {
+	schema := make([]ColInfo, len(sp.keyCols))
+	keys := make([]SortKey, len(sp.keyCols))
+	for j, kc := range sp.keyCols {
+		schema[j], keys[j] = sp.in[kc], SortKey{Col: j}
 	}
-	return false
-}
-
-// keyLess orders two run cursors by key content (same order as
-// keyRowLess, across chunk heaps).
-func (m *aggMergeEmit) keyLess(a, b *mergeCursor) bool {
-	sp := m.sp
-	for j := range sp.keyCols {
-		va, vb := a.val(j), b.val(j)
-		if sp.rowSpecs[j].Str {
-			an, bn := va == types.NullToken, vb == types.NullToken
-			if an != bn {
-				return an
-			}
-			if an {
-				continue
-			}
-			c := sp.rowSpecs[j].Collation.Compare(a.strHeap(j).Get(va), b.strHeap(j).Get(vb))
-			if c != 0 {
-				return c < 0
-			}
-			continue
-		}
-		if va != vb {
-			return va < vb
-		}
-	}
-	return false
+	o := newRowOrder(schema, keys)
+	o.bits = true
+	return o
 }
 
 // fold folds up to a block of the merge's partial rows, in key order.
 func (m *aggMergeEmit) fold(c *aggCore) (int, error) {
 	rows := 0
 	for ; rows < vec.BlockSize; rows++ {
-		i := pickMin(m.cursors, m.keyLess)
-		if i < 0 {
-			break
-		}
-		cur := m.cursors[i]
-		m.sp.foldRow(c, cur.val, cur.strHeap)
-		if err := cur.advance(); err != nil {
+		ok, err := m.rs.pop(func(cur *mergeCursor) { m.sp.foldRow(c, cur.val, cur.strHeap) })
+		if err != nil || !ok {
 			return rows, err
-		}
-		if cur.done {
-			cur.close(true)
 		}
 	}
 	return rows, nil
 }
 
-func (m *aggMergeEmit) close() {
-	for _, c := range m.cursors {
-		if c != nil {
-			c.close(true)
-		}
-	}
-	m.cursors = nil
-}
+func (m *aggMergeEmit) close() { m.rs.close() }

@@ -15,6 +15,7 @@ import (
 	"tde/internal/delta"
 	"tde/internal/enc"
 	"tde/internal/heap"
+	"tde/internal/iofault"
 	"tde/internal/storage"
 	"tde/internal/types"
 	"tde/internal/vec"
@@ -745,6 +746,73 @@ func TestAggregateMergeStreamsGroups(t *testing.T) {
 		rowsEqual(t, want, got, label)
 		if d := agg.opStats().Spill.MaxDepth; d != spillMaxDepth {
 			t.Errorf("%s: spilled to depth %d, want the merge at %d", label, d, spillMaxDepth)
+		}
+		if used := qc.Used(); used != 0 {
+			t.Errorf("%s: %d bytes still charged after Close", label, used)
+		}
+		qc.CleanupSpill()
+	}
+}
+
+// TestAggregateMergeKeyOrder: the merge fallback sorts partial rows
+// under the engine's one row order, which must keep each group's rows
+// together. The keys are a real and a case-insensitive string: two
+// strings, each with 0.0 and with -0.0, which compare equal but group
+// apart (the aggregation groups on bits), and each string in two
+// spellings that fold into one group; the groups' rows interleave. The
+// first spill write fails with ENOSPC, so the aggregation takes the
+// disk-full ladder: every spilled row folds as one partition, which the
+// four groups' state does not fit, and the partition goes to the merge.
+// It must answer like the unbudgeted aggregation at every worker count.
+func TestAggregateMergeKeyOrder(t *testing.T) {
+	zeros := []float64{0, math.Copysign(0, -1)}
+	var rv []int64
+	var sv []string
+	h := heap.New(types.CollateCaseFold)
+	w := enc.NewWriter(enc.WriterConfig{ConvertOptimal: true, Sentinel: types.NullToken, HasSentinel: true})
+	for i := 0; i < 1500; i++ {
+		for _, s := range []string{"key-a", "key-b"} {
+			if i/100%2 == 1 { // the blocks, and so the evicted groups, start with either spelling
+				s = strings.ToUpper(s)
+			}
+			for _, z := range zeros {
+				rv = append(rv, int64(types.FromReal(z)))
+				w.AppendOne(h.Append(s))
+				sv = append(sv, fmt.Sprintf("v-%d-%d", len(sv)%4, i))
+			}
+		}
+	}
+	sc := &storage.Column{Name: "s", Type: types.String, Collation: types.CollateCaseFold,
+		Data: w.Finish(), Heap: h, Meta: enc.MetadataFromStats(w.Stats(), false)}
+	tab := makeTable("zeros", makeIntColumn("r", types.Real, rv), sc, makeStringColumn("v", sv))
+	specs := []AggSpec{{Func: CountD, Col: 2}, {Func: Count, Col: -1}}
+	run := func(qc *QueryCtx, workers int) [][]string {
+		scan, err := NewScan(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := CollectStringsCtx(qc, parallelAggregate(scan, []int{0, 1}, specs, AggHash, workers))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for _, r := range rows {
+			r[1] = strings.ToLower(r[1]) // a folded group answers any of its spellings
+		}
+		sortRows(rows)
+		return rows
+	}
+	want := run(NewQueryCtx(nil, 0), 1)
+	if len(want) != 4 {
+		t.Fatalf("unbudgeted: %d groups, want 4: %v", len(want), want)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		label := fmt.Sprintf("workers=%d", workers)
+		disk := &fillingDisk{FS: iofault.OS}
+		disk.failing.Store(1)
+		qc := NewQueryCtxSpill(nil, 64<<10, SpillConfig{Budget: 1 << 30, Dir: t.TempDir(), FS: disk})
+		rowsEqual(t, want, run(qc, workers), label)
+		if disk.failed.Load() == 0 {
+			t.Errorf("%s: no spill write failed; the disk-full ladder was not taken", label)
 		}
 		if used := qc.Used(); used != 0 {
 			t.Errorf("%s: %d bytes still charged after Close", label, used)

@@ -92,7 +92,9 @@ func benchFlowTable(b *testing.B, encode bool) {
 	}
 }
 
-func BenchmarkSortVsTopN(b *testing.B) {
+// BenchmarkSortLimit: ORDER BY … LIMIT 10 over 2^17 rows, as a bounded
+// Sort and as a full Sort under a Limit.
+func BenchmarkSortLimit(b *testing.B) {
 	tab := benchTable(b, 1<<17)
 	b.Run("full-sort-limit-10", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -102,10 +104,10 @@ func BenchmarkSortVsTopN(b *testing.B) {
 			}
 		}
 	})
-	b.Run("topn-10", func(b *testing.B) {
+	b.Run("bounded-sort-10", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			scan, _ := NewScan(tab, "wide")
-			if _, err := Run(NewTopN(scan, 10, SortKey{Col: 0})); err != nil {
+			if _, err := Run(NewBoundedSort(scan, 10, SortKey{Col: 0})); err != nil {
 				b.Fatal(err)
 			}
 		}

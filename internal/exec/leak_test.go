@@ -124,7 +124,7 @@ func TestOperatorsReleaseAllMemory(t *testing.T) {
 			return NewSort(mustScan(fact), SortKey{Col: 2}, SortKey{Col: 1}, SortKey{Col: 0})
 		},
 		"topn": func() Operator {
-			return NewTopN(mustScan(fact), 64, SortKey{Col: 2}, SortKey{Col: 0})
+			return NewBoundedSort(mustScan(fact), 64, SortKey{Col: 2}, SortKey{Col: 0})
 		},
 		"flowtable": func() Operator {
 			return NewFlowTable(mustScan(fact), DefaultFlowTableConfig())

@@ -87,7 +87,7 @@ func TestBudgetExceeded(t *testing.T) {
 		build func() Operator
 	}{
 		{"Sort", func() Operator { return NewSort(newScan(), SortKey{Col: 1}) }},
-		{"TopN", func() Operator { return NewTopN(newScan(), 90_000, SortKey{Col: 1}) }},
+		{"TopN", func() Operator { return NewBoundedSort(newScan(), 90_000, SortKey{Col: 1}) }},
 		{"AggregateHash", func() Operator {
 			return NewAggregate(newScan(), []int{1}, []AggSpec{{Func: Count, Col: 0}}, AggHash)
 		}},

@@ -29,8 +29,8 @@ type ColInfo struct {
 	// a token is the position of an element in that one heap. A table
 	// Scan and a FlowTable's output set it; an operator
 	// that may emit the column's tokens against heaps of its own (a
-	// spilled join's partitions, a spilled sort's runs, an aggregation's
-	// or a top-n's heaps) clears it. Direct grouping takes a string
+	// spilled join's partitions, a spilled sort's runs, a bounded sort's
+	// cut or an aggregation's heaps) clears it. Direct grouping takes a string
 	// key's element positions for its domain, and an aggregate input
 	// keeps its stored tokens, only when it is set.
 	StoredHeap bool

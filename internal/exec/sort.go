@@ -1,7 +1,9 @@
 package exec
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strconv"
 
 	"tde/internal/heap"
 	"tde/internal/spill"
@@ -15,45 +17,498 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort is the stop-and-go sorting operator. It materializes its input,
-// sorts row indexes, and emits blocks in order. Note Sect. 4.3: operators
-// that disturb data order can degrade downstream encodings — Sort is also
-// what the Fig. 10 plan 3 uses to enable ordered aggregation.
+// orderKey is one sort key compiled against its column: what a compare
+// reads is resolved once per operator, not once per compare.
+type orderKey struct {
+	col  int
+	desc bool
+	typ  types.Type
+	str  bool
+	dict []uint64
+	coll types.Collation
+}
+
+// rowOrder is the engine's one row order. NULL sorts first (last when
+// descending), strings by collated content, dictionary codes by the
+// values they stand for, reals by value with NaN below every number.
+type rowOrder struct {
+	keys []orderKey
+	// bits breaks ties between scalars that compare equal but differ in
+	// bits (-0.0 and 0.0): the aggregation groups on bits, and its merge
+	// fallback's ordered fold must see each group's rows together.
+	bits bool
+}
+
+func newRowOrder(schema []ColInfo, keys []SortKey) rowOrder {
+	o := rowOrder{keys: make([]orderKey, len(keys))}
+	for i, k := range keys {
+		info := schema[k.Col]
+		o.keys[i] = orderKey{col: k.Col, desc: k.Desc, typ: info.Type, str: info.Type == types.String,
+			dict: info.Dict, coll: collationOf(info)}
+	}
+	return o
+}
+
+// rowRef names row i of a column-wise row set whose string tokens heaps
+// resolve.
+type rowRef struct {
+	cols  [][]uint64
+	heaps []*heap.Heap
+	i     int
+}
+
+// compare orders rows a and b: negative when a sorts first.
+func (o *rowOrder) compare(a, b *rowRef) int {
+	for i := range o.keys {
+		k := &o.keys[i]
+		c := k.compare(a.cols[k.col][a.i], b.cols[k.col][b.i], a.heaps[k.col], b.heaps[k.col], o.bits)
+		if c != 0 {
+			if k.desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+func (k *orderKey) compare(va, vb uint64, ha, hb *heap.Heap, bits bool) int {
+	if k.str {
+		if an, bn := va == types.NullToken, vb == types.NullToken; an || bn {
+			return nullsFirst(an, bn)
+		}
+		return heap.CompareAcross(k.coll, ha, va, hb, vb)
+	}
+	xa, xb := k.value(va), k.value(vb)
+	if an, bn := types.IsNull(k.typ, xa), types.IsNull(k.typ, xb); an || bn {
+		return nullsFirst(an, bn)
+	}
+	var c int
+	if k.typ == types.Real {
+		c = cmp.Compare(types.ToReal(xa), types.ToReal(xb))
+	} else {
+		c = types.Compare(k.typ, xa, xb)
+	}
+	if c == 0 && bits {
+		c = cmp.Compare(va, vb)
+	}
+	return c
+}
+
+// value resolves a dictionary code to the value it stands for.
+func (k *orderKey) value(v uint64) uint64 {
+	switch {
+	case k.dict == nil:
+		return v
+	case v == types.NullToken:
+		return types.NullBits(k.typ)
+	}
+	return k.dict[v]
+}
+
+// nullsFirst orders two values of which at least one is NULL.
+func nullsFirst(an, bn bool) int {
+	switch {
+	case an && bn:
+		return 0
+	case an:
+		return -1
+	}
+	return 1
+}
+
+// rowSort is the engine's one row sort: the Sort operator's, bounded or
+// not, and the aggregation's merge fallback's. It buffers rows
+// column-wise, their strings re-interned into heaps of its own, produces
+// a position order under one rowOrder and gathers the rows in it. When
+// the budget denies the buffer and the query may spill, the buffer is
+// written out as a sorted compressed run and starts over empty, and in
+// the end the runs are merged.
 //
-// When the memory budget denies a charge and spilling is enabled, Sort
-// degrades to an external merge sort: the buffered rows are sorted and
-// written out as a compressed run, the buffer restarts empty, and Next
-// merges the runs (pre-merged in passes of spillMergeFanIn when there are
-// many) instead of walking an in-memory order index.
+// With a bound n only the first n rows in order are kept: the buffer
+// holds the best n rows so far, in order, and at most a block of
+// candidates. A row that does not sort before the n-th is dropped with
+// one compare; before candidates would outgrow a block they are sorted
+// in and the buffer is cut back to n rows, whose strings move to fresh
+// heaps, so memory is O(n) whatever the input. A spilled run holds at
+// most n rows and the merge stops after n. Ties keep input order, as
+// they do without a bound.
+type rowSort struct {
+	qc    *QueryCtx
+	op    string
+	stats *OpSpillStats
+	order rowOrder
+	specs []spill.ColSpec // how each column spills; Str marks the string columns
+	limit int             // the bound n; 0 keeps every row
+
+	cols    [][]uint64
+	heaps   []*heap.Heap
+	trs     []*heap.Translator
+	kept    int // bounded: rows [0, kept) are the best so far, in order
+	charged int
+
+	mgr  *spill.Manager
+	runs []string
+
+	// The output: an order over the buffer, or the runs' merge.
+	idx     []int32
+	at      int
+	cursors []*mergeCursor
+	emitted int
+}
+
+func newRowSort(qc *QueryCtx, op string, stats *OpSpillStats, order rowOrder, specs []spill.ColSpec, limit int) *rowSort {
+	s := &rowSort{qc: qc, op: op, stats: stats, order: order, specs: specs, limit: limit}
+	s.reset()
+	return s
+}
+
+// reset empties the buffer into fresh heaps; account then returns its
+// memory.
+func (s *rowSort) reset() {
+	releaseTranslators(s.trs)
+	nc := len(s.specs)
+	s.cols = make([][]uint64, nc)
+	s.heaps = make([]*heap.Heap, nc)
+	s.trs = make([]*heap.Translator, nc)
+	for c, sp := range s.specs {
+		if sp.Str {
+			s.heaps[c] = heap.New(sp.Collation)
+			s.trs[c] = heap.NewTranslator(s.heaps[c], heap.NewAccelerator(s.heaps[c], 0), s.qc, s.op)
+		}
+	}
+	s.kept = 0
+}
+
+func (s *rowSort) rows() int {
+	if len(s.cols) == 0 {
+		return 0
+	}
+	return len(s.cols[0])
+}
+
+// account sets the buffer's charge to what it holds: its rows, its
+// heaps and extra bytes.
+func (s *rowSort) account(extra int) error {
+	want := rowFootprint(s.rows(), len(s.cols)) + heapSizes(s.heaps) + extra
+	if want > s.charged {
+		if err := s.qc.Charge(s.op, want-s.charged); err != nil {
+			return err
+		}
+	} else {
+		s.qc.Release(s.charged - want)
+	}
+	s.charged = want
+	return nil
+}
+
+// add buffers n rows given column-wise, their string tokens resolved by
+// heaps. When the budget denies them and the query may spill, the
+// buffer, these rows included, becomes a run.
+func (s *rowSort) add(cols [][]uint64, heaps []*heap.Heap, n int) error {
+	if s.limit > 0 && s.rows()-s.limit > vec.BlockSize-n { // rows+n > limit+BlockSize, without overflow
+		s.truncate()
+	}
+	at := s.rows()
+	if s.limit > 0 && s.kept == s.limit {
+		in, cut := rowRef{cols: cols, heaps: heaps}, rowRef{cols: s.cols, heaps: s.heaps, i: s.kept - 1}
+		for in.i = 0; in.i < n; in.i++ {
+			if s.order.compare(&in, &cut) < 0 {
+				for c := range cols {
+					s.cols[c] = append(s.cols[c], cols[c][in.i])
+				}
+			}
+		}
+	} else {
+		for c := range cols {
+			s.cols[c] = append(s.cols[c], cols[c][:n]...)
+		}
+	}
+	for c, tr := range s.trs {
+		if tr != nil {
+			tr.Translate(heaps[c], s.cols[c][at:], s.cols[c][at:])
+		}
+	}
+	err := s.account(0)
+	if err == nil || !spillableErr(s.qc, err) {
+		return err
+	}
+	return s.spillRun()
+}
+
+// sorted returns the buffered rows' positions in order. Only the
+// candidates are sorted; a bounded buffer's kept rows already are, and
+// merge with them, ties to the kept (earlier) row.
+func (s *rowSort) sorted() []int32 {
+	idx := make([]int32, s.rows())
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	a, b := rowRef{cols: s.cols, heaps: s.heaps}, rowRef{cols: s.cols, heaps: s.heaps}
+	slices.SortFunc(idx[s.kept:], func(x, y int32) int {
+		a.i, b.i = int(x), int(y)
+		if c := s.order.compare(&a, &b); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y) // ties keep input order
+	})
+	if s.kept == 0 {
+		return idx
+	}
+	out := make([]int32, 0, len(idx))
+	i, j := 0, s.kept
+	for i < s.kept && j < len(idx) {
+		a.i, b.i = i, int(idx[j])
+		if s.order.compare(&b, &a) < 0 {
+			out = append(out, idx[j])
+			j++
+		} else {
+			out = append(out, int32(i))
+			i++
+		}
+	}
+	out = append(out, idx[i:s.kept]...)
+	return append(out, idx[j:]...)
+}
+
+// cut keeps the first rows of an order that the bound admits.
+func (s *rowSort) cut(idx []int32) []int32 {
+	if s.limit > 0 && len(idx) > s.limit {
+		return idx[:s.limit]
+	}
+	return idx
+}
+
+// truncate sorts the candidates in and cuts the buffer back to the
+// bound, moving the kept rows' strings to fresh heaps; the next account
+// returns the rest.
+func (s *rowSort) truncate() {
+	idx := s.cut(s.sorted())
+	cols, heaps := s.cols, s.heaps
+	s.reset()
+	for c := range cols {
+		s.cols[c] = make([]uint64, len(idx), len(idx)+vec.BlockSize)
+		for i, r := range idx {
+			s.cols[c][i] = cols[c][r]
+		}
+		if s.trs[c] != nil {
+			s.trs[c].Translate(heaps[c], s.cols[c], s.cols[c])
+		}
+	}
+	s.kept = len(idx)
+}
+
+// spillRun writes the buffer, sorted and cut to the bound, as one
+// compressed run and empties it, returning its memory.
+func (s *rowSort) spillRun() error {
+	if s.rows() == 0 {
+		return nil
+	}
+	if s.mgr == nil {
+		s.mgr = s.qc.SpillManager()
+	}
+	s.stats.AddSpill()
+	w, err := s.mgr.NewWriter(s.specs, &s.stats.IO)
+	if err != nil {
+		return err
+	}
+	row := make([]uint64, len(s.cols))
+	for _, r := range s.cut(s.sorted()) {
+		for c := range s.cols {
+			row[c] = s.cols[c][r]
+		}
+		if err := w.Append(row, s.heaps); err != nil {
+			w.Close()
+			return err
+		}
+	}
+	if err := w.Close(); err != nil {
+		return err
+	}
+	s.runs = append(s.runs, w.Path())
+	s.stats.AddPartitions(1)
+	s.reset()
+	return s.account(0)
+}
+
+// finish ends the input. The buffer sorts in memory, unless runs were
+// spilled or the order index is denied: then it becomes the last run and
+// the runs merge.
+func (s *rowSort) finish() error {
+	releaseTranslators(s.trs) // the memos die with the input
+	if len(s.runs) == 0 {
+		err := s.account(s.rows() * 4) // the order index
+		if err == nil {
+			s.idx, s.at = s.cut(s.sorted()), 0
+			return nil
+		}
+		if !spillableErr(s.qc, err) {
+			return err
+		}
+	}
+	if err := s.spillRun(); err != nil {
+		return err
+	}
+	return s.openMerge()
+}
+
+// openMerge opens the merge over the runs, first pre-merging them, in
+// input order, while there are more than one merge reads at once:
+// spillMergeFanIn, or, from two on, as many as hold a chunk each within
+// half the budget left when the merge opens. The other half is the
+// merge's consumer's (Sort's output, or the ordered fold's running
+// group), so how many runs were spilled, which varies with the workers'
+// timing, does not decide whether the consumer fits.
+func (s *rowSort) openMerge() error {
+	share := -1
+	if b := s.qc.Budget(); b > 0 {
+		share = int(b-s.qc.Used()) / 2
+	}
+	for {
+		var cursors []*mergeCursor
+		var err error
+		held := 0
+		for _, path := range s.runs[:min(len(s.runs), spillMergeFanIn)] {
+			var c *mergeCursor
+			if c, err = openMergeCursor(s.qc, s.op, s.mgr, path, &s.stats.IO); err != nil {
+				break
+			}
+			if len(cursors) >= 2 && share >= 0 && held+c.charged > share {
+				c.close(false)
+				break
+			}
+			held += c.charged
+			cursors = append(cursors, c)
+		}
+		if err == nil && len(cursors) == len(s.runs) {
+			s.cursors, s.runs = cursors, nil
+			return nil
+		}
+		n := len(cursors)
+		var merged string
+		if err == nil || n >= 2 && spillableErr(s.qc, err) {
+			merged, err = s.mergeRuns(cursors)
+		}
+		for _, c := range cursors {
+			c.close(err == nil) // inputs are consumed on success, kept for cleanup on failure
+		}
+		if err != nil {
+			return err
+		}
+		s.runs = append([]string{merged}, s.runs[n:]...)
+	}
+}
+
+// mergeRuns drains cursors into one new run, cut to the bound.
+func (s *rowSort) mergeRuns(cursors []*mergeCursor) (string, error) {
+	w, err := s.mgr.NewWriter(s.specs, &s.stats.IO)
+	if err != nil {
+		return "", err
+	}
+	row := make([]uint64, len(s.specs))
+	for n := 0; s.limit == 0 || n < s.limit; n++ {
+		i := pickMin(cursors, &s.order)
+		if i < 0 {
+			break
+		}
+		cur := cursors[i]
+		for c := range row {
+			row[c] = cur.val(c)
+		}
+		if err := w.Append(row, cur.row.heaps); err != nil {
+			w.Close()
+			return "", err
+		}
+		if err := cur.advance(); err != nil {
+			w.Close()
+			return "", err
+		}
+	}
+	if err := w.Close(); err != nil {
+		return "", err
+	}
+	return w.Path(), nil
+}
+
+// pickMin returns the index of the live cursor whose row sorts first,
+// ties to the lowest index: runs are opened in input order, which is what
+// keeps the external sort stable.
+func pickMin(cs []*mergeCursor, o *rowOrder) int {
+	best := -1
+	for i, c := range cs {
+		if c == nil || c.done {
+			continue
+		}
+		if best < 0 || o.compare(&c.row, &cs[best].row) < 0 {
+			best = i
+		}
+	}
+	return best
+}
+
+// pop hands the merge's next row to fn and moves past it; false once the
+// runs or the bound are exhausted.
+func (s *rowSort) pop(fn func(cur *mergeCursor)) (bool, error) {
+	if s.limit > 0 && s.emitted == s.limit {
+		return false, nil
+	}
+	i := pickMin(s.cursors, &s.order)
+	if i < 0 {
+		return false, nil
+	}
+	cur := s.cursors[i]
+	fn(cur)
+	s.emitted++
+	if err := cur.advance(); err != nil {
+		return false, err
+	}
+	if cur.done {
+		cur.close(true) // run consumed: free its disk budget eagerly
+	}
+	return true, nil
+}
+
+// close returns every charge and removes the runs still on disk (the
+// query's spill manager would also sweep them at its end).
+func (s *rowSort) close() {
+	for _, c := range s.cursors {
+		if c != nil {
+			c.close(true)
+		}
+	}
+	for _, path := range s.runs {
+		_ = s.mgr.Remove(path)
+	}
+	releaseTranslators(s.trs)
+	s.cursors, s.runs, s.cols, s.trs, s.idx = nil, nil, nil, nil, nil
+	s.qc.Release(s.charged)
+	s.charged = 0
+}
+
+// Sort is the stop-and-go sorting operator, ORDER BY's, with a bound for
+// ORDER BY … LIMIT n. Note Sect. 4.3: operators that disturb data order
+// can degrade downstream encodings — Sort is also what the Fig. 10 plan 3
+// uses to enable ordered aggregation. rowSort does the work, in memory or,
+// when the budget denies it and spilling is enabled, as an external merge
+// sort.
 type Sort struct {
 	OpInstr
 	child  Operator
 	keys   []SortKey
+	limit  int
 	schema []ColInfo
-
-	cols  [][]uint64
-	heaps []*heap.Heap // unified output heap per string column
-	trs   []*heap.Translator
-	order []int32
-	at    int
-
-	qc        *QueryCtx
-	charged   int
-	heapBytes int
-
-	// external sort state
-	mgr     *spill.Manager
-	stats   *OpSpillStats
-	specs   []spill.ColSpec
-	runs    []string
-	cursors []*mergeCursor
-	rowBuf  []uint64
-	heapBuf []*heap.Heap
+	rs     *rowSort
 }
 
 // NewSort sorts child by keys.
 func NewSort(child Operator, keys ...SortKey) *Sort {
-	return &Sort{child: child, keys: keys, schema: child.Schema()}
+	return NewBoundedSort(child, 0, keys...)
+}
+
+// NewBoundedSort emits the first n rows of child under keys; n = 0 emits
+// them all.
+func NewBoundedSort(child Operator, n int, keys ...SortKey) *Sort {
+	return &Sort{child: child, keys: keys, limit: n, schema: child.Schema()}
 }
 
 // Schema implements Operator.
@@ -61,8 +516,8 @@ func (s *Sort) Schema() []ColInfo {
 	out := make([]ColInfo, len(s.schema))
 	copy(out, s.schema)
 	for i := range out {
-		if s.heaps != nil && s.heaps[i] != nil {
-			out[i].Heap = s.heaps[i]
+		if s.rs != nil && s.rs.heaps[i] != nil {
+			out[i].Heap = s.rs.heaps[i]
 		}
 		out[i].StoredHeap = false // a spilled merge emits its runs' heaps
 		out[i].Meta.SortedKnown, out[i].Meta.SortedAsc = false, false
@@ -77,72 +532,47 @@ func (s *Sort) Schema() []ColInfo {
 	return out
 }
 
-// charge accounts n bytes to the query and remembers them for release.
-func (s *Sort) charge(n int) error {
-	if err := s.qc.Charge("Sort", n); err != nil {
-		return err
-	}
-	s.charged += n
-	return nil
-}
-
-// initBuffers (re)creates the accumulation buffers, fresh heaps included.
-func (s *Sort) initBuffers() {
-	nc := len(s.schema)
-	releaseTranslators(s.trs)
-	s.cols = make([][]uint64, nc)
-	s.heaps = make([]*heap.Heap, nc)
-	s.trs = make([]*heap.Translator, nc)
-	for c, info := range s.schema {
-		if info.Type == types.String {
-			s.heaps[c] = heap.New(collationOf(info))
-			s.trs[c] = heap.NewTranslator(s.heaps[c], heap.NewAccelerator(s.heaps[c], 0), s.qc, "Sort")
-		}
-	}
-	s.heapBytes = 0
-}
-
-// releaseTranslators returns the memos of a set of per-column translators
-// (nil entries for non-string columns) to their budget.
-func releaseTranslators(trs []*heap.Translator) {
-	for _, tr := range trs {
-		if tr != nil {
-			tr.Release()
-		}
-	}
-}
-
 // OpKind implements Instrumented.
 func (s *Sort) OpKind() string { return "Sort" }
+
+// OpLabel implements Instrumented: a bounded sort names its bound.
+func (s *Sort) OpLabel() string {
+	if s.limit > 0 {
+		return "top " + strconv.Itoa(s.limit)
+	}
+	return ""
+}
 
 // OpChildren implements Instrumented.
 func (s *Sort) OpChildren() []Operator { return []Operator{s.child} }
 
-// Open implements Operator.
+// Open implements Operator: it consumes the child.
 func (s *Sort) Open(qc *QueryCtx) (err error) {
 	start := s.beginOpen(qc, "Sort")
 	defer func() {
-		if s.cursors != nil {
+		if s.rs.cursors != nil {
 			s.st.SetRoutine("external")
 		} else {
 			s.st.SetRoutine("memory")
 		}
 		s.endOpen(start)
 	}()
-	s.qc = qc
+	if s.rs != nil {
+		s.rs.close() // a re-Open starts over
+	}
+	s.rs = newRowSort(qc, "Sort", &s.opStats().Spill, newRowOrder(s.schema, s.keys), spillSpecs(s.schema), s.limit)
 	defer func() {
 		if err != nil {
-			s.cleanup()
+			s.rs.close()
 		}
 	}()
 	if err := s.child.Open(qc); err != nil {
 		return err
 	}
 	defer s.child.Close()
-	s.initBuffers()
-	defer func() { releaseTranslators(s.trs) }() // the memos die with the input
 	nc := len(s.schema)
 	b := vec.NewBlock(nc)
+	cols, heaps := make([][]uint64, nc), make([]*heap.Heap, nc)
 	for {
 		ok, err := s.child.Next(b)
 		if err != nil {
@@ -152,212 +582,14 @@ func (s *Sort) Open(qc *QueryCtx) (err error) {
 			break
 		}
 		b.Materialize() // late-decode boundary: sort buffers plain columns
-		for c := 0; c < nc; c++ {
-			v := &b.Vecs[c]
-			at := len(s.cols[c])
-			s.cols[c] = append(s.cols[c], v.Data[:b.N]...)
-			if s.trs[c] != nil {
-				s.trs[c].Translate(v.Heap, s.cols[c][at:], s.cols[c][at:])
-			}
+		for c := range cols {
+			cols[c], heaps[c] = b.Vecs[c].Data, b.Vecs[c].Heap
 		}
-		// Sort buffers its whole input: charge the materialized block plus
-		// any string-heap growth it caused.
-		grown := heapSizes(s.heaps)
-		if err := s.charge(rowFootprint(b.N, nc) + (grown - s.heapBytes)); err != nil {
-			if !spillableErr(s.qc, err) {
-				return err
-			}
-			// Degrade: flush the buffer (the denied block included) as one
-			// sorted compressed run and start over empty.
-			if err := s.spillRun(); err != nil {
-				return err
-			}
-			continue
-		}
-		s.heapBytes = grown
-	}
-	if len(s.runs) > 0 {
-		// Already external: the tail buffer becomes the last run, then the
-		// runs are pre-merged down to a single merge's fan-in.
-		if err := s.spillRun(); err != nil {
-			return err
-		}
-		return s.openMerge()
-	}
-	n := 0
-	if nc > 0 {
-		n = len(s.cols[0])
-	}
-	if err := s.charge(n * 4); err != nil { // the order index
-		if !spillableErr(s.qc, err) {
-			return err
-		}
-		if err := s.spillRun(); err != nil {
-			return err
-		}
-		return s.openMerge()
-	}
-	s.order = s.sortBuffer(n)
-	s.at = 0
-	return nil
-}
-
-// sortBuffer builds and sorts an order index over the first n buffered
-// rows.
-func (s *Sort) sortBuffer(n int) []int32 {
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := order[a], order[b]
-		for _, k := range s.keys {
-			c := s.compare(k.Col, ra, rb)
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	return order
-}
-
-// spillRun sorts the buffered rows, writes them as one compressed run,
-// and resets the buffer, returning its memory to the accountant.
-func (s *Sort) spillRun() error {
-	n := 0
-	if len(s.cols) > 0 {
-		n = len(s.cols[0])
-	}
-	if n == 0 {
-		return nil
-	}
-	if s.mgr == nil {
-		s.mgr = s.qc.SpillManager()
-		s.stats = &s.opStats().Spill
-		s.specs = spillSpecs(s.schema)
-	}
-	s.stats.AddSpill()
-	order := s.sortBuffer(n)
-	w, err := s.mgr.NewWriter(s.specs, &s.stats.IO)
-	if err != nil {
-		return err
-	}
-	row := make([]uint64, len(s.schema))
-	for _, r := range order {
-		for c := range s.cols {
-			row[c] = s.cols[c][r]
-		}
-		if err := w.Append(row, s.heaps); err != nil {
-			w.Close()
+		if err := s.rs.add(cols, heaps, b.N); err != nil {
 			return err
 		}
 	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	s.runs = append(s.runs, w.Path())
-	s.stats.AddPartitions(1)
-	// The buffer's memory goes back; the rows now live compressed on disk.
-	s.qc.Release(s.charged)
-	s.charged = 0
-	s.initBuffers()
-	return nil
-}
-
-// openMerge pre-merges runs down to spillMergeFanIn and opens the final
-// merge cursors. Runs are kept in creation (= input) order and ties break
-// toward the earlier cursor, preserving the stability of the in-memory
-// sort.
-func (s *Sort) openMerge() error {
-	cursors, err := openMerge(s.qc, "Sort", s.mgr, s.specs, s.runs, &s.stats.IO, s.cursorLess)
-	if err != nil {
-		return err
-	}
-	s.cursors = cursors
-	s.runs = nil
-	s.rowBuf = make([]uint64, len(s.schema))
-	s.heapBuf = make([]*heap.Heap, len(s.schema))
-	return nil
-}
-
-// cursorLess orders two run cursors by the sort keys.
-func (s *Sort) cursorLess(a, b *mergeCursor) bool {
-	for _, k := range s.keys {
-		c := s.cursorCompare(k.Col, a, b)
-		if c == 0 {
-			continue
-		}
-		if k.Desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false
-}
-
-// cursorCompare is compare across two run cursors; string values compare
-// by collated content since each chunk carries its own heap.
-func (s *Sort) cursorCompare(c int, ca, cb *mergeCursor) int {
-	va, vb := ca.val(c), cb.val(c)
-	info := s.schema[c]
-	if info.Type == types.String {
-		an, bn := va == types.NullToken, vb == types.NullToken
-		switch {
-		case an && bn:
-			return 0
-		case an:
-			return -1
-		case bn:
-			return 1
-		}
-		return collationOf(info).Compare(ca.strHeap(c).Get(va), cb.strHeap(c).Get(vb))
-	}
-	return s.compareScalar(info, va, vb)
-}
-
-func (s *Sort) compareScalar(info ColInfo, va, vb uint64) int {
-	t := info.Type
-	resolve := func(v uint64) uint64 {
-		if info.Dict != nil && v != types.NullToken {
-			return info.Dict[v]
-		}
-		return v
-	}
-	xa, xb := resolve(va), resolve(vb)
-	an, bn := types.IsNull(t, xa), types.IsNull(t, xb)
-	switch {
-	case an && bn:
-		return 0
-	case an:
-		return -1
-	case bn:
-		return 1
-	}
-	return types.Compare(t, xa, xb)
-}
-
-// compare orders two materialized rows on column c; NULL sorts first.
-func (s *Sort) compare(c int, ra, rb int32) int {
-	va, vb := s.cols[c][ra], s.cols[c][rb]
-	info := s.schema[c]
-	if info.Type == types.String {
-		an, bn := va == types.NullToken, vb == types.NullToken
-		switch {
-		case an && bn:
-			return 0
-		case an:
-			return -1
-		case bn:
-			return 1
-		}
-		return s.heaps[c].Compare(va, vb)
-	}
-	return s.compareScalar(info, va, vb)
+	return s.rs.finish()
 }
 
 // Next implements Operator.
@@ -369,35 +601,27 @@ func (s *Sort) Next(b *vec.Block) (bool, error) {
 }
 
 func (s *Sort) next(b *vec.Block) (bool, error) {
-	if s.cursors != nil {
+	rs := s.rs
+	if rs.cursors != nil {
 		return s.mergeNext(b)
 	}
-	n := len(s.order) - s.at
+	n := min(len(rs.idx)-rs.at, vec.BlockSize)
 	if n <= 0 {
 		return false, nil
 	}
-	if n > vec.BlockSize {
-		n = vec.BlockSize
-	}
 	ensureVecs(b, len(s.schema))
-	for c := range s.schema {
+	for c, info := range s.schema {
 		v := &b.Vecs[c]
-		v.Type = s.schema[c].Type
-		v.Dict = s.schema[c].Dict
-		if s.heaps[c] != nil {
-			v.Heap = s.heaps[c]
-		} else {
-			v.Heap = s.schema[c].Heap
-			if s.schema[c].Type == types.String {
-				v.Heap = s.heaps[c]
-			}
+		v.Type, v.Heap, v.Dict = info.Type, info.Heap, info.Dict
+		if rs.heaps[c] != nil {
+			v.Heap = rs.heaps[c]
 		}
-		for i := 0; i < n; i++ {
-			v.Data[i] = s.cols[c][s.order[s.at+i]]
+		for i, r := range rs.idx[rs.at : rs.at+n] {
+			v.Data[i] = rs.cols[c][r]
 		}
 	}
 	b.N = n
-	s.at += n
+	rs.at += n
 	return true, nil
 }
 
@@ -406,79 +630,57 @@ func (s *Sort) next(b *vec.Block) (bool, error) {
 // different runs, whose heaps are not shared.
 func (s *Sort) mergeNext(b *vec.Block) (bool, error) {
 	ensureVecs(b, len(s.schema))
-	var blockHeaps []*heap.Heap
-	for c, info := range s.schema {
-		if info.Type == types.String {
-			if blockHeaps == nil {
-				blockHeaps = make([]*heap.Heap, len(s.schema))
-			}
-			blockHeaps[c] = heap.New(collationOf(info))
+	heaps := make([]*heap.Heap, len(s.schema))
+	for c, sp := range s.rs.specs {
+		if sp.Str {
+			heaps[c] = heap.New(sp.Collation)
 		}
 	}
 	n := 0
-	for n < vec.BlockSize {
-		i := pickMin(s.cursors, s.cursorLess)
-		if i < 0 {
-			break
-		}
-		cur := s.cursors[i]
-		for c := range s.schema {
-			v := cur.val(c)
-			if blockHeaps != nil && blockHeaps[c] != nil && v != types.NullToken {
-				v = blockHeaps[c].Append(cur.strHeap(c).Get(v))
+	for ; n < vec.BlockSize; n++ {
+		ok, err := s.rs.pop(func(cur *mergeCursor) {
+			for c, h := range heaps {
+				v := cur.val(c)
+				if h != nil && v != types.NullToken {
+					v = h.Append(cur.strHeap(c).Get(v))
+				}
+				b.Vecs[c].Data[n] = v
 			}
-			b.Vecs[c].Data[n] = v
-		}
-		n++
-		if err := cur.advance(); err != nil {
+		})
+		if err != nil {
 			return false, err
 		}
-		if cur.done {
-			cur.close(true) // run consumed: free its disk budget eagerly
+		if !ok {
+			break
 		}
 	}
 	if n == 0 {
 		return false, nil
 	}
-	for c := range s.schema {
+	for c, info := range s.schema {
 		v := &b.Vecs[c]
-		v.Type = s.schema[c].Type
-		v.Dict = s.schema[c].Dict
-		v.Heap = nil
-		if blockHeaps != nil && blockHeaps[c] != nil {
-			v.Heap = blockHeaps[c]
-		}
+		v.Type, v.Heap, v.Dict = info.Type, heaps[c], info.Dict
 	}
 	b.N = n
 	return true, nil
 }
 
-// cleanup releases every charge and closes the merge state; run files are
-// removed eagerly (the manager would also sweep them at query end).
-func (s *Sort) cleanup() {
-	for _, c := range s.cursors {
-		if c != nil {
-			c.close(true)
-		}
-	}
-	s.cursors = nil
-	for _, path := range s.runs {
-		if s.mgr != nil {
-			_ = s.mgr.Remove(path)
-		}
-	}
-	s.runs = nil
-	s.cols = nil
-	s.order = nil
-	s.trs = nil
-	s.qc.Release(s.charged)
-	s.charged = 0
-}
-
 // Close implements Operator.
 func (s *Sort) Close() error {
-	s.cleanup()
+	if s.rs != nil {
+		s.rs.close()
+	}
 	return nil
+}
+
+// releaseTranslators returns the memos of a set of per-column translators
+// (nil entries for non-string columns) to their budget.
+func releaseTranslators(trs []*heap.Translator) {
+	for _, tr := range trs {
+		if tr != nil {
+			tr.Release()
+		}
+	}
 }
 
 // heapSizes totals the byte size of the non-nil heaps, the unit the

@@ -249,15 +249,16 @@ func repartition(mgr *spill.Manager, stats *OpSpillStats, specs []spill.ColSpec,
 
 // mergeCursor walks the rows of one spill run during a merge, holding one
 // decoded chunk at a time and charging its footprint against the memory
-// budget (released when the next chunk replaces it).
+// budget (released when the next chunk replaces it). row is the current
+// row, over the chunk's columns and heaps.
 type mergeCursor struct {
 	qc      *QueryCtx
 	op      string
 	m       *spill.Manager
 	r       *spill.Reader
 	path    string
-	ch      *spill.Chunk
-	at      int
+	row     rowRef
+	rows    int
 	charged int
 	done    bool
 }
@@ -279,7 +280,9 @@ func openMergeCursor(qc *QueryCtx, op string, m *spill.Manager, path string, sta
 func (c *mergeCursor) unload() {
 	c.qc.Release(c.charged)
 	c.charged = 0
-	c.ch = nil
+	c.rows = 0
+	clear(c.row.cols) // lets the chunk go
+	clear(c.row.heaps)
 }
 
 func (c *mergeCursor) load() error {
@@ -298,22 +301,28 @@ func (c *mergeCursor) load() error {
 		return err
 	}
 	c.charged = n
-	c.ch = ch
-	c.at = 0
+	if c.row.cols == nil {
+		c.row.cols = make([][]uint64, len(ch.Cols))
+		c.row.heaps = make([]*heap.Heap, len(ch.Cols))
+	}
+	for i := range ch.Cols {
+		c.row.cols[i], c.row.heaps[i] = ch.Cols[i].Values, ch.Cols[i].Heap
+	}
+	c.row.i, c.rows = 0, ch.Rows
 	return nil
 }
 
 // advance moves to the next row, loading the next chunk at a boundary.
 func (c *mergeCursor) advance() error {
-	c.at++
-	if c.ch != nil && c.at < c.ch.Rows {
+	c.row.i++
+	if c.row.i < c.rows {
 		return nil
 	}
 	return c.load()
 }
 
-func (c *mergeCursor) val(col int) uint64         { return c.ch.Cols[col].Values[c.at] }
-func (c *mergeCursor) strHeap(col int) *heap.Heap { return c.ch.Cols[col].Heap }
+func (c *mergeCursor) val(col int) uint64         { return c.row.cols[col][c.row.i] }
+func (c *mergeCursor) strHeap(col int) *heap.Heap { return c.row.heaps[col] }
 
 // close releases the chunk charge and the file handle; remove also
 // deletes the run file, returning its disk budget.
@@ -326,88 +335,4 @@ func (c *mergeCursor) close(remove bool) {
 	if remove && c.m != nil {
 		_ = c.m.Remove(c.path)
 	}
-}
-
-// pickMin returns the index of the smallest live cursor under less, ties
-// to the lowest index — runs are opened in input order, which is what
-// keeps the external sort stable.
-func pickMin(cs []*mergeCursor, less func(a, b *mergeCursor) bool) int {
-	best := -1
-	for i, c := range cs {
-		if c == nil || c.done {
-			continue
-		}
-		if best < 0 || less(c, cs[best]) {
-			best = i
-		}
-	}
-	return best
-}
-
-// openMerge opens the final merge over runs under less, first pre-merging
-// runs (in input order, which with pickMin's tie-break keeps an external
-// sort stable) while there are more than one merge can read at once:
-// spillMergeFanIn, or as many as the memory budget holds a chunk of.
-func openMerge(qc *QueryCtx, op string, m *spill.Manager, specs []spill.ColSpec, runs []string, stats *spill.Stats, less func(a, b *mergeCursor) bool) ([]*mergeCursor, error) {
-	for {
-		var cursors []*mergeCursor
-		var err error
-		for _, path := range runs[:min(len(runs), spillMergeFanIn)] {
-			var c *mergeCursor
-			if c, err = openMergeCursor(qc, op, m, path, stats); err != nil {
-				break
-			}
-			cursors = append(cursors, c)
-		}
-		if err == nil && len(cursors) == len(runs) {
-			return cursors, nil
-		}
-		n := len(cursors)
-		var merged string
-		if err == nil || n >= 2 && spillableErr(qc, err) {
-			merged, err = mergeCursors(m, specs, stats, cursors, less)
-		}
-		for _, c := range cursors {
-			c.close(err == nil) // inputs are consumed on success, kept for cleanup on failure
-		}
-		if err != nil {
-			return nil, err
-		}
-		runs = append([]string{merged}, runs[n:]...)
-	}
-}
-
-// mergeCursors drains the cursors into one new run under less.
-func mergeCursors(m *spill.Manager, specs []spill.ColSpec, stats *spill.Stats, cursors []*mergeCursor, less func(a, b *mergeCursor) bool) (string, error) {
-	w, err := m.NewWriter(specs, stats)
-	if err != nil {
-		return "", err
-	}
-	row := make([]uint64, len(specs))
-	heaps := make([]*heap.Heap, len(specs))
-	for {
-		i := pickMin(cursors, less)
-		if i < 0 {
-			break
-		}
-		cur := cursors[i]
-		for c := range specs {
-			row[c] = cur.val(c)
-			if specs[c].Str {
-				heaps[c] = cur.strHeap(c)
-			}
-		}
-		if err := w.Append(row, heaps); err != nil {
-			w.Close()
-			return "", err
-		}
-		if err := cur.advance(); err != nil {
-			w.Close()
-			return "", err
-		}
-	}
-	if err := w.Close(); err != nil {
-		return "", err
-	}
-	return w.Path(), nil
 }

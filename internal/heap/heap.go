@@ -209,6 +209,13 @@ func (h *Heap) Compare(a, b uint64) int {
 	return h.collation.Compare(h.view(a), h.view(b))
 }
 
+// CompareAcross orders element a of h against element b of o under coll,
+// reading both in place: the compare of two rows whose strings live in
+// different heaps.
+func CompareAcross(coll types.Collation, h *Heap, a uint64, o *Heap, b uint64) int {
+	return coll.Compare(h.view(a), o.view(b))
+}
+
 // SortedRemap builds a new heap containing the same elements in ascending
 // collation order and returns it with a token remapping (old token → new
 // token). Combined with enc.RemapDictEntries this sorts a dictionary-

@@ -59,8 +59,8 @@ type Query struct {
 	// Having filters groups after aggregation, over the aggregate output
 	// schema (aliases or generated names like "SUM(v)").
 	Having expr.Expr
-	// Limit caps the result; with OrderBy it plans a bounded TopN sort
-	// instead of a full sort.
+	// Limit caps the result; with OrderBy it bounds the Sort instead of
+	// planning a Limit over a full sort.
 	Limit int
 }
 
@@ -553,10 +553,10 @@ func finishPlan(op exec.Operator, q Query, opt Options, ex *Explain) (exec.Opera
 			keys = append(keys, exec.SortKey{Col: idx, Desc: o.Desc})
 		}
 		if q.Limit > 0 {
-			// Bounded sort: keep only the top rows instead of
-			// materializing everything.
-			op = exec.NewTopN(op, q.Limit, keys...)
-			ex.add("TopN[%d, %d keys]", q.Limit, len(keys))
+			// Bounded sort: it keeps only the first rows instead of
+			// materializing everything, and no Limit goes above it.
+			op = exec.NewBoundedSort(op, q.Limit, keys...)
+			ex.add("Sort[%d keys, top %d]", len(keys), q.Limit)
 			return op, nil
 		}
 		op = exec.NewSort(op, keys...)

@@ -1,7 +1,9 @@
 package tde
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -228,8 +230,8 @@ func TestLimitAndHavingThroughAPI(t *testing.T) {
 	if len(res.Rows) != 2 || res.Rows[0][0] != "40" || res.Rows[1][0] != "25" {
 		t.Fatalf("top-2 %v", res.Rows)
 	}
-	if !strings.Contains(res.Plan, "TopN") {
-		t.Errorf("ORDER BY + LIMIT should plan a TopN: %s", res.Plan)
+	if !strings.Contains(res.Plan, "Sort[1 keys, top 2]") || strings.Contains(res.Plan, "Limit[") {
+		t.Errorf("ORDER BY + LIMIT should plan a bounded Sort and no Limit: %s", res.Plan)
 	}
 	res, err = db.Query("SELECT status, SUM(amount) AS s FROM orders GROUP BY status HAVING s > 40")
 	if err != nil {
@@ -237,6 +239,48 @@ func TestLimitAndHavingThroughAPI(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0] != "closed" {
 		t.Fatalf("having result %v", res.Rows)
+	}
+}
+
+// TestOrderByLimitSpills: ORDER BY … LIMIT is a bounded Sort, which
+// spills like the full one. Over 60 000 rows under a 256 KiB budget with
+// spilling on, LIMIT 50 000 answers the first rows of ORDER BY s, and
+// neither query leaves a spill file.
+func TestOrderByLimitSpills(t *testing.T) {
+	db := New()
+	var text strings.Builder
+	for i, p := range rand.New(rand.NewSource(5)).Perm(60_000) {
+		fmt.Fprintf(&text, "%d,s-%08d\n", i, p)
+	}
+	opt := DefaultImportOptions()
+	opt.Schema = []string{"id:int", "s:str"}
+	opt.HeaderSet, opt.HasHeader = true, false
+	if err := db.ImportCSV("t", []byte(text.String()), opt); err != nil {
+		t.Fatal(err)
+	}
+	run := func(sql string) *Result {
+		t.Helper()
+		dir := t.TempDir()
+		res, err := db.QueryContext(context.Background(), sql, QueryOptions{
+			MemoryBudget: 256 << 10, SpillBudget: 1 << 30, SpillDir: dir})
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if !res.Stats().Spilled() {
+			t.Errorf("%s: did not spill under 256 KiB", sql)
+		}
+		assertNoSpillFiles(t, dir)
+		return res
+	}
+	full := run("SELECT id, s FROM t ORDER BY s")
+	top := run("SELECT id, s FROM t ORDER BY s LIMIT 50000")
+	if len(full.Rows) != 60_000 || len(top.Rows) != 50_000 {
+		t.Fatalf("%d and %d rows, want 60000 and 50000", len(full.Rows), len(top.Rows))
+	}
+	for i, r := range top.Rows {
+		if strings.Join(r, ",") != strings.Join(full.Rows[i], ",") {
+			t.Fatalf("row %d: %v, full sort has %v", i, r, full.Rows[i])
+		}
 	}
 }
 
