@@ -29,6 +29,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWALRead -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -fuzz=FuzzWALReadConcurrent -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run=^$$ -fuzz=FuzzConjunctKernel -fuzztime=$(FUZZTIME) ./internal/exec/
+	$(GO) test -run=^$$ -fuzz=FuzzAppendFormat -fuzztime=$(FUZZTIME) ./internal/types/
 	$(GO) test -run=^$$ -fuzz=FuzzImportCSV -fuzztime=$(FUZZTIME) .
 
 # Crash-consistency sweep: kill a save at every injectable point and

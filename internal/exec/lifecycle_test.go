@@ -92,7 +92,17 @@ func TestBudgetExceeded(t *testing.T) {
 			return NewAggregate(newScan(), []int{1}, []AggSpec{{Func: Count, Col: 0}}, AggHash)
 		}},
 		{"AggregateDirect", func() Operator {
-			return NewAggregate(newScan(), []int{0}, []AggSpec{{Func: Sum, Col: 1}}, AggDirect)
+			// 5 000 groups: the 5 001 slots' up-front charge fits the
+			// budget, the groups' 16-byte SUM states do not.
+			keys := make([]int64, 100_000)
+			for i := range keys {
+				keys[i] = int64(i % 5000)
+			}
+			s, err := NewScan(makeTable("direct", makeIntColumn("k", types.Integer, keys), makeIntColumn("v", types.Integer, keys)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return NewAggregate(s, []int{0}, []AggSpec{{Func: Sum, Col: 1}}, AggDirect)
 		}},
 		{"HashJoin", func() Operator {
 			inner, err := NewScan(tab)

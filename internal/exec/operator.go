@@ -7,6 +7,8 @@
 package exec
 
 import (
+	"slices"
+
 	"tde/internal/enc"
 	"tde/internal/heap"
 	"tde/internal/types"
@@ -242,39 +244,55 @@ func CollectStrings(op Operator) ([][]string, error) {
 }
 
 // CollectStringsCtx is CollectStrings under a query lifecycle handle —
-// the drain loop the public Query API uses.
+// the drain loop the public Query API uses. It works a block at a time:
+// the block's cells are written into one buffer and sliced out of one
+// string, and its rows slice one []string backing, so a block costs a
+// few allocations whatever its rows and columns; the blocks' rows are
+// joined once at the end.
 func CollectStringsCtx(qc *QueryCtx, op Operator) ([][]string, error) {
 	if err := op.Open(qc); err != nil {
 		return nil, err
 	}
 	defer op.Close()
 	schema := op.Schema()
-	b := vec.NewBlock(len(schema))
-	var rows [][]string
+	nc := len(schema)
+	b := vec.NewBlock(nc)
+	var blocks [][][]string // each block's rows, joined once at the end
+	var buf []byte
+	var ends []int
 	for {
 		ok, err := op.Next(b)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return rows, nil
+			return slices.Concat(blocks...), nil
 		}
 		b.Materialize()
+		buf, ends = buf[:0], ends[:0]
 		for i := 0; i < b.N; i++ {
-			row := make([]string, len(b.Vecs))
 			for c := range b.Vecs {
 				v := &b.Vecs[c]
-				if schema[c].Type == types.String {
-					if v.Data[i] == types.NullToken {
-						row[c] = "NULL"
-					} else {
-						row[c] = v.Heap.Get(v.Data[i])
-					}
-					continue
+				switch {
+				case schema[c].Type != types.String:
+					buf = types.AppendFormat(buf, schema[c].Type, v.Value(i))
+				case v.Data[i] == types.NullToken:
+					buf = append(buf, "NULL"...)
+				default:
+					buf = v.Heap.AppendTo(buf, v.Data[i])
 				}
-				row[c] = types.Format(schema[c].Type, v.Value(i))
+				ends = append(ends, len(buf))
 			}
-			rows = append(rows, row)
 		}
+		str, cells := string(buf), make([]string, len(ends))
+		at := 0
+		for k, end := range ends {
+			cells[k], at = str[at:end], end
+		}
+		rows := make([][]string, b.N)
+		for i := range rows {
+			rows[i] = cells[i*nc : (i+1)*nc : (i+1)*nc]
+		}
+		blocks = append(blocks, rows)
 	}
 }

@@ -15,7 +15,8 @@ import (
 )
 
 // blocksOp hands out fixed blocks whose vectors carry aligned runs, or,
-// with plain set, the same blocks expanded.
+// with plain set, the same blocks expanded; a block of plain vectors is
+// handed out as it is.
 type blocksOp struct {
 	schema []ColInfo
 	blocks []*vec.Block
@@ -35,10 +36,13 @@ func (o *blocksOp) Next(b *vec.Block) (bool, error) {
 	ensureVecs(b, len(src.Vecs))
 	for c := range src.Vecs {
 		v, d := &src.Vecs[c], &b.Vecs[c]
-		d.Type, d.Heap, d.Dict = v.Type, v.Heap, v.Dict
-		if o.plain {
+		d.Type, d.Heap, d.Dict, d.Runs = v.Type, v.Heap, v.Dict, nil
+		switch {
+		case v.Runs == nil:
+			copy(d.Data, v.Data[:src.N])
+		case o.plain:
 			enc.ExpandRuns(v.Runs, d.Data[:src.N])
-		} else {
+		default:
 			d.Runs = append([]enc.Run(nil), v.Runs...)
 		}
 	}

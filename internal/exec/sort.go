@@ -352,50 +352,66 @@ func (s *rowSort) finish() error {
 	return s.openMerge()
 }
 
-// openMerge opens the merge over the runs, first pre-merging them, in
-// input order, while there are more than one merge reads at once:
-// spillMergeFanIn, or, from two on, as many as hold a chunk each within
-// half the budget left when the merge opens. The other half is the
-// merge's consumer's (Sort's output, or the ordered fold's running
-// group), so how many runs were spilled, which varies with the workers'
-// timing, does not decide whether the consumer fits.
+// openMerge opens the merge over the runs, first pre-merging them while
+// there are more than one merge reads at once: spillMergeFanIn, or, from
+// two on, as many as hold a chunk each within half the budget left when
+// the merge opens. The other half is the merge's consumer's (Sort's
+// output, or the ordered fold's running group), so how many runs were
+// spilled, which varies with the workers' timing, does not decide
+// whether the consumer fits. The pre-merge goes level by level: each
+// level merges adjacent runs in groups, in input order, into the next
+// level's runs, so a row is rewritten once per level, and pickMin's
+// earliest-run tie-break keeps ties in input order.
 func (s *rowSort) openMerge() error {
 	share := -1
 	if b := s.qc.Budget(); b > 0 {
 		share = int(b-s.qc.Used()) / 2
 	}
 	for {
-		var cursors []*mergeCursor
-		var err error
-		held := 0
-		for _, path := range s.runs[:min(len(s.runs), spillMergeFanIn)] {
-			var c *mergeCursor
-			if c, err = openMergeCursor(s.qc, s.op, s.mgr, path, &s.stats.IO); err != nil {
-				break
+		// s.runs[:out] are this level's merged runs, s.runs[at:] the runs
+		// left to merge; those between are consumed.
+		out := 0
+		for at := 0; at < len(s.runs); out++ {
+			if at == len(s.runs)-1 && out > 0 { // a last run alone moves up as it is
+				s.runs[out] = s.runs[at]
+				at++
+				continue
 			}
-			if len(cursors) >= 2 && share >= 0 && held+c.charged > share {
-				c.close(false)
-				break
+			var cursors []*mergeCursor
+			var err error
+			held := 0
+			for _, path := range s.runs[at:min(len(s.runs), at+spillMergeFanIn)] {
+				var c *mergeCursor
+				if c, err = openMergeCursor(s.qc, s.op, s.mgr, path, &s.stats.IO); err != nil {
+					break
+				}
+				if len(cursors) >= 2 && share >= 0 && held+c.charged > share {
+					c.close(false)
+					break
+				}
+				held += c.charged
+				cursors = append(cursors, c)
 			}
-			held += c.charged
-			cursors = append(cursors, c)
+			n := len(cursors)
+			if err == nil && n == len(s.runs) {
+				s.cursors, s.runs = cursors, nil
+				return nil
+			}
+			var merged string
+			if err == nil || n >= 2 && spillableErr(s.qc, err) {
+				merged, err = s.mergeRuns(cursors)
+			}
+			for _, c := range cursors {
+				c.close(err == nil) // inputs are consumed on success, kept for cleanup on failure
+			}
+			if err != nil {
+				s.runs = append(s.runs[:out], s.runs[at:]...) // what close must remove
+				return err
+			}
+			s.runs[out] = merged
+			at += n
 		}
-		if err == nil && len(cursors) == len(s.runs) {
-			s.cursors, s.runs = cursors, nil
-			return nil
-		}
-		n := len(cursors)
-		var merged string
-		if err == nil || n >= 2 && spillableErr(s.qc, err) {
-			merged, err = s.mergeRuns(cursors)
-		}
-		for _, c := range cursors {
-			c.close(err == nil) // inputs are consumed on success, kept for cleanup on failure
-		}
-		if err != nil {
-			return err
-		}
-		s.runs = append([]string{merged}, s.runs[n:]...)
+		s.runs = s.runs[:out]
 	}
 }
 

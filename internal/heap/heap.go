@@ -150,6 +150,10 @@ func (h *Heap) Extend() *Heap {
 // element boundary is safe.
 func (h *Heap) Get(tok uint64) string { return string(h.elem(tok)) }
 
+// AppendTo appends the string at token tok to dst: Get without the
+// allocation.
+func (h *Heap) AppendTo(dst []byte, tok uint64) []byte { return append(dst, h.elem(tok)...) }
+
 // elem returns the bytes of the element at tok in place, nil for NULL or a
 // token outside the heap.
 func (h *Heap) elem(tok uint64) []byte {

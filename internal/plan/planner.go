@@ -350,6 +350,17 @@ func newTableScan(t *storage.Table, v *delta.View, ex *Explain, names ...string)
 // buildScanPlan is the control: Scan => Filter (Fig. 10 plan 1).
 func buildScanPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 	cols := neededColumns(q)
+	if len(cols) == 0 && len(q.Table.Columns) > 0 {
+		// COUNT(*) alone reads no value, only how many rows there are:
+		// the column with the fewest stored bytes carries that.
+		least := q.Table.Columns[0]
+		for _, c := range q.Table.Columns[1:] {
+			if len(c.Data.Bytes()) < len(least.Data.Bytes()) {
+				least = c
+			}
+		}
+		cols = []string{least.Name}
+	}
 	scan, err := newTableScan(q.Table, q.Delta, ex, cols...)
 	if err != nil {
 		return nil, err

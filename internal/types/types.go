@@ -185,33 +185,64 @@ func Compare(t Type, a, b uint64) int {
 // Format renders a non-token value for display and text export. String
 // values cannot be formatted without their heap; use the column layer.
 func Format(t Type, bits uint64) string {
+	return string(AppendFormat(make([]byte, 0, 24), t, bits))
+}
+
+// AppendFormat appends Format's rendering of a non-token value to dst.
+func AppendFormat(dst []byte, t Type, bits uint64) []byte {
 	if IsNull(t, bits) {
-		return "NULL"
+		return append(dst, "NULL"...)
 	}
 	switch t {
 	case Boolean:
-		if bits != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, bits != 0)
 	case Integer:
-		return strconv.FormatInt(int64(bits), 10)
+		return strconv.AppendInt(dst, int64(bits), 10)
 	case Real:
-		return strconv.FormatFloat(math.Float64frombits(bits), 'g', -1, 64)
+		return strconv.AppendFloat(dst, math.Float64frombits(bits), 'g', -1, 64)
 	case Date:
-		y, m, d := CivilFromDays(int64(bits))
-		return fmt.Sprintf("%04d-%02d-%02d", y, m, d)
+		return appendDate(dst, int64(bits))
 	case Timestamp:
 		us := int64(bits)
 		days := floorDiv(us, MicrosPerDay)
-		rem := us - days*MicrosPerDay
-		y, m, d := CivilFromDays(days)
-		sec := rem / 1e6
-		return fmt.Sprintf("%04d-%02d-%02d %02d:%02d:%02d", y, m, d,
-			sec/3600, (sec/60)%60, sec%60)
+		sec := (us - days*MicrosPerDay) / 1e6
+		dst = append(appendDate(dst, days), ' ')
+		dst = append(appendPadded(dst, sec/3600, 2), ':')
+		dst = append(appendPadded(dst, (sec/60)%60, 2), ':')
+		return appendPadded(dst, sec%60, 2)
 	default:
-		return strconv.FormatUint(bits, 10)
+		return strconv.AppendUint(dst, bits, 10)
 	}
+}
+
+// appendDate appends the civil date of a day number as YYYY-MM-DD.
+func appendDate(dst []byte, days int64) []byte {
+	y, m, d := CivilFromDays(days)
+	dst = append(appendPadded(dst, int64(y), 4), '-')
+	dst = append(appendPadded(dst, int64(m), 2), '-')
+	return appendPadded(dst, int64(d), 2)
+}
+
+// appendPadded appends v zero-padded to width characters, a minus sign
+// included, as fmt's %0*d does.
+func appendPadded(dst []byte, v int64, width int) []byte {
+	if v < 0 {
+		dst = append(dst, '-')
+		width--
+	}
+	var digits [20]byte
+	n := len(strconv.AppendUint(digits[:0], absInt(v), 10))
+	for ; n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendUint(dst, absInt(v), 10)
+}
+
+func absInt(v int64) uint64 {
+	if v < 0 {
+		return uint64(-v)
+	}
+	return uint64(v)
 }
 
 // MicrosPerDay is the number of Timestamp ticks in one day.

@@ -621,7 +621,11 @@ func (db *Database) CompressColumn(table, column string) error {
 // Result is a query result with formatted values.
 type Result struct {
 	Columns []string
-	Rows    [][]string
+	// Rows holds the formatted cells, row-major. The rows of one
+	// execution block slice one shared []string backing, and the cells of
+	// one block share one backing string: a caller that keeps a single
+	// cell keeps its block's string alive (strings.Clone detaches it).
+	Rows [][]string
 	// Plan describes the strategic plan that produced the result; when the
 	// query degraded to disk it is suffixed with a per-operator spill
 	// summary ("... => Spill[#4 HashJoin spills=1 parts=8 ...]").
