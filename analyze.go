@@ -35,7 +35,7 @@ func (db *Database) ExplainAnalyzeContext(ctx context.Context, sql string, opt Q
 //	#1 Limit(10)  rows=10 blocks=1 time=2.1ms
 //	└─ #2 HashJoin [hash]  rows=812 blocks=1 time=2.0ms
 //	   ├─ #3 Scan(lineitem) [for+dict]  rows=60175 blocks=59 time=1.1ms bytes=481KB
-//	   └─ #4 FlowTable [dict+raw]  rows=25 time=0.4ms
+//	   └─ #4 Scan(nation) [in-place(dict+raw)]  rows=25 blocks=0 time=4µs bytes=200B
 //
 // IDs are the stable plan-assigned operator IDs; [brackets] show the
 // tactical routine or encoding path chosen at run time; spilling

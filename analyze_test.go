@@ -67,7 +67,7 @@ const twoJoinSpillSQL = "SELECT d1v, COUNT(*), SUM(v), MAX(d2v) FROM f " +
 func TestTwoJoinSpillStatsDistinct(t *testing.T) {
 	db := twoJoinSpillDB(t)
 	res, err := db.QueryContext(context.Background(), twoJoinSpillSQL, QueryOptions{
-		MemoryBudget: 96 << 10,
+		MemoryBudget: 64 << 10,
 		SpillBudget:  1 << 30,
 		SpillDir:     t.TempDir(),
 	})
@@ -268,7 +268,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			name: "spilling",
 			sql:  "SELECT dval, COUNT(*), SUM(v) FROM t JOIN d ON k = dkey GROUP BY dval",
 			opt: QueryOptions{
-				MemoryBudget: 96 << 10,
+				MemoryBudget: 64 << 10,
 				SpillBudget:  1 << 30,
 				Plan:         planWorkers(-1),
 			},

@@ -1,5 +1,5 @@
 // Package delta is the uncompressed, row-oriented write overlay of the
-// engine (ROADMAP item 4, in the spirit of MorphStore's immutable base +
+// engine (DESIGN.md §11, in the spirit of MorphStore's immutable base +
 // mutable delta split): the compressed columnar base tables stay
 // read-only, and every INSERT, UPDATE and DELETE lands here as inserted
 // rows plus a deleted-row log over the base.

@@ -55,7 +55,7 @@ func TestJoinOracle(t *testing.T) {
 			// A budget the inner side cannot fit in sends the join
 			// through grace partitioning.
 			res, err := db.QueryContext(context.Background(), c.sql,
-				tde.QueryOptions{MemoryBudget: 1 << 10, SpillBudget: 64 << 20})
+				tde.QueryOptions{MemoryBudget: 256, SpillBudget: 64 << 20})
 			if err != nil {
 				t.Fatalf("%s dirty=%v spilled: %v\n  query: %s", c.name, dirty, err, c.sql)
 			}

@@ -32,10 +32,9 @@ type WriterConfig struct {
 	// allowed. The harness uses it to emulate the first TDE release,
 	// which only implemented run-length encoding (Sect. 2.3.2 / 6.2).
 	KindMask uint16
-	// DisallowRLE excludes run-length encoding from the choices. The
-	// strategic optimizer sets this for FlowTables on the inner side of
-	// hash joins, whose random access pattern RLE serves poorly
-	// (Sect. 4.3).
+	// DisallowRLE excludes run-length encoding from the choices. A
+	// FlowTable sets it for string token columns, which it dictionary-
+	// encodes instead (Sect. 6.3).
 	DisallowRLE bool
 	// MaxReencodings bounds format rewrites before falling back to raw
 	// until the end (the safeguard sketched in Sect. 3.2). Zero means the

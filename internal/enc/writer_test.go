@@ -191,7 +191,7 @@ func TestWriterDisallowRLE(t *testing.T) {
 	}
 	s := encodeAll(t, WriterConfig{ConvertOptimal: true, DisallowRLE: true}, vals)
 	if s.Kind() == RunLength {
-		t.Fatal("RLE chosen despite DisallowRLE (hash-join inner restriction)")
+		t.Fatal("RLE chosen despite DisallowRLE")
 	}
 	checkRoundTrip(t, s, vals, 8)
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tde/internal/enc"
@@ -250,10 +251,18 @@ func TestFlowTableParallelMatchesSerial(t *testing.T) {
 		if s.Cols[c].Data.Kind() != p.Cols[c].Data.Kind() {
 			t.Errorf("col %d kinds differ: %v vs %v", c, s.Cols[c].Data.Kind(), p.Cols[c].Data.Kind())
 		}
-		for r := 0; r < n; r += 531 {
-			if s.Value(c, r) != p.Value(c, r) {
-				t.Fatalf("col %d row %d differs", c, r)
-			}
+	}
+	sr, err := Collect(NewBuiltScan(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := Collect(NewBuiltScan(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < n; r += 531 {
+		if !slices.Equal(sr[r], pr[r]) {
+			t.Fatalf("row %d differs: %v vs %v", r, sr[r], pr[r])
 		}
 	}
 }
@@ -722,11 +731,12 @@ func TestJoinSchemaSanitizesOrderMetadata(t *testing.T) {
 	}
 }
 
-// TestHashJoinDecodesSlowPayloadOnce pins the join payload cliff shut: a
-// payload column whose encoding has no constant-time Get (delta walks its
-// block, run-length its run list, from the start) is decoded flat once at
-// Open, charged to the query, so the probe loop never issues such a Get.
-func TestHashJoinDecodesSlowPayloadOnce(t *testing.T) {
+// TestHashJoinDecodesEveryPayloadOnce: the join reads a stored inner in
+// place and decodes every payload column flat once at Open, whatever its
+// encoding (a delta block or a run list has no constant-time Get), so a
+// probe hit is one array read. Only the flat columns are charged; the
+// stored streams are not, as a scan's are not.
+func TestHashJoinDecodesEveryPayloadOnce(t *testing.T) {
 	n := 5000
 	rng := rand.New(rand.NewSource(9))
 	walk := make([]int64, n) // irregular steps: delta-encodes
@@ -748,22 +758,27 @@ func TestHashJoinDecodesSlowPayloadOnce(t *testing.T) {
 	}
 	outer, _ := NewScan(makeTable("fact", makeIntColumn("fk", types.Integer, fk)))
 	dimScan, _ := NewScan(dim)
-	j := NewHashJoin(outer, NewFlowTable(dimScan, DefaultFlowTableConfig()), 0, 0, JoinAuto)
+	j := NewHashJoin(outer, dimScan, 0, 0, JoinAuto)
 	qc := NewQueryCtx(nil, 0)
 	if err := j.Open(qc); err != nil {
 		t.Fatal(err)
+	}
+	if j.Algo() != JoinFetch {
+		t.Fatalf("ran as %v, want fetch", j.Algo())
 	}
 	kinds := map[enc.Kind]bool{}
 	for c := range j.built.Cols {
 		kind := j.built.Cols[c].Data.Kind()
 		kinds[kind] = true
-		slow := kind == enc.Delta || kind == enc.RunLength
-		if decoded := j.part.cols[c] != nil; decoded != (slow && c != j.innerKey) {
+		if decoded := len(j.part.cols[c]) == n; decoded != (c != j.innerKey) {
 			t.Errorf("column %d (%v): decoded flat = %v", c, kind, decoded)
 		}
 	}
 	if !kinds[enc.Delta] || !kinds[enc.RunLength] {
 		t.Fatalf("fixture no longer covers both slow encodings: %v", kinds)
+	}
+	if want := int64(3 * n * 8); qc.Used() != want {
+		t.Errorf("%d bytes charged after Open, want %d (three flat payloads)", qc.Used(), want)
 	}
 	b := vec.NewBlock(len(j.Schema()))
 	row := 0

@@ -16,7 +16,7 @@ import (
 
 // FlowTableConfig controls the materialization behaviour; the toggles
 // correspond to the experimental arms of Sect. 6 (encoding on/off, heap
-// acceleration on/off) and the strategic restrictions of Sect. 4.3.
+// acceleration on/off).
 type FlowTableConfig struct {
 	// Encode enables dynamic encoding (Sect. 3.2). Off, columns are
 	// stored raw — the baseline arm of Figures 4-9.
@@ -27,10 +27,6 @@ type FlowTableConfig struct {
 	Accelerate bool
 	// AcceleratorLimit overrides the accelerator giveup threshold.
 	AcceleratorLimit int
-	// DisallowRLE restricts encoding choices for FlowTables on the inner
-	// side of hash joins, whose random access pattern run-length encoding
-	// serves poorly (Sect. 4.3).
-	DisallowRLE bool
 	// Parallel gives every column a builder of its own, fed in order from
 	// a small ring of blocks (Sect. 3.3: "encoding of each column is
 	// independent"); off, the columns are built inline, one after another.
@@ -71,16 +67,6 @@ type FlowTable struct {
 	qc      *QueryCtx
 	charged int
 	cost    int
-}
-
-// SpillChild implements SpillSource: the grace hash join re-streams the
-// inner side from the materialized table when it exists, else from the
-// (re-openable) child pipeline.
-func (f *FlowTable) SpillChild() Operator {
-	if f.built != nil {
-		return NewBuiltScan(f.built)
-	}
-	return f.child
 }
 
 // NewFlowTable materializes child with cfg. A dictionary column is stored
@@ -169,7 +155,6 @@ func (f *FlowTable) BuildTable(qc *QueryCtx) (*Built, error) {
 			Sentinel:        sentinelFor(info),
 			HasSentinel:     true,
 			DisableEncoding: !f.cfg.Encode,
-			DisallowRLE:     f.cfg.DisallowRLE,
 			KindMask:        f.cfg.KindMask,
 			ConvertOptimal:  f.cfg.Encode,
 		}

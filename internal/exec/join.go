@@ -40,8 +40,9 @@ const directJoinLimit = 1 << 24
 // HashJoin is a many-to-one (PK/FK) join: each outer row matches at most
 // one inner row by key equality. The inner relation is a stop-and-go
 // TableSource (Sect. 4.1.2: "The TDE Join operator takes a stop-and-go
-// operator as the inner relation"), typically a FlowTable whose extracted
-// metadata drives the algorithm choice.
+// operator as the inner relation"): a clean dimension's table Scan, read
+// in place with its stored metadata and heaps, or a FlowTable whose
+// extracted metadata drives the algorithm choice.
 //
 // When the inner side holds several rows with one key, the first of them
 // in inner order is the match — under every algorithm, in memory and
@@ -87,16 +88,16 @@ func NewHashJoin(outer Operator, inner TableSource, outerKey, innerKey int, algo
 // Schema implements Operator: outer columns followed by inner columns
 // (except the inner key, which duplicates the outer key). Before the
 // inner side is built, the schema comes from the TableSource's declared
-// schema when it has one (FlowTable, a Built itself), so the strategic
-// planner can resolve names against the joined shape.
+// schema (a clean table Scan, a FlowTable, a Built itself), so the
+// strategic planner can resolve names against the joined shape.
 func (j *HashJoin) Schema() []ColInfo {
 	if j.schema != nil {
 		return j.schema
 	}
 	out := append([]ColInfo{}, j.outer.Schema()...)
-	// A grace join spills the outer key as a string and re-homes every
-	// inner string into its partitions' heaps; the other outer columns
-	// come back on their stored heaps.
+	// A grace join spills the outer key as a string; every other outer
+	// column, and every inner one read in place, comes back on its stored
+	// heap.
 	out[j.outerKey].StoredHeap = false
 	// Outer columns keep their order metadata (the join preserves outer
 	// order), but filtering by an inner join can break density — the very
@@ -107,34 +108,30 @@ func (j *HashJoin) Schema() []ColInfo {
 			out[i].Meta.IsAffine = false
 		}
 	}
-	appendInner := func(info ColInfo) {
+	inner := j.inner.Schema()
+	if j.built != nil {
+		inner = j.built.Schema()
+	}
+	for i, info := range inner {
+		if i == j.innerKey {
+			continue
+		}
 		// Inner values are fetched in outer order: sortedness, density,
 		// uniqueness and affinity of the dimension column do not survive.
-		info.Meta.SortedKnown = false
-		info.Meta.IsAffine = false
-		info.Meta.Dense = false
-		info.Meta.Unique = false
-		info.StoredHeap = false
-		if j.LeftOuter {
-			info.Meta.NullsKnown = false
-		}
+		info.Meta.SortedKnown, info.Meta.IsAffine = false, false
+		info.Meta.Dense, info.Meta.Unique = false, false
+		info.Meta.NullsKnown = info.Meta.NullsKnown && !j.LeftOuter
+		info.StoredHeap = info.StoredHeap && j.inPlace()
 		out = append(out, info)
 	}
-	switch {
-	case j.built != nil:
-		for i := range j.built.Cols {
-			if i != j.innerKey {
-				appendInner(j.built.Cols[i].Info)
-			}
-		}
-	default:
-		for i, info := range j.inner.Schema() {
-			if i != j.innerKey {
-				appendInner(info)
-			}
-		}
-	}
 	return out
+}
+
+// inPlace reports whether the inner's heaps are known before Open: a
+// FlowTable re-homes its strings into heaps it makes when it builds.
+func (j *HashJoin) inPlace() bool {
+	_, ft := j.inner.(*FlowTable)
+	return !ft
 }
 
 // Algo returns the algorithm actually chosen (valid after Open).
@@ -144,7 +141,8 @@ func (j *HashJoin) Algo() JoinAlgo { return j.chosen }
 func (j *HashJoin) OpKind() string { return "HashJoin" }
 
 // OpChildren implements Instrumented: the outer probe side, then the
-// inner table source when it is itself a plan operator (FlowTable).
+// inner table source when it is itself a plan operator (a Scan read in
+// place, or a FlowTable).
 func (j *HashJoin) OpChildren() []Operator {
 	out := []Operator{j.outer}
 	if op, ok := j.inner.(Operator); ok {
@@ -160,8 +158,8 @@ func (j *HashJoin) spillInnerSource() Operator {
 	if j.built != nil {
 		return NewBuiltScan(j.built)
 	}
-	if ss, ok := j.inner.(SpillSource); ok {
-		return ss.SpillChild()
+	if ft, ok := j.inner.(*FlowTable); ok {
+		return ft.child // its build failed: re-stream its input
 	}
 	return nil
 }
@@ -212,17 +210,17 @@ func (j *HashJoin) openBuilt(qc *QueryCtx) error {
 // indexBuilt makes the Built the resident inner: the algorithm its key
 // metadata admits (Sect. 2.3.5: an affine key is fetched, an exact narrow
 // envelope indexed directly, anything else hashed), the lookup structure
-// that algorithm needs, and a flat copy of every payload column whose
-// encoding has no constant-time Get (a delta block or run list is walked
-// from its start for every probe hit).
+// that algorithm needs, and a flat copy of every payload column, decoded
+// once, so a probe hit is one array read whatever the encoding (a delta
+// block or run list would otherwise be walked from its start per hit).
 func (j *HashJoin) indexBuilt(qc *QueryCtx) error {
 	bt := j.built
-	p := &joinPart{built: bt, info: bt.Schema(), cols: make([][]uint64, len(bt.Cols)),
+	p := &joinPart{info: bt.Schema(), cols: make([][]uint64, len(bt.Cols)),
 		rows: bt.Rows, key: j.innerKey, nullRow: -1}
 	j.part = p
 	for c := range bt.Cols {
-		if k := bt.Cols[c].Data.Kind(); c != p.key && (k == enc.Delta || k == enc.RunLength) {
-			if err := p.decode(qc, c); err != nil {
+		if c != p.key {
+			if err := p.decode(qc, bt, c); err != nil {
 				return err
 			}
 		}
@@ -257,7 +255,7 @@ func (j *HashJoin) indexBuilt(qc *QueryCtx) error {
 		}
 		return nil
 	}
-	if err := p.decode(qc, p.key); err != nil {
+	if err := p.decode(qc, bt, p.key); err != nil {
 		return err
 	}
 	if p.algo == JoinHash {
@@ -294,12 +292,11 @@ type joinPart struct {
 	// info describes the columns; a string column's Heap is the heap the
 	// part's tokens point into.
 	info []ColInfo
-	// Column c is cols[c], flat full-width values, or — where that is nil
-	// — read in place from built.
-	cols  [][]uint64
-	built *Built
-	rows  int
-	key   int // the inner key column
+	// cols[c] is column c as flat full-width values; the key's is nil
+	// where the lookup needs no key column (fetch, direct).
+	cols [][]uint64
+	rows int
+	key  int // the inner key column
 
 	algo        JoinAlgo
 	base, delta int64 // JoinFetch: row = (key - base) / delta
@@ -335,10 +332,10 @@ func (j *HashJoin) releasePart() {
 	}
 }
 
-// decode flattens built column c into full-width values; the key
+// decode flattens column c of bt into full-width values; the key
 // column's dictionary tokens are resolved, since joins compare values.
-func (p *joinPart) decode(qc *QueryCtx, c int) error {
-	col := &p.built.Cols[c]
+func (p *joinPart) decode(qc *QueryCtx, bt *Built, c int) error {
+	col := &bt.Cols[c]
 	n := col.Data.Len()
 	if err := p.charge(qc, n*8); err != nil {
 		return err
@@ -538,13 +535,9 @@ func (j *HashJoin) emit(p *joinPart, in, out *vec.Block, sc *joinScratch) int {
 		dst.Type, dst.Heap, dst.Dict = info.Type, info.Heap, info.Dict
 		null := types.NullBits(info.Type)
 		for t, row := range sc.match[:k] {
-			switch {
-			case row < 0:
-				dst.Data[t] = null
-			case flat != nil:
+			dst.Data[t] = null
+			if row >= 0 {
 				dst.Data[t] = flat[row]
-			default:
-				dst.Data[t] = p.built.Value(c, int(row))
 			}
 		}
 	}

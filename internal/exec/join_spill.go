@@ -9,12 +9,6 @@ import (
 	"tde/internal/vec"
 )
 
-// SpillSource lets the grace hash join re-stream a table source's rows
-// when materializing them all at once exceeded the memory budget.
-type SpillSource interface {
-	SpillChild() Operator
-}
-
 // gracePart is one unit of probe work: the spill files holding one hash
 // bucket of both sides. route records the bucket chosen at each depth so
 // the multi-pass mode (outer side never spilled) can re-filter the outer
@@ -73,16 +67,21 @@ func (j *HashJoin) openGrace(qc *QueryCtx, src Operator) error {
 	j.chosen = JoinHash
 	g.outerInfo = j.outer.Schema()
 	g.innerInfo = src.Schema()
-	g.outerSpecs = spillSpecs(g.outerInfo)
+	g.outerSpecs, g.innerSpecs = spillSpecs(g.outerInfo), spillSpecs(g.innerInfo)
+	// Stored tokens outlive the query: spill them as they are, so the
+	// partitions' rows come back on the stored heap (a FlowTable inner's
+	// heaps are not stored: its strings are re-homed). A key is spilled
+	// as a string: repartitioning hashes it.
 	for c, info := range g.outerInfo {
 		if info.StoredHeap && c != j.outerKey {
-			// Stored tokens outlive the query: spill them as they are, so
-			// the partitions' outer rows come back on the stored heap.
-			// The key is spilled as a string: repartitioning hashes it.
 			g.outerSpecs[c] = spill.ColSpec{Sentinel: types.NullToken}
 		}
 	}
-	g.innerSpecs = spillSpecs(g.innerInfo)
+	for c, info := range g.innerInfo {
+		if info.StoredHeap && c != j.innerKey && j.inPlace() {
+			g.innerSpecs[c] = spill.ColSpec{Sentinel: types.NullToken}
+		}
+	}
 	// Keys are partitioned and spilled as values: two dictionaries'
 	// tokens are not comparable.
 	g.outerSpecs[j.outerKey] = valueSpec(g.outerInfo[j.outerKey])

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"strconv"
@@ -386,8 +387,9 @@ func TestGraceJoinMaterializesRunBlocks(t *testing.T) {
 // TestGraceJoinKeepsOuterStoredHeap: a grace join spills an outer string
 // column that is not the key as stored tokens, so its blocks come back on
 // the stored heap and the join's schema keeps StoredHeap for it — which
-// lets an aggregate above keep the tokens too. The outer key and the inner
-// strings are re-homed into partition heaps and do not claim it.
+// lets an aggregate above keep the tokens too. A stored inner's strings
+// are spilled the same way; only the outer key is re-homed into partition
+// heaps and does not claim it.
 func TestGraceJoinKeepsOuterStoredHeap(t *testing.T) {
 	const nOuter, nInner = 2000, 6000
 	fk, names := make([]int64, nOuter), make([]string, nOuter)
@@ -400,13 +402,13 @@ func TestGraceJoinKeepsOuterStoredHeap(t *testing.T) {
 		pk[i], tags[i] = int64(i*7), fmt.Sprintf("tag-%d", i%13)
 	}
 	dim := makeTable("dim", makeIntColumn("pk", types.Integer, pk), makeStringColumn("tag", tags))
-	qc := NewQueryCtxSpill(nil, 64<<10, SpillConfig{Budget: 1 << 30, Dir: t.TempDir()})
+	qc := NewQueryCtxSpill(nil, 32<<10, SpillConfig{Budget: 1 << 30, Dir: t.TempDir()})
 	defer qc.CleanupSpill()
 	scan, _ := NewScan(fact)
 	dimScan, _ := NewScan(dim)
-	j := NewHashJoin(scan, NewFlowTable(dimScan, DefaultFlowTableConfig()), 0, 0, JoinAuto)
-	if s := j.Schema(); s[0].StoredHeap || !s[1].StoredHeap || s[2].StoredHeap {
-		t.Fatalf("StoredHeap of (fk, name, tag) = (%v, %v, %v), want (false, true, false)",
+	j := NewHashJoin(scan, dimScan, 0, 0, JoinAuto)
+	if s := j.Schema(); s[0].StoredHeap || !s[1].StoredHeap || !s[2].StoredHeap {
+		t.Fatalf("StoredHeap of (fk, name, tag) = (%v, %v, %v), want (false, true, true)",
 			s[0].StoredHeap, s[1].StoredHeap, s[2].StoredHeap)
 	}
 	agg := NewAggregate(j, nil, []AggSpec{{Func: Count, Col: -1}, {Func: CountD, Col: 1}}, AggAuto)
@@ -419,6 +421,67 @@ func TestGraceJoinKeepsOuterStoredHeap(t *testing.T) {
 	}
 	if got := strings.Join(rows[0], ","); got != fmt.Sprintf("%d,997", nOuter) {
 		t.Fatalf("COUNT(*), COUNTD(name) = %s, want %d,997", got, nOuter)
+	}
+}
+
+// TestGraceJoinOverStoredInner: a join that reads its inner in place and
+// goes grace spills the inner's string payload as stored tokens, so the
+// schema's StoredHeap is the same before and after Open, and a GROUP BY
+// on that payload above the join answers as the in-memory join does.
+func TestGraceJoinOverStoredInner(t *testing.T) {
+	const nOuter, nInner = 8000, 6000
+	fk := make([]int64, nOuter)
+	for i := range fk {
+		fk[i] = int64(i * 7 % (4 * nInner)) // most miss
+	}
+	pk, tags := make([]int64, nInner), make([]string, nInner)
+	row := map[int64]int{}
+	for i := range pk {
+		pk[i], tags[i] = int64(i*3+i%2), fmt.Sprintf("tag-%d", i%13) // not affine: direct
+		row[pk[i]] = i
+	}
+	want := map[string]int{}
+	for _, k := range fk {
+		if r, ok := row[k]; ok {
+			want[tags[r]]++
+		}
+	}
+	fact := makeTable("fact", makeIntColumn("fk", types.Integer, fk))
+	dim := makeTable("dim", makeIntColumn("pk", types.Integer, pk), makeStringColumn("tag", tags))
+	run := func(qc *QueryCtx) (map[string]int, *HashJoin) {
+		scan, _ := NewScan(fact)
+		dimScan, _ := NewScan(dim)
+		j := NewHashJoin(scan, dimScan, 0, 0, JoinAuto)
+		before := j.Schema()[1].StoredHeap
+		agg := NewAggregate(j, []int{1}, []AggSpec{{Func: Count, Col: -1}}, AggAuto)
+		rows, err := CollectStringsCtx(qc, agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after := j.Schema()[1].StoredHeap; !before || !after {
+			t.Errorf("the tag's StoredHeap is %v before Open and %v after, want true both", before, after)
+		}
+		if qc.Used() != 0 {
+			t.Errorf("%d bytes still charged after Close", qc.Used())
+		}
+		got := map[string]int{}
+		for _, r := range rows {
+			got[r[0]], _ = strconv.Atoi(r[1])
+		}
+		return got, j
+	}
+	mem, j := run(NewQueryCtx(nil, 0))
+	if j.Algo() != JoinDirect {
+		t.Fatalf("the in-memory join ran as %v, want direct", j.Algo())
+	}
+	qc := NewQueryCtxSpill(nil, 64<<10, SpillConfig{Budget: 1 << 30, Dir: t.TempDir()})
+	defer qc.CleanupSpill()
+	spilled, j := run(qc)
+	if j.opStats().Routine() != "grace" || qc.SpillPeak() == 0 {
+		t.Fatalf("the join ran [%s] with %d spill bytes, want grace", j.opStats().Routine(), qc.SpillPeak())
+	}
+	if !maps.Equal(mem, want) || !maps.Equal(spilled, want) {
+		t.Fatalf("COUNT(*) by tag:\n in memory %v\n grace     %v\n want      %v", mem, spilled, want)
 	}
 }
 

@@ -60,8 +60,9 @@ type Operator interface {
 }
 
 // TableSource is implemented by stop-and-go operators that materialize a
-// table (FlowTable, and a Built itself); the Join operator "takes a
-// stop-and-go operator as the inner relation".
+// table (FlowTable, and a Built itself) and by a clean table Scan, whose
+// stored columns are the table; the Join operator "takes a stop-and-go
+// operator as the inner relation".
 type TableSource interface {
 	// BuildTable runs the subtree to completion and returns the result,
 	// charging the materialized size against qc (nil = unaccounted).
@@ -103,12 +104,6 @@ func (bt *Built) Schema() []ColInfo {
 		out[i] = bt.Cols[i].Info
 	}
 	return out
-}
-
-// Value resolves row r of column c to full-width value bits.
-func (bt *Built) Value(c, r int) uint64 {
-	col := &bt.Cols[c]
-	return resolveRaw(col.Data.Get(r), col.Data.Width(), &col.Info)
 }
 
 // widening is how a column's raw stream values become full-width bits.

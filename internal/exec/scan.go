@@ -358,6 +358,26 @@ func (s *Scan) ReadRanges(index Operator) {
 	}
 }
 
+// BuildTable implements TableSource for a clean table scan: a join reads
+// the stored columns in place, under the scan's column names, with their
+// stored metadata and heaps. Like a scan's source they are not charged;
+// the join charges what it decodes of them.
+func (s *Scan) BuildTable(qc *QueryCtx) (*Built, error) {
+	if s.table == nil || s.view != nil || s.index != nil {
+		return nil, fmt.Errorf("exec: %s(%s) is not a stored table", s.OpKind(), s.OpLabel())
+	}
+	start := s.beginOpen(qc, s.OpKind())
+	defer s.endOpen(start)
+	bt := &Built{Rows: s.src.Rows, Cols: slices.Clone(s.src.Cols)}
+	for i := range bt.Cols {
+		bt.Cols[i].Info = s.schema[i]
+		s.st.AddBytesScanned(int64(bt.Rows * bt.Cols[i].Data.Width()))
+	}
+	s.st.addRowsOut(int64(bt.Rows))
+	s.st.SetRoutine("in-place(" + encRoutine(bt.Cols) + ")")
+	return bt, nil
+}
+
 // NewBuiltScan scans bt (the output of FlowTable and the pseudo-table
 // operators).
 func NewBuiltScan(bt *Built) *Scan {

@@ -26,33 +26,32 @@ type JoinSpec struct {
 	LeftOuter bool
 }
 
-// buildJoinPlan is the join step of a star query: scan the fact table,
-// hash-join each dimension (inner sides materialized by FlowTables with
-// the Sect. 4.3 RLE restriction), then filter above the last join. Every
-// side's scan reads only the columns the query touches (joinSides).
-// Tactical join-algorithm upgrades (fetch/direct) happen per join from
-// the dimensions' FlowTable metadata.
+// buildJoinPlan is the join step of a star query: scan every side for the
+// columns the query touches (joinSides), hash-join each dimension — a
+// clean one's stored columns in place, a dirty one through a FlowTable —
+// then filter above the last join.
 func buildJoinPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 	sides, err := joinSides(q)
 	if err != nil {
 		return nil, err
 	}
-	op, err := sides[0].scan(ex)
-	if err != nil {
+	var op exec.Operator
+	if op, err = sides[0].scan(ex); err != nil {
 		return nil, err
 	}
 	for i, j := range q.Joins {
 		dim := sides[i+1]
-		inner, err := dim.scan(nil)
+		scan, err := dim.scan(nil)
 		if err != nil {
 			return nil, err
 		}
-		cfg := exec.DefaultFlowTableConfig()
-		cfg.DisallowRLE = true // hash-join inner restriction (Sect. 4.3)
-		ft := exec.NewFlowTable(inner, cfg)
+		var inner exec.TableSource = scan
+		if deltaDirty(dim.delta) {
+			inner = exec.NewFlowTable(scan, exec.DefaultFlowTableConfig())
+		}
 		innerKey := qualify(j.Alias, j.Table.Columns[dim.key].Name)
-		join := exec.NewHashJoin(op, ft, colIndex(op.Schema(), j.OuterKey),
-			colIndex(ft.Schema(), innerKey), exec.JoinAuto)
+		join := exec.NewHashJoin(op, inner, colIndex(op.Schema(), j.OuterKey),
+			colIndex(inner.Schema(), innerKey), exec.JoinAuto)
 		join.LeftOuter = j.LeftOuter
 		kind := "Join"
 		if j.LeftOuter {
@@ -136,7 +135,7 @@ func resolveColumn(sides []*joinSide, name string) (side, col int) {
 
 // scan reads the side's needed columns under its alias; ex, when set,
 // records the scan step.
-func (s *joinSide) scan(ex *Explain) (exec.Operator, error) {
+func (s *joinSide) scan(ex *Explain) (*exec.Scan, error) {
 	var cols []string
 	for ci, c := range s.table.Columns {
 		if s.needed[ci] {

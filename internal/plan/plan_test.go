@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,15 +103,13 @@ func TestIndexTable(t *testing.T) {
 	if bt.Rows != 4 {
 		t.Fatalf("index table has %d runs", bt.Rows)
 	}
-	for r := 0; r < 4; r++ {
-		if int64(bt.Value(0, r)) != int64(r) {
-			t.Errorf("run %d value %d", r, int64(bt.Value(0, r)))
-		}
-		if bt.Value(1, r) != 250 {
-			t.Errorf("run %d count %d", r, bt.Value(1, r))
-		}
-		if bt.Value(2, r) != uint64(r)*250 {
-			t.Errorf("run %d start %d", r, bt.Value(2, r))
+	rows, err := exec.Collect(exec.NewBuiltScan(bt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, row := range rows {
+		if want := []uint64{uint64(r), 250, uint64(r) * 250}; !slices.Equal(row, want) {
+			t.Errorf("run %d: (value, count, start) = %v, want %v", r, row, want)
 		}
 	}
 	// Sorted metadata must flow through for ordered aggregation.

@@ -1,5 +1,5 @@
 // Package wal is the per-database write-ahead log that makes the delta
-// store durable (ROADMAP item 4). The log is a sidecar file next to the
+// store durable (DESIGN.md §11). The log is a sidecar file next to the
 // database ("db.tde.wal"): a 24-byte header binding it to one exact base
 // image, followed by CRC32-framed records — begin / insert / delete /
 // commit — appended through the iofault FS abstraction so the crash
